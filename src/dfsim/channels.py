@@ -125,7 +125,7 @@ def collective_dephasing(gamma: float) -> KrausChannel:
     """
     if not gamma >= 0:
         raise ValueError(f"gamma must be >= 0, got {gamma!r}")
-    p_plus, p_zero, p_minus = zq_proj = zq_projectors_cached()
+    p_plus, p_zero, p_minus = zq_proj = ops.zq_projectors()
     if math.isinf(gamma):
         return KrausChannel(zq_proj, label="collective_dephasing(inf)")
     x = math.exp(-2.0 * gamma)
@@ -133,16 +133,6 @@ def collective_dephasing(gamma: float) -> KrausChannel:
     e1 = math.sqrt(1.0 - x) * p_zero + math.exp(-gamma) * (1.0 + x) * math.sqrt(1.0 - x) * p_minus
     e2 = (1.0 - x) * math.sqrt(1.0 + x) * p_minus
     return KrausChannel((e0, e1, e2), label=f"collective_dephasing({gamma:g})")
-
-
-_ZQ_CACHE: tuple | None = None
-
-
-def zq_projectors_cached() -> tuple:
-    global _ZQ_CACHE
-    if _ZQ_CACHE is None:
-        _ZQ_CACHE = ops.zq_projectors()
-    return _ZQ_CACHE
 
 
 def coherence_decay_factors(gamma: float) -> tuple[float, float]:

@@ -12,6 +12,10 @@ walk for the gradient strength, changing every step_time, so the waveform's
 correlation time is of the order of the stepping time -- too fast for the
 control sequences to refocus.
 
+The module also holds the package's one propagation engine,
+`segment_unitaries`: every propagator, for one molecule or for the whole
+ensemble, is a product of the unitaries it yields.
+
 All randomness flows through numpy Generators seeded from the spec, and the
 member sum runs in a fixed order, so outputs are bit-reproducible.
 """
@@ -40,10 +44,13 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.n_members, (int, np.integer)):
+            raise ValueError(f"n_members must be an integer, got {self.n_members!r}")
         if self.n_members < 2:
             raise ValueError("need at least 2 ensemble members")
-        if self.sample_length < 0 or self.grad_max < 0 or self.diffusion_d < 0:
-            raise ValueError("physical ensemble quantities must be >= 0")
+        for name in ("sample_length", "grad_max", "diffusion_d"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,51 +120,63 @@ def member_positions(spec: EnsembleSpec, jitter: bool = False,
     return (np.arange(n) + offsets) / n * length - length / 2
 
 
-_JZ_EIG = np.array([1.0, 0.0, 0.0, -1.0])  # eigenvalues of Jz/2
-
-
 def _commutes_with_jz(h: np.ndarray) -> bool:
-    jz = np.diag([2.0, 0.0, 0.0, -2.0])
-    return np.abs(h @ jz - jz @ h).max() < 1e-9
+    return np.abs(h @ ops.J_Z - ops.J_Z @ h).max() < 1e-9
+
+
+def segment_unitaries(segments, sys: SpinSystem, z: float | np.ndarray):
+    """Yield the unitary of each segment, in order, at position(s) z (m).
+
+    The propagation engine of the package. A scalar z gives (4, 4) unitaries
+    and an array z gives (n, 4, 4) where members differ. A segment that
+    commutes with Jz, carries no gradient, or sees z = 0 everywhere shares
+    one exponential of its gradient-free Hamiltonian, cached by Hamiltonian
+    and duration; a commuting segment with a gradient multiplies it by the
+    member phases exp(-i gamma z g dt Jz/2). Only the rest (RF under a
+    gradient) needs one batched eigendecomposition.
+    """
+    z = np.asarray(z, dtype=float)
+    z_all_zero = not z.any()
+    shared: dict = {}
+    commutes: dict = {}
+    for seg in segments:
+        if seg.kind == "rotate":
+            yield seg.u
+            continue
+        hkey = seg.h.tobytes()
+        with_gradient = seg.grad != 0.0 and not z_all_zero
+        if with_gradient and hkey not in commutes:
+            commutes[hkey] = _commutes_with_jz(seg.h)
+        if with_gradient and not commutes[hkey]:
+            hb = seg.h + np.multiply.outer(sys.gamma * seg.grad * z, ops.J_Z / 2)
+            w, v = np.linalg.eigh(hb)
+            yield np.einsum("...ij,...j,...kj->...ik", v, np.exp(-1j * w * seg.duration), v.conj())
+            continue
+        u0 = shared.get((hkey, seg.duration))
+        if u0 is None:
+            u0 = shared[hkey, seg.duration] = ops.expm_hermitian(seg.h, seg.duration)
+        if with_gradient:
+            phases = np.exp(-1j * (sys.gamma * seg.grad * seg.duration)
+                            * np.multiply.outer(z, ops.SPIN_PROJECTION))
+            yield u0 * phases[..., None, :]
+        else:
+            yield u0
 
 
 def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
-                         z: np.ndarray) -> np.ndarray:
-    """Exact propagators of one sequence for every member position at once.
+                         z: float | np.ndarray) -> np.ndarray:
+    """Exact propagator of one sequence at every member position at once.
 
-    Returns an (n, 4, 4) array. Delay segments commute with the gradient and
-    factor into one shared exponential times member-dependent phases; RF
-    segments fall back to a batched eigendecomposition.
+    The time-ordered product of `segment_unitaries`: (4, 4) for a scalar z,
+    (n, 4, 4) for an array. Every result is checked unitary to 1e-10.
     """
     z = np.asarray(z, dtype=float)
-    n = len(z)
-    u = np.broadcast_to(np.eye(4, dtype=complex), (n, 4, 4)).copy()
-    cache: dict = {}
-    commute_cache: dict = {}
-    grad_diag = np.diag([2.0, 0.0, 0.0, -2.0]) / 2
-    for seg in piecewise_segments(seq, sys, waveform):
-        if seg.kind == "rotate":
-            u = seg.u[None, :, :] @ u
-            continue
-        hkey = seg.h.tobytes()
-        commutes = commute_cache.get(hkey)
-        if commutes is None:
-            commutes = commute_cache.setdefault(hkey, _commutes_with_jz(seg.h))
-        if commutes or seg.grad == 0.0:
-            ukey = (hkey, seg.duration)
-            u0 = cache.get(ukey)
-            if u0 is None:
-                u0 = cache.setdefault(ukey, ops.expm_hermitian(seg.h, seg.duration))
-            if seg.grad != 0.0:
-                phases = np.exp(-1j * (sys.gamma * seg.grad * seg.duration) * np.outer(z, _JZ_EIG))
-                u = u0[None, :, :] @ (phases[:, :, None] * u)
-            else:
-                u = u0[None, :, :] @ u
-        else:
-            hb = seg.h[None, :, :] + (sys.gamma * seg.grad * z)[:, None, None] * grad_diag[None, :, :]
-            w, v = np.linalg.eigh(hb)
-            useg = np.einsum("nij,nj,nkj->nik", v, np.exp(-1j * w * seg.duration), v.conj())
-            u = useg @ u
+    u = np.tile(np.eye(4, dtype=complex), z.shape + (1, 1))
+    for useg in segment_unitaries(piecewise_segments(seq, sys, waveform), sys, z):
+        u = useg @ u
+    err = np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(4)).max()
+    if not err <= ops.UNITARY_TOL:
+        raise NumericalContractError(f"sequence propagator failed unitarity at 1e-10 (error {err:.3e})")
     return u
 
 
@@ -203,7 +222,7 @@ def diffusion_phase_kicks(grad: float, delta: float, big_delta: float,
                           seed: int | None = None) -> np.ndarray:
     """(n, 4, 4) diagonal unitaries implementing the imperfect-echo phases."""
     phi = diffusion_phase_factors(grad, delta, big_delta, spec, sys, seed)
-    diag = np.exp(1j * np.outer(phi, _JZ_EIG))
+    diag = np.exp(1j * np.outer(phi, ops.SPIN_PROJECTION))
     out = np.zeros((len(phi), 4, 4), dtype=complex)
     out[:, np.arange(4), np.arange(4)] = diag
     return out

@@ -46,8 +46,10 @@ from .hamiltonians import SpinSystem
 from .metrics import (
     ENTANGLEMENT_THRESHOLD,
     FidelityReport,
+    data_blocks,
     gate_fidelity_from_states,
     induced_data_channel,
+    member_gate_fidelities,
 )
 from .pulses import Delay, PulseSequence, composite_y90, dfs_residence_fraction, enc_x, enc_z, propagator
 from .units import khz_per_cm_to_t_per_m
@@ -177,29 +179,16 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
     )
 
 
-# ---------------------------------------------------------------------------
-# member-resolved gate fidelities
-# ---------------------------------------------------------------------------
-
-def member_gate_fidelities(us: np.ndarray, target2: np.ndarray, encoded: bool) -> np.ndarray:
-    """Per-member gate entanglement fidelity of two-spin unitaries against a
-    one-qubit target on the decoded data spin.
-
-    The ensemble channel's Kraus set is {U_i / sqrt(n)}, so its F_e is
-    exactly the mean of these per-member values; their spread gives the
-    Monte-Carlo error bar.
-    """
-    if encoded:
-        m = ops.decoding_unitary()[None, :, :] @ us @ ops.encoding_unitary()[None, :, :]
-    else:
-        m = us
-    tdag = np.asarray(target2, dtype=complex).conj().T
-    f = np.zeros(len(m))
-    for b in (0, 1):
-        k = m[:, (b, 2 + b), :][:, :, (0, 2)]
-        tr = np.einsum("ij,nji->n", tdag, k) / 2
-        f += np.abs(tr) ** 2
-    return f
+def _sweep_values(sweep: dict, key: str) -> list[float]:
+    """The sweep list `key` as floats; ConfigError naming it unless every
+    value is a finite number."""
+    try:
+        values = [float(v) for v in sweep[key]]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"sweep.{key}: must be a list of numbers, got {sweep[key]!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"sweep.{key}: values must be finite, got {sweep[key]!r}")
+    return values
 
 
 def _rot(axis: str, theta: float) -> np.ndarray:
@@ -242,16 +231,16 @@ def memory_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed: in
     """
     delta = float(sweep.get("small_delta_s", MEMORY_SMALL_DELTA))
     big_delta_default = float(sweep.get("big_delta_s", MEMORY_BIG_DELTA))
-    if delta <= 0 or big_delta_default <= 0:
+    if not (delta > 0 and big_delta_default > 0):
         raise ConfigError("sweep.small_delta_s / sweep.big_delta_s: must be positive")
     if "diffusion_times_s" in sweep:
-        points = [(float(sweep.get("gradient_t_per_m", 0.05)), float(t))
-                  for t in sweep["diffusion_times_s"]]
+        points = [(float(sweep.get("gradient_t_per_m", 0.05)), t)
+                  for t in _sweep_values(sweep, "diffusion_times_s")]
         time_sweep = True
     else:
-        points = [(float(g), big_delta_default) for g in sweep["gradients_t_per_m"]]
+        points = [(g, big_delta_default) for g in _sweep_values(sweep, "gradients_t_per_m")]
         time_sweep = False
-    if any(g < 0 or t <= 0 for g, t in points):
+    if not all(g >= 0 and t > 0 for g, t in points):
         raise ConfigError("sweep: gradients must be >= 0 and diffusion times > 0")
 
     eye2 = np.eye(2, dtype=complex)
@@ -290,7 +279,7 @@ def natural_experiment(sys: SpinSystem, sweep: dict):
     f_coll = float(sweep.get("f_collective", 0.9))
     if not 0.0 <= f_coll <= 1.0:
         raise ConfigError(f"sweep.f_collective: must be in [0, 1], got {f_coll}")
-    times = sorted(float(t) for t in sweep["times_s"])
+    times = sorted(_sweep_values(sweep, "times_s"))
     if not times or times[0] < 0:
         raise ConfigError("sweep.times_s: need non-negative holding times")
     step = natural_relaxation_step(sys, f_coll, dt).superoperator()
@@ -353,8 +342,8 @@ def gates_experiment(sys: SpinSystem, sweep: dict):
     rho_code = p_zero / 2
     rows, reports = [], []
     for name in sweep["gates"]:
-        axis, angle = GATE_TARGETS[name]
         seq = _gate_sequence(name, sys)
+        axis, angle = GATE_TARGETS[name]
         u = propagator(seq, sys)
         fe = float(member_gate_fidelities(u[None, :, :], _rot(axis, angle), encoded=True)[0])
         residence = dfs_residence_fraction(seq, sys, rho_code)
@@ -375,21 +364,20 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
     pulses spend outside the code space.
     """
     if "grad_max_t_per_m" in sweep:
-        grads = [float(g) for g in sweep["grad_max_t_per_m"]]
+        grads = _sweep_values(sweep, "grad_max_t_per_m")
     else:
-        grads = [khz_per_cm_to_t_per_m(float(x)) for x in sweep["grad_max_khz_per_cm"]]
+        grads = [khz_per_cm_to_t_per_m(x) for x in _sweep_values(sweep, "grad_max_khz_per_cm")]
     if any(g < 0 for g in grads):
         raise ConfigError("sweep: gradient strengths must be >= 0")
     step_time = float(sweep.get("step_time_s", DEFAULT_STEP_TIME))
-    if step_time <= 0:
+    if not step_time > 0:
         raise ConfigError("sweep.step_time_s: must be positive")
 
     seq = composite_y90(sys)
     mem_seq = PulseSequence((Delay(seq.duration),), label="hold")
     target = _rot("y", math.pi / 2)
     u_free = propagator(mem_seq, sys)
-    m_free = ops.decoding_unitary() @ u_free @ ops.encoding_unitary()
-    mem_target = m_free[np.ix_((0, 2), (0, 2))]
+    mem_target = data_blocks(u_free, encoded=True)[0]
     if not ops.is_unitary(mem_target):
         raise AssertionError("free evolution should stay in the code space")
 

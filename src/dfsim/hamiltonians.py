@@ -9,6 +9,7 @@ resonance: nu1 defaults to 0 and the chemical-shift evolution of spin 2 is
 kept in the internal Hamiltonian.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,12 @@ class SpinSystem:
     gamma: float = GAMMA_PROTON
 
     def __post_init__(self):
-        if self.t1 <= 0 or self.t2 <= 0:
-            raise ValueError("relaxation times must be positive")
+        for name in ("nu1", "nu2", "j_coupling", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("t1", "t2"):  # inf switches the process off
+            if not getattr(self, name) > 0:
+                raise ValueError(f"relaxation time {name} must be positive, got {getattr(self, name)!r}")
         if self.t2 > 2 * self.t1 + 1e-12:
             raise ValueError(f"t2={self.t2} exceeds 2*t1={2 * self.t1}")
 

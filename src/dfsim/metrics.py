@@ -99,6 +99,32 @@ def coherence_metric(ch: KrausChannel) -> float:
     return float(0.5 * (np.trace(sx @ ch.apply(rho_x)).real + np.trace(sy @ ch.apply(rho_y)).real))
 
 
+def data_blocks(us: np.ndarray, encoded: bool) -> np.ndarray:
+    """Data-spin blocks K_b = <b| U_dec U U_enc |0> of two-spin operators.
+
+    The ancilla is prepared in |0> and read out in |b>; with encoded=False
+    the encode/decode unitaries are left out. Shape (..., 2, 2, 2), block b
+    at index [..., b, :, :].
+    """
+    us = np.asarray(us, dtype=complex)
+    if encoded:
+        us = ops.decoding_unitary() @ us @ ops.encoding_unitary()
+    return us[..., [[0, 2], [1, 3]], :][..., [0, 2]]
+
+
+def member_gate_fidelities(us: np.ndarray, target2: np.ndarray, encoded: bool) -> np.ndarray:
+    """Gate entanglement fidelity of each two-spin unitary in `us` (shape
+    (..., 4, 4)) against a one-qubit target on the decoded data spin.
+
+    The ensemble channel's Kraus set is {U_i / sqrt(n)}, so its F_e is
+    exactly the mean of these per-member values; their spread gives the
+    Monte-Carlo error bar.
+    """
+    tdag = np.asarray(target2, dtype=complex).conj().T
+    tr = np.einsum("ij,...bji->...b", tdag, data_blocks(us, encoded)) / 2
+    return (np.abs(tr) ** 2).sum(axis=-1)
+
+
 def induced_data_channel(ch: KrausChannel, encoded: bool) -> KrausChannel:
     """One-qubit channel seen by the data spin.
 
@@ -109,16 +135,9 @@ def induced_data_channel(ch: KrausChannel, encoded: bool) -> KrausChannel:
     """
     if ch.dim != 4:
         raise ValueError("induced channel needs a two-spin channel")
-    u_enc = ops.encoding_unitary() if encoded else np.eye(4, dtype=complex)
-    u_dec = u_enc.conj().T
-    kraus = []
-    for e in ch.kraus_ops:
-        m = u_dec @ e @ u_enc
-        for b in (0, 1):
-            k = m[np.ix_((b, 2 + b), (0, 2))]
-            if np.abs(k).max() > 0.0:
-                kraus.append(k)
-    return KrausChannel(tuple(kraus), label=f"data({ch.label})")
+    blocks = data_blocks(np.stack(ch.kraus_ops), encoded).reshape(-1, 2, 2)
+    kraus = tuple(k for k in blocks if np.abs(k).max() > 0.0)
+    return KrausChannel(kraus, label=f"data({ch.label})")
 
 
 def pauli_expectations(rho: np.ndarray) -> np.ndarray:

@@ -13,9 +13,9 @@ A sequence is an ordered list of three event kinds:
 Propagation model: every event is piecewise constant in time, and an optional
 gradient waveform is piecewise constant too, so the exact propagator is a
 time-ordered product of matrix exponentials over the intersection segments.
-The propagator still runs the step-halving (Richardson) validation demanded
-of it -- halving the internal step must change the result by less than 1e-8
--- which doubles as a cheap self-test of segment bookkeeping.
+This module flattens sequences into those segments; the exponentials and
+their product come from the one engine in `dfsim.ensemble`, of which
+`propagator` is the single-position case.
 
 Builders are provided for the refocusing trains used by the average
 Hamiltonian analysis and for the encoded one-qubit gates: a z rotation by
@@ -25,13 +25,14 @@ pi pulses, and the composite y rotation concatenated from those.
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import operators as ops
 from .errors import NumericalContractError
 from .hamiltonians import RfParams, SpinSystem, internal_hamiltonian, logical_decompose, rf_hamiltonian
+from .metrics import member_gate_fidelities
 
 HARD = "hard"
 COMPOSITE_90X_180Y_90X = "composite_90x_180y_90x"
@@ -183,56 +184,14 @@ def piecewise_segments(seq: PulseSequence, sys: SpinSystem, waveform=None) -> li
     return out
 
 
-_GRAD_DIAG = np.diag([2.0, 0.0, 0.0, -2.0]).astype(complex) / 2  # Jz/2
+def propagator(seq: PulseSequence, sys: SpinSystem, waveform=None, z: float = 0.0) -> np.ndarray:
+    """Exact time-ordered propagator of a sequence for one member at position z.
 
-
-def _segment_hamiltonian(seg: Segment, sys: SpinSystem, z: float) -> np.ndarray:
-    if seg.grad == 0.0 or z == 0.0:
-        return seg.h
-    return seg.h + (sys.gamma * z * seg.grad) * _GRAD_DIAG
-
-
-def _product(segments, sys: SpinSystem, z: float, nsub: int, cache: dict) -> np.ndarray:
-    u = np.eye(4, dtype=complex)
-    for seg in segments:
-        if seg.kind == "rotate":
-            u = seg.u @ u
-            continue
-        key = (seg.h.tobytes(), seg.grad, seg.duration, nsub)
-        ustep = cache.get(key)
-        if ustep is None:
-            h = _segment_hamiltonian(seg, sys, z)
-            ustep = ops.expm_hermitian(h, seg.duration / nsub)
-            ustep = np.linalg.matrix_power(ustep, nsub)
-            cache[key] = ustep
-        u = ustep @ u
-    return u
-
-
-def propagator(seq: PulseSequence, sys: SpinSystem, waveform=None, z: float = 0.0,
-               richardson_tol: float = 1e-8) -> np.ndarray:
-    """Exact time-ordered propagator of a sequence.
-
-    Each segment Hamiltonian is constant, so the per-segment exponential is
-    exact; the step-halving check then verifies that refining the internal
-    subdivision changes nothing beyond `richardson_tol`. The returned matrix
-    is checked unitary to 1e-10.
+    The scalar-z case of `ensemble.ensemble_propagators`; the returned
+    matrix is checked unitary to 1e-10.
     """
-    segments = piecewise_segments(seq, sys, waveform)
-    cache: dict = {}
-    nsub = 1
-    u = _product(segments, sys, z, nsub, cache)
-    for _ in range(6):
-        u_half = _product(segments, sys, z, 2 * nsub, cache)
-        if np.abs(u - u_half).max() < richardson_tol:
-            break
-        nsub *= 2
-        u = u_half
-    else:
-        raise NumericalContractError("propagator subdivision did not converge at 1e-8")
-    if not ops.is_unitary(u):
-        raise NumericalContractError("sequence propagator failed unitarity at 1e-10")
-    return u
+    from . import ensemble  # not at module level: ensemble imports this module
+    return ensemble.ensemble_propagators(seq, sys, waveform, z)
 
 
 def state_trajectory(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray,
@@ -243,23 +202,21 @@ def state_trajectory(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray,
     unless `max_step` overrides it. Instantaneous rotations are applied but
     contribute no time weight.
     """
-    rho = np.asarray(rho0, dtype=complex)
-    cache: dict = {}
+    from . import ensemble
+    plan = []
     for seg in piecewise_segments(seq, sys, waveform):
-        if seg.kind == "rotate":
-            rho = seg.u @ rho @ seg.u.conj().T
-            continue
-        limit = max_step if max_step is not None else max(seg.duration / 32, 1e-6)
-        n = max(1, int(math.ceil(seg.duration / limit)))
-        dt = seg.duration / n
-        key = (seg.h.tobytes(), seg.grad, dt)
-        ustep = cache.get(key)
-        if ustep is None:
-            ustep = ops.expm_hermitian(_segment_hamiltonian(seg, sys, z), dt)
-            cache[key] = ustep
+        n = 1
+        if seg.kind == "evolve":
+            limit = max_step if max_step is not None else max(seg.duration / 32, 1e-6)
+            n = max(1, int(math.ceil(seg.duration / limit)))
+        plan.append((replace(seg, duration=seg.duration / n), n))
+    rho = np.asarray(rho0, dtype=complex)
+    steps = ensemble.segment_unitaries((step for step, _ in plan), sys, z)
+    for (step, n), ustep in zip(plan, steps):
         for _ in range(n):
             rho = ustep @ rho @ ustep.conj().T
-            yield rho, dt
+            if step.kind == "evolve":
+                yield rho, step.duration
 
 
 def dfs_residence_fraction(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray,
@@ -286,9 +243,9 @@ def dfs_residence_fraction(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray
 # toggling frame / average Hamiltonian
 # ---------------------------------------------------------------------------
 
-def _check_cyclic(pulse_product: np.ndarray) -> None:
-    s = np.trace(pulse_product) / 4.0
-    if abs(abs(s) - 1.0) > 1e-10 or np.abs(pulse_product - s * np.eye(4)).max() > 1e-10:
+def _check_cyclic(u_pulses: np.ndarray) -> None:
+    s = np.trace(u_pulses) / 4.0
+    if abs(abs(s) - 1.0) > 1e-10 or np.abs(u_pulses - s * np.eye(4)).max() > 1e-10:
         raise NumericalContractError(
             "pulse train is not cyclic: product of pulses is not the identity up to phase"
         )
@@ -447,17 +404,6 @@ def enc_x(theta: float, sys: SpinSystem,
                          label=f"enc_x({theta:.6g})")
 
 
-def _code_gate_fidelity(u4: np.ndarray, target2: np.ndarray) -> float:
-    """Gate entanglement fidelity of a two-spin unitary against a one-qubit
-    target, through encode / act / decode on the data spin."""
-    m = ops.decoding_unitary() @ u4 @ ops.encoding_unitary()
-    f = 0.0
-    for b in (0, 1):
-        k = m[np.ix_((b, 2 + b), (0, 2))]
-        f += abs(np.trace(target2.conj().T @ k) / 2) ** 2
-    return float(f)
-
-
 def composite_y90(sys: SpinSystem, calibrate: bool = True) -> PulseSequence:
     """Composite encoded y rotation by pi/2: z(-pi/2), x(pi/2), z(pi/2).
 
@@ -474,28 +420,29 @@ def composite_y90(sys: SpinSystem, calibrate: bool = True) -> PulseSequence:
     t_post = z_post.events[0].duration
 
     if calibrate:
-        h_int = internal_hamiltonian(sys)
-        w, v = np.linalg.eigh(h_int)
+        w, v = np.linalg.eigh(internal_hamiltonian(sys))
         u_x = propagator(x_leg, sys)
         target = ops.expm_hermitian(ops.PAULI["y"], math.pi / 4)  # exp(-i pi/4 sy)
 
-        def u_free(t):
-            return (v * np.exp(-1j * w * t)) @ v.conj().T
+        def u_free(t):  # exp(-i H_int t) for each duration in the array t
+            return (v * np.exp(-1j * w * t[:, None])[:, None, :]) @ v.conj().T
 
-        def fidelity(s1, s2):
+        def fidelities(s1, s2):
             u = u_free(t_post * s2) @ u_x @ u_free(t_pre * s1)
-            return _code_gate_fidelity(u, target)
+            return member_gate_fidelities(u, target, encoded=True)
 
-        best = (fidelity(1.0, 1.0), 1.0, 1.0)
+        best = (fidelities(np.ones(1), np.ones(1))[0], 1.0, 1.0)
         centre, span, steps = (1.0, 1.0), 0.05, 10
         for _ in range(3):
             grid1 = np.linspace(centre[0] - span, centre[0] + span, 2 * steps + 1)
             grid2 = np.linspace(centre[1] - span, centre[1] + span, 2 * steps + 1)
-            for s1 in grid1:
-                for s2 in grid2:
-                    f = fidelity(s1, s2)
-                    if f > best[0]:
-                        best = (f, float(s1), float(s2))
+            s1, s2 = (g.ravel() for g in np.meshgrid(grid1, grid2, indexing="ij"))
+            f = fidelities(s1, s2)
+            # argmax takes the first maximum in s1-outer, s2-inner order, as
+            # a scan that only moves on strict improvement would
+            k = int(np.argmax(f))
+            if f[k] > best[0]:
+                best = (f[k], float(s1[k]), float(s2[k]))
             centre, span = (best[1], best[2]), span / steps
         t_pre *= best[1]
         t_post *= best[2]

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dfsim import SpinSystem
 from dfsim import operators as ops
+from dfsim.hamiltonians import RfParams, internal_hamiltonian, rf_hamiltonian
+from dfsim.pulses import HARD, Delay, IdealRotation
 
 
 @pytest.fixture
@@ -63,3 +66,40 @@ def random_unitary(rng, dim=2):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def expm_oracle(seq, sys: SpinSystem, waveform, z: float) -> np.ndarray:
+    """Reference propagator at one position z, built from the events alone.
+
+    Each event is cut at the waveform's step boundaries (the last value is
+    held past the end) and every piece contributes
+    scipy.linalg.expm(-i (h + gamma z g Jz/2) dt), independently of the
+    package's segment flattening and propagation engine.
+    """
+    h_int = internal_hamiltonian(sys)
+    u = np.eye(4, dtype=complex)
+    t = 0.0
+    for ev in seq.events:
+        if isinstance(ev, IdealRotation):
+            u = ev.unitary @ u
+            continue
+        if isinstance(ev, Delay):
+            pieces = [(h_int, ev.duration)]
+        elif ev.shape == HARD:
+            pieces = [(h_int + rf_hamiltonian(RfParams(ev.amplitude, ev.phase)), ev.duration)]
+        else:  # 90x-180y-90x: nutation quarters at relative phases 0, +90 deg, 0
+            pieces = [(h_int + rf_hamiltonian(RfParams(ev.amplitude, ev.phase + dphi)), ev.duration * frac)
+                      for frac, dphi in ((0.25, 0.0), (0.5, math.pi / 2), (0.25, 0.0))]
+        for h, dur in pieces:
+            cuts = [t, t + dur]
+            if waveform is not None:
+                tau = waveform.step_time
+                inner = range(math.floor(t / tau) + 1, math.ceil((t + dur) / tau))
+                cuts = [t] + [k * tau for k in inner] + [t + dur]
+            for a, b in zip(cuts, cuts[1:]):
+                g = 0.0
+                if waveform is not None:
+                    g = waveform.values[min(int((a + b) / 2 // waveform.step_time), len(waveform.values) - 1)]
+                u = scipy.linalg.expm(-1j * (h + sys.gamma * z * g * ops.J_Z / 2) * (b - a)) @ u
+            t += dur
+    return u

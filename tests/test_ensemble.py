@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfsim import operators as ops
 from dfsim.ensemble import (
@@ -13,10 +15,20 @@ from dfsim.ensemble import (
     member_positions,
     random_walk_waveform,
 )
+from dfsim.errors import NumericalContractError
 from dfsim.hamiltonians import SpinSystem, internal_hamiltonian
-from dfsim.pulses import Delay, PulseSequence, propagator
+from dfsim.pulses import (
+    PULSE_SHAPES,
+    ROTATIONS,
+    Delay,
+    IdealRotation,
+    PulseSequence,
+    RfPulse,
+    piecewise_segments,
+    propagator,
+)
 
-from conftest import random_ket
+from conftest import expm_oracle, random_ket
 
 
 def static_waveform(value):
@@ -139,9 +151,8 @@ class TestEvolveEnsemble:
         assert np.abs(a - b).max() <= 1e-12
 
     def test_batched_matches_scalar_propagator(self, spin_system):
-        # pulse segments with gradient active: batch path == scalar path,
-        # for both the hard and the composite pulse shape
-        from dfsim.pulses import RfPulse
+        # pulse segments with gradient active, hard and composite shapes: the
+        # batch and the scalar propagator both match the scipy oracle
         spec = EnsembleSpec(n_members=2, grad_max=0.4, seed=6)
         seq = PulseSequence((
             Delay(4e-4),
@@ -153,7 +164,61 @@ class TestEvolveEnsemble:
         zs = np.array([-0.003, 0.0041])
         us = ensemble_propagators(seq, spin_system, wf, zs)
         for z, u in zip(zs, us):
-            assert np.abs(u - propagator(seq, spin_system, waveform=wf, z=z)).max() <= 1e-10
+            oracle = expm_oracle(seq, spin_system, wf, z)
+            assert np.abs(u - oracle).max() <= 1e-10
+            assert np.abs(propagator(seq, spin_system, waveform=wf, z=z) - oracle).max() <= 1e-10
+
+
+durations = st.integers(1, 300).map(lambda k: k * 1e-6)
+events = st.one_of(
+    durations.map(Delay),
+    st.builds(RfPulse, amplitude=st.floats(0.0, 1e5), phase=st.floats(-math.pi, math.pi),
+              duration=durations, shape=st.sampled_from(PULSE_SHAPES)),
+    st.sampled_from(sorted(ROTATIONS)).map(IdealRotation),
+)
+sequences = st.lists(events, min_size=1, max_size=8).map(PulseSequence)
+waveforms = st.builds(
+    GradientWaveform,
+    step_time=st.integers(5, 100).map(lambda k: k * 1e-6),
+    values=st.lists(st.floats(-0.2, 0.2), min_size=1, max_size=30).map(np.array),
+)
+positions = st.floats(-5e-3, 5e-3)
+spin_systems = st.builds(SpinSystem, nu1=st.floats(-50.0, 50.0), nu2=st.floats(0.0, 500.0),
+                         j_coupling=st.floats(0.0, 20.0))
+# durations and step times sit on a microsecond grid, so no piece ends
+# within the 1e-12 s merge tolerance of piecewise_segments short of a step
+# boundary
+engine_settings = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+class TestEngineOracle:
+    @engine_settings
+    @given(spin_systems, sequences, st.none() | waveforms,
+           positions | st.lists(positions, min_size=1, max_size=4).map(np.array))
+    def test_matches_expm_product(self, sys, seq, wf, z):
+        u = ensemble_propagators(seq, sys, wf, z)
+        assert u.shape == np.shape(z) + (4, 4)
+        for zi, ui in zip(np.atleast_1d(z), u.reshape(-1, 4, 4)):
+            assert np.abs(ui - expm_oracle(seq, sys, wf, zi)).max() <= 1e-10
+        if np.ndim(z) == 0:
+            assert np.array_equal(propagator(seq, sys, waveform=wf, z=z), u)
+
+    @engine_settings
+    @given(spin_systems, sequences, waveforms)
+    def test_segments_keep_duration_and_gradient_area(self, sys, seq, wf):
+        segments = piecewise_segments(seq, sys, wf)
+        assert sum(s.duration for s in segments) == pytest.approx(seq.duration, rel=1e-12)
+        tau, total = wf.step_time, seq.duration
+        area = sum(wf.values[min(k, len(wf.values) - 1)] * (min((k + 1) * tau, total) - k * tau)
+                   for k in range(math.ceil(total / tau)))
+        assert sum(s.grad * s.duration for s in segments) == pytest.approx(area, rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("z", [0.002, np.array([-0.001, 0.0, 0.003])])
+    def test_non_unitary_segment_breaks_the_contract(self, spin_system, monkeypatch, z):
+        monkeypatch.setitem(ROTATIONS, "pi_x_pair", 1.001 * ROTATIONS["pi_x_pair"])
+        seq = PulseSequence((Delay(1e-4), IdealRotation("pi_x_pair"), Delay(1e-4)))
+        with pytest.raises(NumericalContractError, match="unitarity"):
+            ensemble_propagators(seq, spin_system, static_waveform(0.1), z)
 
 
 class TestGradientDiffusionEcho:

@@ -209,6 +209,21 @@ class TestRunAndCli:
         assert cli.main(["crusher", "--config", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment, config, field", [
+        ("natural", {"spin_system": {"t1": math.nan}}, "t1"),
+        ("memory", {"ensemble": {"n_members": 2.5}}, "n_members"),
+        ("memory", {"sweep": {"gradients_t_per_m": [0.1, math.nan]}}, "gradients_t_per_m"),
+        ("noisy-gate", {"sweep": {"grad_max_t_per_m": [0.0, math.nan]}}, "grad_max_t_per_m"),
+        ("gates", {"sweep": {"gates": ["enc_q"]}}, "gates"),
+    ], ids=["t1_nan", "n_members_fraction", "gradients_nan", "grad_max_nan", "unknown_gate"])
+    def test_cli_bad_value_exit_code(self, tmp_path, capsys, experiment, config, field):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        code = cli.main([experiment, "--config", str(path), "--seed", "1", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error") and field in err
+
     def test_cli_numerical_contract_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(config):
             raise NumericalContractError("positivity lost")

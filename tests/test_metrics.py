@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dfsim import operators as ops
-from dfsim.channels import KrausChannel, collective_dephasing, identity_channel
+from dfsim.channels import KrausChannel, collective_dephasing, identity_channel, unitary_channel
 from dfsim.metrics import (
     FidelityReport,
     coherence_metric,
@@ -13,6 +13,7 @@ from dfsim.metrics import (
     gate_fidelity_from_states,
     induced_data_channel,
     is_unital,
+    member_gate_fidelities,
     nearest_psd,
     pauli_expectations,
     process_tomography,
@@ -130,6 +131,14 @@ class TestInducedDataChannel:
     def test_requires_two_spin_channel(self):
         with pytest.raises(ValueError):
             induced_data_channel(PHASE_DAMPING, encoded=True)
+
+    @pytest.mark.parametrize("encoded", [True, False])
+    def test_member_kernel_is_fe_of_induced_channel(self, rng, encoded):
+        us = np.stack([random_unitary(rng, 4) for _ in range(3)])
+        target = random_unitary(rng, 2)
+        want = [entanglement_fidelity(induced_data_channel(unitary_channel(u), encoded), target)
+                for u in us]
+        assert np.abs(member_gate_fidelities(us, target, encoded) - want).max() <= 1e-12
 
 
 class TestStateTomography:

@@ -7,6 +7,7 @@ from dfsim import operators as ops
 from dfsim.ensemble import GradientWaveform
 from dfsim.errors import NumericalContractError
 from dfsim.hamiltonians import SpinSystem, internal_hamiltonian, logical_decompose
+from dfsim.metrics import member_gate_fidelities
 from dfsim.pulses import (
     Delay,
     IdealRotation,
@@ -25,7 +26,6 @@ from dfsim.pulses import (
     toggling_frames,
     xx_train,
     xy_train,
-    _code_gate_fidelity,
 )
 
 
@@ -175,7 +175,7 @@ class TestBuilders:
 
     def test_enc_z_gate_fidelity(self, spin_system):
         u = propagator(enc_z(math.pi / 2, spin_system), spin_system)
-        assert _code_gate_fidelity(u, rot_1q("z", math.pi / 2)) >= 0.999
+        assert member_gate_fidelities(u, rot_1q("z", math.pi / 2), encoded=True) >= 0.999
 
     def test_enc_z_additivity_on_code_block(self, spin_system):
         u = propagator(enc_z(1.1, spin_system), spin_system) \
@@ -199,7 +199,7 @@ class TestBuilders:
 
     def test_enc_x_gate_fidelity(self, spin_system):
         u = propagator(enc_x(math.pi / 2, spin_system), spin_system)
-        assert _code_gate_fidelity(u, rot_1q("x", math.pi / 2)) >= 0.999
+        assert member_gate_fidelities(u, rot_1q("x", math.pi / 2), encoded=True) >= 0.999
 
     @pytest.mark.parametrize("theta", [math.pi / 4, math.pi, 3 * math.pi / 2])
     def test_enc_x_other_angles(self, spin_system, theta):
@@ -207,7 +207,7 @@ class TestBuilders:
         n_pulses = sum(isinstance(ev, RfPulse) for ev in seq.events)
         assert n_pulses % 4 == 0  # whole phase-cycle periods only
         u = propagator(seq, spin_system)
-        assert _code_gate_fidelity(u, rot_1q("x", theta)) >= 0.999
+        assert member_gate_fidelities(u, rot_1q("x", theta), encoded=True) >= 0.999
 
     def test_enc_x_zero_angle_is_empty(self, spin_system):
         assert enc_x(0.0, spin_system).events == ()
@@ -218,7 +218,37 @@ class TestBuilders:
 
     def test_composite_y90_gate_fidelity(self, spin_system):
         u = propagator(composite_y90(spin_system), spin_system)
-        assert _code_gate_fidelity(u, rot_1q("y", math.pi / 2)) >= 0.999
+        assert member_gate_fidelities(u, rot_1q("y", math.pi / 2), encoded=True) >= 0.999
+
+    @pytest.mark.parametrize("params", [{}, {"nu2": 250.0, "j_coupling": 12.0}])
+    def test_calibration_matches_scalar_scan(self, params):
+        # reference: one scalar fidelity at a time, s1 outer and s2 inner,
+        # moving only on strict improvement
+        sys = SpinSystem(**params)
+        nominal = composite_y90(sys, calibrate=False)
+        t_pre, t_post = nominal.events[0].duration, nominal.events[-1].duration
+        h_int = internal_hamiltonian(sys)
+        u_x = propagator(enc_x(math.pi / 2, sys), sys)
+        target = rot_1q("y", math.pi / 2)
+
+        def fidelity(s1, s2):
+            u = ops.expm_hermitian(h_int, t_post * s2) @ u_x @ ops.expm_hermitian(h_int, t_pre * s1)
+            m = ops.decoding_unitary() @ u @ ops.encoding_unitary()
+            return sum(abs(np.trace(target.conj().T @ m[np.ix_((b, 2 + b), (0, 2))]) / 2) ** 2
+                       for b in (0, 1))
+
+        best = (fidelity(1.0, 1.0), 1.0, 1.0)
+        centre, span = (1.0, 1.0), 0.05
+        for _ in range(3):
+            for s1 in np.linspace(centre[0] - span, centre[0] + span, 21):
+                for s2 in np.linspace(centre[1] - span, centre[1] + span, 21):
+                    f = fidelity(s1, s2)
+                    if f > best[0]:
+                        best = (f, float(s1), float(s2))
+            centre, span = (best[1], best[2]), span / 10
+        calibrated = composite_y90(sys)
+        assert calibrated.events[0].duration == t_pre * best[1]
+        assert calibrated.events[-1].duration == t_post * best[2]
 
     def test_composite_rotation_algebra(self):
         # exp(-i pi/4 sz) sx exp(+i pi/4 sz) = sy, exactly, in every frame
