@@ -14,7 +14,8 @@ control sequences to refocus.
 
 The module also holds the package's one propagation engine,
 `segment_unitaries`: every propagator, for one molecule or for the whole
-ensemble, is a product of the unitaries it yields.
+ensemble, is a product of the unitaries it yields, over the segments that
+`fuse_segments` leaves.
 
 All randomness flows through numpy Generators seeded from the spec, and the
 member sum runs in a fixed order, so outputs are bit-reproducible.
@@ -28,7 +29,7 @@ import numpy as np
 from . import operators as ops
 from .errors import NumericalContractError
 from .hamiltonians import SpinSystem, internal_hamiltonian
-from .pulses import PulseSequence, piecewise_segments
+from .pulses import PulseSequence, Segment, piecewise_segments
 
 DEFAULT_STEP_TIME = 50.6e-6
 
@@ -121,7 +122,40 @@ def member_positions(spec: EnsembleSpec, jitter: bool = False,
 
 
 def _commutes_with_jz(h: np.ndarray) -> bool:
-    return np.abs(h @ ops.J_Z - ops.J_Z @ h).max() < 1e-9
+    """[h, Jz] = 0 to round-off, relative to the size of h (any units)."""
+    scale = max(np.abs(h).max(), np.finfo(float).tiny)
+    return np.abs(h @ ops.J_Z - ops.J_Z @ h).max() <= 1e-12 * scale
+
+
+def fuse_segments(segments) -> list[Segment]:
+    """Merge each run of consecutive evolve segments under one Hamiltonian
+    into a single segment, where that is exact.
+
+    A run under h that commutes with Jz becomes one segment of the summed
+    duration whose gradient is the run's mean, so that grad * duration is
+    the summed g dt: exp(-i h sum dt) times the member phases of sum g dt is
+    the run's product. A run that carries no gradient at all merges under
+    any h. Rotations, and evolve segments under a gradient that do not
+    commute with Jz (RF pieces), are kept as they are.
+    """
+    out: list[Segment] = []
+    commutes: dict = {}
+    run_key = None  # h of the last segment as bytes, None after a rotation
+    area = 0.0      # sum of g dt over the last segment
+    for seg in segments:
+        hkey = seg.h.tobytes() if seg.kind == "evolve" else None
+        if hkey is not None and hkey == run_key:
+            if hkey not in commutes:
+                commutes[hkey] = _commutes_with_jz(seg.h)
+            last = out[-1]
+            if commutes[hkey] or last.grad == seg.grad == 0.0:
+                area += seg.grad * seg.duration
+                duration = last.duration + seg.duration
+                out[-1] = Segment("evolve", duration, seg.h, area / duration)
+                continue
+        out.append(seg)
+        run_key, area = hkey, seg.grad * seg.duration
+    return out
 
 
 def segment_unitaries(segments, sys: SpinSystem, z: float | np.ndarray):
@@ -167,12 +201,14 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
                          z: float | np.ndarray) -> np.ndarray:
     """Exact propagator of one sequence at every member position at once.
 
-    The time-ordered product of `segment_unitaries`: (4, 4) for a scalar z,
-    (n, 4, 4) for an array. Every result is checked unitary to 1e-10.
+    The time-ordered product of `segment_unitaries` over the fused
+    segments: (4, 4) for a scalar z, (n, 4, 4) for an array. Every result
+    is checked unitary to 1e-10.
     """
     z = np.asarray(z, dtype=float)
     u = np.tile(np.eye(4, dtype=complex), z.shape + (1, 1))
-    for useg in segment_unitaries(piecewise_segments(seq, sys, waveform), sys, z):
+    segments = fuse_segments(piecewise_segments(seq, sys, waveform))
+    for useg in segment_unitaries(segments, sys, z):
         u = useg @ u
     err = np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(4)).max()
     if not err <= ops.UNITARY_TOL:

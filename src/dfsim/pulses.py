@@ -203,6 +203,8 @@ def state_trajectory(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray,
     contribute no time weight.
     """
     from . import ensemble
+    # the substeps of the unfused segments: fusing would change the time
+    # weights, and each plan entry is zipped with one engine unitary below
     plan = []
     for seg in piecewise_segments(seq, sys, waveform):
         n = 1

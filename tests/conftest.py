@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from dfsim import SpinSystem
 from dfsim import operators as ops
+from dfsim.ensemble import GradientWaveform
 from dfsim.hamiltonians import RfParams, internal_hamiltonian, rf_hamiltonian
-from dfsim.pulses import HARD, Delay, IdealRotation
+from dfsim.pulses import HARD, PULSE_SHAPES, ROTATIONS, Delay, IdealRotation, PulseSequence, RfPulse
 
 
 @pytest.fixture
@@ -103,3 +106,25 @@ def expm_oracle(seq, sys: SpinSystem, waveform, z: float) -> np.ndarray:
                 u = scipy.linalg.expm(-1j * (h + sys.gamma * z * g * ops.J_Z / 2) * (b - a)) @ u
             t += dur
     return u
+
+
+# Hypothesis strategies shared by the property tests. Durations and step
+# times sit on a microsecond grid, so no piece ends within the 1e-12 s merge
+# tolerance of piecewise_segments short of a step boundary.
+durations = st.integers(1, 300).map(lambda k: k * 1e-6)
+events = st.one_of(
+    durations.map(Delay),
+    st.builds(RfPulse, amplitude=st.floats(0.0, 1e5), phase=st.floats(-math.pi, math.pi),
+              duration=durations, shape=st.sampled_from(PULSE_SHAPES)),
+    st.sampled_from(sorted(ROTATIONS)).map(IdealRotation),
+)
+sequences = st.lists(events, min_size=1, max_size=8).map(PulseSequence)
+waveforms = st.builds(
+    GradientWaveform,
+    step_time=st.integers(5, 100).map(lambda k: k * 1e-6),
+    values=st.lists(st.floats(-0.2, 0.2), min_size=1, max_size=30).map(np.array),
+)
+positions = st.floats(-5e-3, 5e-3)
+spin_systems = st.builds(SpinSystem, nu1=st.floats(-50.0, 50.0), nu2=st.floats(0.0, 500.0),
+                         j_coupling=st.floats(0.0, 20.0))
+property_settings = settings(max_examples=100, deadline=None, derandomize=True, database=None)

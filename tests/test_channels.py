@@ -3,21 +3,25 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dfsim import operators as ops
 from dfsim.channels import (
     KrausChannel,
     coherence_decay_factors,
     collective_dephasing,
+    ensemble_channel,
     identity_channel,
     natural_relaxation_step,
+    unitary_channel,
     unvec,
     vec,
 )
 from dfsim.errors import NumericalContractError
 from dfsim.hamiltonians import SpinSystem
 
-from conftest import lindblad_superoperator, random_ket
+from conftest import lindblad_superoperator, property_settings, random_ket, random_unitary
 
 GAMMAS = list(np.logspace(-3, 1, 20)) + [math.inf]
 
@@ -138,6 +142,26 @@ class TestSuperoperator:
 def test_kraus_completeness_enforced():
     with pytest.raises(NumericalContractError):
         KrausChannel((np.eye(4) * 0.9,), label="broken")
+
+
+unitaries = st.integers(0, 2**32 - 1).map(lambda seed: random_unitary(np.random.default_rng(seed), 4))
+channels = st.one_of(
+    st.floats(0.0, 50.0).map(collective_dephasing),
+    st.just(collective_dephasing(math.inf)),
+    unitaries.map(unitary_channel),
+    st.lists(unitaries, min_size=1, max_size=3).map(ensemble_channel),
+    st.builds(natural_relaxation_step, st.just(SpinSystem()), st.floats(0.0, 1.0), st.floats(1e-6, 0.1)),
+)
+
+
+@property_settings
+@given(st.lists(channels, min_size=2, max_size=3))
+def test_completeness_survives_compose(chain):
+    composed = chain[0]
+    for ch in chain[1:]:
+        composed = ch.compose(composed)
+    s = sum(k.conj().T @ k for k in composed.kraus_ops)
+    assert np.abs(s - np.eye(4)).max() <= 1e-10
 
 
 class TestNaturalRelaxation:

@@ -2,23 +2,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from dfsim import operators as ops
 from dfsim.ensemble import (
     EnsembleSpec,
     GradientWaveform,
+    _commutes_with_jz,
     ensemble_propagators,
     evolve_ensemble,
+    fuse_segments,
     gradient_diffusion_echo,
     member_positions,
     random_walk_waveform,
 )
 from dfsim.errors import NumericalContractError
-from dfsim.hamiltonians import SpinSystem, internal_hamiltonian
+from dfsim.hamiltonians import RfParams, SpinSystem, internal_hamiltonian, rf_hamiltonian
 from dfsim.pulses import (
-    PULSE_SHAPES,
     ROTATIONS,
     Delay,
     IdealRotation,
@@ -28,7 +29,15 @@ from dfsim.pulses import (
     propagator,
 )
 
-from conftest import expm_oracle, random_ket
+from conftest import (
+    expm_oracle,
+    positions,
+    property_settings,
+    random_ket,
+    sequences,
+    spin_systems,
+    waveforms,
+)
 
 
 def static_waveform(value):
@@ -169,30 +178,8 @@ class TestEvolveEnsemble:
             assert np.abs(propagator(seq, spin_system, waveform=wf, z=z) - oracle).max() <= 1e-10
 
 
-durations = st.integers(1, 300).map(lambda k: k * 1e-6)
-events = st.one_of(
-    durations.map(Delay),
-    st.builds(RfPulse, amplitude=st.floats(0.0, 1e5), phase=st.floats(-math.pi, math.pi),
-              duration=durations, shape=st.sampled_from(PULSE_SHAPES)),
-    st.sampled_from(sorted(ROTATIONS)).map(IdealRotation),
-)
-sequences = st.lists(events, min_size=1, max_size=8).map(PulseSequence)
-waveforms = st.builds(
-    GradientWaveform,
-    step_time=st.integers(5, 100).map(lambda k: k * 1e-6),
-    values=st.lists(st.floats(-0.2, 0.2), min_size=1, max_size=30).map(np.array),
-)
-positions = st.floats(-5e-3, 5e-3)
-spin_systems = st.builds(SpinSystem, nu1=st.floats(-50.0, 50.0), nu2=st.floats(0.0, 500.0),
-                         j_coupling=st.floats(0.0, 20.0))
-# durations and step times sit on a microsecond grid, so no piece ends
-# within the 1e-12 s merge tolerance of piecewise_segments short of a step
-# boundary
-engine_settings = settings(max_examples=100, deadline=None, derandomize=True, database=None)
-
-
 class TestEngineOracle:
-    @engine_settings
+    @property_settings
     @given(spin_systems, sequences, st.none() | waveforms,
            positions | st.lists(positions, min_size=1, max_size=4).map(np.array))
     def test_matches_expm_product(self, sys, seq, wf, z):
@@ -203,15 +190,16 @@ class TestEngineOracle:
         if np.ndim(z) == 0:
             assert np.array_equal(propagator(seq, sys, waveform=wf, z=z), u)
 
-    @engine_settings
+    @property_settings
     @given(spin_systems, sequences, waveforms)
     def test_segments_keep_duration_and_gradient_area(self, sys, seq, wf):
         segments = piecewise_segments(seq, sys, wf)
-        assert sum(s.duration for s in segments) == pytest.approx(seq.duration, rel=1e-12)
         tau, total = wf.step_time, seq.duration
         area = sum(wf.values[min(k, len(wf.values) - 1)] * (min((k + 1) * tau, total) - k * tau)
                    for k in range(math.ceil(total / tau)))
-        assert sum(s.grad * s.duration for s in segments) == pytest.approx(area, rel=1e-9, abs=1e-15)
+        for segs in (segments, fuse_segments(segments)):
+            assert sum(s.duration for s in segs) == pytest.approx(seq.duration, rel=1e-12)
+            assert sum(s.grad * s.duration for s in segs) == pytest.approx(area, rel=1e-9, abs=1e-15)
 
     @pytest.mark.parametrize("z", [0.002, np.array([-0.001, 0.0, 0.003])])
     def test_non_unitary_segment_breaks_the_contract(self, spin_system, monkeypatch, z):
@@ -219,6 +207,59 @@ class TestEngineOracle:
         seq = PulseSequence((Delay(1e-4), IdealRotation("pi_x_pair"), Delay(1e-4)))
         with pytest.raises(NumericalContractError, match="unitarity"):
             ensemble_propagators(seq, spin_system, static_waveform(0.1), z)
+
+
+def runs_between_rotations(segments):
+    runs = [[]]
+    for seg in segments:
+        if seg.kind == "rotate":
+            runs.append([])
+        else:
+            runs[-1].append(seg)
+    return runs
+
+
+class TestFusion:
+    @pytest.mark.parametrize("k", range(-14, 7))
+    def test_commute_verdict_is_scale_free(self, spin_system, k):
+        h_int = internal_hamiltonian(spin_system)
+        rf = rf_hamiltonian(RfParams(2 * math.pi * 8e3, 0.3))
+        assert _commutes_with_jz(10.0 ** k * h_int)
+        assert not _commutes_with_jz(10.0 ** k * (h_int + rf))
+
+    @property_settings
+    @given(spin_systems, st.integers(1, 5000).map(lambda k: k * 1e-6), waveforms)
+    def test_hold_fuses_to_one_segment(self, sys, t, wf):
+        fused = fuse_segments(piecewise_segments(PulseSequence((Delay(t),)), sys, wf))
+        assert len(fused) == 1
+        assert fused[0].duration == pytest.approx(t, rel=1e-12)
+
+    def test_rf_pieces_under_distinct_gradients_stay_apart(self, spin_system):
+        wf = GradientWaveform(step_time=20e-6, values=np.array([0.1, -0.05, 0.2, 0.03, -0.15, 0.07]))
+        seq = PulseSequence((RfPulse(5e4, 0.3, 100e-6), RfPulse(5e4, 0.3, 20e-6)))
+        segments = piecewise_segments(seq, spin_system, wf)
+        fused = fuse_segments(segments)
+        assert len(segments) == 6
+        assert [(s.duration, s.grad) for s in fused] == [(s.duration, s.grad) for s in segments]
+
+    def test_rf_pieces_without_gradient_merge(self, spin_system):
+        wf = GradientWaveform(step_time=20e-6, values=np.zeros(6))
+        seq = PulseSequence((RfPulse(5e4, 0.3, 100e-6), RfPulse(5e4, 0.3, 20e-6)))
+        fused = fuse_segments(piecewise_segments(seq, spin_system, wf))
+        assert [(s.duration, s.grad) for s in fused] == [(pytest.approx(120e-6, rel=1e-12), 0.0)]
+
+    @property_settings
+    @given(spin_systems, sequences, st.none() | waveforms)
+    def test_rotations_always_split_runs(self, sys, seq, wf):
+        segments = piecewise_segments(seq, sys, wf)
+        fused = fuse_segments(segments)
+        rotations = [s.u.tobytes() for s in segments if s.kind == "rotate"]
+        assert [s.u.tobytes() for s in fused if s.kind == "rotate"] == rotations
+        runs, fused_runs = runs_between_rotations(segments), runs_between_rotations(fused)
+        assert len(fused_runs) == len(runs)
+        for run, fused_run in zip(runs, fused_runs):
+            assert bool(fused_run) == bool(run)
+            assert sum(s.duration for s in fused_run) == pytest.approx(sum(s.duration for s in run), rel=1e-12)
 
 
 class TestGradientDiffusionEcho:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
 
 from dfsim import operators as ops
 from dfsim.ensemble import GradientWaveform
@@ -20,13 +22,17 @@ from dfsim.pulses import (
     enc_x,
     enc_z,
     encoded_cp_train,
+    piecewise_segments,
     propagator,
     sequence_from_text,
     sequence_to_text,
+    state_trajectory,
     toggling_frames,
     xx_train,
     xy_train,
 )
+
+from conftest import property_settings, sequences
 
 
 def rot_1q(axis, theta):
@@ -304,6 +310,51 @@ class TestResidence:
             dfs_residence_fraction(PulseSequence((Delay(1e-3),)), spin_system, rho)
 
 
+def substeps(seg) -> int:
+    """state_trajectory's substep count: pieces of at most max(duration/32, 1 us)."""
+    return max(1, math.ceil(seg.duration / max(seg.duration / 32, 1e-6)))
+
+
+def residence_oracle(seq, sys, rho0, waveform, z):
+    """Time-weighted code-space population, stepped through the unfused
+    segments with state_trajectory's substeps and scipy exponentials."""
+    p_zero = ops.zq_projectors()[1]
+    rho, weight, total = rho0, 0.0, 0.0
+    for seg in piecewise_segments(seq, sys, waveform):
+        if seg.kind == "rotate":
+            rho = seg.u @ rho @ seg.u.conj().T
+            continue
+        n = substeps(seg)
+        dt = seg.duration / n
+        u = scipy.linalg.expm(-1j * (seg.h + sys.gamma * z * seg.grad * ops.J_Z / 2) * dt)
+        for _ in range(n):
+            rho = u @ rho @ u.conj().T
+            weight += np.trace(p_zero @ rho).real * dt
+            total += dt
+    return weight / total
+
+
+class TestTrajectory:
+    # state_trajectory zips its substep plan against the engine's unitaries
+    # one to one, so it must see the unfused segments
+    WAVEFORMS = (None, GradientWaveform(step_time=1.0, values=np.array([0.05])),
+                 GradientWaveform(step_time=50.6e-6, values=np.linspace(-0.2, 0.2, 7)))
+
+    @pytest.mark.parametrize("wf", WAVEFORMS)
+    def test_one_yield_per_substep_of_the_unfused_segments(self, spin_system, wf):
+        seq = composite_y90(spin_system, calibrate=False)
+        rho0 = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
+        want = sum(substeps(s) for s in piecewise_segments(seq, spin_system, wf) if s.kind == "evolve")
+        assert sum(1 for _ in state_trajectory(seq, spin_system, rho0, waveform=wf, z=0.002)) == want
+
+    @pytest.mark.parametrize("wf", WAVEFORMS[:2])
+    def test_residence_matches_oracle(self, spin_system, wf):
+        seq = enc_x(math.pi / 2, spin_system)
+        rho0 = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
+        got = dfs_residence_fraction(seq, spin_system, rho0, waveform=wf, z=0.002)
+        assert got == pytest.approx(residence_oracle(seq, spin_system, rho0, wf, 0.002), abs=1e-10)
+
+
 class TestSerialization:
     def test_roundtrip(self, spin_system):
         seq = composite_y90(spin_system, calibrate=False)
@@ -331,6 +382,22 @@ class TestSerialization:
         text = sequence_to_text(enc_x(math.pi / 2, spin_system))
         assert "us=62.4" in text
         assert "phase_deg=180" in text
+
+    @property_settings
+    @given(sequences)
+    def test_roundtrip_property(self, seq):
+        back = sequence_from_text(sequence_to_text(seq))
+        assert (back.label, back.cycle_length) == (seq.label, seq.cycle_length)
+        assert [type(ev) for ev in back.events] == [type(ev) for ev in seq.events]
+        for a, b in zip(seq.events, back.events):
+            if isinstance(a, IdealRotation):
+                assert b.name == a.name
+                continue
+            assert b.duration == pytest.approx(a.duration, rel=1e-11, abs=0)
+            if isinstance(a, RfPulse):
+                assert b.amplitude == pytest.approx(a.amplitude, rel=1e-11, abs=0)
+                assert b.phase == pytest.approx(a.phase, rel=1e-11, abs=0)
+                assert b.shape == a.shape
 
     def test_bad_line_reports_location(self):
         with pytest.raises(ValueError, match="line 2"):
