@@ -19,10 +19,11 @@ from .experiments import EXPERIMENTS, config_from_dict, run
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dfsim", description=__doc__)
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
+    for name, record in EXPERIMENTS.items():
         p = sub.add_parser(name.replace("_", "-"), help=f"run the {name} experiment")
         p.add_argument("--config", help="JSON experiment config file")
-        p.add_argument("--seed", type=int, help="base RNG seed (mandatory for ensemble experiments)")
+        p.add_argument("--seed", type=int, help="base RNG seed (required)" if record.seeded
+                       else "base RNG seed (recorded in the report only)")
         p.add_argument("--out", help="output directory (default: results)")
         p.add_argument("--members", type=int, help="override ensemble.n_members")
         p.add_argument("--label", help="output file stem (default: experiment name)")

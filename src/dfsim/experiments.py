@@ -23,11 +23,13 @@ exactly (the idealized limit of the refocusing pulse pair the hardware
 sequence uses), so storage fidelities isolate the noise itself.
 """
 
+import copy
 import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -41,10 +43,13 @@ from .ensemble import (
     member_positions,
     random_walk_waveform,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NumericalContractError
 from .hamiltonians import SpinSystem
 from .metrics import (
     ENTANGLEMENT_THRESHOLD,
+    KET0,
+    KET_PLUS,
+    KET_PLUS_I,
     FidelityReport,
     data_blocks,
     gate_fidelity_from_states,
@@ -54,48 +59,54 @@ from .metrics import (
 from .pulses import Delay, PulseSequence, composite_y90, dfs_residence_fraction, enc_x, enc_z, propagator
 from .units import khz_per_cm_to_t_per_m
 
-EXPERIMENTS = ("memory", "crusher", "natural", "gates", "noisy_gate")
 
-CSV_HEADERS = {
-    "memory": "noise_strength,fe_encoded,fe_unencoded",
-    "natural": "t_s,c_encoded,c_unencoded",
-    "gates": "gate,fe,dfs_residence",
-    "crusher": "process,f0,fplus,fplusi,fe",
-    "noisy_gate": "grad_max_t_per_m,fe,fe_stderr,fe_memory",
-}
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: CSV header, default sweep (its keys plus `extra_keys`
+    are the allowed keys), whether it needs a seed, and a runner mapping an
+    ExperimentConfig to (rows, reports[, fit]). The runners look the
+    experiment functions up by name at call time, so a replacement of such a
+    name in this module (the benchmark tracer's) reaches every run."""
 
-MEMORY_SMALL_DELTA = 745e-6      # gradient pulse length, s
-MEMORY_BIG_DELTA = 36.275e-3     # diffusion delay, s; 2*delta + Delta = 37.765 ms
+    header: str
+    sweep: dict
+    runner: Callable
+    seeded: bool = False
+    extra_keys: tuple = ()
 
 
-def default_sweep(experiment: str) -> dict:
-    if experiment == "memory":
-        return {
-            "gradients_t_per_m": [round(x, 4) for x in np.linspace(0.0, 0.6, 13)],
-            "small_delta_s": MEMORY_SMALL_DELTA,
-            "big_delta_s": MEMORY_BIG_DELTA,
-        }
-    if experiment == "crusher":
-        return {"processes": ["unencoded_crusher", "encoded_no_noise", "encoded_crusher"]}
-    if experiment == "natural":
-        return {"times_s": [round(x, 4) for x in np.linspace(0.0, 3.0, 13)],
-                "f_collective": 0.9, "dt_s": 1e-3}
-    if experiment == "gates":
-        return {"gates": ["enc_z_90", "enc_x_90", "composite_y90"]}
-    if experiment == "noisy_gate":
+EXPERIMENTS = {
+    "memory": Experiment(
+        header="noise_strength,fe_encoded,fe_unencoded",
+        sweep={"gradients_t_per_m": [round(x, 4) for x in np.linspace(0.0, 0.6, 13)],
+               "small_delta_s": 745e-6,      # gradient pulse length
+               "big_delta_s": 36.275e-3,     # diffusion delay; 2*delta + Delta = 37.765 ms
+               "gradient_t_per_m": 0.05},    # gradient of a diffusion_times_s sweep
+        extra_keys=("diffusion_times_s",),
+        seeded=True,
+        runner=lambda c: memory_experiment(c.spin_system, c.ensemble, c.sweep, c.seed)),
+    "crusher": Experiment(
+        header="process,f0,fplus,fplusi,fe",
+        sweep={"processes": ["unencoded_crusher", "encoded_no_noise", "encoded_crusher"]},
+        runner=lambda c: crusher_experiment(c.spin_system, c.sweep)),
+    "natural": Experiment(
+        header="t_s,c_encoded,c_unencoded",
+        sweep={"times_s": [round(x, 4) for x in np.linspace(0.0, 3.0, 13)],
+               "f_collective": 0.9, "dt_s": 1e-3},
+        runner=lambda c: natural_experiment(c.spin_system, c.sweep)),
+    "gates": Experiment(
+        header="gate,fe,dfs_residence",
+        sweep={"gates": ["enc_z_90", "enc_x_90", "composite_y90"]},
+        runner=lambda c: gates_experiment(c.spin_system, c.sweep)),
+    "noisy_gate": Experiment(
+        header="grad_max_t_per_m,fe,fe_stderr,fe_memory",
         # the plateau of the hard-pulse composite ends near 1 kHz/cm, so the
         # low end is sampled densely before the sweep fans out to 100 kHz/cm
-        return {"grad_max_khz_per_cm": [0.0, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0]}
-    raise ConfigError(f"experiment: unknown experiment {experiment!r}")
-
-
-SWEEP_KEYS = {
-    "memory": {"gradients_t_per_m", "diffusion_times_s", "gradient_t_per_m",
-               "small_delta_s", "big_delta_s"},
-    "crusher": {"processes"},
-    "natural": {"times_s", "f_collective", "dt_s"},
-    "gates": {"gates"},
-    "noisy_gate": {"grad_max_khz_per_cm", "grad_max_t_per_m", "step_time_s"},
+        sweep={"grad_max_khz_per_cm": [0.0, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0],
+               "step_time_s": DEFAULT_STEP_TIME},
+        extra_keys=("grad_max_t_per_m",),
+        seeded=True,
+        runner=lambda c: noisy_gate_experiment(c.spin_system, c.ensemble, c.sweep, c.seed)),
 }
 
 
@@ -110,17 +121,14 @@ class ExperimentConfig:
     label: str = ""
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"experiment: must be one of {EXPERIMENTS}, got {self.experiment!r}")
-        unknown = set(self.sweep) - SWEEP_KEYS[self.experiment]
+        if not isinstance(self.experiment, str) or self.experiment not in EXPERIMENTS:
+            raise ConfigError(f"experiment: must be one of {tuple(EXPERIMENTS)}, got {self.experiment!r}")
+        record = EXPERIMENTS[self.experiment]
+        unknown = set(self.sweep) - set(record.sweep) - set(record.extra_keys)
         if unknown:
             raise ConfigError(f"sweep: unknown field(s) for {self.experiment}: {sorted(unknown)}")
-        merged = default_sweep(self.experiment)
-        merged.update(self.sweep)
-        self.sweep = merged
-        if not self.sweep:
-            raise ConfigError("sweep: must not be empty")
-        if self.experiment in ("memory", "noisy_gate") and self.seed is None:
+        self.sweep = {**copy.deepcopy(record.sweep), **self.sweep}
+        if record.seeded and self.seed is None:
             raise ConfigError(f"seed: required for ensemble experiment {self.experiment!r}")
         if not self.label:
             self.label = self.experiment
@@ -152,9 +160,7 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
             raise ConfigError(f"{section}: must be a mapping")
         try:
             return cls(**params)
-        except TypeError as exc:
-            raise ConfigError(f"{section}: {exc}") from exc
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"{section}: {exc}") from exc
 
     sys = build("spin_system", SpinSystem)
@@ -179,16 +185,35 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
     )
 
 
-def _sweep_values(sweep: dict, key: str) -> list[float]:
-    """The sweep list `key` as floats; ConfigError naming it unless every
-    value is a finite number."""
+_POSITIVE = (lambda x: x > 0, " > 0")
+_NON_NEGATIVE = (lambda x: x >= 0, " >= 0")
+
+
+def _sweep_number(key: str, raw, ok=lambda x: True, need: str = "") -> float:
+    """`raw`, the value of sweep field `key`, as a float; ConfigError naming
+    the field unless it is finite and `ok` holds (`need` says what it asks)."""
     try:
-        values = [float(v) for v in sweep[key]]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sweep.{key}: must be a list of numbers, got {sweep[key]!r}") from exc
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"sweep.{key}: values must be finite, got {sweep[key]!r}")
-    return values
+        x = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not (math.isfinite(x) and ok(x)):
+        raise ConfigError(f"sweep.{key}: must be a finite number{need}, got {raw!r}")
+    return x
+
+
+def _sweep_values(sweep: dict, key: str, ok=lambda x: True, need: str = "", known=None) -> list:
+    """The sweep list `key`: names out of `known` if that is given, else
+    floats parsed by `_sweep_number`. ConfigError naming the field unless it
+    is a non-empty list of such values."""
+    raw = sweep[key]
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise ConfigError(f"sweep.{key}: must be a non-empty list, got {raw!r}")
+    if known is None:
+        return [_sweep_number(key, v, ok, need) for v in raw]
+    unknown = [v for v in raw if not isinstance(v, str) or v not in known]
+    if unknown:
+        raise ConfigError(f"sweep.{key}: unknown name(s) {unknown}; known: {list(known)}")
+    return list(raw)
 
 
 def _rot(axis: str, theta: float) -> np.ndarray:
@@ -199,25 +224,33 @@ def _rot(axis: str, theta: float) -> np.ndarray:
 # experiments
 # ---------------------------------------------------------------------------
 
-def crusher_experiment(sys: SpinSystem) -> list[FidelityReport]:
-    """Full-strength collective dephasing: the strong-noise table.
+# crusher process -> (crusher applied, encoded)
+CRUSHER_PROCESSES = {
+    "unencoded_crusher": (True, False),
+    "encoded_no_noise": (False, True),
+    "encoded_crusher": (True, True),
+}
+
+
+def crusher_experiment(sys: SpinSystem, sweep: dict):
+    """Full-strength collective dephasing: the strong-noise table, one row
+    per listed process.
 
     The un-encoded data spin is fully phase damped (F_e = 0.5); the encoded
     path is untouched by arbitrarily strong collective noise.
     """
+    processes = _sweep_values(sweep, "processes", known=CRUSHER_PROCESSES)
     crusher = collective_dephasing(math.inf)
-    cases = [
-        ("unencoded_crusher", crusher, False),
-        ("encoded_no_noise", identity_channel(4), True),
-        ("encoded_crusher", crusher, True),
-    ]
-    reports = []
-    for label, ch, encoded in cases:
-        data_ch = induced_data_channel(ch, encoded=encoded)
+    rows, reports = [], []
+    for label in processes:
+        crushed, encoded = CRUSHER_PROCESSES[label]
+        data_ch = induced_data_channel(crusher if crushed else identity_channel(4), encoded=encoded)
         report = gate_fidelity_from_states(data_ch, np.eye(2, dtype=complex))
         report.label = label
         reports.append(report)
-    return reports
+        rows.append({"process": label, "f0": report.f0, "fplus": report.fplus,
+                     "fplusi": report.fplusi, "fe": report.fe})
+    return rows, reports
 
 
 def memory_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed: int):
@@ -229,19 +262,14 @@ def memory_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed: in
     the response of the code space to the noise alone. noise_strength is the
     analytic un-encoded decay exponent D (gamma g delta)^2 Delta.
     """
-    delta = float(sweep.get("small_delta_s", MEMORY_SMALL_DELTA))
-    big_delta_default = float(sweep.get("big_delta_s", MEMORY_BIG_DELTA))
-    if not (delta > 0 and big_delta_default > 0):
-        raise ConfigError("sweep.small_delta_s / sweep.big_delta_s: must be positive")
-    if "diffusion_times_s" in sweep:
-        points = [(float(sweep.get("gradient_t_per_m", 0.05)), t)
-                  for t in _sweep_values(sweep, "diffusion_times_s")]
-        time_sweep = True
+    delta = _sweep_number("small_delta_s", sweep["small_delta_s"], *_POSITIVE)
+    big_delta = _sweep_number("big_delta_s", sweep["big_delta_s"], *_POSITIVE)
+    grad = _sweep_number("gradient_t_per_m", sweep["gradient_t_per_m"], *_NON_NEGATIVE)
+    time_sweep = "diffusion_times_s" in sweep
+    if time_sweep:
+        points = [(grad, t) for t in _sweep_values(sweep, "diffusion_times_s", *_POSITIVE)]
     else:
-        points = [(g, big_delta_default) for g in _sweep_values(sweep, "gradients_t_per_m")]
-        time_sweep = False
-    if not all(g >= 0 and t > 0 for g, t in points):
-        raise ConfigError("sweep: gradients must be >= 0 and diffusion times > 0")
+        points = [(g, big_delta) for g in _sweep_values(sweep, "gradients_t_per_m", *_NON_NEGATIVE)]
 
     eye2 = np.eye(2, dtype=complex)
     rows, reports = [], []
@@ -250,8 +278,7 @@ def memory_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed: in
         fe_enc = float(member_gate_fidelities(kicks, eye2, encoded=True).mean())
         fe_un = float(member_gate_fidelities(kicks, eye2, encoded=False).mean())
         strength = spec.diffusion_d * (sys.gamma * grad * delta) ** 2 * big_delta
-        rows.append({"noise_strength": strength, "fe_encoded": fe_enc, "fe_unencoded": fe_un,
-                     "_t": big_delta})
+        rows.append({"noise_strength": strength, "fe_encoded": fe_enc, "fe_unencoded": fe_un})
         for branch, fe in (("encoded", fe_enc), ("unencoded", fe_un)):
             reports.append(FidelityReport(
                 label=f"memory_{branch}", fe=fe, seed=seed ^ idx,
@@ -260,10 +287,7 @@ def memory_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed: in
             ))
     fit = None
     if time_sweep and len(points) >= 3:
-        times = np.array([r["_t"] for r in rows])
-        fit = fit_decay(times, np.array([r["fe_unencoded"] for r in rows]))
-    for r in rows:
-        r.pop("_t")
+        fit = fit_decay([t for _, t in points], [r["fe_unencoded"] for r in rows])
     return rows, reports, fit
 
 
@@ -275,24 +299,22 @@ def natural_experiment(sys: SpinSystem, sweep: dict):
     the decoded data spin for the encoded branch and on the idle data spin
     for the un-encoded one.
     """
-    dt = float(sweep.get("dt_s", 1e-3))
-    f_coll = float(sweep.get("f_collective", 0.9))
-    if not 0.0 <= f_coll <= 1.0:
-        raise ConfigError(f"sweep.f_collective: must be in [0, 1], got {f_coll}")
-    times = sorted(_sweep_values(sweep, "times_s"))
-    if not times or times[0] < 0:
-        raise ConfigError("sweep.times_s: need non-negative holding times")
-    step = natural_relaxation_step(sys, f_coll, dt).superoperator()
+    f_coll = _sweep_number("f_collective", sweep["f_collective"], lambda x: 0 <= x <= 1, " in [0, 1]")
+    dt = _sweep_number("dt_s", sweep["dt_s"])
+    times = sorted(_sweep_values(sweep, "times_s", *_NON_NEGATIVE))
+    try:
+        step = natural_relaxation_step(sys, f_coll, dt).superoperator()
+    except ValueError as exc:  # f_collective is checked above, so this is dt
+        raise ConfigError(f"sweep.dt_s: {exc}") from exc
+    if not math.isfinite(times[-1] / dt):
+        raise ConfigError(f"sweep.times_s: {times[-1]} s is not a finite number of {dt} s steps")
 
     u_enc, u_dec = ops.encoding_unitary(), ops.decoding_unitary()
-    ket0 = np.array([1.0, 0.0], dtype=complex)
-    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-    plus_i = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2)
 
     def coherence(s_cum: np.ndarray, encoded: bool) -> float:
         total = 0.0
-        for ket, pauli in ((plus, ops.PAULI["x"]), (plus_i, ops.PAULI["y"])):
-            rho4 = np.kron(np.outer(ket, ket.conj()), np.outer(ket0, ket0.conj()))
+        for ket, pauli in ((KET_PLUS, ops.PAULI["x"]), (KET_PLUS_I, ops.PAULI["y"])):
+            rho4 = np.kron(np.outer(ket, ket.conj()), np.outer(KET0, KET0.conj()))
             if encoded:
                 rho4 = u_enc @ rho4 @ u_enc.conj().T
             out = unvec(s_cum @ vec(rho4))
@@ -318,32 +340,25 @@ def natural_experiment(sys: SpinSystem, sweep: dict):
     return rows, reports
 
 
-GATE_TARGETS = {
-    "enc_z_90": ("z", math.pi / 2),
-    "enc_x_90": ("x", math.pi / 2),
-    "composite_y90": ("y", math.pi / 2),
+# gate name -> (sequence builder, target rotation axis, angle); the builders
+# look the pulse functions up by name when called
+GATES = {
+    "enc_z_90": (lambda sys: enc_z(math.pi / 2, sys), "z", math.pi / 2),
+    "enc_x_90": (lambda sys: enc_x(math.pi / 2, sys), "x", math.pi / 2),
+    "composite_y90": (lambda sys: composite_y90(sys), "y", math.pi / 2),
 }
-
-
-def _gate_sequence(name: str, sys: SpinSystem) -> PulseSequence:
-    if name == "enc_z_90":
-        return enc_z(math.pi / 2, sys)
-    if name == "enc_x_90":
-        return enc_x(math.pi / 2, sys)
-    if name == "composite_y90":
-        return composite_y90(sys)
-    raise ConfigError(f"sweep.gates: unknown gate {name!r}")
 
 
 def gates_experiment(sys: SpinSystem, sweep: dict):
     """Noiseless encoded gates: fidelity against the ideal rotation and the
     fraction of the gate time spent inside the code space."""
+    names = _sweep_values(sweep, "gates", known=GATES)
     _, p_zero, _ = ops.zq_projectors()
     rho_code = p_zero / 2
     rows, reports = [], []
-    for name in sweep["gates"]:
-        seq = _gate_sequence(name, sys)
-        axis, angle = GATE_TARGETS[name]
+    for name in names:
+        build, axis, angle = GATES[name]
+        seq = build(sys)
         u = propagator(seq, sys)
         fe = float(member_gate_fidelities(u[None, :, :], _rot(axis, angle), encoded=True)[0])
         residence = dfs_residence_fraction(seq, sys, rho_code)
@@ -364,22 +379,20 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
     pulses spend outside the code space.
     """
     if "grad_max_t_per_m" in sweep:
-        grads = _sweep_values(sweep, "grad_max_t_per_m")
+        grads = _sweep_values(sweep, "grad_max_t_per_m", *_NON_NEGATIVE)
     else:
-        grads = [khz_per_cm_to_t_per_m(x) for x in _sweep_values(sweep, "grad_max_khz_per_cm")]
-    if any(g < 0 for g in grads):
-        raise ConfigError("sweep: gradient strengths must be >= 0")
-    step_time = float(sweep.get("step_time_s", DEFAULT_STEP_TIME))
-    if not step_time > 0:
-        raise ConfigError("sweep.step_time_s: must be positive")
+        grads = [khz_per_cm_to_t_per_m(x)
+                 for x in _sweep_values(sweep, "grad_max_khz_per_cm", *_NON_NEGATIVE)]
+    step_time = _sweep_number("step_time_s", sweep["step_time_s"], *_POSITIVE)
 
-    seq = composite_y90(sys)
+    build, axis, angle = GATES["composite_y90"]
+    seq = build(sys)
     mem_seq = PulseSequence((Delay(seq.duration),), label="hold")
-    target = _rot("y", math.pi / 2)
+    target = _rot(axis, angle)
     u_free = propagator(mem_seq, sys)
     mem_target = data_blocks(u_free, encoded=True)[0]
     if not ops.is_unitary(mem_target):
-        raise AssertionError("free evolution should stay in the code space")
+        raise NumericalContractError("free evolution left the code space: held-memory target is not unitary")
 
     zs = member_positions(spec)
     n_steps = int(math.ceil(seq.duration / step_time)) + 1
@@ -431,37 +444,22 @@ def fit_decay(times, values) -> dict:
 # file output
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
 def _write_csv(path: Path, header: str, rows: list[dict]) -> None:
+    """Write `rows` under `header`; floats print with 12 significant digits."""
     cols = header.split(",")
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
+            cells = (f"{row[c]:.12g}" if isinstance(row[c], float) else str(row[c]) for c in cols)
+            fh.write(",".join(cells) + "\n")
 
 
 def run(config: ExperimentConfig) -> dict:
     """Execute one experiment, write `<label>.csv` and `<label>_report.json`
     into the output directory, and return the artifact paths and rows."""
-    sys, spec, sweep = config.spin_system, config.ensemble, config.sweep
-    fit = None
-    if config.experiment == "crusher":
-        reports = crusher_experiment(sys)
-        rows = [{"process": r.label, "f0": r.f0, "fplus": r.fplus,
-                 "fplusi": r.fplusi, "fe": r.fe} for r in reports]
-    elif config.experiment == "memory":
-        rows, reports, fit = memory_experiment(sys, spec, sweep, config.seed)
-    elif config.experiment == "natural":
-        rows, reports = natural_experiment(sys, sweep)
-    elif config.experiment == "gates":
-        rows, reports = gates_experiment(sys, sweep)
-    else:
-        rows, reports = noisy_gate_experiment(sys, spec, sweep, config.seed)
+    record = EXPERIMENTS[config.experiment]
+    rows, reports, *fit = record.runner(config)
+    fit = fit[0] if fit else None
 
     out_dir = Path(config.out_dir)
     csv_path = out_dir / f"{config.label}.csv"
@@ -477,7 +475,7 @@ def run(config: ExperimentConfig) -> dict:
         payload["fit"] = fit
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_csv(csv_path, CSV_HEADERS[config.experiment], rows)
+        _write_csv(csv_path, record.header, rows)
         with open(json_path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")

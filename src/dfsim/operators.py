@@ -59,8 +59,6 @@ DOT_12 = sum(pauli_embed(1, a) @ pauli_embed(2, a) for a in "xyz")
 #: flip-flop part sigma_x^1 sigma_x^2 + sigma_y^1 sigma_y^2
 FLIPFLOP_12 = pauli_embed(1, "x") @ pauli_embed(2, "x") + pauli_embed(1, "y") @ pauli_embed(2, "y")
 
-IDENTITY_4 = np.eye(4, dtype=complex)
-
 
 def basis_ket(label) -> np.ndarray:
     """Computational basis ket from an index 0..3 or a string like '01'."""

@@ -453,24 +453,22 @@ def composite_y90(sys: SpinSystem, calibrate: bool = True) -> PulseSequence:
     return PulseSequence(events, cycle_length=x_leg.cycle_length, label="composite_y90")
 
 
-SEQUENCE_BUILDERS = ("xx_train", "xy_train", "enc_z", "enc_x", "enc_cp", "composite_y90")
+# sequence name -> builder(sys, **params)
+SEQUENCES = {
+    "xx_train": lambda sys, **params: xx_train(**params),
+    "xy_train": lambda sys, **params: xy_train(**params),
+    "enc_z": lambda sys, theta, **params: enc_z(theta, sys, **params),
+    "enc_x": lambda sys, theta, **params: enc_x(theta, sys, **params),
+    "enc_cp": lambda sys, **params: encoded_cp_train(**params),
+    "composite_y90": lambda sys, **params: composite_y90(sys, **params),
+}
 
 
 def build_sequence(name: str, sys: SpinSystem, **params) -> PulseSequence:
     """Dispatch to the named builder. Raises ValueError for unknown names."""
-    if name == "xx_train":
-        return xx_train(**params)
-    if name == "xy_train":
-        return xy_train(**params)
-    if name == "enc_cp":
-        return encoded_cp_train(**params)
-    if name == "enc_z":
-        return enc_z(params.pop("theta"), sys, **params)
-    if name == "enc_x":
-        return enc_x(params.pop("theta"), sys, **params)
-    if name == "composite_y90":
-        return composite_y90(sys, **params)
-    raise ValueError(f"unknown sequence {name!r}; known: {SEQUENCE_BUILDERS}")
+    if name not in SEQUENCES:
+        raise ValueError(f"unknown sequence {name!r}; known: {tuple(SEQUENCES)}")
+    return SEQUENCES[name](sys, **params)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dfsim.experiments import (
     natural_experiment,
     noisy_gate_experiment,
     config_from_dict,
-    default_sweep,
+    EXPERIMENTS,
     run,
 )
 from dfsim.hamiltonians import SpinSystem, internal_hamiltonian
@@ -36,7 +36,8 @@ def report(criterion: int, ok: bool, description: str) -> None:
 
 def test_criterion_1_crusher_table():
     t0 = time.perf_counter()
-    rows = {r.label: r for r in crusher_experiment(SYS)}
+    _, reports = crusher_experiment(SYS, EXPERIMENTS["crusher"].sweep)
+    rows = {r.label: r for r in reports}
     elapsed = time.perf_counter() - t0
     un = rows["unencoded_crusher"]
     ok = (
@@ -123,7 +124,7 @@ def test_criterion_4_average_hamiltonian_suite():
 
 def test_criterion_5_encoded_gates():
     t0 = time.perf_counter()
-    rows, _ = gates_experiment(SYS, default_sweep("gates"))
+    rows, _ = gates_experiment(SYS, EXPERIMENTS["gates"].sweep)
     elapsed = time.perf_counter() - t0
     by_name = {r["gate"]: r for r in rows}
     ok = all(by_name[g]["fe"] >= 0.999 for g in ("enc_z_90", "enc_x_90", "composite_y90"))
@@ -140,7 +141,7 @@ def test_criterion_6_fidelity_identities(rng):
         ch = random_unital_channel(rng)
         u = random_unitary(rng)
         ok &= abs(gate_fidelity_from_states(ch, u).fe - entanglement_fidelity(ch, u)) <= 1e-9
-    reports = crusher_experiment(SYS)
+    _, reports = crusher_experiment(SYS, EXPERIMENTS["crusher"].sweep)
     ok &= all(r.fbar - (2.0 / 3.0 * r.fe + 1.0 / 3.0) == 0.0 for r in reports)
     ok &= abs(entanglement_fidelity(DEPOLARIZING, np.eye(2)) - 0.25) <= 1e-12
     report(6, bool(ok), "three-state formula == Kraus form (1e-9, 100 channels); "
@@ -150,7 +151,7 @@ def test_criterion_6_fidelity_identities(rng):
 def test_criterion_7_noisy_composite_sweep():
     t0 = time.perf_counter()
     spec = EnsembleSpec(n_members=1001)
-    sweep = default_sweep("noisy_gate")
+    sweep = EXPERIMENTS["noisy_gate"].sweep
     rows, _ = noisy_gate_experiment(SYS, spec, sweep, seed=42)
     elapsed = time.perf_counter() - t0
     fes = [r["fe"] for r in rows]
@@ -167,13 +168,15 @@ def test_criterion_8_natural_noise_curves():
     times = [round(t, 3) for t in np.linspace(0.0, 3.0, 13)]
     ok = True
     for f in (0.5, 0.9, 1.0):
-        rows, _ = natural_experiment(SYS, {"times_s": times, "f_collective": f, "dt_s": 1e-3})
+        sweep = {**EXPERIMENTS["natural"].sweep, "times_s": times, "f_collective": f}
+        rows, _ = natural_experiment(SYS, sweep)
         ok &= abs(rows[0]["c_encoded"] - rows[0]["c_unencoded"]) <= 1e-12
         for r in rows[1:]:
             ok &= r["c_encoded"] > r["c_unencoded"]
     # f = 1: encoded decay rate equals the T1-induced rate of the
     # continuous-time master-equation oracle within 2 percent
-    rows, _ = natural_experiment(SYS, {"times_s": [0.0, 3.0], "f_collective": 1.0, "dt_s": 1e-3})
+    rows, _ = natural_experiment(SYS, {**EXPERIMENTS["natural"].sweep, "times_s": [0.0, 3.0],
+                                       "f_collective": 1.0})
     rate_channel = -math.log(rows[-1]["c_encoded"]) / 3.0
     gen = lindblad_superoperator(SYS, 1.0)
     exact = scipy.linalg.expm(gen * 3.0)

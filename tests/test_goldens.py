@@ -5,19 +5,24 @@ seeded). CSV cells must agree with results/ within 1e-12, and each report
 must carry the same JSON keys and the same threshold/fit flags. Kernel
 rewrites may change round-off, so the comparison is numerical rather than
 byte for byte; run-to-run output is still byte-identical.
+
+Cells are compared as the decimals they print as, not as binary floats: a
+step of one in the 12th printed digit of a value in [0.1, 1) is exactly
+1e-12, while its float difference can land on either side of 1e-12.
 """
 
 import csv
 import json
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 import pytest
 
-from dfsim.experiments import config_from_dict, run
+from dfsim.experiments import EXPERIMENTS, config_from_dict, run
 
 ROOT = Path(__file__).resolve().parents[1]
-NAMES = ("crusher", "memory", "natural", "gates", "noisy_gate")
-CELL_TOL = 1e-12
+NAMES = tuple(EXPERIMENTS)
+CELL_TOL = Decimal("1e-12")
 
 
 def run_shipped(name: str, out_dir: Path) -> None:
@@ -37,6 +42,16 @@ def regenerated(tmp_path_factory) -> Path:
 def read_csv(path: Path) -> list[list[str]]:
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def cell_agrees(cell: str, expected: str) -> bool:
+    """A numeric cell is within CELL_TOL of its finite golden; any other
+    cell equals it as text."""
+    try:
+        got, want = Decimal(cell), Decimal(expected)
+    except InvalidOperation:
+        return cell == expected
+    return got.is_finite() and want.is_finite() and abs(got - want) <= CELL_TOL
 
 
 def key_shape(obj):
@@ -64,11 +79,21 @@ def test_csv_matches_golden(regenerated, name):
     assert len(got) == len(want)
     for row, golden in zip(got[1:], want[1:]):
         assert len(row) == len(golden)
-        for cell, expected in zip(row, golden):
-            try:
-                assert abs(float(cell) - float(expected)) <= CELL_TOL, (row, golden)
-            except ValueError:
-                assert cell == expected
+        assert all(map(cell_agrees, row, golden)), (row, golden)
+
+
+@pytest.mark.parametrize("cell, expected, agrees", [
+    ("0.123456789012", "0.123456789011", True),   # float difference 9.99992e-13
+    ("0.220927819702", "0.220927819701", True),   # float difference 1.0000056e-12
+    ("0.123456789013", "0.123456789011", False),
+    ("0.220927819703", "0.220927819701", False),
+    ("1", "1.000000000001", True),
+    ("enc_x_90", "enc_x_90", True),
+    ("enc_x_90", "enc_z_90", False),
+    ("nan", "nan", False),
+])
+def test_cell_comparison(cell, expected, agrees):
+    assert cell_agrees(cell, expected) is agrees
 
 
 @pytest.mark.parametrize("name", NAMES)
