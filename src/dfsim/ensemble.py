@@ -15,7 +15,9 @@ control sequences to refocus.
 The module also holds the package's one propagation engine,
 `segment_unitaries`: every propagator, for one molecule or for the whole
 ensemble, is a product of the unitaries it yields, over the segments that
-`fuse_segments` leaves.
+`fuse_segments` leaves. Member unitaries are held member-last, (4, 4, n),
+and multiplied with elementwise products; RF pieces under a gradient take a
+batched Taylor exponential, so the engine needs no eigensolver.
 
 All randomness flows through numpy Generators seeded from the spec, and the
 member sum runs in a fixed order, so outputs are bit-reproducible.
@@ -158,41 +160,112 @@ def fuse_segments(segments) -> list[Segment]:
     return out
 
 
-def segment_unitaries(segments, sys: SpinSystem, z: float | np.ndarray):
+#: members per block of the engine: each block runs the whole segment chain
+#: in (4, 4, BLOCK) buffers, so that peak memory does not grow with n
+BLOCK = 256
+
+# Taylor coefficients 1/k! of the degree-16 exponential, and the largest
+# 1-norm theta at which it is exact to double precision, theta^17/17! = 2^-53
+_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(17))
+_THETA = (2.0 ** -53 * math.factorial(17)) ** (1 / 17)
+
+
+def _views(buffers: np.ndarray, m: int) -> list[np.ndarray]:
+    """Contiguous (4, 4, m) member-last views of the rows of `buffers`."""
+    return [b[:16 * m].reshape(4, 4, m) for b in buffers]
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = a @ b member by member, for member-last (4, 4, m) arrays, or
+    (4, 4, 1) for a matrix every member shares. Elementwise products only,
+    so no BLAS thread joins in; out and tmp must not overlap a or b."""
+    np.multiply(a[:, :1], b[:1], out=out)
+    for j in (1, 2, 3):
+        np.multiply(a[:, j:j + 1], b[j:j + 1], out=tmp)
+        out += tmp
+    return out
+
+
+def _expm_members(h: np.ndarray, shifts: np.ndarray, dt: float, buffers: np.ndarray) -> np.ndarray:
+    """exp(-i (h + s Jz/2) dt) for each member shift s (rad/s), as a new
+    member-last (4, 4, m) array; `buffers` holds at least 7 rows of 16 m.
+
+    Scaling and squaring: the largest member 1-norm of the exponent sets one
+    squaring count k for the batch, so that every exponent divided by 2^k
+    has 1-norm <= theta. There the degree-16 Taylor polynomial, evaluated by
+    Paterson-Stockmeyer (X^2, X^3, X^4, then three Horner steps in X^4), is
+    exact to double precision; k squarings undo the scaling. Raises
+    NumericalContractError when the exponent needs more than 53 squarings,
+    past which no digit of the result would be right.
+    """
+    m = shifts.size
+    x, x2, x3, x4, p, q, t = _views(buffers[:7], m)
+    x[...] = (-1j * dt) * h[:, :, None]
+    x[0, 0] -= (1j * dt) * shifts
+    x[3, 3] += (1j * dt) * shifts
+    norm = float(np.abs(x).sum(axis=0).max())
+    if not norm <= _THETA * 2.0 ** 53:
+        raise NumericalContractError(f"segment exponent has 1-norm {norm:.3e}, beyond 53 squarings")
+    k = math.ceil(math.log2(norm / _THETA)) if norm > _THETA else 0
+    if k:
+        x *= 2.0 ** -k
+    _matmul(x, x, x2, t)
+    _matmul(x2, x, x3, t)
+    _matmul(x2, x2, x4, t)
+    np.multiply(x4, _TAYLOR[16], out=p)
+    for base in (12, 8, 4, 0):
+        if base != 12:
+            p, q = _matmul(x4, p, q, t), p
+        for j, xj in enumerate((x, x2, x3), 1):
+            np.multiply(xj, _TAYLOR[base + j], out=t)
+            p += t
+        p.reshape(16, m)[::5] += _TAYLOR[base]
+    for _ in range(k):
+        p, q = _matmul(p, p, q, t), p
+    return p.copy()
+
+
+def segment_unitaries(segments, sys: SpinSystem, z: float | np.ndarray,
+                      shared: dict | None = None, buffers: np.ndarray | None = None):
     """Yield the unitary of each segment, in order, at position(s) z (m).
 
-    The propagation engine of the package. A scalar z gives (4, 4) unitaries
-    and an array z gives (n, 4, 4) where members differ. A segment that
+    The propagation engine of the package. Unitaries are member-last:
+    (4, 4, 1) where every member shares one, (4, 4, m) where the m
+    positions of z (a scalar or a 1-d array) differ. A segment that
     commutes with Jz, carries no gradient, or sees z = 0 everywhere shares
-    one exponential of its gradient-free Hamiltonian, cached by Hamiltonian
-    and duration; a commuting segment with a gradient multiplies it by the
-    member phases exp(-i gamma z g dt Jz/2). Only the rest (RF under a
-    gradient) needs one batched eigendecomposition.
+    one exponential of its gradient-free Hamiltonian, cached in `shared` by
+    Hamiltonian and duration; a commuting segment with a gradient multiplies
+    it by the member phases exp(-i gamma z g dt Jz/2). The rest (RF under a
+    gradient) takes the batched Taylor exponential `_expm_members`, in
+    `buffers` (7 rows of at least 16 m; allocated here if not given).
     """
-    z = np.asarray(z, dtype=float)
-    z_all_zero = not z.any()
-    shared: dict = {}
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    z_max = float(np.abs(z).max())  # NaN if any z is
+    shared = {} if shared is None else shared
+    if buffers is None:
+        buffers = np.empty((7, 16 * z.size), dtype=complex)
     commutes: dict = {}
     for seg in segments:
         if seg.kind == "rotate":
-            yield seg.u
+            yield seg.u[:, :, None]
             continue
         hkey = seg.h.tobytes()
-        with_gradient = seg.grad != 0.0 and not z_all_zero
-        if with_gradient and hkey not in commutes:
-            commutes[hkey] = _commutes_with_jz(seg.h)
-        if with_gradient and not commutes[hkey]:
-            hb = seg.h + np.multiply.outer(sys.gamma * seg.grad * z, ops.J_Z / 2)
-            w, v = np.linalg.eigh(hb)
-            yield np.einsum("...ij,...j,...kj->...ik", v, np.exp(-1j * w * seg.duration), v.conj())
-            continue
+        with_gradient = seg.grad != 0.0 and z_max != 0.0
+        if with_gradient:
+            rate = sys.gamma * seg.grad  # rad/s per metre of z
+            if not abs(rate) * z_max * max(seg.duration, 1.0) < math.inf:
+                raise NumericalContractError(f"gradient phase rate {rate:.3e} rad/s/m at |z| up to "
+                                             f"{z_max:.3e} m is not finite")
+            if hkey not in commutes:
+                commutes[hkey] = _commutes_with_jz(seg.h)
+            if not commutes[hkey]:
+                yield _expm_members(seg.h, rate * z, seg.duration, buffers)
+                continue
         u0 = shared.get((hkey, seg.duration))
         if u0 is None:
-            u0 = shared[hkey, seg.duration] = ops.expm_hermitian(seg.h, seg.duration)
+            u0 = shared[hkey, seg.duration] = ops.expm_hermitian(seg.h, seg.duration)[:, :, None]
         if with_gradient:
-            phases = np.exp(-1j * (sys.gamma * seg.grad * seg.duration)
-                            * np.multiply.outer(z, ops.SPIN_PROJECTION))
-            yield u0 * phases[..., None, :]
+            yield u0 * np.exp(-1j * (rate * seg.duration) * np.multiply.outer(ops.SPIN_PROJECTION, z))
         else:
             yield u0
 
@@ -202,18 +275,33 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
     """Exact propagator of one sequence at every member position at once.
 
     The time-ordered product of `segment_unitaries` over the fused
-    segments: (4, 4) for a scalar z, (n, 4, 4) for an array. Every result
-    is checked unitary to 1e-10.
+    segments, run over blocks of at most BLOCK members in buffers allocated
+    once per call, with one cache of shared exponentials for all blocks:
+    (4, 4) for a scalar z, (n, 4, 4) for an array. Every result is checked
+    unitary to 1e-10.
     """
     z = np.asarray(z, dtype=float)
-    u = np.tile(np.eye(4, dtype=complex), z.shape + (1, 1))
+    zs = z.reshape(-1)
     segments = fuse_segments(piecewise_segments(seq, sys, waveform))
-    for useg in segment_unitaries(segments, sys, z):
-        u = useg @ u
-    err = np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(4)).max()
-    if not err <= ops.UNITARY_TOL:
-        raise NumericalContractError(f"sequence propagator failed unitarity at 1e-10 (error {err:.3e})")
-    return u
+    buffers = np.empty((10, 16 * min(zs.size, BLOCK)), dtype=complex)
+    shared: dict = {}
+    out = np.empty((zs.size, 4, 4), dtype=complex)
+    for start in range(0, zs.size, BLOCK):
+        zb = zs[start:start + BLOCK]
+        u, spare, tmp = _views(buffers[7:], zb.size)
+        u.fill(0.0)
+        u.reshape(16, -1)[::5] = 1.0
+        for useg in segment_unitaries(segments, sys, zb, shared, buffers):
+            u, spare = _matmul(useg, u, spare, tmp), u
+        out[start:start + zb.size] = u.transpose(2, 0, 1)
+        # u^dagger u - 1, in buffers the exponential no longer needs
+        u_dag, gram = _views(buffers[:2], zb.size)
+        np.conjugate(u.transpose(1, 0, 2), out=u_dag)
+        _matmul(u_dag, u, gram, tmp).reshape(16, -1)[::5] -= 1.0
+        err = np.abs(gram).max()
+        if not err <= ops.UNITARY_TOL:
+            raise NumericalContractError(f"sequence propagator failed unitarity at 1e-10 (error {err:.3e})")
+    return out.reshape(z.shape + (4, 4))
 
 
 def _average_conjugation(us: np.ndarray, rho0: np.ndarray) -> np.ndarray:

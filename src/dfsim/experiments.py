@@ -267,17 +267,23 @@ def memory_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed: in
     grad = _sweep_number("gradient_t_per_m", sweep["gradient_t_per_m"], *_NON_NEGATIVE)
     time_sweep = "diffusion_times_s" in sweep
     if time_sweep:
+        grad_key = "gradient_t_per_m"
         points = [(grad, t) for t in _sweep_values(sweep, "diffusion_times_s", *_POSITIVE)]
     else:
-        points = [(g, big_delta) for g in _sweep_values(sweep, "gradients_t_per_m", *_NON_NEGATIVE)]
+        grad_key = "gradients_t_per_m"
+        points = [(g, big_delta) for g in _sweep_values(sweep, grad_key, *_NON_NEGATIVE)]
 
     eye2 = np.eye(2, dtype=complex)
     rows, reports = [], []
     for idx, (grad, big_delta) in enumerate(points):
+        phase = sys.gamma * grad * delta  # float products overflow to inf, ** raises
+        strength = spec.diffusion_d * (phase * phase) * big_delta
+        if not math.isfinite(strength):
+            raise ConfigError(f"sweep.{grad_key}: noise strength D (gamma g delta)^2 Delta is not finite "
+                              f"at {grad!r} T/m")
         kicks = diffusion_phase_kicks(grad, delta, big_delta, spec, sys, seed=seed ^ idx)
         fe_enc = float(member_gate_fidelities(kicks, eye2, encoded=True).mean())
         fe_un = float(member_gate_fidelities(kicks, eye2, encoded=False).mean())
-        strength = spec.diffusion_d * (sys.gamma * grad * delta) ** 2 * big_delta
         rows.append({"noise_strength": strength, "fe_encoded": fe_enc, "fe_unencoded": fe_un})
         for branch, fe in (("encoded", fe_enc), ("unencoded", fe_un)):
             reports.append(FidelityReport(
@@ -417,7 +423,9 @@ def fit_decay(times, values) -> dict:
 
     Uses a log-linear fit of the offset-subtracted curve; a curve with no
     resolvable decay (offset below 1e-3) is reported as A = 0 with the
-    'no_decay' flag. Needs at least three usable points.
+    'no_decay' flag, and one with fewer than three points above the floor,
+    decayed faster than the sampling resolves, as A = 0, tau = 0 with the
+    'at_floor' flag. Needs at least three points.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -429,7 +437,8 @@ def fit_decay(times, values) -> dict:
                 "flag": "no_decay"}
     usable = shifted > 1e-12
     if usable.sum() < 3:
-        raise ValueError("degenerate curve: fewer than 3 points above the 0.5 floor")
+        return {"a": 0.0, "tau": 0.0, "residual_rms": float(np.sqrt(np.mean(shifted ** 2))),
+                "flag": "at_floor"}
     slope, intercept = np.polyfit(times[usable], np.log(shifted[usable]), 1)
     if slope >= 0:
         return {"a": float(np.exp(intercept)), "tau": math.inf,

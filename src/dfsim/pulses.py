@@ -215,6 +215,7 @@ def state_trajectory(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray,
     rho = np.asarray(rho0, dtype=complex)
     steps = ensemble.segment_unitaries((step for step, _ in plan), sys, z)
     for (step, n), ustep in zip(plan, steps):
+        ustep = ustep[:, :, 0]
         for _ in range(n):
             rho = ustep @ rho @ ustep.conj().T
             if step.kind == "evolve":

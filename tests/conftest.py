@@ -125,6 +125,14 @@ waveforms = st.builds(
     values=st.lists(st.floats(-0.2, 0.2), min_size=1, max_size=30).map(np.array),
 )
 positions = st.floats(-5e-3, 5e-3)
+
+
+def _hermitian(parts):
+    a = np.reshape(parts[:16], (4, 4)) + 1j * np.reshape(parts[16:], (4, 4))
+    return (a + a.conj().T) / 2
+
+
+hermitians = st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32).map(_hermitian)
 spin_systems = st.builds(SpinSystem, nu1=st.floats(-50.0, 50.0), nu2=st.floats(0.0, 500.0),
                          j_coupling=st.floats(0.0, 20.0))
 property_settings = settings(max_examples=100, deadline=None, derandomize=True, database=None)

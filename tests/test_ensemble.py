@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dfsim import operators as ops
 from dfsim.ensemble import (
+    BLOCK,
+    DEFAULT_STEP_TIME,
     EnsembleSpec,
     GradientWaveform,
     _commutes_with_jz,
+    _expm_members,
     ensemble_propagators,
     evolve_ensemble,
     fuse_segments,
@@ -20,17 +24,22 @@ from dfsim.ensemble import (
 from dfsim.errors import NumericalContractError
 from dfsim.hamiltonians import RfParams, SpinSystem, internal_hamiltonian, rf_hamiltonian
 from dfsim.pulses import (
+    COMPOSITE_90X_180Y_90X,
     ROTATIONS,
     Delay,
     IdealRotation,
     PulseSequence,
     RfPulse,
+    composite_y90,
     piecewise_segments,
     propagator,
+    state_trajectory,
 )
+from dfsim.units import khz_per_cm_to_t_per_m
 
 from conftest import (
     expm_oracle,
+    hermitians,
     positions,
     property_settings,
     random_ket,
@@ -207,6 +216,75 @@ class TestEngineOracle:
         seq = PulseSequence((Delay(1e-4), IdealRotation("pi_x_pair"), Delay(1e-4)))
         with pytest.raises(NumericalContractError, match="unitarity"):
             ensemble_propagators(seq, spin_system, static_waveform(0.1), z)
+
+
+# nothing but RF pieces under a gradient: two pulses, cut by a waveform
+# whose values are all nonzero
+RF_SEQUENCE = PulseSequence((RfPulse(5e4, 0.3, 62.4e-6),
+                             RfPulse(5e4, 1.1, 124.8e-6, shape=COMPOSITE_90X_180Y_90X)))
+RF_WAVEFORM = GradientWaveform(step_time=50.6e-6, values=np.array([0.2, -0.1, 0.15, -0.2, 0.05, 0.1]))
+
+
+def noise_waveform(seq, grad_max):
+    spec = EnsembleSpec(grad_max=grad_max, seed=3)
+    return random_walk_waveform(spec, math.ceil(seq.duration / DEFAULT_STEP_TIME) + 1)
+
+
+class TestTaylorKernel:
+    # the shipped 100 kHz/cm noisy gate reaches a piece 1-norm of about 20
+    @property_settings
+    @given(hermitians, st.sampled_from([1, BLOCK - 1, BLOCK + 1]), st.floats(0.0, 200.0),
+           st.floats(0.0, 5.0), st.integers(0, 2 ** 32 - 1))
+    def test_matches_scipy_expm(self, h, n, norm, spread, seed):
+        shifts = np.random.default_rng(seed).uniform(-spread, spread, n)
+        jz_half = np.diag(ops.SPIN_PROJECTION).astype(complex)
+        largest = max(np.abs(h + s * jz_half).sum(axis=0).max() for s in shifts)
+        dt = norm / largest if largest > 0 else 1.0
+        u = _expm_members(h, shifts, dt, np.empty((7, 16 * n), dtype=complex))
+        assert u.shape == (4, 4, n)
+        for i, s in enumerate(shifts):
+            assert np.abs(u[:, :, i] - scipy.linalg.expm(-1j * (h + s * jz_half) * dt)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK + 1])
+    def test_blocks_match_oracle(self, spin_system, n):
+        seq = PulseSequence(RF_SEQUENCE.events + (Delay(1e-4), IdealRotation("pi_x_pair"), Delay(2e-5)))
+        zs = np.linspace(-5e-3, 5e-3, n)
+        us = ensemble_propagators(seq, spin_system, RF_WAVEFORM, zs)
+        assert us.shape == (n, 4, 4)
+        for z, u in zip(zs, us):
+            assert np.abs(u - expm_oracle(seq, spin_system, RF_WAVEFORM, z)).max() <= 1e-10
+
+    def test_engine_calls_no_eigh(self, spin_system, monkeypatch, rng):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        rho0 = code_state(rng)
+        zs = np.array([-4e-3, 1e-3, 3e-3])
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        us = ensemble_propagators(RF_SEQUENCE, spin_system, RF_WAVEFORM, zs)
+        *_, (rho, _) = state_trajectory(RF_SEQUENCE, spin_system, rho0, waveform=RF_WAVEFORM, z=zs[1])
+        monkeypatch.undo()
+        oracles = [expm_oracle(RF_SEQUENCE, spin_system, RF_WAVEFORM, z) for z in zs]
+        assert max(np.abs(u - o).max() for u, o in zip(us, oracles)) <= 1e-10
+        assert np.abs(rho - oracles[1] @ rho0 @ oracles[1].conj().T).max() <= 1e-10
+
+    def test_composite_y90_at_1000_khz_per_cm(self, spin_system):
+        seq = composite_y90(spin_system, calibrate=False)
+        wf = noise_waveform(seq, khz_per_cm_to_t_per_m(1000.0))
+        zs = member_positions(EnsembleSpec(n_members=5))
+        for z, u in zip(zs, ensemble_propagators(seq, spin_system, wf, zs)):
+            assert np.abs(u - expm_oracle(seq, spin_system, wf, z)).max() <= 1e-10
+
+    @pytest.mark.parametrize("grad, match", [
+        (khz_per_cm_to_t_per_m(1e7), "unitarity"),  # squaring amplifies round-off past 1e-10
+        (1e299, "squarings"),                       # exponent 1-norm beyond theta 2^53
+        (1e305, "not finite"),                      # gamma g overflows to inf
+    ], ids=["1e7_khz_per_cm", "1e299_t_per_m", "1e305_t_per_m"])
+    def test_absurd_gradient_breaks_the_contract(self, spin_system, grad, match):
+        seq = composite_y90(spin_system, calibrate=False)
+        wf = noise_waveform(seq, grad)
+        with pytest.raises(NumericalContractError, match=match):
+            ensemble_propagators(seq, spin_system, wf, member_positions(EnsembleSpec(n_members=101)))
 
 
 def runs_between_rotations(segments):

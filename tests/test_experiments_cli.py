@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +96,13 @@ class TestFitDecay:
         fit = fit_decay([0.0, 1.0, 2.0], [0.5, 0.5, 0.5])
         assert fit["flag"] == "no_decay"
         assert fit["a"] == 0.0
+
+    def test_curve_at_the_floor_flags_at_floor(self):
+        # Monte-Carlo scatter around 0.5 leaves fewer than three points above it
+        fit = fit_decay([1.0, 2.0, 3.0], [0.72, 0.38, 0.78])
+        rms = math.sqrt((0.22 ** 2 + 0.12 ** 2 + 0.28 ** 2) / 3)
+        assert fit == {"a": 0.0, "tau": 0.0, "residual_rms": pytest.approx(rms), "flag": "at_floor"}
+        assert fit.keys() == fit_decay([0.0, 1.0, 2.0], [0.5, 0.5, 0.5]).keys()
 
     def test_degenerate_input(self):
         with pytest.raises(ValueError):
@@ -278,10 +288,13 @@ class TestRunAndCli:
         ("noisy-gate", {"sweep": {"grad_max_khz_per_cm": []}}, "sweep.grad_max_khz_per_cm"),
         ("gates", {"sweep": {"gates": "enc_z_90"}}, "sweep.gates: must be a non-empty list"),
         ("crusher", {"sweep": {"processes": ["bogus"]}}, "sweep.processes"),
+        ("memory", {"sweep": {"gradients_t_per_m": [1e200]}}, "sweep.gradients_t_per_m"),
+        ("memory", {"sweep": {"gradient_t_per_m": 1e200, "diffusion_times_s": [0.1, 0.2, 0.3]}},
+         "sweep.gradient_t_per_m"),
     ], ids=["t1_nan", "n_members_fraction", "gradients_nan", "grad_max_nan", "unknown_gate",
             "small_delta_text", "gradient_text", "step_time_text", "dt_zero", "dt_coarse",
             "times_overflow", "gates_empty", "gradients_empty", "grad_max_empty", "gates_string",
-            "unknown_process"])
+            "unknown_process", "gradients_overflow", "gradient_overflow"])
     def test_cli_bad_value_exit_code(self, tmp_path, capsys, experiment, config, field):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
@@ -307,6 +320,32 @@ class TestRunAndCli:
         code = cli.main(["noisy-gate", "--config", str(path), "--seed", "1", "--out", str(tmp_path)])
         assert code == 3
         assert "numerical contract" in capsys.readouterr().err
+
+    def test_cli_noisy_gate_absurd_gradient_exit_code(self, tmp_path, capsys):
+        # the squaring phase of the RF-piece exponential cannot hold unitarity
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"ensemble": {"n_members": 3},
+                                    "sweep": {"grad_max_khz_per_cm": [1e8]}}))
+        code = cli.main(["noisy-gate", "--config", str(path), "--seed", "1", "--out", str(tmp_path)])
+        assert code == 3
+        assert "unitarity" in capsys.readouterr().err
+
+    def test_cli_memory_curve_at_the_floor(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"sweep": {"diffusion_times_s": [1e30, 2e30, 3e30]}}))
+        code = cli.main(["memory", "--config", str(path), "--members", "8", "--seed", "1",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        assert len((tmp_path / "memory.csv").read_text().splitlines()) == 4
+        assert json.loads((tmp_path / "memory_report.json").read_text())["fit"]["flag"] == "at_floor"
+
+    def test_python_m_dfsim(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "dfsim", "gates", "--help"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: dfsim gates")
 
     def test_cli_noisy_gate_schema(self, tmp_path):
         config = tmp_path / "c.json"
