@@ -35,9 +35,6 @@ from .metrics import (
     entanglement_fidelity,
     gate_fidelity_from_states,
     induced_data_channel,
-    pauli_expectations,
-    process_tomography,
-    state_tomography,
 )
 from .operators import (
     LogicalFrame,
@@ -57,7 +54,6 @@ from .pulses import (
     PulseSequence,
     RfPulse,
     average_hamiltonian,
-    build_sequence,
     composite_y90,
     dfs_residence_fraction,
     enc_x,

@@ -19,8 +19,9 @@ ensemble, is a product of the unitaries it yields, over the segments that
 and multiplied with elementwise products; RF pieces under a gradient take a
 batched Taylor exponential, so the engine needs no eigensolver.
 
-All randomness flows through numpy Generators seeded from the spec, and the
-member sum runs in a fixed order, so outputs are bit-reproducible.
+All randomness flows through numpy Generators seeded by an explicit seed
+argument, and the member sum runs in a fixed order, so outputs are
+bit-reproducible.
 """
 
 import math
@@ -38,20 +39,18 @@ DEFAULT_STEP_TIME = 50.6e-6
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Sample geometry and noise configuration."""
+    """Sample geometry and diffusion constant."""
 
     n_members: int = 1001
     sample_length: float = 0.01   # m
-    grad_max: float = 0.0         # T/m
     diffusion_d: float = 2.0e-9   # m^2/s
-    seed: int = 0
 
     def __post_init__(self):
         if not isinstance(self.n_members, (int, np.integer)):
             raise ValueError(f"n_members must be an integer, got {self.n_members!r}")
         if self.n_members < 2:
             raise ValueError("need at least 2 ensemble members")
-        for name in ("sample_length", "grad_max", "diffusion_d"):
+        for name in ("sample_length", "diffusion_d"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
 
@@ -62,7 +61,6 @@ class GradientWaveform:
 
     step_time: float
     values: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -87,24 +85,21 @@ def _reflect(x: np.ndarray, bound: float) -> np.ndarray:
     return y - bound
 
 
-def random_walk_waveform(spec: EnsembleSpec, n_steps: int,
-                         step_time: float = DEFAULT_STEP_TIME,
-                         step_scale: float = 1.0,
-                         seed: int | None = None) -> GradientWaveform:
-    """Reflected bounded random walk in [-grad_max, +grad_max].
+def random_walk_waveform(grad_max: float, n_steps: int, seed: int,
+                         step_time: float = DEFAULT_STEP_TIME) -> GradientWaveform:
+    """Reflected bounded random walk in [-grad_max, +grad_max] (T/m).
 
-    Increments are uniform in +-step_scale * grad_max; with the default scale
-    the empirical autocorrelation falls below 1/e within a few steps, so the
-    correlation time is of the order of step_time. Deterministic for a fixed
-    seed (defaults to spec.seed).
+    Increments are uniform in +-grad_max, so the empirical autocorrelation
+    falls below 1/e within a few steps: the correlation time is of the order
+    of step_time. Deterministic for a fixed seed.
     """
+    if not 0 <= grad_max < math.inf:
+        raise ValueError(f"grad_max must be finite and >= 0, got {grad_max!r}")
     if n_steps < 1:
         raise ValueError("need n_steps >= 1")
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
-    g = spec.grad_max
-    increments = rng.uniform(-step_scale * g, step_scale * g, size=n_steps) if g > 0 else np.zeros(n_steps)
-    values = _reflect(np.cumsum(increments), g)
-    return GradientWaveform(step_time, values, seed=spec.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
+    increments = rng.uniform(-grad_max, grad_max, size=n_steps) if grad_max > 0 else np.zeros(n_steps)
+    return GradientWaveform(step_time, _reflect(np.cumsum(increments), grad_max))
 
 
 def member_positions(spec: EnsembleSpec, jitter: bool = False,
@@ -328,22 +323,20 @@ def evolve_ensemble(seq: PulseSequence, waveform, spec: EnsembleSpec,
 
 
 def diffusion_phase_factors(grad: float, delta: float, big_delta: float,
-                            spec: EnsembleSpec, sys: SpinSystem,
-                            seed: int | None = None) -> np.ndarray:
+                            spec: EnsembleSpec, sys: SpinSystem, seed: int) -> np.ndarray:
     """Per-member residual echo phases gamma * grad * delta * dz.
 
     dz is the Gaussian diffusion displacement accumulated over big_delta,
     std sqrt(2 D big_delta). The uniform member positions cancel exactly
     between a gradient pulse and its inverse; only the displacement survives.
     """
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     dz = rng.normal(0.0, math.sqrt(2.0 * spec.diffusion_d * big_delta), size=spec.n_members)
     return sys.gamma * grad * delta * dz
 
 
 def diffusion_phase_kicks(grad: float, delta: float, big_delta: float,
-                          spec: EnsembleSpec, sys: SpinSystem,
-                          seed: int | None = None) -> np.ndarray:
+                          spec: EnsembleSpec, sys: SpinSystem, seed: int) -> np.ndarray:
     """(n, 4, 4) diagonal unitaries implementing the imperfect-echo phases."""
     phi = diffusion_phase_factors(grad, delta, big_delta, spec, sys, seed)
     diag = np.exp(1j * np.outer(phi, ops.SPIN_PROJECTION))
@@ -354,7 +347,7 @@ def diffusion_phase_kicks(grad: float, delta: float, big_delta: float,
 
 def gradient_diffusion_echo(grad: float, delta: float, big_delta: float,
                             spec: EnsembleSpec, sys: SpinSystem,
-                            rho0: np.ndarray, seed: int | None = None) -> np.ndarray:
+                            rho0: np.ndarray, seed: int) -> np.ndarray:
     """Gradient pulse, diffusion delay, inverse gradient: the ensemble state
     after the imperfect echo, including coherent internal evolution over the
     full duration 2 delta + big_delta.

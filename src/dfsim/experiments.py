@@ -24,7 +24,6 @@ sequence uses), so storage fidelities isolate the noise itself.
 """
 
 import copy
-import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -387,7 +386,7 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
     if "grad_max_t_per_m" in sweep:
         grads = _sweep_values(sweep, "grad_max_t_per_m", *_NON_NEGATIVE)
     else:
-        grads = [khz_per_cm_to_t_per_m(x)
+        grads = [khz_per_cm_to_t_per_m(x, sys.gamma)
                  for x in _sweep_values(sweep, "grad_max_khz_per_cm", *_NON_NEGATIVE)]
     step_time = _sweep_number("step_time_s", sweep["step_time_s"], *_POSITIVE)
 
@@ -404,8 +403,7 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
     n_steps = int(math.ceil(seq.duration / step_time)) + 1
     rows, reports = [], []
     for idx, grad in enumerate(grads):
-        spec_g = dataclasses.replace(spec, grad_max=grad)
-        wf = random_walk_waveform(spec_g, n_steps, step_time=step_time, seed=seed ^ idx)
+        wf = random_walk_waveform(grad, n_steps, seed ^ idx, step_time=step_time)
         f_gate = member_gate_fidelities(ensemble_propagators(seq, sys, wf, zs), target, encoded=True)
         f_mem = member_gate_fidelities(ensemble_propagators(mem_seq, sys, wf, zs), mem_target, encoded=True)
         fe = float(f_gate.mean())

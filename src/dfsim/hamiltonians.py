@@ -46,13 +46,10 @@ class SpinSystem:
 
 @dataclass(frozen=True)
 class RfParams:
-    """Transmitter settings: angular frequency offset omega_rf (rad/s,
-    relative to the rotating-frame reference), initial phase phi (rad) and
-    nutation power omega (rad/s)."""
+    """Transmitter settings: nutation power omega (rad/s) and phase phi (rad)."""
 
     omega: float
     phi: float = 0.0
-    omega_rf: float = 0.0
 
     def __post_init__(self):
         if self.omega < 0:
@@ -70,18 +67,13 @@ def internal_hamiltonian(sys: SpinSystem) -> np.ndarray:
     )
 
 
-def rf_hamiltonian(params: RfParams, t: float = 0.0) -> np.ndarray:
-    """RF drive at time t:
-    (omega/2) sum_k (cos(omega_rf t + phi) sx^k + sin(omega_rf t + phi) sy^k),
-    i.e. the nutation field conjugated by the accumulated transmitter phase.
-
-    The sequencer works in the transmitter frame (omega_rf = 0), where this
-    is time independent and set by the pulse phase alone.
+def rf_hamiltonian(params: RfParams) -> np.ndarray:
+    """RF drive in the transmitter frame, where it is time independent:
+    (omega/2) sum_k (cos(phi) sx^k + sin(phi) sy^k).
     """
-    angle = params.omega_rf * t + params.phi
     sx = ops.pauli_embed(1, "x") + ops.pauli_embed(2, "x")
     sy = ops.pauli_embed(1, "y") + ops.pauli_embed(2, "y")
-    return (params.omega / 2) * (np.cos(angle) * sx + np.sin(angle) * sy)
+    return (params.omega / 2) * (np.cos(params.phi) * sx + np.sin(params.phi) * sy)
 
 
 def gradient_hamiltonian(grad: float, z: float, sys: SpinSystem) -> np.ndarray:

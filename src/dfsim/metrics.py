@@ -1,4 +1,4 @@
-"""Reliability measures and tomography.
+"""Reliability measures.
 
 Entanglement fidelity follows the operator-sum form
 
@@ -17,10 +17,6 @@ not unital (T1 relaxation), the retained transverse magnetization
     C = ( Tr sigma_x E(|+><+|) + Tr sigma_y E(|i><i|) ) / 2
 
 is used instead.
-
-Pauli-transfer matrices use the basis ordering (identity, x, y, z): entry
-[i, j] = Tr(P_i E(P_j)) / 2. Superoperators and Choi matrices use the
-column-stacking convention of the channels module.
 """
 
 import json
@@ -31,14 +27,9 @@ import numpy as np
 from . import operators as ops
 from .channels import KrausChannel, unvec, vec
 
-PAULI_ORDER = ("i", "x", "y", "z")
-
 KET0 = np.array([1.0, 0.0], dtype=complex)
-KET1 = np.array([0.0, 1.0], dtype=complex)
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
 KET_PLUS_I = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2)
-
-PROBE_STATES = tuple(np.outer(k, k.conj()) for k in (KET0, KET1, KET_PLUS, KET_PLUS_I))
 
 ENTANGLEMENT_THRESHOLD = 0.5
 
@@ -138,122 +129,6 @@ def induced_data_channel(ch: KrausChannel, encoded: bool) -> KrausChannel:
     blocks = data_blocks(np.stack(ch.kraus_ops), encoded).reshape(-1, 2, 2)
     kraus = tuple(k for k in blocks if np.abs(k).max() > 0.0)
     return KrausChannel(kraus, label=f"data({ch.label})")
-
-
-def pauli_expectations(rho: np.ndarray) -> np.ndarray:
-    """The 15 non-identity two-spin Pauli expectation values of a state, in
-    (i, x, y, z) x (i, x, y, z) order with the identity-identity term dropped."""
-    rho = np.asarray(rho, dtype=complex)
-    vals = []
-    for a in PAULI_ORDER:
-        for b in PAULI_ORDER:
-            if a == b == "i":
-                continue
-            p = np.kron(ops.PAULI[a], ops.PAULI[b])
-            vals.append(float(np.trace(p @ rho).real))
-    return np.array(vals)
-
-
-def nearest_psd(rho: np.ndarray) -> tuple[np.ndarray, float]:
-    """Clip negative eigenvalues and renormalize the trace.
-
-    Returns the repaired state and the Frobenius norm of the correction.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
-    w_clipped = np.clip(w, 0.0, None)
-    if w_clipped.sum() == 0.0:
-        raise ValueError("state has no positive weight to renormalize")
-    fixed = (v * (w_clipped / w_clipped.sum())) @ v.conj().T
-    return fixed, float(np.linalg.norm(fixed - rho))
-
-
-def state_tomography(expectations) -> tuple[np.ndarray, float]:
-    """Reconstruct a two-spin state from its 15 Pauli expectation values.
-
-    rho = (identity + sum_P c_P P) / 4. If reconstruction is indefinite the
-    nearest PSD unit-trace state is returned instead, together with the norm
-    of the correction (0.0 when no repair was needed).
-    """
-    expectations = np.asarray(expectations, dtype=float)
-    if expectations.shape != (15,):
-        raise ValueError("need exactly 15 expectation values")
-    if np.abs(expectations).max() > 1.0 + 1e-12:
-        raise ValueError("expectation values must lie in [-1, 1]")
-    rho = np.eye(4, dtype=complex)
-    idx = 0
-    for a in PAULI_ORDER:
-        for b in PAULI_ORDER:
-            if a == b == "i":
-                continue
-            rho = rho + expectations[idx] * np.kron(ops.PAULI[a], ops.PAULI[b])
-            idx += 1
-    rho /= 4.0
-    if np.linalg.eigvalsh(rho).min() < 0.0:
-        return nearest_psd(rho)
-    return rho, 0.0
-
-
-@dataclass(frozen=True)
-class ProcessTomographyResult:
-    superoperator: np.ndarray
-    pauli_transfer: np.ndarray
-    choi: np.ndarray
-    kraus_ops: tuple
-    choi_eigenvalues: np.ndarray
-    negative_choi_flag: bool
-
-
-def process_tomography(channel_map, tol: float = 1e-8) -> ProcessTomographyResult:
-    """Reconstruct a one-qubit map from queries on |0>, |1>, |+>, |+i>.
-
-    Linear inversion gives the superoperator; the Choi matrix follows, and
-    its eigendecomposition yields a Kraus set. Choi eigenvalues below -1e-6
-    are flagged. The map is cross-checked for linearity on the maximally
-    mixed state and must return hermitian outputs, otherwise ValueError.
-    """
-    outs = [np.asarray(channel_map(rho), dtype=complex) for rho in PROBE_STATES]
-    for o in outs:
-        if o.shape != (2, 2):
-            raise ValueError("map must return 2x2 states")
-        if np.abs(o - o.conj().T).max() > 1e-8:
-            raise ValueError("map returned a non-hermitian output; responses inconsistent")
-    o0, o1, op, oip = outs
-    # linearity probe: E(I/2) must match (E(|0><0|) + E(|1><1|)) / 2
-    probe = np.asarray(channel_map(np.eye(2, dtype=complex) / 2), dtype=complex)
-    if np.abs(probe - (o0 + o1) / 2).max() > tol:
-        raise ValueError("map responses are not consistent with a linear channel")
-
-    # images of the matrix units |k><l|
-    e00, e11 = o0, o1
-    e01 = ((2 * op - o0 - o1) + 1j * (2 * oip - o0 - o1)) / 2
-    e10 = ((2 * op - o0 - o1) - 1j * (2 * oip - o0 - o1)) / 2
-    images = {(0, 0): e00, (0, 1): e01, (1, 0): e10, (1, 1): e11}
-
-    s = np.zeros((4, 4), dtype=complex)
-    for (k, l), img in images.items():
-        unit = np.zeros((2, 2), dtype=complex)
-        unit[k, l] = 1.0
-        s[:, int(np.flatnonzero(vec(unit))[0])] = vec(img)
-
-    paulis = [ops.PAULI[a] for a in PAULI_ORDER]
-    ptm = np.empty((4, 4))
-    for i, pi in enumerate(paulis):
-        for j, pj in enumerate(paulis):
-            ptm[i, j] = np.trace(pi @ unvec(s @ vec(pj))).real / 2
-
-    choi = sum(np.kron(np.outer(np.eye(2)[l], np.eye(2)[n]), images[(l, n)])
-               for l in range(2) for n in range(2))
-    w, v = np.linalg.eigh(choi)
-    kraus = tuple(unvec(np.sqrt(lam) * vec_k) for lam, vec_k in zip(w, v.T) if lam > 1e-12)
-    return ProcessTomographyResult(
-        superoperator=s,
-        pauli_transfer=ptm,
-        choi=choi,
-        kraus_ops=kraus,
-        choi_eigenvalues=w,
-        negative_choi_flag=bool(w.min() < -1e-6),
-    )
 
 
 @dataclass

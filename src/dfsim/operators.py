@@ -94,18 +94,6 @@ def is_unitary(a: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     return bool(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max() <= tol)
 
 
-def check_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> None:
-    """Raise NumericalContractError unless rho is hermitian, unit trace and PSD
-    within tol."""
-    if not is_hermitian(rho, 1e-10):
-        raise NumericalContractError("density matrix is not hermitian")
-    if abs(np.trace(rho) - 1.0) > tol:
-        raise NumericalContractError(f"density matrix trace {np.trace(rho)!r} != 1")
-    w = np.linalg.eigvalsh(rho)
-    if w.min() < -tol:
-        raise NumericalContractError(f"density matrix has eigenvalue {w.min():.3e} < -{tol:g}")
-
-
 def dfs_violations(a: np.ndarray, tol: float = 1e-10) -> list[tuple[int, int, float]]:
     """Entries of a hermitian operator that couple the code space to |00>/|11>.
 
@@ -161,12 +149,6 @@ def decoding_unitary() -> np.ndarray:
 def code_block(a: np.ndarray) -> np.ndarray:
     """2x2 restriction of a two-spin operator to the logical basis (|01>, |10>)."""
     return a[np.ix_(CODE_INDICES, CODE_INDICES)]
-
-
-def partial_trace_ancilla(rho: np.ndarray) -> np.ndarray:
-    """Reduced state of the data spin (spin 1), tracing out spin 2."""
-    r = rho.reshape(2, 2, 2, 2)
-    return np.einsum("ikjk->ij", r)
 
 
 class LogicalFrame:

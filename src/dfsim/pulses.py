@@ -454,39 +454,26 @@ def composite_y90(sys: SpinSystem, calibrate: bool = True) -> PulseSequence:
     return PulseSequence(events, cycle_length=x_leg.cycle_length, label="composite_y90")
 
 
-# sequence name -> builder(sys, **params)
-SEQUENCES = {
-    "xx_train": lambda sys, **params: xx_train(**params),
-    "xy_train": lambda sys, **params: xy_train(**params),
-    "enc_z": lambda sys, theta, **params: enc_z(theta, sys, **params),
-    "enc_x": lambda sys, theta, **params: enc_x(theta, sys, **params),
-    "enc_cp": lambda sys, **params: encoded_cp_train(**params),
-    "composite_y90": lambda sys, **params: composite_y90(sys, **params),
-}
-
-
-def build_sequence(name: str, sys: SpinSystem, **params) -> PulseSequence:
-    """Dispatch to the named builder. Raises ValueError for unknown names."""
-    if name not in SEQUENCES:
-        raise ValueError(f"unknown sequence {name!r}; known: {tuple(SEQUENCES)}")
-    return SEQUENCES[name](sys, **params)
-
-
 # ---------------------------------------------------------------------------
 # text serialization (durations in us, phases in degrees)
 # ---------------------------------------------------------------------------
 
 def sequence_to_text(seq: PulseSequence) -> str:
+    """The text form of `seq`. Raises ValueError for a nonzero pulse
+    amplitude that is subnormal or 0 in Hz, which the text could not hold."""
     out = io.StringIO()
     out.write("# pulse-sequence v1\n")
     out.write(f"label {seq.label}\n")
     out.write(f"cycle_length {seq.cycle_length}\n")
-    for ev in seq.events:
+    for i, ev in enumerate(seq.events):
         if isinstance(ev, Delay):
             out.write(f"delay us={ev.duration * 1e6:.12g}\n")
         elif isinstance(ev, RfPulse):
+            amp_hz = ev.amplitude / (2 * math.pi)
+            if ev.amplitude > 0 and amp_hz < np.finfo(float).tiny:
+                raise ValueError(f"event {i}, {ev!r}: amplitude in Hz is subnormal or underflows to 0")
             out.write(
-                f"pulse amp_hz={ev.amplitude / (2 * math.pi):.12g} "
+                f"pulse amp_hz={amp_hz:.12g} "
                 f"phase_deg={math.degrees(ev.phase):.12g} "
                 f"us={ev.duration * 1e6:.12g} shape={ev.shape}\n"
             )

@@ -1,22 +1,14 @@
 """Physical constants and unit conversions.
 
-Gradient strength is stored internally in T/m. The CLI additionally accepts
-Gauss/cm and kHz/cm (gamma-folded frequency gradient, common on NMR plots);
-both convert through the proton gyromagnetic ratio.
+Gradient strength is stored internally in T/m. The noisy-gate sweep also
+accepts kHz/cm (gamma-folded frequency gradient, common on NMR plots), which
+converts through the gyromagnetic ratio of the spin system.
 """
 
 import math
 
 # Proton gyromagnetic ratio, rad s^-1 T^-1 (CODATA 2018).
 GAMMA_PROTON = 2.6752218744e8
-
-
-def gauss_per_cm_to_t_per_m(g: float) -> float:
-    return g * 1e-4 / 1e-2
-
-
-def t_per_m_to_gauss_per_cm(g: float) -> float:
-    return g * 1e4 / 1e2
 
 
 def khz_per_cm_to_t_per_m(f: float, gamma: float = GAMMA_PROTON) -> float:
@@ -26,7 +18,3 @@ def khz_per_cm_to_t_per_m(f: float, gamma: float = GAMMA_PROTON) -> float:
     gamma * grad / (2 pi) = f * 1e3 / 1e-2 Hz/m.
     """
     return 2 * math.pi * f * 1e3 * 1e2 / gamma
-
-
-def t_per_m_to_khz_per_cm(g: float, gamma: float = GAMMA_PROTON) -> float:
-    return g * gamma / (2 * math.pi) / 1e5

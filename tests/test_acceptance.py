@@ -80,9 +80,9 @@ def test_criterion_3_gradient_diffusion_oracle():
     ok = True
     ratio = None
     for n_members in (100, 1000, 10000):
-        spec = EnsembleSpec(n_members=n_members, diffusion_d=2e-9, seed=17)
+        spec = EnsembleSpec(n_members=n_members, diffusion_d=2e-9)
         rate = spec.diffusion_d * (SYS.gamma * grad * delta) ** 2 * big_delta
-        out = gradient_diffusion_echo(grad, delta, big_delta, spec, SYS, rho0)
+        out = gradient_diffusion_echo(grad, delta, big_delta, spec, SYS, rho0, seed=17)
         undone = u.conj().T @ out @ u
         d1 = (undone[0, 1] / rho0[0, 1]).real
         d2 = (undone[0, 3] / rho0[0, 3]).real

@@ -20,6 +20,7 @@ from dfsim.ensemble import (
     gradient_diffusion_echo,
     member_positions,
     random_walk_waveform,
+    segment_unitaries,
 )
 from dfsim.errors import NumericalContractError
 from dfsim.hamiltonians import RfParams, SpinSystem, internal_hamiltonian, rf_hamiltonian
@@ -43,6 +44,7 @@ from conftest import (
     positions,
     property_settings,
     random_ket,
+    segments_oracle_30_digits,
     sequences,
     spin_systems,
     waveforms,
@@ -63,8 +65,9 @@ class TestSpecs:
     def test_validation(self):
         with pytest.raises(ValueError):
             EnsembleSpec(n_members=1)
-        with pytest.raises(ValueError):
-            EnsembleSpec(grad_max=-0.1)
+        for grad_max in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="grad_max"):
+                random_walk_waveform(grad_max, 10, seed=0)
         with pytest.raises(ValueError):
             GradientWaveform(step_time=0.0, values=[0.1])
 
@@ -77,23 +80,22 @@ class TestSpecs:
 
 class TestRandomWalk:
     def test_zero_strength_is_flat(self):
-        wf = random_walk_waveform(EnsembleSpec(grad_max=0.0, seed=5), 100)
+        wf = random_walk_waveform(0.0, 100, seed=5)
         assert np.abs(wf.values).max() == 0
 
     def test_deterministic_for_fixed_seed(self):
-        spec = EnsembleSpec(grad_max=0.3, seed=11)
-        a = random_walk_waveform(spec, 1000)
-        b = random_walk_waveform(spec, 1000)
+        a = random_walk_waveform(0.3, 1000, seed=11)
+        b = random_walk_waveform(0.3, 1000, seed=11)
         assert np.array_equal(a.values, b.values)
-        c = random_walk_waveform(spec, 1000, seed=12)
+        c = random_walk_waveform(0.3, 1000, seed=12)
         assert not np.array_equal(a.values, c.values)
 
     def test_bounded(self):
-        wf = random_walk_waveform(EnsembleSpec(grad_max=0.25, seed=2), 10_000)
+        wf = random_walk_waveform(0.25, 10_000, seed=2)
         assert np.abs(wf.values).max() <= 0.25 + 1e-15
 
     def test_correlation_time_is_a_few_steps(self):
-        wf = random_walk_waveform(EnsembleSpec(grad_max=1.0, seed=3), 100_000)
+        wf = random_walk_waveform(1.0, 100_000, seed=3)
         x = wf.values - wf.values.mean()
         den = float(x @ x)
         autocorr = [float(x[:-lag] @ x[lag:]) / den for lag in (1, 2, 3)]
@@ -138,9 +140,9 @@ class TestEvolveEnsemble:
         assert rho[0, 0].real == pytest.approx(0.5, abs=1e-12)
 
     def test_encoded_state_immune_to_any_waveform(self, spin_system, rng):
-        spec = EnsembleSpec(n_members=64, grad_max=0.6, seed=9)
+        spec = EnsembleSpec(n_members=64)
         seq = PulseSequence((Delay(3e-3),))
-        wf = random_walk_waveform(spec, 100)
+        wf = random_walk_waveform(0.6, 100, seed=9)
         rho0 = code_state(rng)
         noisy = evolve_ensemble(seq, wf, spec, spin_system, rho0)
         clean = evolve_ensemble(seq, static_waveform(0.0), spec, spin_system, rho0)
@@ -150,8 +152,8 @@ class TestEvolveEnsemble:
         # with the internal Hamiltonian off, gradients act as the identity on
         # the code space for every waveform
         sys = SpinSystem(nu1=0.0, nu2=0.0, j_coupling=0.0)
-        spec = EnsembleSpec(n_members=32, grad_max=1.0, seed=4)
-        wf = random_walk_waveform(spec, 200)
+        spec = EnsembleSpec(n_members=32)
+        wf = random_walk_waveform(1.0, 200, seed=4)
         rho0 = code_state(rng)
         rho = evolve_ensemble(PulseSequence((Delay(5e-3),)), wf, spec, sys, rho0)
         assert np.abs(rho - rho0).max() <= 1e-10
@@ -171,14 +173,13 @@ class TestEvolveEnsemble:
     def test_batched_matches_scalar_propagator(self, spin_system):
         # pulse segments with gradient active, hard and composite shapes: the
         # batch and the scalar propagator both match the scipy oracle
-        spec = EnsembleSpec(n_members=2, grad_max=0.4, seed=6)
         seq = PulseSequence((
             Delay(4e-4),
             RfPulse(5e4, 0.3, 62.4e-6),
             Delay(2e-4),
             RfPulse(5e4, 1.1, 124.8e-6, shape="composite_90x_180y_90x"),
         ))
-        wf = random_walk_waveform(spec, 50)
+        wf = random_walk_waveform(0.4, 50, seed=6)
         zs = np.array([-0.003, 0.0041])
         us = ensemble_propagators(seq, spin_system, wf, zs)
         for z, u in zip(zs, us):
@@ -226,8 +227,7 @@ RF_WAVEFORM = GradientWaveform(step_time=50.6e-6, values=np.array([0.2, -0.1, 0.
 
 
 def noise_waveform(seq, grad_max):
-    spec = EnsembleSpec(grad_max=grad_max, seed=3)
-    return random_walk_waveform(spec, math.ceil(seq.duration / DEFAULT_STEP_TIME) + 1)
+    return random_walk_waveform(grad_max, math.ceil(seq.duration / DEFAULT_STEP_TIME) + 1, seed=3)
 
 
 class TestTaylorKernel:
@@ -274,6 +274,17 @@ class TestTaylorKernel:
         zs = member_positions(EnsembleSpec(n_members=5))
         for z, u in zip(zs, ensemble_propagators(seq, spin_system, wf, zs)):
             assert np.abs(u - expm_oracle(seq, spin_system, wf, z)).max() <= 1e-10
+        # the first 20 fused segments at the two outermost members against
+        # the 30-digit oracle, so that the bound measures the engine's error
+        # rather than expm_oracle's
+        prefix = fuse_segments(piecewise_segments(seq, spin_system, wf))[:20]
+        assert sum(not _commutes_with_jz(s.h) and s.grad != 0.0 for s in prefix) >= 10
+        zs = zs[[0, -1]]
+        us = np.eye(4, dtype=complex)[:, :, None]
+        for useg in segment_unitaries(prefix, spin_system, zs):
+            us = np.einsum("ijn,jkn->ikn", useg, us)
+        for i, z in enumerate(zs):
+            assert np.abs(us[:, :, i] - segments_oracle_30_digits(prefix, spin_system, z)).max() <= 1e-10
 
     @pytest.mark.parametrize("grad, match", [
         (khz_per_cm_to_t_per_m(1e7), "unitarity"),  # squaring amplifies round-off past 1e-10
@@ -342,9 +353,9 @@ class TestFusion:
 
 class TestGradientDiffusionEcho:
     def test_no_diffusion_is_coherent(self, spin_system, rng):
-        spec = EnsembleSpec(n_members=100, diffusion_d=0.0, seed=1)
+        spec = EnsembleSpec(n_members=100, diffusion_d=0.0)
         rho0 = np.outer(*(lambda k: (k, k.conj()))(random_ket(rng, 4)))
-        out = gradient_diffusion_echo(0.6, 745e-6, 36e-3, spec, spin_system, rho0)
+        out = gradient_diffusion_echo(0.6, 745e-6, 36e-3, spec, spin_system, rho0, seed=1)
         u = ops.expm_hermitian(internal_hamiltonian(spin_system), 2 * 745e-6 + 36e-3)
         assert np.abs(out - u @ rho0 @ u.conj().T).max() <= 1e-12
 
@@ -353,10 +364,10 @@ class TestGradientDiffusionEcho:
         # oracle: <exp(i m phi)> over Gaussian displacements
         # = exp(-D (gamma g m delta)^2 Delta)
         grad, delta, big_delta = 0.05, 745e-6, 36.275e-3
-        spec = EnsembleSpec(n_members=n_members, diffusion_d=2e-9, seed=17)
+        spec = EnsembleSpec(n_members=n_members, diffusion_d=2e-9)
         ket = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
         rho0 = np.outer(ket, ket.conj())
-        out = gradient_diffusion_echo(grad, delta, big_delta, spec, spin_system, rho0)
+        out = gradient_diffusion_echo(grad, delta, big_delta, spec, spin_system, rho0, seed=17)
         u = ops.expm_hermitian(internal_hamiltonian(spin_system), 2 * delta + big_delta)
         undone = u.conj().T @ out @ u
         rate = spec.diffusion_d * (spin_system.gamma * grad * delta) ** 2 * big_delta
@@ -367,17 +378,17 @@ class TestGradientDiffusionEcho:
         assert abs(d2 - math.exp(-4 * rate)) <= tol
 
     def test_zero_quantum_untouched(self, spin_system, rng):
-        spec = EnsembleSpec(n_members=200, diffusion_d=5e-9, seed=23)
+        spec = EnsembleSpec(n_members=200, diffusion_d=5e-9)
         rho0 = code_state(rng)
-        out = gradient_diffusion_echo(0.6, 745e-6, 36e-3, spec, spin_system, rho0)
+        out = gradient_diffusion_echo(0.6, 745e-6, 36e-3, spec, spin_system, rho0, seed=23)
         u = ops.expm_hermitian(internal_hamiltonian(spin_system), 2 * 745e-6 + 36e-3)
         assert np.abs(out - u @ rho0 @ u.conj().T).max() <= 1e-12
 
     def test_deterministic(self, spin_system, rng):
-        spec = EnsembleSpec(n_members=100, diffusion_d=2e-9, seed=5)
+        spec = EnsembleSpec(n_members=100, diffusion_d=2e-9)
         rho0 = code_state(rng)
-        a = gradient_diffusion_echo(0.3, 745e-6, 0.03, spec, spin_system, rho0)
-        b = gradient_diffusion_echo(0.3, 745e-6, 0.03, spec, spin_system, rho0)
+        a = gradient_diffusion_echo(0.3, 745e-6, 0.03, spec, spin_system, rho0, seed=5)
+        b = gradient_diffusion_echo(0.3, 745e-6, 0.03, spec, spin_system, rho0, seed=5)
         assert np.array_equal(a, b)
 
     def test_engineered_noise_realizes_the_collective_dephasing_channel(self, spin_system):
@@ -387,9 +398,9 @@ class TestGradientDiffusionEcho:
         from dfsim.channels import collective_dephasing, ensemble_channel
         from dfsim.ensemble import diffusion_phase_kicks
         grad, delta, big_delta = 0.05, 745e-6, 36.275e-3
-        spec = EnsembleSpec(n_members=20000, diffusion_d=2e-9, seed=8)
+        spec = EnsembleSpec(n_members=20000, diffusion_d=2e-9)
         strength = spec.diffusion_d * (spin_system.gamma * grad * delta) ** 2 * big_delta
-        kicks = diffusion_phase_kicks(grad, delta, big_delta, spec, spin_system)
+        kicks = diffusion_phase_kicks(grad, delta, big_delta, spec, spin_system, seed=8)
         s_mc = ensemble_channel(kicks).superoperator()
         s_analytic = collective_dephasing(strength).superoperator()
         assert np.abs(s_mc - s_analytic).max() <= 3.0 / np.sqrt(spec.n_members)

@@ -24,6 +24,8 @@ from dfsim.experiments import (
     noisy_gate_experiment,
     run,
 )
+from dfsim.hamiltonians import SpinSystem
+from dfsim.units import GAMMA_PROTON
 
 
 class TestConfig:
@@ -189,6 +191,13 @@ class TestNoisyGate:
         assert all(abs(r["fe_memory"] - 1.0) <= 1e-9 for r in rows)
         assert rows[1]["fe"] < rows[0]["fe"]
 
+    def test_khz_per_cm_converts_with_the_spin_system_gamma(self, spin_system):
+        spec = EnsembleSpec(n_members=3)
+        sweep = {**EXPERIMENTS["noisy_gate"].sweep, "grad_max_khz_per_cm": [5.0]}
+        proton, _ = noisy_gate_experiment(spin_system, spec, sweep, seed=1)
+        doubled, _ = noisy_gate_experiment(SpinSystem(gamma=2 * GAMMA_PROTON), spec, sweep, seed=1)
+        assert doubled[0]["grad_max_t_per_m"] == proton[0]["grad_max_t_per_m"] / 2
+
 
 class TestRegistry:
     @pytest.mark.parametrize("name", list(EXPERIMENTS))
@@ -291,10 +300,13 @@ class TestRunAndCli:
         ("memory", {"sweep": {"gradients_t_per_m": [1e200]}}, "sweep.gradients_t_per_m"),
         ("memory", {"sweep": {"gradient_t_per_m": 1e200, "diffusion_times_s": [0.1, 0.2, 0.3]}},
          "sweep.gradient_t_per_m"),
+        ("memory", {"ensemble": {"seed": 7}}, "'seed'"),
+        ("noisy-gate", {"ensemble": {"grad_max": 3.0}}, "'grad_max'"),
     ], ids=["t1_nan", "n_members_fraction", "gradients_nan", "grad_max_nan", "unknown_gate",
             "small_delta_text", "gradient_text", "step_time_text", "dt_zero", "dt_coarse",
             "times_overflow", "gates_empty", "gradients_empty", "grad_max_empty", "gates_string",
-            "unknown_process", "gradients_overflow", "gradient_overflow"])
+            "unknown_process", "gradients_overflow", "gradient_overflow", "ensemble_seed",
+            "ensemble_grad_max"])
     def test_cli_bad_value_exit_code(self, tmp_path, capsys, experiment, config, field):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))

@@ -57,13 +57,6 @@ class TestRfHamiltonian:
     def test_zero_power(self):
         assert np.abs(rf_hamiltonian(RfParams(omega=0.0, phi=1.3))).max() <= 1e-12
 
-    def test_transmitter_phase_advances_in_time(self):
-        params = RfParams(omega=100.0, phi=0.0, omega_rf=2 * np.pi * 1e3)
-        quarter_period = 0.25e-3
-        h = rf_hamiltonian(params, t=quarter_period)
-        expected = 50.0 * (ops.pauli_embed(1, "y") + ops.pauli_embed(2, "y"))
-        assert np.abs(h - expected).max() <= 1e-9
-
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             RfParams(omega=-1.0)

@@ -14,11 +14,7 @@ from dfsim.metrics import (
     induced_data_channel,
     is_unital,
     member_gate_fidelities,
-    nearest_psd,
-    pauli_expectations,
-    process_tomography,
     state_fidelities,
-    state_tomography,
 )
 
 from conftest import random_density_matrix, random_unitary
@@ -141,97 +137,6 @@ class TestInducedDataChannel:
         assert np.abs(member_gate_fidelities(us, target, encoded) - want).max() <= 1e-12
 
 
-class TestStateTomography:
-    def test_all_zero_expectations_is_maximally_mixed(self):
-        rho, corr = state_tomography(np.zeros(15))
-        assert np.abs(rho - np.eye(4) / 4).max() <= 1e-15
-        assert corr == 0.0
-
-    def test_basis_state(self):
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = 1.0
-        rec, corr = state_tomography(pauli_expectations(rho))
-        assert np.abs(rec - rho).max() <= 1e-12
-        assert corr == 0.0
-
-    def test_roundtrip_random_states(self, rng):
-        for _ in range(50):
-            rho = random_density_matrix(rng, 4)
-            rec, corr = state_tomography(pauli_expectations(rho))
-            assert np.abs(rec - rho).max() <= 1e-12
-            assert corr <= 1e-12
-
-    def test_unphysical_input_is_repaired_and_reported(self):
-        # Bell-diagonal correlations outside the physical set:
-        # (xx, yy, zz) = (0.96, 0.96, 0.96) has an eigenvalue (1 - 2.88)/4 < 0
-        vals = np.zeros(15)
-        labels = [(a, b) for a in "ixyz" for b in "ixyz" if (a, b) != ("i", "i")]
-        for pair in ("xx", "yy", "zz"):
-            vals[labels.index((pair[0], pair[1]))] = 0.96
-        rec, corr = state_tomography(vals)
-        assert corr > 0
-        w = np.linalg.eigvalsh(rec)
-        assert w.min() >= -1e-12
-        assert np.trace(rec).real == pytest.approx(1.0)
-
-    def test_validates_range(self):
-        bad = np.zeros(15)
-        bad[0] = 1.5
-        with pytest.raises(ValueError):
-            state_tomography(bad)
-
-
-class TestProcessTomography:
-    def test_identity_map(self):
-        result = process_tomography(lambda rho: rho)
-        assert np.abs(result.superoperator - np.eye(4)).max() <= 1e-12
-        assert np.abs(result.pauli_transfer - np.eye(4)).max() <= 1e-12
-        assert not result.negative_choi_flag
-
-    def test_x_conjugation_pauli_transfer(self):
-        sx = ops.PAULI["x"]
-        result = process_tomography(lambda rho: sx @ rho @ sx)
-        assert np.abs(result.pauli_transfer - np.diag([1, 1, -1, -1])).max() <= 1e-12
-
-    def test_phase_damping_pauli_transfer(self):
-        result = process_tomography(PHASE_DAMPING.apply)
-        assert np.abs(result.pauli_transfer - np.diag([1, 0, 0, 1])).max() <= 1e-12
-
-    def test_reconstructs_known_channel(self, rng):
-        for _ in range(10):
-            ch = random_unital_channel(rng)
-            result = process_tomography(ch.apply)
-            assert np.abs(result.superoperator - ch.superoperator()).max() <= 1e-10
-            # the recovered Kraus set reproduces the channel action
-            rho = random_density_matrix(rng, 2)
-            rebuilt = sum(k @ rho @ k.conj().T for k in result.kraus_ops)
-            assert np.abs(rebuilt - ch.apply(rho)).max() <= 1e-10
-
-    def test_choi_eigenvalues_sum_to_dimension(self, rng):
-        result = process_tomography(random_unital_channel(rng).apply)
-        assert result.choi_eigenvalues.sum() == pytest.approx(2.0, abs=1e-10)
-
-    def test_transpose_map_flags_negative_choi(self):
-        # the transpose is linear, unital and trace preserving but not
-        # completely positive: its Choi matrix has a -1 eigenvalue
-        result = process_tomography(lambda rho: rho.T)
-        assert result.negative_choi_flag
-        assert result.choi_eigenvalues.min() == pytest.approx(-1.0, abs=1e-10)
-
-    def test_rejects_nonlinear_map(self):
-        def threshold_map(rho):
-            if rho[0, 0].real > 0.6:
-                return np.diag([1.0, 0.0]).astype(complex)
-            return np.diag([0.0, 1.0]).astype(complex)
-
-        with pytest.raises(ValueError, match="linear"):
-            process_tomography(threshold_map)
-
-    def test_rejects_non_hermitian_responses(self):
-        with pytest.raises(ValueError, match="hermitian"):
-            process_tomography(lambda rho: rho + 0.1j * np.eye(2))
-
-
 class TestFidelityReport:
     def test_average_gate_fidelity_identity(self):
         report = FidelityReport(label="x", fe=0.85)
@@ -252,13 +157,6 @@ class TestFidelityReport:
         blob = json.loads(FidelityReport(label="run", fe=0.9, seed=3).to_json())
         for key in ("label", "f0", "fplus", "fplusi", "fe", "fbar", "coherence", "seed"):
             assert key in blob
-
-
-def test_nearest_psd_reports_zero_for_valid_state(rng):
-    rho = random_density_matrix(rng, 4)
-    fixed, corr = nearest_psd(rho)
-    assert corr <= 1e-12
-    assert np.abs(fixed - rho).max() <= 1e-12
 
 
 def test_state_fidelities_of_unitary(rng):

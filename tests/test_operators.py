@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dfsim import operators as ops
-from dfsim.errors import NumericalContractError
 
 from conftest import random_hermitian, random_ket
 
@@ -191,16 +190,3 @@ class TestEncoding:
         encoded = ops.encoding_unitary() @ data
         assert np.allclose(encoded, c[0] * ket("01") + c[1] * ket("10"))
 
-
-def test_check_density_matrix_rejects_bad_states():
-    with pytest.raises(NumericalContractError):
-        ops.check_density_matrix(np.diag([0.7, 0.7, -0.4, 0.0]).astype(complex))
-    with pytest.raises(NumericalContractError):
-        ops.check_density_matrix(np.eye(4, dtype=complex))  # trace 4
-
-
-def test_partial_trace_ancilla(rng):
-    c = random_ket(rng)
-    rho = np.outer(np.kron(c, [1, 0]), np.kron(c, [1, 0]).conj())
-    reduced = ops.partial_trace_ancilla(rho)
-    assert np.abs(reduced - np.outer(c, c.conj())).max() <= 1e-14

@@ -16,7 +16,6 @@ from dfsim.pulses import (
     PulseSequence,
     RfPulse,
     average_hamiltonian,
-    build_sequence,
     composite_y90,
     dfs_residence_fraction,
     enc_x,
@@ -263,12 +262,6 @@ class TestBuilders:
             r = ops.expm_hermitian(f.sz, math.pi / 4)
             assert np.abs(r @ f.sx @ r.conj().T - f.sy).max() <= 1e-12
 
-    def test_build_sequence_dispatch(self, spin_system):
-        assert build_sequence("enc_z", spin_system, theta=1.0).label.startswith("enc_z")
-        assert build_sequence("xx_train", spin_system, n_pulses=2, spacing=1e-3).cycle_length == 2
-        with pytest.raises(ValueError):
-            build_sequence("p9", spin_system)
-
     def test_composite_pulse_shape_is_more_robust_to_amplitude_error(self):
         # +10% miscalibrated inversion: the 90x-180y-90x composite holds up
         sys = SpinSystem(nu1=0.0, nu2=0.0)
@@ -398,6 +391,16 @@ class TestSerialization:
                 assert b.amplitude == pytest.approx(a.amplitude, rel=1e-11, abs=0)
                 assert b.phase == pytest.approx(a.phase, rel=1e-11, abs=0)
                 assert b.shape == a.shape
+
+    @pytest.mark.parametrize("amplitude", [5e-324, 1e-308])
+    def test_subnormal_amplitude_is_rejected(self, amplitude):
+        seq = PulseSequence((Delay(1e-6), RfPulse(amplitude, 0.0, 1e-6)))
+        with pytest.raises(ValueError, match="event 1"):
+            sequence_to_text(seq)
+
+    def test_zero_amplitude_roundtrips(self):
+        seq = PulseSequence((RfPulse(0.0, 0.0, 1e-6),))
+        assert sequence_from_text(sequence_to_text(seq)).events[0].amplitude == 0.0
 
     def test_bad_line_reports_location(self):
         with pytest.raises(ValueError, match="line 2"):
