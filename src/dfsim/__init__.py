@@ -22,7 +22,6 @@ from .ensemble import (
 from .errors import ConfigError, DfsimError, NumericalContractError
 from .experiments import ExperimentConfig, config_from_dict, fit_decay, run
 from .hamiltonians import (
-    RfParams,
     SpinSystem,
     gradient_hamiltonian,
     internal_hamiltonian,

@@ -13,9 +13,9 @@ correlation time is of the order of the stepping time -- too fast for the
 control sequences to refocus.
 
 The module also holds the package's one propagation engine,
-`segment_unitaries`: every propagator, for one molecule or for the whole
-ensemble, is a product of the unitaries it yields, over the segments that
-`fuse_segments` leaves. Member unitaries are held member-last, (4, 4, n),
+`ensemble_propagators`: every propagator, for one molecule or for the whole
+ensemble, is a product of one unitary per segment that `fuse_segments`
+leaves. Member unitaries are held member-last, (4, 4, n),
 and multiplied with elementwise products; RF pieces under a gradient take a
 batched Taylor exponential, so the engine needs no eigensolver.
 
@@ -182,8 +182,9 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> n
 
 
 def _expm_members(h: np.ndarray, shifts: np.ndarray, dt: float, buffers: np.ndarray) -> np.ndarray:
-    """exp(-i (h + s Jz/2) dt) for each member shift s (rad/s), as a new
-    member-last (4, 4, m) array; `buffers` holds at least 7 rows of 16 m.
+    """exp(-i (h + s Jz/2) dt) for each member shift s (rad/s), as a
+    member-last (4, 4, m) view into `buffers` (at least 7 rows of 16 m),
+    valid until they are next written.
 
     Scaling and squaring: the largest member 1-norm of the exponent sets one
     squaring count k for the batch, so that every exponent divided by 2^k
@@ -217,76 +218,64 @@ def _expm_members(h: np.ndarray, shifts: np.ndarray, dt: float, buffers: np.ndar
         p.reshape(16, m)[::5] += _TAYLOR[base]
     for _ in range(k):
         p, q = _matmul(p, p, q, t), p
-    return p.copy()
+    return p
 
 
-def segment_unitaries(segments, sys: SpinSystem, z: float | np.ndarray,
-                      shared: dict | None = None, buffers: np.ndarray | None = None):
-    """Yield the unitary of each segment, in order, at position(s) z (m).
+def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
+                         z: float | np.ndarray) -> np.ndarray:
+    """Exact propagator of one sequence at every member position at once:
+    (4, 4) for a scalar z, (n, 4, 4) for an array, checked unitary to 1e-10.
 
-    The propagation engine of the package. Unitaries are member-last:
-    (4, 4, 1) where every member shares one, (4, 4, m) where the m
-    positions of z (a scalar or a 1-d array) differ. A segment that
-    commutes with Jz, carries no gradient, or sees z = 0 everywhere shares
-    one exponential of its gradient-free Hamiltonian, cached in `shared` by
-    Hamiltonian and duration; a commuting segment with a gradient multiplies
-    it by the member phases exp(-i gamma z g dt Jz/2). The rest (RF under a
-    gradient) takes the batched Taylor exponential `_expm_members`, in
-    `buffers` (7 rows of at least 16 m; allocated here if not given).
+    Each fused segment is resolved once per call into a unitary all members
+    share (a rotation, or an exponential of the gradient-free Hamiltonian
+    cached by Hamiltonian and duration, for a segment with no gradient or
+    with z = 0 everywhere), that unitary times the member phases
+    exp(-i gamma z g dt Jz/2) (a segment that commutes with Jz), or an RF
+    piece under a gradient for the Taylor exponential `_expm_members`.
+    Blocks of at most BLOCK members, in buffers allocated once per call,
+    then evaluate the member-dependent factors and multiply them out.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    z_max = float(np.abs(z).max())  # NaN if any z is
-    shared = {} if shared is None else shared
-    if buffers is None:
-        buffers = np.empty((7, 16 * z.size), dtype=complex)
+    z = np.asarray(z, dtype=float)
+    zs = z.reshape(-1)
+    z_max = float(np.abs(zs).max(initial=0.0))  # NaN if any z is
+    shared: dict = {}
     commutes: dict = {}
-    for seg in segments:
+    factors = []  # (shared unitary, or None for an RF piece; rad/s per metre of z or None; segment)
+    for seg in fuse_segments(piecewise_segments(seq, sys, waveform)):
         if seg.kind == "rotate":
-            yield seg.u[:, :, None]
+            factors.append((seg.u[:, :, None], None, seg))
             continue
         hkey = seg.h.tobytes()
-        with_gradient = seg.grad != 0.0 and z_max != 0.0
-        if with_gradient:
-            rate = sys.gamma * seg.grad  # rad/s per metre of z
+        rate = None
+        if seg.grad != 0.0 and z_max != 0.0:
+            rate = sys.gamma * seg.grad
             if not abs(rate) * z_max * max(seg.duration, 1.0) < math.inf:
                 raise NumericalContractError(f"gradient phase rate {rate:.3e} rad/s/m at |z| up to "
                                              f"{z_max:.3e} m is not finite")
             if hkey not in commutes:
                 commutes[hkey] = _commutes_with_jz(seg.h)
             if not commutes[hkey]:
-                yield _expm_members(seg.h, rate * z, seg.duration, buffers)
+                factors.append((None, rate, seg))
                 continue
         u0 = shared.get((hkey, seg.duration))
         if u0 is None:
             u0 = shared[hkey, seg.duration] = ops.expm_hermitian(seg.h, seg.duration)[:, :, None]
-        if with_gradient:
-            yield u0 * np.exp(-1j * (rate * seg.duration) * np.multiply.outer(ops.SPIN_PROJECTION, z))
-        else:
-            yield u0
+        factors.append((u0, rate, seg))
 
-
-def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
-                         z: float | np.ndarray) -> np.ndarray:
-    """Exact propagator of one sequence at every member position at once.
-
-    The time-ordered product of `segment_unitaries` over the fused
-    segments, run over blocks of at most BLOCK members in buffers allocated
-    once per call, with one cache of shared exponentials for all blocks:
-    (4, 4) for a scalar z, (n, 4, 4) for an array. Every result is checked
-    unitary to 1e-10.
-    """
-    z = np.asarray(z, dtype=float)
-    zs = z.reshape(-1)
-    segments = fuse_segments(piecewise_segments(seq, sys, waveform))
     buffers = np.empty((10, 16 * min(zs.size, BLOCK)), dtype=complex)
-    shared: dict = {}
     out = np.empty((zs.size, 4, 4), dtype=complex)
     for start in range(0, zs.size, BLOCK):
         zb = zs[start:start + BLOCK]
         u, spare, tmp = _views(buffers[7:], zb.size)
         u.fill(0.0)
         u.reshape(16, -1)[::5] = 1.0
-        for useg in segment_unitaries(segments, sys, zb, shared, buffers):
+        for u0, rate, seg in factors:
+            if u0 is None:
+                useg = _expm_members(seg.h, rate * zb, seg.duration, buffers)
+            elif rate is None:
+                useg = u0
+            else:
+                useg = u0 * np.exp(-1j * (rate * seg.duration) * np.multiply.outer(ops.SPIN_PROJECTION, zb))
             u, spare = _matmul(useg, u, spare, tmp), u
         out[start:start + zb.size] = u.transpose(2, 0, 1)
         # u^dagger u - 1, in buffers the exponential no longer needs
@@ -300,8 +289,7 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
 
 
 def _average_conjugation(us: np.ndarray, rho0: np.ndarray) -> np.ndarray:
-    rho = np.einsum("nij,jk,nlk->il", us, np.asarray(rho0, dtype=complex), us.conj()) / len(us)
-    return rho
+    return np.einsum("nij,jk,nlk->il", us, np.asarray(rho0, dtype=complex), us.conj()) / len(us)
 
 
 def _check_output_state(rho: np.ndarray) -> None:
@@ -322,9 +310,10 @@ def evolve_ensemble(seq: PulseSequence, waveform, spec: EnsembleSpec,
     return rho
 
 
-def diffusion_phase_factors(grad: float, delta: float, big_delta: float,
-                            spec: EnsembleSpec, sys: SpinSystem, seed: int) -> np.ndarray:
-    """Per-member residual echo phases gamma * grad * delta * dz.
+def diffusion_phase_kicks(grad: float, delta: float, big_delta: float,
+                          spec: EnsembleSpec, sys: SpinSystem, seed: int) -> np.ndarray:
+    """(n, 4, 4) diagonal unitaries implementing the imperfect-echo phases,
+    the residual gamma * grad * delta * dz of each member.
 
     dz is the Gaussian diffusion displacement accumulated over big_delta,
     std sqrt(2 D big_delta). The uniform member positions cancel exactly
@@ -332,16 +321,9 @@ def diffusion_phase_factors(grad: float, delta: float, big_delta: float,
     """
     rng = np.random.default_rng(seed)
     dz = rng.normal(0.0, math.sqrt(2.0 * spec.diffusion_d * big_delta), size=spec.n_members)
-    return sys.gamma * grad * delta * dz
-
-
-def diffusion_phase_kicks(grad: float, delta: float, big_delta: float,
-                          spec: EnsembleSpec, sys: SpinSystem, seed: int) -> np.ndarray:
-    """(n, 4, 4) diagonal unitaries implementing the imperfect-echo phases."""
-    phi = diffusion_phase_factors(grad, delta, big_delta, spec, sys, seed)
-    diag = np.exp(1j * np.outer(phi, ops.SPIN_PROJECTION))
+    phi = sys.gamma * grad * delta * dz
     out = np.zeros((len(phi), 4, 4), dtype=complex)
-    out[:, np.arange(4), np.arange(4)] = diag
+    out[:, np.arange(4), np.arange(4)] = np.exp(1j * np.outer(phi, ops.SPIN_PROJECTION))
     return out
 
 

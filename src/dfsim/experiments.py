@@ -103,7 +103,6 @@ EXPERIMENTS = {
         # low end is sampled densely before the sweep fans out to 100 kHz/cm
         sweep={"grad_max_khz_per_cm": [0.0, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0],
                "step_time_s": DEFAULT_STEP_TIME},
-        extra_keys=("grad_max_t_per_m",),
         seeded=True,
         runner=lambda c: noisy_gate_experiment(c.spin_system, c.ensemble, c.sweep, c.seed)),
 }
@@ -373,6 +372,10 @@ def gates_experiment(sys: SpinSystem, sweep: dict):
     return rows, reports
 
 
+#: most gradient steps a noisy_gate waveform may take (the shipped 50.6 us steps take 1019)
+MAX_WAVEFORM_STEPS = 10 ** 5
+
+
 def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed: int):
     """Composite y rotation under fast random-walk gradient noise.
 
@@ -383,11 +386,8 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
     it stays at 1, showing that gate losses come only from the intervals the
     pulses spend outside the code space.
     """
-    if "grad_max_t_per_m" in sweep:
-        grads = _sweep_values(sweep, "grad_max_t_per_m", *_NON_NEGATIVE)
-    else:
-        grads = [khz_per_cm_to_t_per_m(x, sys.gamma)
-                 for x in _sweep_values(sweep, "grad_max_khz_per_cm", *_NON_NEGATIVE)]
+    grads = [khz_per_cm_to_t_per_m(x, sys.gamma)
+             for x in _sweep_values(sweep, "grad_max_khz_per_cm", *_NON_NEGATIVE)]
     step_time = _sweep_number("step_time_s", sweep["step_time_s"], *_POSITIVE)
 
     build, axis, angle = GATES["composite_y90"]
@@ -400,7 +400,10 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
         raise NumericalContractError("free evolution left the code space: held-memory target is not unitary")
 
     zs = member_positions(spec)
-    n_steps = int(math.ceil(seq.duration / step_time)) + 1
+    n_steps = int(math.ceil(min(seq.duration / step_time, MAX_WAVEFORM_STEPS))) + 1
+    if n_steps > MAX_WAVEFORM_STEPS:
+        raise ConfigError(f"sweep.step_time_s: {step_time!r} s would cut the {seq.duration:.6g} s gate "
+                          f"into more than {MAX_WAVEFORM_STEPS} waveform steps")
     rows, reports = [], []
     for idx, grad in enumerate(grads):
         wf = random_walk_waveform(grad, n_steps, seed ^ idx, step_time=step_time)

@@ -44,18 +44,6 @@ class SpinSystem:
             raise ValueError(f"t2={self.t2} exceeds 2*t1={2 * self.t1}")
 
 
-@dataclass(frozen=True)
-class RfParams:
-    """Transmitter settings: nutation power omega (rad/s) and phase phi (rad)."""
-
-    omega: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if self.omega < 0:
-            raise ValueError("nutation power omega must be >= 0")
-
-
 def internal_hamiltonian(sys: SpinSystem) -> np.ndarray:
     """pi (nu1 sz1 + nu2 sz2 + J sigma.sigma / 2), rad/s.
 
@@ -67,13 +55,14 @@ def internal_hamiltonian(sys: SpinSystem) -> np.ndarray:
     )
 
 
-def rf_hamiltonian(params: RfParams) -> np.ndarray:
-    """RF drive in the transmitter frame, where it is time independent:
+def rf_hamiltonian(omega: float, phi: float) -> np.ndarray:
+    """RF drive of nutation power omega (rad/s, >= 0) and phase phi (rad) in
+    the transmitter frame, where it is time independent:
     (omega/2) sum_k (cos(phi) sx^k + sin(phi) sy^k).
     """
-    sx = ops.pauli_embed(1, "x") + ops.pauli_embed(2, "x")
-    sy = ops.pauli_embed(1, "y") + ops.pauli_embed(2, "y")
-    return (params.omega / 2) * (np.cos(params.phi) * sx + np.sin(params.phi) * sy)
+    if omega < 0:
+        raise ValueError("nutation power omega must be >= 0")
+    return (omega / 2) * (np.cos(phi) * ops.J_X + np.sin(phi) * ops.J_Y)
 
 
 def gradient_hamiltonian(grad: float, z: float, sys: SpinSystem) -> np.ndarray:

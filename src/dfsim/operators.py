@@ -54,6 +54,9 @@ def pauli_embed(spin: int, axis: str) -> np.ndarray:
 SIGMA_Z1 = pauli_embed(1, "z")
 SIGMA_Z2 = pauli_embed(2, "z")
 J_Z = SIGMA_Z1 + SIGMA_Z2
+#: collective transverse operators sigma_x^1 + sigma_x^2 and sigma_y^1 + sigma_y^2
+J_X = pauli_embed(1, "x") + pauli_embed(2, "x")
+J_Y = pauli_embed(1, "y") + pauli_embed(2, "y")
 #: Heisenberg coupling sigma^1 . sigma^2
 DOT_12 = sum(pauli_embed(1, a) @ pauli_embed(2, a) for a in "xyz")
 #: flip-flop part sigma_x^1 sigma_x^2 + sigma_y^1 sigma_y^2

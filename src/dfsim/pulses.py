@@ -15,7 +15,8 @@ gradient waveform is piecewise constant too, so the exact propagator is a
 time-ordered product of matrix exponentials over the intersection segments.
 This module flattens sequences into those segments; the exponentials and
 their product come from the one engine in `dfsim.ensemble`, of which
-`propagator` is the single-position case.
+`propagator` is the single-position case. The residence trajectory steps
+the unfused segments with its own exponentials.
 
 Builders are provided for the refocusing trains used by the average
 Hamiltonian analysis and for the encoded one-qubit gates: a z rotation by
@@ -25,13 +26,14 @@ pi pulses, and the composite y rotation concatenated from those.
 
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import operators as ops
 from .errors import NumericalContractError
-from .hamiltonians import RfParams, SpinSystem, internal_hamiltonian, logical_decompose, rf_hamiltonian
+from .hamiltonians import (SpinSystem, gradient_hamiltonian, internal_hamiltonian, logical_decompose,
+                           rf_hamiltonian)
 from .metrics import member_gate_fidelities
 
 HARD = "hard"
@@ -131,12 +133,12 @@ class Segment:
 def _pulse_pieces(pulse: RfPulse, h_int: np.ndarray):
     """Expand a pulse into (h, duration) pieces with the internal Hamiltonian on."""
     if pulse.shape == HARD:
-        yield h_int + rf_hamiltonian(RfParams(pulse.amplitude, pulse.phase)), pulse.duration
+        yield h_int + rf_hamiltonian(pulse.amplitude, pulse.phase), pulse.duration
         return
     # 90x-180y-90x composite: nutation fractions 1/4, 1/2, 1/4 at relative
     # phases 0, +90deg, 0
     for frac, dphi in ((0.25, 0.0), (0.5, math.pi / 2), (0.25, 0.0)):
-        h = h_int + rf_hamiltonian(RfParams(pulse.amplitude, pulse.phase + dphi))
+        h = h_int + rf_hamiltonian(pulse.amplitude, pulse.phase + dphi)
         yield h, pulse.duration * frac
 
 
@@ -195,31 +197,28 @@ def propagator(seq: PulseSequence, sys: SpinSystem, waveform=None, z: float = 0.
 
 
 def state_trajectory(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray,
-                     max_step: float | None = None, waveform=None, z: float = 0.0):
+                     waveform=None, z: float = 0.0):
     """Yield (rho, dt) after each internal substep of the evolution.
 
-    Substep policy: each segment is cut to at most max(duration/32, 1 us)
-    unless `max_step` overrides it. Instantaneous rotations are applied but
-    contribute no time weight.
+    Substep policy: each unfused segment is cut into n equal substeps of at
+    most max(duration/32, 1 us), each stepped by exp(-i (h + gamma z g Jz/2)
+    dt), cached per call. Instantaneous rotations are applied but contribute
+    no time weight.
     """
-    from . import ensemble
-    # the substeps of the unfused segments: fusing would change the time
-    # weights, and each plan entry is zipped with one engine unitary below
-    plan = []
-    for seg in piecewise_segments(seq, sys, waveform):
-        n = 1
-        if seg.kind == "evolve":
-            limit = max_step if max_step is not None else max(seg.duration / 32, 1e-6)
-            n = max(1, int(math.ceil(seg.duration / limit)))
-        plan.append((replace(seg, duration=seg.duration / n), n))
     rho = np.asarray(rho0, dtype=complex)
-    steps = ensemble.segment_unitaries((step for step, _ in plan), sys, z)
-    for (step, n), ustep in zip(plan, steps):
-        ustep = ustep[:, :, 0]
+    steps: dict = {}
+    for seg in piecewise_segments(seq, sys, waveform):
+        if seg.kind == "rotate":
+            rho = seg.u @ rho @ seg.u.conj().T
+            continue
+        n = max(1, int(math.ceil(seg.duration / max(seg.duration / 32, 1e-6))))
+        h, dt = seg.h + gradient_hamiltonian(seg.grad, z, sys), seg.duration / n
+        ustep = steps.get((h.tobytes(), dt))
+        if ustep is None:
+            ustep = steps[h.tobytes(), dt] = ops.expm_hermitian(h, dt)
         for _ in range(n):
             rho = ustep @ rho @ ustep.conj().T
-            if step.kind == "evolve":
-                yield rho, step.duration
+            yield rho, dt
 
 
 def dfs_residence_fraction(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dfsim import SpinSystem
 from dfsim import operators as ops
 from dfsim.ensemble import GradientWaveform
-from dfsim.hamiltonians import RfParams, internal_hamiltonian, rf_hamiltonian
+from dfsim.hamiltonians import internal_hamiltonian, rf_hamiltonian
 from dfsim.pulses import HARD, PULSE_SHAPES, ROTATIONS, Delay, IdealRotation, PulseSequence, RfPulse
 
 
@@ -90,9 +90,9 @@ def expm_oracle(seq, sys: SpinSystem, waveform, z: float) -> np.ndarray:
         if isinstance(ev, Delay):
             pieces = [(h_int, ev.duration)]
         elif ev.shape == HARD:
-            pieces = [(h_int + rf_hamiltonian(RfParams(ev.amplitude, ev.phase)), ev.duration)]
+            pieces = [(h_int + rf_hamiltonian(ev.amplitude, ev.phase), ev.duration)]
         else:  # 90x-180y-90x: nutation quarters at relative phases 0, +90 deg, 0
-            pieces = [(h_int + rf_hamiltonian(RfParams(ev.amplitude, ev.phase + dphi)), ev.duration * frac)
+            pieces = [(h_int + rf_hamiltonian(ev.amplitude, ev.phase + dphi), ev.duration * frac)
                       for frac, dphi in ((0.25, 0.0), (0.5, math.pi / 2), (0.25, 0.0))]
         for h, dur in pieces:
             cuts = [t, t + dur]

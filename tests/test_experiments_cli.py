@@ -283,12 +283,14 @@ class TestRunAndCli:
         ("natural", {"spin_system": {"t1": math.nan}}, "t1"),
         ("memory", {"ensemble": {"n_members": 2.5}}, "n_members"),
         ("memory", {"sweep": {"gradients_t_per_m": [0.1, math.nan]}}, "gradients_t_per_m"),
-        ("noisy-gate", {"sweep": {"grad_max_t_per_m": [0.0, math.nan]}}, "grad_max_t_per_m"),
+        ("noisy-gate", {"sweep": {"grad_max_khz_per_cm": [0.0, math.nan]}}, "sweep.grad_max_khz_per_cm"),
+        ("noisy-gate", {"sweep": {"grad_max_t_per_m": [0.0]}}, "unknown field(s) for noisy_gate: ['grad_max_t_per_m']"),
         ("gates", {"sweep": {"gates": ["enc_q"]}}, "gates"),
         ("memory", {"sweep": {"small_delta_s": "long"}}, "sweep.small_delta_s"),
         ("memory", {"sweep": {"gradient_t_per_m": "steep", "diffusion_times_s": [0.1, 0.2, 0.3]}},
          "sweep.gradient_t_per_m"),
         ("noisy-gate", {"sweep": {"step_time_s": "fast"}}, "sweep.step_time_s"),
+        ("noisy-gate", {"sweep": {"step_time_s": 1e-12}}, "sweep.step_time_s"),
         ("natural", {"sweep": {"dt_s": 0}}, "sweep.dt_s"),
         ("natural", {"sweep": {"dt_s": 1.0}}, "sweep.dt_s"),
         ("natural", {"sweep": {"times_s": [0, 1e308]}}, "sweep.times_s"),
@@ -302,11 +304,11 @@ class TestRunAndCli:
          "sweep.gradient_t_per_m"),
         ("memory", {"ensemble": {"seed": 7}}, "'seed'"),
         ("noisy-gate", {"ensemble": {"grad_max": 3.0}}, "'grad_max'"),
-    ], ids=["t1_nan", "n_members_fraction", "gradients_nan", "grad_max_nan", "unknown_gate",
-            "small_delta_text", "gradient_text", "step_time_text", "dt_zero", "dt_coarse",
-            "times_overflow", "gates_empty", "gradients_empty", "grad_max_empty", "gates_string",
-            "unknown_process", "gradients_overflow", "gradient_overflow", "ensemble_seed",
-            "ensemble_grad_max"])
+    ], ids=["t1_nan", "n_members_fraction", "gradients_nan", "grad_max_nan", "grad_max_t_per_m",
+            "unknown_gate", "small_delta_text", "gradient_text", "step_time_text", "step_time_tiny",
+            "dt_zero", "dt_coarse", "times_overflow", "gates_empty", "gradients_empty",
+            "grad_max_empty", "gates_string", "unknown_process", "gradients_overflow",
+            "gradient_overflow", "ensemble_seed", "ensemble_grad_max"])
     def test_cli_bad_value_exit_code(self, tmp_path, capsys, experiment, config, field):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))

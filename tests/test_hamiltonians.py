@@ -3,7 +3,6 @@ import pytest
 
 from dfsim import operators as ops
 from dfsim.hamiltonians import (
-    RfParams,
     SpinSystem,
     gradient_hamiltonian,
     internal_hamiltonian,
@@ -45,21 +44,21 @@ class TestInternalHamiltonian:
 
 class TestRfHamiltonian:
     def test_x_phase(self):
-        h = rf_hamiltonian(RfParams(omega=100.0, phi=0.0))
+        h = rf_hamiltonian(omega=100.0, phi=0.0)
         expected = 50.0 * (ops.pauli_embed(1, "x") + ops.pauli_embed(2, "x"))
         assert np.abs(h - expected).max() <= 1e-12
 
     def test_y_phase(self):
-        h = rf_hamiltonian(RfParams(omega=100.0, phi=np.pi / 2))
+        h = rf_hamiltonian(omega=100.0, phi=np.pi / 2)
         expected = 50.0 * (ops.pauli_embed(1, "y") + ops.pauli_embed(2, "y"))
         assert np.abs(h - expected).max() <= 1e-12
 
     def test_zero_power(self):
-        assert np.abs(rf_hamiltonian(RfParams(omega=0.0, phi=1.3))).max() <= 1e-12
+        assert np.abs(rf_hamiltonian(omega=0.0, phi=1.3)).max() <= 1e-12
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
-            RfParams(omega=-1.0)
+            rf_hamiltonian(omega=-1.0, phi=0.0)
 
 
 class TestGradientHamiltonian:

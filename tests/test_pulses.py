@@ -328,8 +328,6 @@ def residence_oracle(seq, sys, rho0, waveform, z):
 
 
 class TestTrajectory:
-    # state_trajectory zips its substep plan against the engine's unitaries
-    # one to one, so it must see the unfused segments
     WAVEFORMS = (None, GradientWaveform(step_time=1.0, values=np.array([0.05])),
                  GradientWaveform(step_time=50.6e-6, values=np.linspace(-0.2, 0.2, 7)))
 
