@@ -15,15 +15,17 @@ control sequences to refocus.
 The module also holds the package's one propagation engine,
 `ensemble_propagators`: every propagator, for one molecule or for the whole
 ensemble, is a product of one unitary per segment that `fuse_segments`
-leaves. Member unitaries are held member-last, (4, 4, n),
-and multiplied with elementwise products; RF pieces under a gradient take a
-batched Taylor exponential, so the engine needs no eigensolver.
+leaves. Member unitaries are held member-last, (4, 4, n), and multiplied
+with elementwise products. An RF piece under a gradient is interpolated in
+z at Chebyshev points, or, when that needs as many points as there are
+members, takes a batched Taylor exponential; no path needs an eigensolver.
 
 All randomness flows through numpy Generators seeded by an explicit seed
 argument, and the member sum runs in a fixed order, so outputs are
 bit-reproducible.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -221,6 +223,31 @@ def _expm_members(h: np.ndarray, shifts: np.ndarray, dt: float, buffers: np.ndar
     return p
 
 
+@functools.cache
+def _half_widths() -> np.ndarray:
+    """Entry N - 1: the largest piece half-width w (rad) at which N terms of
+    the Chebyshev series in z are exact to 1e-17. On the Bernstein ellipse
+    rho the exponent's Hermitian part has norm at most w (rho - 1/rho)/2,
+    for any h, so with M its exponential the tail sum_{k>=N} 2 M rho^-k
+    bounds the rest; each rho of the grid gives a valid bound. Built on
+    first use, once per process."""
+    rho = 1.0 + np.logspace(-3, 9, 300)
+    tail, log_rho, half_axis = math.log(0.5e-17) + np.log1p(-1.0 / rho), np.log(rho), (rho - 1.0 / rho) / 2
+    return np.array([((tail + n * log_rho) / half_axis).max() for n in range(1, BLOCK + 1)])
+
+
+def _chebyshev_coefficients(h: np.ndarray, rate: float, z_max: float, dt: float, n_terms: int,
+                            buffers: np.ndarray) -> np.ndarray:
+    """(32, N) real, then imaginary, parts of the coefficients c_k of
+    exp(-i dt (h + rate z Jz/2)) = sum_k c_k T_k(z / z_max), a DCT-II of the
+    exponentials at the N Chebyshev points (`_expm_members` on `buffers`)."""
+    cos = np.cos(np.pi / n_terms * np.outer(np.arange(n_terms), np.arange(n_terms) + 0.5))  # T_k(x_j)
+    nodes = _expm_members(h, (rate * z_max) * cos[1], dt, buffers).reshape(16, n_terms)
+    coef = np.concatenate([nodes.real, nodes.imag]) @ cos.T * (2.0 / n_terms)
+    coef[:, 0] /= 2
+    return coef
+
+
 def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
                          z: float | np.ndarray) -> np.ndarray:
     """Exact propagator of one sequence at every member position at once:
@@ -231,19 +258,27 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
     cached by Hamiltonian and duration, for a segment with no gradient or
     with z = 0 everywhere), that unitary times the member phases
     exp(-i gamma z g dt Jz/2) (a segment that commutes with Jz), or an RF
-    piece under a gradient for the Taylor exponential `_expm_members`.
-    Blocks of at most BLOCK members, in buffers allocated once per call,
-    then evaluate the member-dependent factors and multiply them out.
+    piece under a gradient. Such a piece takes the (32, N) Chebyshev
+    coefficients of its unitary in z, N the fewest terms whose tail bound at
+    its half-width gamma |g| max|z| dt is below 1e-17, unless N would reach
+    the member count or BLOCK: then it keeps the per-member Taylor
+    exponential `_expm_members`. Blocks of at most BLOCK members, in buffers
+    allocated once per call, then evaluate the member-dependent factors (a
+    Chebyshev piece as one real product with the basis T_k(z / max|z|),
+    built once per call) and multiply them out.
     """
     z = np.asarray(z, dtype=float)
     zs = z.reshape(-1)
     z_max = float(np.abs(zs).max(initial=0.0))  # NaN if any z is
+    buffers = np.empty((10, 16 * min(zs.size, BLOCK)), dtype=complex)
     shared: dict = {}
     commutes: dict = {}
-    factors = []  # (shared unitary, or None for an RF piece; rad/s per metre of z or None; segment)
+    # (shared unitary or None, rad/s per metre of z or None, segment or Chebyshev coefficients or None)
+    factors = []
+    n_basis = 0
     for seg in fuse_segments(piecewise_segments(seq, sys, waveform)):
         if seg.kind == "rotate":
-            factors.append((seg.u[:, :, None], None, seg))
+            factors.append((seg.u[:, :, None], None, None))
             continue
         hkey = seg.h.tobytes()
         rate = None
@@ -255,31 +290,47 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
             if hkey not in commutes:
                 commutes[hkey] = _commutes_with_jz(seg.h)
             if not commutes[hkey]:
-                factors.append((None, rate, seg))
+                n_terms = int(np.searchsorted(_half_widths(), abs(rate) * z_max * seg.duration)) + 1
+                if n_terms < min(zs.size, BLOCK):
+                    n_basis = max(n_basis, n_terms)
+                    factors.append((None, None, _chebyshev_coefficients(seg.h, rate, z_max, seg.duration,
+                                                                        n_terms, buffers)))
+                else:
+                    factors.append((None, rate, seg))
                 continue
+            rate *= seg.duration
         u0 = shared.get((hkey, seg.duration))
         if u0 is None:
             u0 = shared[hkey, seg.duration] = ops.expm_hermitian(seg.h, seg.duration)[:, :, None]
-        factors.append((u0, rate, seg))
+        factors.append((u0, rate, None))
 
-    buffers = np.empty((10, 16 * min(zs.size, BLOCK)), dtype=complex)
+    basis = np.empty((n_basis, zs.size))  # T_k(z / z_max) by the three-term recurrence
+    if n_basis:
+        basis[0], basis[1] = 1.0, zs / z_max
+        for k in range(2, n_basis):
+            np.subtract(2.0 * basis[1] * basis[k - 1], basis[k - 2], out=basis[k])
     out = np.empty((zs.size, 4, 4), dtype=complex)
     for start in range(0, zs.size, BLOCK):
         zb = zs[start:start + BLOCK]
-        u, spare, tmp = _views(buffers[7:], zb.size)
+        m = zb.size
+        u, spare, tmp = _views(buffers[7:], m)
         u.fill(0.0)
         u.reshape(16, -1)[::5] = 1.0
-        for u0, rate, seg in factors:
-            if u0 is None:
-                useg = _expm_members(seg.h, rate * zb, seg.duration, buffers)
+        for u0, rate, piece in factors:
+            if piece is None:
+                useg = u0 if rate is None else u0 * np.exp(-1j * rate * np.multiply.outer(ops.SPIN_PROJECTION, zb))
             elif rate is None:
-                useg = u0
+                re_im = np.matmul(piece, basis[:piece.shape[1], start:start + m],
+                                  out=buffers[1].view(float)[:32 * m].reshape(32, m))
+                useg = buffers[0][:16 * m].reshape(16, m)
+                useg.real, useg.imag = re_im[:16], re_im[16:]
+                useg = useg.reshape(4, 4, m)
             else:
-                useg = u0 * np.exp(-1j * (rate * seg.duration) * np.multiply.outer(ops.SPIN_PROJECTION, zb))
+                useg = _expm_members(piece.h, rate * zb, piece.duration, buffers)
             u, spare = _matmul(useg, u, spare, tmp), u
-        out[start:start + zb.size] = u.transpose(2, 0, 1)
+        out[start:start + m] = u.transpose(2, 0, 1)
         # u^dagger u - 1, in buffers the exponential no longer needs
-        u_dag, gram = _views(buffers[:2], zb.size)
+        u_dag, gram = _views(buffers[:2], m)
         np.conjugate(u.transpose(1, 0, 2), out=u_dag)
         _matmul(u_dag, u, gram, tmp).reshape(16, -1)[::5] -= 1.0
         err = np.abs(gram).max()

@@ -12,8 +12,10 @@ Five experiments reproduce the storage and encoded-control studies:
 * ``gates``      -- noiseless finite-duration encoded gates (gate F_e and
                     code-space residence);
 * ``noisy_gate`` -- the composite y rotation under random-walk gradient
-                    noise of swept maximum strength (F_e with Monte-Carlo
-                    error bars, plus the held-memory reference).
+                    noise of swept maximum strength (F_e; fe_stderr, the
+                    member spread over the midpoint quadrature nodes of one
+                    waveform realization divided by sqrt(n), see ROADMAP
+                    item 2; and the held-memory reference).
 
 Every experiment is a pure function of (spin system, ensemble spec, sweep,
 seed); `run` adds the CSV/JSON writing. Point k of a sweep uses the RNG seed
@@ -126,6 +128,12 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"sweep: unknown field(s) for {self.experiment}: {sorted(unknown)}")
         self.sweep = {**copy.deepcopy(record.sweep), **self.sweep}
+        if isinstance(self.seed, float) and self.seed.is_integer():
+            self.seed = int(self.seed)
+        if self.seed is not None:
+            if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+                raise ConfigError(f"seed: must be a non-negative integer, got {self.seed!r}")
+            self.seed = int(self.seed)
         if record.seeded and self.seed is None:
             raise ConfigError(f"seed: required for ensemble experiment {self.experiment!r}")
         if not self.label:
@@ -163,12 +171,6 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
 
     sys = build("spin_system", SpinSystem)
     ens = build("ensemble", EnsembleSpec)
-    seed = data.get("seed")
-    if seed is not None:
-        try:
-            seed = int(seed)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"seed: must be an integer, got {data['seed']!r}") from exc
     sweep = data.get("sweep", {})
     if not isinstance(sweep, dict):
         raise ConfigError("sweep: must be a mapping")
@@ -177,7 +179,7 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
         spin_system=sys,
         ensemble=ens,
         sweep=sweep,
-        seed=seed,
+        seed=data.get("seed"),
         out_dir=str(data.get("out", "results")),
         label=str(data.get("label", "")),
     )
@@ -380,11 +382,13 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
     """Composite y rotation under fast random-walk gradient noise.
 
     For each maximum gradient strength a fresh waveform drives the whole
-    sample; the reported F_e is the ensemble mean of per-member fidelities
-    with its standard error. fe_memory is the same noise applied while the
-    encoded state merely waits, measured against the noiseless evolution --
-    it stays at 1, showing that gate losses come only from the intervals the
-    pulses spend outside the code space.
+    sample; the reported F_e is the ensemble mean of per-member fidelities.
+    fe_stderr is their spread divided by sqrt(n); the members are midpoint
+    quadrature nodes of one waveform realization, not independent samples,
+    so it is no error bar for F_e (ROADMAP item 2). fe_memory is the same
+    noise applied while the encoded state merely waits, measured against the
+    noiseless evolution -- it stays at 1, showing that gate losses come only
+    from the intervals the pulses spend outside the code space.
     """
     grads = [khz_per_cm_to_t_per_m(x, sys.gamma)
              for x in _sweep_values(sweep, "grad_max_khz_per_cm", *_NON_NEGATIVE)]

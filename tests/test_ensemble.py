@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dfsim import ensemble
 from dfsim import operators as ops
 from dfsim.ensemble import (
     BLOCK,
@@ -14,6 +15,7 @@ from dfsim.ensemble import (
     GradientWaveform,
     _commutes_with_jz,
     _expm_members,
+    _half_widths,
     ensemble_propagators,
     evolve_ensemble,
     fuse_segments,
@@ -30,6 +32,7 @@ from dfsim.pulses import (
     IdealRotation,
     PulseSequence,
     RfPulse,
+    Segment,
     composite_y90,
     piecewise_segments,
     propagator,
@@ -229,6 +232,20 @@ def noise_waveform(seq, grad_max):
     return random_walk_waveform(grad_max, math.ceil(seq.duration / DEFAULT_STEP_TIME) + 1, seed=3)
 
 
+def rf_pieces(seq, sys, wf):
+    """Fused segments of `seq` that are RF pieces under a gradient."""
+    return [s for s in fuse_segments(piecewise_segments(seq, sys, wf))
+            if s.kind == "evolve" and s.grad != 0.0 and not _commutes_with_jz(s.h)]
+
+
+def chebyshev_spy(monkeypatch) -> list:
+    """The term count N of every RF piece the engine then interpolates in z."""
+    calls = []
+    fit = ensemble._chebyshev_coefficients
+    monkeypatch.setattr(ensemble, "_chebyshev_coefficients", lambda *args: calls.append(args[4]) or fit(*args))
+    return calls
+
+
 class TestTaylorKernel:
     # the shipped 100 kHz/cm noisy gate reaches a piece 1-norm of about 20
     @property_settings
@@ -257,10 +274,13 @@ class TestTaylorKernel:
         def no_eigh(*args, **kwargs):
             raise AssertionError("np.linalg.eigh called")
 
-        zs = np.array([-4e-3, 1e-3, 3e-3])
+        # enough members that every RF piece takes the Chebyshev path
+        zs = np.linspace(-4e-3, 3e-3, 64)
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        calls = chebyshev_spy(monkeypatch)
         us = ensemble_propagators(RF_SEQUENCE, spin_system, RF_WAVEFORM, zs)
         monkeypatch.undo()
+        assert len(calls) == len(rf_pieces(RF_SEQUENCE, spin_system, RF_WAVEFORM))
         # the residence trajectory takes its own exponentials, by eigh
         rho0 = code_state(rng)
         *_, (rho, _) = state_trajectory(RF_SEQUENCE, spin_system, rho0, waveform=RF_WAVEFORM, z=zs[1])
@@ -294,6 +314,47 @@ class TestTaylorKernel:
         wf = noise_waveform(seq, grad)
         with pytest.raises(NumericalContractError, match=match):
             ensemble_propagators(seq, spin_system, wf, member_positions(EnsembleSpec(n_members=101)))
+
+
+class TestChebyshevPieces:
+    @property_settings
+    @given(hermitians, st.floats(0.0, 20.0), st.floats(-4.0, 1.5), st.sampled_from([-1.0, 1.0]),
+           st.integers(-3, 3), st.integers(0, 2 ** 32 - 1))
+    def test_members_match_scipy_expm(self, h, angle, log_w, sign, offset, seed):
+        # one RF piece of half-width about 10^log_w rad, at n members on
+        # either side of the term count N it needs, so both paths run
+        sys, dt, z_max = SpinSystem(), 30e-6, 5e-3
+        segment = Segment("evolve", dt, h * (angle / dt), sign * 10.0 ** log_w / (sys.gamma * z_max * dt))
+        n_terms = int(np.searchsorted(_half_widths(), abs(sys.gamma * segment.grad) * z_max * dt)) + 1
+        zs = np.random.default_rng(seed).uniform(-z_max, z_max, max(2, n_terms + offset))
+        zs[0] = z_max
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ensemble, "piecewise_segments", lambda *args: [segment])
+            calls = chebyshev_spy(mp)
+            us = ensemble_propagators(None, sys, None, zs)
+        assert calls == ([n_terms] if n_terms < zs.size and not _commutes_with_jz(segment.h) else [])
+        jz_half = np.diag(ops.SPIN_PROJECTION)
+        for z, u in zip(zs, us):
+            exact = scipy.linalg.expm(-1j * (segment.h + sys.gamma * z * segment.grad * jz_half) * dt)
+            assert np.abs(u - exact).max() <= 1e-12
+
+    def test_composite_y90_at_100_khz_per_cm(self, spin_system, monkeypatch):
+        # the shipped sweep's strongest point: at 101 members every RF piece
+        # of the prefix is interpolated in z, checked against the 30-digit oracle
+        seq = composite_y90(spin_system, calibrate=False)
+        wf = noise_waveform(seq, khz_per_cm_to_t_per_m(100.0))
+        prefix = PulseSequence(seq.events[:16])
+        zs = member_positions(EnsembleSpec(n_members=101))
+        calls = chebyshev_spy(monkeypatch)
+        us = ensemble_propagators(prefix, spin_system, wf, zs)
+        assert len(calls) == len(rf_pieces(prefix, spin_system, wf)) >= 10
+        segments = fuse_segments(piecewise_segments(prefix, spin_system, wf))
+        for i in (0, 50, 100):
+            assert np.abs(us[i] - segments_oracle_30_digits(segments, spin_system, zs[i])).max() <= 1e-10
+
+    def test_term_count_table_is_increasing(self):
+        assert _half_widths().shape == (BLOCK,)
+        assert np.all(np.diff(_half_widths()) > 0)
 
 
 def runs_between_rotations(segments):

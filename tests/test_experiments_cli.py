@@ -52,6 +52,15 @@ class TestConfig:
             config_from_dict({"experiment": "noisy_gate"})
         config_from_dict({"experiment": "memory", "seed": 1})  # fine
 
+    @pytest.mark.parametrize("seed", [-1, 1.7, True, "7", math.inf, math.nan])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed: must be a non-negative integer"):
+            config_from_dict({"experiment": "memory", "seed": seed})
+        with pytest.raises(ConfigError, match="seed: must be a non-negative integer"):
+            ExperimentConfig("memory", seed=seed)
+        assert config_from_dict({"experiment": "memory", "seed": 7.0}).seed == 7
+        assert type(ExperimentConfig("memory", seed=np.int64(7)).seed) is int
+
     def test_overrides_beat_config(self):
         cfg = config_from_dict({"experiment": "memory", "seed": 1},
                                overrides={"seed": 9, "out": "elsewhere"})
@@ -243,13 +252,15 @@ class TestRunAndCli:
         assert all("fe_above_threshold" in r for r in blob["reports"])
 
     def test_deterministic_outputs(self, tmp_path):
-        raw = {"experiment": "memory", "seed": 77,
-               "ensemble": {"n_members": 64},
-               "sweep": {"gradients_t_per_m": [0.0, 0.2, 0.4]}}
-        a = run(config_from_dict(dict(raw), overrides={"out": str(tmp_path / "a")}))
-        b = run(config_from_dict(dict(raw), overrides={"out": str(tmp_path / "b")}))
-        assert a["csv"].read_bytes() == b["csv"].read_bytes()
-        assert a["json"].read_bytes() == b["json"].read_bytes()
+        # noisy_gate at 300 members interpolates its RF pieces in z
+        for raw in ({"experiment": "memory", "seed": 77, "ensemble": {"n_members": 64},
+                     "sweep": {"gradients_t_per_m": [0.0, 0.2, 0.4]}},
+                    {"experiment": "noisy_gate", "seed": 77, "ensemble": {"n_members": 300},
+                     "sweep": {"grad_max_khz_per_cm": [5.0, 100.0]}}):
+            a = run(config_from_dict(dict(raw), overrides={"out": str(tmp_path / "a")}))
+            b = run(config_from_dict(dict(raw), overrides={"out": str(tmp_path / "b")}))
+            assert a["csv"].read_bytes() == b["csv"].read_bytes()
+            assert a["json"].read_bytes() == b["json"].read_bytes()
 
     def test_cli_happy_path(self, tmp_path, capsys):
         config = tmp_path / "c.json"
@@ -278,6 +289,15 @@ class TestRunAndCli:
         bad.write_text("{not json")
         assert cli.main(["crusher", "--config", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["noisy-gate", "memory"])
+    def test_cli_negative_seed_exit_code(self, tmp_path, capsys, experiment):
+        config = Path(__file__).resolve().parents[1] / "configs" / f"{experiment.replace('-', '_')}.json"
+        code = cli.main([experiment, "--config", str(config), "--seed=-1", "--members", "3",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "seed: must be a non-negative integer" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("experiment, config, field", [
         ("natural", {"spin_system": {"t1": math.nan}}, "t1"),
