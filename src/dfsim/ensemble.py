@@ -16,9 +16,11 @@ The module also holds the package's one propagation engine,
 `ensemble_propagators`: every propagator, for one molecule or for the whole
 ensemble, is a product of one unitary per segment that `fuse_segments`
 leaves. Member unitaries are held member-last, (4, 4, n), and multiplied
-with elementwise products. An RF piece under a gradient is interpolated in
-z at Chebyshev points, or, when that needs as many points as there are
-members, takes a batched Taylor exponential; no path needs an eigensolver.
+with elementwise products. The product of a run of consecutive segments is
+an entire function of z, so each run is multiplied out at Chebyshev points
+in z once per call and interpolated; a segment too wide in z for
+RUN_TERMS points, or more points than there are members, keeps its member
+phases or a batched Taylor exponential. No path needs an eigensolver.
 
 All randomness flows through numpy Generators seeded by an explicit seed
 argument, and the member sum runs in a fixed order, so outputs are
@@ -161,6 +163,11 @@ def fuse_segments(segments) -> list[Segment]:
 #: in (4, 4, BLOCK) buffers, so that peak memory does not grow with n
 BLOCK = 256
 
+#: a run of factors is fitted with fewer Chebyshev terms than this (and than
+#: the member count): each term costs every block a row of the basis
+#: product, and each node an exponential or product per factor of the run
+RUN_TERMS = 64
+
 # Taylor coefficients 1/k! of the degree-16 exponential, and the largest
 # 1-norm theta at which it is exact to double precision, theta^17/17! = 2^-53
 _TAYLOR = tuple(1.0 / math.factorial(k) for k in range(17))
@@ -183,10 +190,12 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> n
     return out
 
 
-def _expm_members(h: np.ndarray, shifts: np.ndarray, dt: float, buffers: np.ndarray) -> np.ndarray:
+def _expm_members(h: np.ndarray, shifts: np.ndarray, dt: float | np.ndarray, buffers: np.ndarray) -> np.ndarray:
     """exp(-i (h + s Jz/2) dt) for each member shift s (rad/s), as a
     member-last (4, 4, m) view into `buffers` (at least 7 rows of 16 m),
-    valid until they are next written.
+    valid until they are next written. h is (4, 4), or (4, 4, m) per member
+    (it may be that view of the first row of `buffers` itself); dt is a
+    number, or (m,) per member.
 
     Scaling and squaring: the largest member 1-norm of the exponent sets one
     squaring count k for the batch, so that every exponent divided by 2^k
@@ -198,7 +207,7 @@ def _expm_members(h: np.ndarray, shifts: np.ndarray, dt: float, buffers: np.ndar
     """
     m = shifts.size
     x, x2, x3, x4, p, q, t = _views(buffers[:7], m)
-    x[...] = (-1j * dt) * h[:, :, None]
+    np.multiply(-1j * dt, h.reshape(4, 4, -1), out=x)
     x[0, 0] -= (1j * dt) * shifts
     x[3, 3] += (1j * dt) * shifts
     norm = float(np.abs(x).sum(axis=0).max())
@@ -225,25 +234,78 @@ def _expm_members(h: np.ndarray, shifts: np.ndarray, dt: float, buffers: np.ndar
 
 @functools.cache
 def _half_widths() -> np.ndarray:
-    """Entry N - 1: the largest piece half-width w (rad) at which N terms of
-    the Chebyshev series in z are exact to 1e-17. On the Bernstein ellipse
-    rho the exponent's Hermitian part has norm at most w (rho - 1/rho)/2,
-    for any h, so with M its exponential the tail sum_{k>=N} 2 M rho^-k
-    bounds the rest; each rho of the grid gives a valid bound. Built on
-    first use, once per process."""
+    """Entry N - 1: the largest half-width w (rad) at which N terms of the
+    Chebyshev series in z are exact to 1e-17. On the Bernstein ellipse rho
+    the exponent's Hermitian part has norm at most w (rho - 1/rho)/2, for
+    any h, so with M its exponential the tail sum_{k>=N} 2 M rho^-k bounds
+    the rest; each rho of the grid gives a valid bound. The norm of a
+    product is at most the product of the norms, so the same N holds for a
+    run of factors at the sum of their half-widths. Built on first use, once
+    per process."""
     rho = 1.0 + np.logspace(-3, 9, 300)
     tail, log_rho, half_axis = math.log(0.5e-17) + np.log1p(-1.0 / rho), np.log(rho), (rho - 1.0 / rho) / 2
     return np.array([((tail + n * log_rho) / half_axis).max() for n in range(1, BLOCK + 1)])
 
 
-def _chebyshev_coefficients(h: np.ndarray, rate: float, z_max: float, dt: float, n_terms: int,
-                            buffers: np.ndarray) -> np.ndarray:
-    """(32, N) real, then imaginary, parts of the coefficients c_k of
-    exp(-i dt (h + rate z Jz/2)) = sum_k c_k T_k(z / z_max), a DCT-II of the
-    exponentials at the N Chebyshev points (`_expm_members` on `buffers`)."""
-    cos = np.cos(np.pi / n_terms * np.outer(np.arange(n_terms), np.arange(n_terms) + 0.5))  # T_k(x_j)
-    nodes = _expm_members(h, (rate * z_max) * cos[1], dt, buffers).reshape(16, n_terms)
-    coef = np.concatenate([nodes.real, nodes.imag]) @ cos.T * (2.0 / n_terms)
+def _phased(u0: np.ndarray, rate: float | None, z: np.ndarray) -> np.ndarray:
+    """u0 times the member phases exp(-i rate z Jz/2) at positions z, or u0
+    itself when rate is None."""
+    return u0 if rate is None else u0 * np.exp(-1j * rate * np.multiply.outer(ops.SPIN_PROJECTION, z))
+
+
+def _group_runs(factors: list, cap: int) -> list:
+    """Split `factors` (each ending in its half-width w) into consecutive
+    runs, as (factors, N): a run grows while its summed w needs N < cap
+    Chebyshev terms (N = 1 when it is 0). A factor that alone needs cap or
+    more terms is a run of its own with N None, left to the block loop."""
+    w_cap = max(_half_widths()[cap - 2], 0.0) if cap > 1 else -1.0  # the largest summed w of a run
+    runs: list = []  # [factors, summed w, or None for a factor left unfitted]
+    for f in factors:
+        if f[-1] > w_cap:
+            runs.append([[f], None])
+        elif runs and runs[-1][1] is not None and runs[-1][1] + f[-1] <= w_cap:
+            runs[-1][0].append(f)
+            runs[-1][1] += f[-1]
+        else:
+            runs.append([[f], f[-1]])
+    return [(fs, None if w is None else (int(np.searchsorted(_half_widths(), w)) + 1 if w else 1))
+            for fs, w in runs]
+
+
+def _fit_run(factors: list, n_terms: int, z_max: float, buffers: np.ndarray) -> np.ndarray:
+    """(32, N) real, then imaginary, parts of the coefficients c_k of the
+    run's product sum_k c_k T_k(z / z_max): the run multiplied out at the N
+    Chebyshev points z_max cos(pi (j + 1/2)/N), then a DCT-II.
+
+    Rows 7-9 of `buffers` hold the product. The node exponentials of the
+    run's RF pieces come from `_expm_members` on rows 0-6, as many pieces at
+    once as fill one row, each column with its own h and dt.
+    """
+    theta = np.pi / n_terms * (np.arange(n_terms) + 0.5)
+    nodes = z_max * np.cos(theta)
+    acc, spare, tmp = _views(buffers[7:], n_terms)
+    acc.fill(0.0)
+    acc.reshape(16, -1)[::5] = 1.0
+    pieces = [(rate, seg) for _, rate, seg, _ in factors if seg is not None]
+    per_batch = buffers.shape[1] // (16 * n_terms)
+    done = 0  # RF pieces taken so far
+    for u0, rate, seg, _ in factors:
+        if seg is None:
+            f = _phased(u0, rate, nodes)
+        else:
+            col = done % per_batch * n_terms
+            if col == 0:
+                rates, batch = zip(*pieces[done:done + per_batch])
+                h = _views(buffers[:1], len(batch) * n_terms)[0]
+                for j, piece in enumerate(batch):
+                    h[:, :, j * n_terms:(j + 1) * n_terms] = piece.h[:, :, None]
+                exps = _expm_members(h, np.multiply.outer(rates, nodes).ravel(),
+                                     np.repeat([piece.duration for piece in batch], n_terms), buffers)
+            f = exps[:, :, col:col + n_terms]
+            done += 1
+        acc, spare = _matmul(f, acc, spare, tmp), acc
+    coef = np.concatenate([acc.reshape(16, -1).real, acc.reshape(16, -1).imag])
+    coef = coef @ np.cos(np.outer(np.arange(n_terms), theta)).T * (2.0 / n_terms)  # T_k(x_j)
     coef[:, 0] /= 2
     return coef
 
@@ -253,19 +315,22 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
     """Exact propagator of one sequence at every member position at once:
     (4, 4) for a scalar z, (n, 4, 4) for an array, checked unitary to 1e-10.
 
-    Each fused segment is resolved once per call into a unitary all members
-    share (a rotation, or an exponential of the gradient-free Hamiltonian
-    cached by Hamiltonian and duration, for a segment with no gradient or
-    with z = 0 everywhere), that unitary times the member phases
+    Each fused segment is resolved once per call into a factor: a unitary
+    all members share (a rotation, or an exponential of the gradient-free
+    Hamiltonian cached by Hamiltonian and duration, for a segment with no
+    gradient or with z = 0 everywhere), that unitary times the member phases
     exp(-i gamma z g dt Jz/2) (a segment that commutes with Jz), or an RF
-    piece under a gradient. Such a piece takes the (32, N) Chebyshev
-    coefficients of its unitary in z, N the fewest terms whose tail bound at
-    its half-width gamma |g| max|z| dt is below 1e-17, unless N would reach
-    the member count or BLOCK: then it keeps the per-member Taylor
-    exponential `_expm_members`. Blocks of at most BLOCK members, in buffers
-    allocated once per call, then evaluate the member-dependent factors (a
-    Chebyshev piece as one real product with the basis T_k(z / max|z|),
-    built once per call) and multiply them out.
+    piece under a gradient. Each is an entire function of z of half-width
+    w = gamma |g| max|z| dt (0 for a shared unitary). Consecutive factors
+    form runs while their summed w needs N < min(n, BLOCK, RUN_TERMS)
+    Chebyshev terms for a tail bound below 1e-17 (`_half_widths`); each run
+    is multiplied out at its N Chebyshev points once per call (`_fit_run`).
+    A factor whose own N reaches that cap stays as it is: member phases, or
+    the per-member Taylor exponential `_expm_members`, so one molecule and
+    tiny ensembles take no Chebyshev path. Blocks of at most BLOCK members,
+    in buffers allocated once per call, then evaluate each run as one real
+    product with the basis T_k(z / max|z|), built once per call, and each
+    remaining factor per member, and multiply them out.
     """
     z = np.asarray(z, dtype=float)
     zs = z.reshape(-1)
@@ -273,12 +338,11 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
     buffers = np.empty((10, 16 * min(zs.size, BLOCK)), dtype=complex)
     shared: dict = {}
     commutes: dict = {}
-    # (shared unitary or None, rad/s per metre of z or None, segment or Chebyshev coefficients or None)
+    # (shared unitary or None, rad/s per metre of z or None, RF segment or None, half-width w)
     factors = []
-    n_basis = 0
     for seg in fuse_segments(piecewise_segments(seq, sys, waveform)):
         if seg.kind == "rotate":
-            factors.append((seg.u[:, :, None], None, None))
+            factors.append((seg.u[:, :, None], None, None, 0.0))
             continue
         hkey = seg.h.tobytes()
         rate = None
@@ -290,23 +354,22 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
             if hkey not in commutes:
                 commutes[hkey] = _commutes_with_jz(seg.h)
             if not commutes[hkey]:
-                n_terms = int(np.searchsorted(_half_widths(), abs(rate) * z_max * seg.duration)) + 1
-                if n_terms < min(zs.size, BLOCK):
-                    n_basis = max(n_basis, n_terms)
-                    factors.append((None, None, _chebyshev_coefficients(seg.h, rate, z_max, seg.duration,
-                                                                        n_terms, buffers)))
-                else:
-                    factors.append((None, rate, seg))
+                factors.append((None, rate, seg, abs(rate) * z_max * seg.duration))
                 continue
             rate *= seg.duration
         u0 = shared.get((hkey, seg.duration))
         if u0 is None:
             u0 = shared[hkey, seg.duration] = ops.expm_hermitian(seg.h, seg.duration)[:, :, None]
-        factors.append((u0, rate, None))
+        factors.append((u0, rate, None, 0.0 if rate is None else abs(rate) * z_max))
 
+    # per run: its one factor left unfitted, less w, or (None, None, its Chebyshev coefficients)
+    runs = [(None, None, _fit_run(fs, n_terms, z_max, buffers)) if n_terms else fs[0][:3]
+            for fs, n_terms in _group_runs(factors, min(zs.size, BLOCK, RUN_TERMS))]
+    n_basis = max((piece.shape[1] for u0, rate, piece in runs if u0 is None and rate is None), default=0)
     basis = np.empty((n_basis, zs.size))  # T_k(z / z_max) by the three-term recurrence
-    if n_basis:
-        basis[0], basis[1] = 1.0, zs / z_max
+    basis[:1] = 1.0
+    if n_basis > 1:
+        basis[1] = zs / z_max
         for k in range(2, n_basis):
             np.subtract(2.0 * basis[1] * basis[k - 1], basis[k - 2], out=basis[k])
     out = np.empty((zs.size, 4, 4), dtype=complex)
@@ -316,9 +379,9 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
         u, spare, tmp = _views(buffers[7:], m)
         u.fill(0.0)
         u.reshape(16, -1)[::5] = 1.0
-        for u0, rate, piece in factors:
+        for u0, rate, piece in runs:
             if piece is None:
-                useg = u0 if rate is None else u0 * np.exp(-1j * rate * np.multiply.outer(ops.SPIN_PROJECTION, zb))
+                useg = _phased(u0, rate, zb)
             elif rate is None:
                 re_im = np.matmul(piece, basis[:piece.shape[1], start:start + m],
                                   out=buffers[1].view(float)[:32 * m].reshape(32, m))

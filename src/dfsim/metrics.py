@@ -108,8 +108,9 @@ def member_gate_fidelities(us: np.ndarray, target2: np.ndarray, encoded: bool) -
     (..., 4, 4)) against a one-qubit target on the decoded data spin.
 
     The ensemble channel's Kraus set is {U_i / sqrt(n)}, so its F_e is
-    exactly the mean of these per-member values; their spread gives the
-    Monte-Carlo error bar.
+    exactly the mean of these per-member values. The members of a noisy
+    gate are midpoint quadrature nodes of one waveform realization, not
+    independent samples, so their spread is no error bar for that mean.
     """
     tdag = np.asarray(target2, dtype=complex).conj().T
     tr = np.einsum("ij,...bji->...b", tdag, data_blocks(us, encoded)) / 2

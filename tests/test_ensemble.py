@@ -11,6 +11,7 @@ from dfsim import operators as ops
 from dfsim.ensemble import (
     BLOCK,
     DEFAULT_STEP_TIME,
+    RUN_TERMS,
     EnsembleSpec,
     GradientWaveform,
     _commutes_with_jz,
@@ -238,12 +239,22 @@ def rf_pieces(seq, sys, wf):
             if s.kind == "evolve" and s.grad != 0.0 and not _commutes_with_jz(s.h)]
 
 
-def chebyshev_spy(monkeypatch) -> list:
-    """The term count N of every RF piece the engine then interpolates in z."""
+def run_fit_spy(monkeypatch) -> list:
+    """(N, factors) of every run of factors the engine then evaluates as a
+    Chebyshev series in z."""
     calls = []
-    fit = ensemble._chebyshev_coefficients
-    monkeypatch.setattr(ensemble, "_chebyshev_coefficients", lambda *args: calls.append(args[4]) or fit(*args))
+    fit = ensemble._fit_run
+
+    def spy(factors, n_terms, *args):
+        calls.append((n_terms, factors))
+        return fit(factors, n_terms, *args)
+    monkeypatch.setattr(ensemble, "_fit_run", spy)
     return calls
+
+
+def fitted_rf_pieces(calls) -> int:
+    """How many RF pieces under a gradient the spied runs hold."""
+    return sum(seg is not None for _, factors in calls for _, _, seg, _ in factors)
 
 
 class TestTaylorKernel:
@@ -274,13 +285,13 @@ class TestTaylorKernel:
         def no_eigh(*args, **kwargs):
             raise AssertionError("np.linalg.eigh called")
 
-        # enough members that every RF piece takes the Chebyshev path
+        # enough members that every RF piece is fitted in a run
         zs = np.linspace(-4e-3, 3e-3, 64)
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        calls = chebyshev_spy(monkeypatch)
+        calls = run_fit_spy(monkeypatch)
         us = ensemble_propagators(RF_SEQUENCE, spin_system, RF_WAVEFORM, zs)
         monkeypatch.undo()
-        assert len(calls) == len(rf_pieces(RF_SEQUENCE, spin_system, RF_WAVEFORM))
+        assert fitted_rf_pieces(calls) == len(rf_pieces(RF_SEQUENCE, spin_system, RF_WAVEFORM))
         # the residence trajectory takes its own exponentials, by eigh
         rho0 = code_state(rng)
         *_, (rho, _) = state_trajectory(RF_SEQUENCE, spin_system, rho0, waveform=RF_WAVEFORM, z=zs[1])
@@ -322,7 +333,8 @@ class TestChebyshevPieces:
            st.integers(-3, 3), st.integers(0, 2 ** 32 - 1))
     def test_members_match_scipy_expm(self, h, angle, log_w, sign, offset, seed):
         # one RF piece of half-width about 10^log_w rad, at n members on
-        # either side of the term count N it needs, so both paths run
+        # either side of the term count N it needs, so both paths run: it is
+        # fitted as a run of one when N < min(n, RUN_TERMS)
         sys, dt, z_max = SpinSystem(), 30e-6, 5e-3
         segment = Segment("evolve", dt, h * (angle / dt), sign * 10.0 ** log_w / (sys.gamma * z_max * dt))
         n_terms = int(np.searchsorted(_half_widths(), abs(sys.gamma * segment.grad) * z_max * dt)) + 1
@@ -330,9 +342,10 @@ class TestChebyshevPieces:
         zs[0] = z_max
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ensemble, "piecewise_segments", lambda *args: [segment])
-            calls = chebyshev_spy(mp)
+            calls = run_fit_spy(mp)
             us = ensemble_propagators(None, sys, None, zs)
-        assert calls == ([n_terms] if n_terms < zs.size and not _commutes_with_jz(segment.h) else [])
+        assert [(n, len(factors)) for n, factors in calls] == ([(n_terms, 1)] if n_terms < min(zs.size, RUN_TERMS)
+                                                              else [])
         jz_half = np.diag(ops.SPIN_PROJECTION)
         for z, u in zip(zs, us):
             exact = scipy.linalg.expm(-1j * (segment.h + sys.gamma * z * segment.grad * jz_half) * dt)
@@ -340,21 +353,66 @@ class TestChebyshevPieces:
 
     def test_composite_y90_at_100_khz_per_cm(self, spin_system, monkeypatch):
         # the shipped sweep's strongest point: at 101 members every RF piece
-        # of the prefix is interpolated in z, checked against the 30-digit oracle
+        # of the prefix is fitted in a run, checked against the 30-digit oracle
         seq = composite_y90(spin_system, calibrate=False)
         wf = noise_waveform(seq, khz_per_cm_to_t_per_m(100.0))
         prefix = PulseSequence(seq.events[:16])
         zs = member_positions(EnsembleSpec(n_members=101))
-        calls = chebyshev_spy(monkeypatch)
+        calls = run_fit_spy(monkeypatch)
         us = ensemble_propagators(prefix, spin_system, wf, zs)
-        assert len(calls) == len(rf_pieces(prefix, spin_system, wf)) >= 10
+        assert fitted_rf_pieces(calls) == len(rf_pieces(prefix, spin_system, wf)) >= 10
+        assert any(fitted_rf_pieces([call]) > 1 for call in calls)
         segments = fuse_segments(piecewise_segments(prefix, spin_system, wf))
         for i in (0, 50, 100):
-            assert np.abs(us[i] - segments_oracle_30_digits(segments, spin_system, zs[i])).max() <= 1e-10
+            assert np.abs(us[i] - segments_oracle_30_digits(segments, spin_system, zs[i])).max() <= 1e-12
 
     def test_term_count_table_is_increasing(self):
         assert _half_widths().shape == (BLOCK,)
         assert np.all(np.diff(_half_widths()) > 0)
+
+
+def term_count(w: float) -> int:
+    return int(np.searchsorted(_half_widths(), w)) + 1 if w else 1
+
+
+class TestRuns:
+    @property_settings
+    @given(spin_systems, sequences, waveforms, st.floats(0.0, 3.0),
+           st.sampled_from([RUN_TERMS + 1, RUN_TERMS - 1, 5, 2]), st.integers(0, 2 ** 32 - 1))
+    def test_chains_match_expm_oracle(self, sys, seq, wf, log_scale, n, seed):
+        # gradients up to 1000x the strategy's 0.2 T/m, so that chains split
+        # into several runs and some factors stay unfitted
+        wf = GradientWaveform(wf.step_time, wf.values * 10.0 ** log_scale)
+        zs = np.random.default_rng(seed).uniform(-5e-3, 5e-3, n)
+        groups = []
+        group = ensemble._group_runs
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ensemble, "_group_runs", lambda *args: groups.append(group(*args)) or groups[-1])
+            calls = run_fit_spy(mp)
+            us = ensemble_propagators(seq, sys, wf, zs)
+        (runs,) = groups
+        cap = min(n, BLOCK, RUN_TERMS)
+        assert sum(len(factors) for factors, _ in runs) == len(fuse_segments(piecewise_segments(seq, sys, wf)))
+        for factors, n_terms in runs:
+            if n_terms is None:
+                assert len(factors) == 1 and term_count(factors[0][-1]) >= cap
+            else:
+                assert n_terms == term_count(sum(f[-1] for f in factors)) < cap
+        assert [(n_terms, factors) for factors, n_terms in runs if n_terms is not None] == calls
+        for i in (0, n // 2, n - 1):
+            assert np.abs(us[i] - expm_oracle(seq, sys, wf, zs[i])).max() <= 1e-10
+
+    @property_settings
+    @given(spin_systems, sequences, st.none() | waveforms.map(lambda wf: GradientWaveform(wf.step_time, 0 * wf.values)))
+    def test_zero_gradient_is_one_run_of_one_term(self, sys, seq, wf):
+        zs = np.linspace(-5e-3, 5e-3, 7)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = run_fit_spy(mp)
+            us = ensemble_propagators(seq, sys, wf, zs)
+        assert [(n_terms, len(factors)) for n_terms, factors in calls] == [
+            (1, len(fuse_segments(piecewise_segments(seq, sys, wf))))]
+        oracle = expm_oracle(seq, sys, wf, 0.0)
+        assert max(np.abs(u - oracle).max() for u in us) <= 1e-10
 
 
 def runs_between_rotations(segments):
