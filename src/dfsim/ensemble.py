@@ -14,9 +14,10 @@ control sequences to refocus.
 
 The module also holds the package's one propagation engine,
 `ensemble_propagators`: every propagator, for one molecule or for the whole
-ensemble, is a product of one unitary per segment that `fuse_segments`
-leaves. Member unitaries are held member-last, (4, 4, n), and multiplied
-with elementwise products. The product of a run of consecutive segments is
+ensemble, is a product of one unitary per segment of
+`pulses.piecewise_segments`, which fuses runs as it flattens. Member
+unitaries are held member-last, (4, 4, n), and multiplied with elementwise
+products. The product of a run of consecutive segments is
 an entire function of z, so each run is multiplied out at Chebyshev points
 in z once per call and interpolated; a segment too wide in z for
 RUN_TERMS points, or more points than there are members, keeps its member
@@ -36,7 +37,7 @@ import numpy as np
 from . import operators as ops
 from .errors import NumericalContractError
 from .hamiltonians import SpinSystem, internal_hamiltonian
-from .pulses import PulseSequence, Segment, piecewise_segments
+from .pulses import PulseSequence, piecewise_segments
 
 DEFAULT_STEP_TIME = 50.6e-6
 
@@ -68,10 +69,12 @@ class GradientWaveform:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.step_time <= 0:
-            raise ValueError("step_time must be positive")
+        if not 0 < self.step_time < math.inf:
+            raise ValueError(f"step_time must be finite and positive, got {self.step_time!r}")
         if self.values.ndim != 1 or self.values.size == 0:
             raise ValueError("values must be a non-empty 1-d array")
+        if not np.isfinite(self.values).all():
+            raise ValueError("values must be finite")
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -120,43 +123,6 @@ def member_positions(spec: EnsembleSpec, jitter: bool = False,
             raise ValueError("jitter requires an rng")
         offsets = rng.uniform(0.0, 1.0, size=n)
     return (np.arange(n) + offsets) / n * length - length / 2
-
-
-def _commutes_with_jz(h: np.ndarray) -> bool:
-    """[h, Jz] = 0 to round-off, relative to the size of h (any units)."""
-    scale = max(np.abs(h).max(), np.finfo(float).tiny)
-    return np.abs(h @ ops.J_Z - ops.J_Z @ h).max() <= 1e-12 * scale
-
-
-def fuse_segments(segments) -> list[Segment]:
-    """Merge each run of consecutive evolve segments under one Hamiltonian
-    into a single segment, where that is exact.
-
-    A run under h that commutes with Jz becomes one segment of the summed
-    duration whose gradient is the run's mean, so that grad * duration is
-    the summed g dt: exp(-i h sum dt) times the member phases of sum g dt is
-    the run's product. A run that carries no gradient at all merges under
-    any h. Rotations, and evolve segments under a gradient that do not
-    commute with Jz (RF pieces), are kept as they are.
-    """
-    out: list[Segment] = []
-    commutes: dict = {}
-    run_key = None  # h of the last segment as bytes, None after a rotation
-    area = 0.0      # sum of g dt over the last segment
-    for seg in segments:
-        hkey = seg.h.tobytes() if seg.kind == "evolve" else None
-        if hkey is not None and hkey == run_key:
-            if hkey not in commutes:
-                commutes[hkey] = _commutes_with_jz(seg.h)
-            last = out[-1]
-            if commutes[hkey] or last.grad == seg.grad == 0.0:
-                area += seg.grad * seg.duration
-                duration = last.duration + seg.duration
-                out[-1] = Segment("evolve", duration, seg.h, area / duration)
-                continue
-        out.append(seg)
-        run_key, area = hkey, seg.grad * seg.duration
-    return out
 
 
 #: members per block of the engine: each block runs the whole segment chain
@@ -315,7 +281,7 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
     """Exact propagator of one sequence at every member position at once:
     (4, 4) for a scalar z, (n, 4, 4) for an array, checked unitary to 1e-10.
 
-    Each fused segment is resolved once per call into a factor: a unitary
+    Each segment is resolved once per call into a factor: a unitary
     all members share (a rotation, or an exponential of the gradient-free
     Hamiltonian cached by Hamiltonian and duration, for a segment with no
     gradient or with z = 0 everywhere), that unitary times the member phases
@@ -337,29 +303,26 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
     z_max = float(np.abs(zs).max(initial=0.0))  # NaN if any z is
     buffers = np.empty((10, 16 * min(zs.size, BLOCK)), dtype=complex)
     shared: dict = {}
-    commutes: dict = {}
     # (shared unitary or None, rad/s per metre of z or None, RF segment or None, half-width w)
     factors = []
-    for seg in fuse_segments(piecewise_segments(seq, sys, waveform)):
+    for seg in piecewise_segments(seq, sys, waveform):
         if seg.kind == "rotate":
             factors.append((seg.u[:, :, None], None, None, 0.0))
             continue
-        hkey = seg.h.tobytes()
         rate = None
         if seg.grad != 0.0 and z_max != 0.0:
             rate = sys.gamma * seg.grad
             if not abs(rate) * z_max * max(seg.duration, 1.0) < math.inf:
                 raise NumericalContractError(f"gradient phase rate {rate:.3e} rad/s/m at |z| up to "
                                              f"{z_max:.3e} m is not finite")
-            if hkey not in commutes:
-                commutes[hkey] = _commutes_with_jz(seg.h)
-            if not commutes[hkey]:
+            if not seg.commutes:
                 factors.append((None, rate, seg, abs(rate) * z_max * seg.duration))
                 continue
             rate *= seg.duration
-        u0 = shared.get((hkey, seg.duration))
+        key = (seg.h.tobytes(), seg.duration)
+        u0 = shared.get(key)
         if u0 is None:
-            u0 = shared[hkey, seg.duration] = ops.expm_hermitian(seg.h, seg.duration)[:, :, None]
+            u0 = shared[key] = ops.expm_hermitian(seg.h, seg.duration)[:, :, None]
         factors.append((u0, rate, None, 0.0 if rate is None else abs(rate) * z_max))
 
     # per run: its one factor left unfitted, less w, or (None, None, its Chebyshev coefficients)

@@ -13,10 +13,13 @@ A sequence is an ordered list of three event kinds:
 Propagation model: every event is piecewise constant in time, and an optional
 gradient waveform is piecewise constant too, so the exact propagator is a
 time-ordered product of matrix exponentials over the intersection segments.
-This module flattens sequences into those segments; the exponentials and
-their product come from the one engine in `dfsim.ensemble`, of which
-`propagator` is the single-position case. The residence trajectory steps
-the unfused segments with its own exponentials.
+The internal Hamiltonian commutes with Jz, so a free-evolution interval
+under any waveform is one shared exponential times member phases. This
+module flattens sequences into segments, fusing each such run as it walks
+the waveform clock; the exponentials and their product come from the one
+engine in `dfsim.ensemble`, of which `propagator` is the single-position
+case. The residence trajectory steps the events' pieces, without a
+gradient, with its own exponentials.
 
 Builders are provided for the refocusing trains used by the average
 Hamiltonian analysis and for the encoded one-qubit gates: a z rotation by
@@ -32,8 +35,7 @@ import numpy as np
 
 from . import operators as ops
 from .errors import NumericalContractError
-from .hamiltonians import (SpinSystem, gradient_hamiltonian, internal_hamiltonian, logical_decompose,
-                           rf_hamiltonian)
+from .hamiltonians import SpinSystem, internal_hamiltonian, logical_decompose, rf_hamiltonian
 from .metrics import member_gate_fidelities
 
 HARD = "hard"
@@ -119,8 +121,9 @@ class Segment:
     """One piecewise-constant piece of the evolution.
 
     kind "evolve": Hamiltonian h (rad/s, gradient-free) plus a gradient of
-    strength grad (T/m) for `duration` seconds. kind "rotate": instantaneous
-    unitary u.
+    strength grad (T/m) for `duration` seconds; `commutes` records that h
+    commutes with Jz, so that the gradient acts as member phases alone.
+    kind "rotate": instantaneous unitary u.
     """
 
     kind: str
@@ -128,62 +131,82 @@ class Segment:
     h: np.ndarray | None = None
     grad: float = 0.0
     u: np.ndarray | None = None
+    commutes: bool = False
 
 
-def _pulse_pieces(pulse: RfPulse, h_int: np.ndarray):
-    """Expand a pulse into (h, duration) pieces with the internal Hamiltonian on."""
-    if pulse.shape == HARD:
-        yield h_int + rf_hamiltonian(pulse.amplitude, pulse.phase), pulse.duration
-        return
-    # 90x-180y-90x composite: nutation fractions 1/4, 1/2, 1/4 at relative
-    # phases 0, +90deg, 0
-    for frac, dphi in ((0.25, 0.0), (0.5, math.pi / 2), (0.25, 0.0)):
-        h = h_int + rf_hamiltonian(pulse.amplitude, pulse.phase + dphi)
-        yield h, pulse.duration * frac
+def _event_pieces(ev, h_int: np.ndarray):
+    """Expand a delay or pulse into (h, duration) pieces with the internal
+    Hamiltonian on."""
+    if isinstance(ev, Delay):
+        yield h_int, ev.duration
+    elif ev.shape == HARD:
+        yield h_int + rf_hamiltonian(ev.amplitude, ev.phase), ev.duration
+    else:
+        # 90x-180y-90x composite: nutation fractions 1/4, 1/2, 1/4 at
+        # relative phases 0, +90deg, 0
+        for frac, dphi in ((0.25, 0.0), (0.5, math.pi / 2), (0.25, 0.0)):
+            yield h_int + rf_hamiltonian(ev.amplitude, ev.phase + dphi), ev.duration * frac
+
+
+def _commutes_with_jz(h: np.ndarray) -> bool:
+    """[h, Jz] = 0 to round-off, relative to the size of h (any units)."""
+    scale = max(np.abs(h).max(), np.finfo(float).tiny)
+    return np.abs(h @ ops.J_Z - ops.J_Z @ h).max() <= 1e-12 * scale
 
 
 def piecewise_segments(seq: PulseSequence, sys: SpinSystem, waveform=None) -> list[Segment]:
-    """Flatten a sequence into exact piecewise-constant segments.
+    """Flatten a sequence into exact piecewise-constant segments, fusing
+    consecutive pieces where that is exact.
 
     `waveform`, when given, must expose ``step_time`` (s) and ``values``
     (gradient strengths, T/m); its clock starts at the sequence start and the
-    last value is held beyond the end of the list. Evolution segments are
-    split at waveform boundaries so each carries a single gradient value.
+    last value is held beyond the end of the list. Every piece of an event
+    is cut at the waveform's step boundaries, so each cut carries a single
+    gradient value; a boundary within 1e-12 s counts as reached, and a
+    remainder of at most 1e-12 s past one stays in the step before it.
+
+    Consecutive cuts under one h merge as they are made: into one segment of
+    the summed duration when h commutes with Jz, with the mean gradient, so
+    that grad * duration is the summed g dt (exp(-i h sum dt) times the
+    member phases of sum g dt is their product), and under any h while no
+    gradient acts. Rotations split runs; RF pieces under a gradient stay
+    apart.
     """
     h_int = internal_hamiltonian(sys)
-    pieces: list[Segment] = []
+    if waveform is not None:
+        tau = float(waveform.step_time)
+        values = np.asarray(waveform.values, dtype=float).tolist()
+    k, t_in, eps = 0, 0.0, 1e-12  # waveform step, time consumed within it, clock tolerance
+    commutes: dict = {}
+    runs: list = []  # [h, h as bytes, duration, sum of g dt, grad]; [u, None, ...] for a rotation
     for ev in seq.events:
         if isinstance(ev, IdealRotation):
-            pieces.append(Segment("rotate", u=ev.unitary))
-        elif isinstance(ev, Delay):
-            pieces.append(Segment("evolve", ev.duration, h_int))
-        else:
-            for h, dur in _pulse_pieces(ev, h_int):
-                pieces.append(Segment("evolve", dur, h))
-    if waveform is None:
-        return pieces
-
-    tau = float(waveform.step_time)
-    values = np.asarray(waveform.values, dtype=float)
-    out: list[Segment] = []
-    k = 0          # waveform step index
-    t_in = 0.0     # time consumed within step k
-    eps = 1e-12
-    for seg in pieces:
-        if seg.kind == "rotate":
-            out.append(seg)
+            runs.append([ev.unitary, None, 0.0, 0.0, 0.0])
             continue
-        rem = seg.duration
-        while rem > eps:
-            step = min(rem, tau - t_in)
-            g = float(values[min(k, len(values) - 1)])
-            out.append(Segment("evolve", step, seg.h, g))
-            rem -= step
-            t_in += step
-            if t_in >= tau - eps:
-                k += 1
-                t_in = 0.0
-    return out
+        for h, rem in _event_pieces(ev, h_int):
+            hkey = h.tobytes()
+            if hkey not in commutes:
+                commutes[hkey] = _commutes_with_jz(h)
+            while rem:
+                step, g = rem, 0.0
+                if waveform is not None:
+                    step = min(rem, tau - t_in)
+                    if rem - step <= eps:
+                        step = rem
+                    g = values[min(k, len(values) - 1)]
+                    t_in += step
+                    if t_in >= tau - eps:
+                        k, t_in = k + 1, 0.0
+                rem -= step
+                run = runs[-1] if runs else [None, None]
+                if run[1] == hkey and (commutes[hkey] or run[4] == g == 0.0):
+                    run[3] += g * step
+                    run[2] += step
+                    run[4] = run[3] / run[2]
+                else:
+                    runs.append([h, hkey, step, g * step, g])
+    return [Segment("rotate", u=h) if hkey is None else Segment("evolve", dt, h, g, commutes=commutes[hkey])
+            for h, hkey, dt, _, g in runs]
 
 
 def propagator(seq: PulseSequence, sys: SpinSystem, waveform=None, z: float = 0.0) -> np.ndarray:
@@ -196,33 +219,34 @@ def propagator(seq: PulseSequence, sys: SpinSystem, waveform=None, z: float = 0.
     return ensemble.ensemble_propagators(seq, sys, waveform, z)
 
 
-def state_trajectory(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray,
-                     waveform=None, z: float = 0.0):
+def state_trajectory(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray):
     """Yield (rho, dt) after each internal substep of the evolution.
 
-    Substep policy: each unfused segment is cut into n equal substeps of at
-    most max(duration/32, 1 us), each stepped by exp(-i (h + gamma z g Jz/2)
-    dt), cached per call. Instantaneous rotations are applied but contribute
-    no time weight.
+    Substep policy: each piece of each event (a delay, or one piece of a
+    pulse) is cut into n equal substeps of at most max(duration/32, 1 us),
+    each stepped by exp(-i h dt), cached per call. Instantaneous rotations
+    are applied but contribute no time weight.
     """
+    h_int = internal_hamiltonian(sys)
     rho = np.asarray(rho0, dtype=complex)
     steps: dict = {}
-    for seg in piecewise_segments(seq, sys, waveform):
-        if seg.kind == "rotate":
-            rho = seg.u @ rho @ seg.u.conj().T
+    for ev in seq.events:
+        if isinstance(ev, IdealRotation):
+            rho = ev.unitary @ rho @ ev.unitary.conj().T
             continue
-        n = max(1, int(math.ceil(seg.duration / max(seg.duration / 32, 1e-6))))
-        h, dt = seg.h + gradient_hamiltonian(seg.grad, z, sys), seg.duration / n
-        ustep = steps.get((h.tobytes(), dt))
-        if ustep is None:
-            ustep = steps[h.tobytes(), dt] = ops.expm_hermitian(h, dt)
-        for _ in range(n):
-            rho = ustep @ rho @ ustep.conj().T
-            yield rho, dt
+        for h, duration in _event_pieces(ev, h_int):
+            n = max(1, int(math.ceil(duration / max(duration / 32, 1e-6))))
+            dt = duration / n
+            key = (h.tobytes(), dt)
+            ustep = steps.get(key)
+            if ustep is None:
+                ustep = steps[key] = ops.expm_hermitian(h, dt)
+            for _ in range(n):
+                rho = ustep @ rho @ ustep.conj().T
+                yield rho, dt
 
 
-def dfs_residence_fraction(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray,
-                           waveform=None, z: float = 0.0) -> float:
+def dfs_residence_fraction(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray) -> float:
     """Time-weighted average population of the code space over a sequence.
 
     rho0 must be supported on the code space (population within 1e-10 of 1).
@@ -233,7 +257,7 @@ def dfs_residence_fraction(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray
         raise ValueError(f"rho0 is not supported on the code space (population {pop0:.6f})")
     total = 0.0
     weight = 0.0
-    for rho, dt in state_trajectory(seq, sys, rho0, waveform=waveform, z=z):
+    for rho, dt in state_trajectory(seq, sys, rho0):
         weight += float(np.trace(p_zero @ rho).real) * dt
         total += dt
     if total == 0.0:

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import settings
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 from dfsim import SpinSystem
@@ -72,6 +72,18 @@ def random_unitary(rng, dim=2):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def event_pieces(ev, sys: SpinSystem) -> list:
+    """(h, duration) pieces of a delay or pulse, the internal Hamiltonian on."""
+    h_int = internal_hamiltonian(sys)
+    if isinstance(ev, Delay):
+        return [(h_int, ev.duration)]
+    if ev.shape == HARD:
+        return [(h_int + rf_hamiltonian(ev.amplitude, ev.phase), ev.duration)]
+    # 90x-180y-90x: nutation quarters at relative phases 0, +90 deg, 0
+    return [(h_int + rf_hamiltonian(ev.amplitude, ev.phase + dphi), ev.duration * frac)
+            for frac, dphi in ((0.25, 0.0), (0.5, math.pi / 2), (0.25, 0.0))]
+
+
 def expm_oracle(seq, sys: SpinSystem, waveform, z: float) -> np.ndarray:
     """Reference propagator at one position z, built from the events alone.
 
@@ -80,21 +92,13 @@ def expm_oracle(seq, sys: SpinSystem, waveform, z: float) -> np.ndarray:
     scipy.linalg.expm(-i (h + gamma z g Jz/2) dt), independently of the
     package's segment flattening and propagation engine.
     """
-    h_int = internal_hamiltonian(sys)
     u = np.eye(4, dtype=complex)
     t = 0.0
     for ev in seq.events:
         if isinstance(ev, IdealRotation):
             u = ev.unitary @ u
             continue
-        if isinstance(ev, Delay):
-            pieces = [(h_int, ev.duration)]
-        elif ev.shape == HARD:
-            pieces = [(h_int + rf_hamiltonian(ev.amplitude, ev.phase), ev.duration)]
-        else:  # 90x-180y-90x: nutation quarters at relative phases 0, +90 deg, 0
-            pieces = [(h_int + rf_hamiltonian(ev.amplitude, ev.phase + dphi), ev.duration * frac)
-                      for frac, dphi in ((0.25, 0.0), (0.5, math.pi / 2), (0.25, 0.0))]
-        for h, dur in pieces:
+        for h, dur in event_pieces(ev, sys):
             cuts = [t, t + dur]
             if waveform is not None:
                 tau = waveform.step_time
@@ -133,8 +137,9 @@ def segments_oracle_30_digits(segments, sys: SpinSystem, z: float) -> np.ndarray
 
 
 # Hypothesis strategies shared by the property tests. Durations and step
-# times sit on a microsecond grid, so no piece ends within the 1e-12 s merge
-# tolerance of piecewise_segments short of a step boundary.
+# times sit on a microsecond grid, so no piece ends within the 1e-12 s clock
+# tolerance of piecewise_segments past a step boundary, where its remainder
+# would keep the step before's gradient rather than expm_oracle's next one.
 durations = st.integers(1, 300).map(lambda k: k * 1e-6)
 events = st.one_of(
     durations.map(Delay),
@@ -159,4 +164,7 @@ def _hermitian(parts):
 hermitians = st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32).map(_hermitian)
 spin_systems = st.builds(SpinSystem, nu1=st.floats(-50.0, 50.0), nu2=st.floats(0.0, 500.0),
                          j_coupling=st.floats(0.0, 20.0))
-property_settings = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+# no shrink or explain phase: a failing example is reported as generated,
+# rather than after minutes of shrinking
+property_settings = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                             phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))

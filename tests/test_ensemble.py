@@ -14,12 +14,10 @@ from dfsim.ensemble import (
     RUN_TERMS,
     EnsembleSpec,
     GradientWaveform,
-    _commutes_with_jz,
     _expm_members,
     _half_widths,
     ensemble_propagators,
     evolve_ensemble,
-    fuse_segments,
     gradient_diffusion_echo,
     member_positions,
     random_walk_waveform,
@@ -34,6 +32,7 @@ from dfsim.pulses import (
     PulseSequence,
     RfPulse,
     Segment,
+    _commutes_with_jz,
     composite_y90,
     piecewise_segments,
     propagator,
@@ -42,6 +41,7 @@ from dfsim.pulses import (
 from dfsim.units import khz_per_cm_to_t_per_m
 
 from conftest import (
+    event_pieces,
     expm_oracle,
     hermitians,
     positions,
@@ -71,8 +71,15 @@ class TestSpecs:
         for grad_max in (-0.1, math.inf, math.nan):
             with pytest.raises(ValueError, match="grad_max"):
                 random_walk_waveform(grad_max, 10, seed=0)
-        with pytest.raises(ValueError):
-            GradientWaveform(step_time=0.0, values=[0.1])
+
+    @pytest.mark.parametrize("step_time, values, match", [
+        (0.0, [0.1], "step_time"), (-1e-6, [0.1], "step_time"), (math.nan, [0.1], "step_time"),
+        (math.inf, [0.1], "step_time"), (1e-6, [0.1, math.nan], "values"), (1e-6, [math.inf], "values"),
+        (1e-6, [0.2, -math.inf], "values"),
+    ])
+    def test_waveform_rejects_non_finite_clock_and_values(self, step_time, values, match):
+        with pytest.raises(ValueError, match=match):
+            GradientWaveform(step_time=step_time, values=values)
 
     def test_waveform_csv(self, tmp_path):
         wf = GradientWaveform(step_time=50.6e-6, values=np.array([0.1, -0.2]))
@@ -210,9 +217,9 @@ class TestEngineOracle:
         tau, total = wf.step_time, seq.duration
         area = sum(wf.values[min(k, len(wf.values) - 1)] * (min((k + 1) * tau, total) - k * tau)
                    for k in range(math.ceil(total / tau)))
-        for segs in (segments, fuse_segments(segments)):
-            assert sum(s.duration for s in segs) == pytest.approx(seq.duration, rel=1e-12)
-            assert sum(s.grad * s.duration for s in segs) == pytest.approx(area, rel=1e-9, abs=1e-15)
+        assert sum(s.duration for s in segments) == pytest.approx(seq.duration, rel=1e-12)
+        assert sum(s.grad * s.duration for s in segments) == pytest.approx(area, rel=1e-9, abs=1e-15)
+        assert all(s.commutes == _commutes_with_jz(s.h) for s in segments if s.kind == "evolve")
 
     @pytest.mark.parametrize("z", [0.002, np.array([-0.001, 0.0, 0.003])])
     def test_non_unitary_segment_breaks_the_contract(self, spin_system, monkeypatch, z):
@@ -234,8 +241,8 @@ def noise_waveform(seq, grad_max):
 
 
 def rf_pieces(seq, sys, wf):
-    """Fused segments of `seq` that are RF pieces under a gradient."""
-    return [s for s in fuse_segments(piecewise_segments(seq, sys, wf))
+    """Segments of `seq` that are RF pieces under a gradient."""
+    return [s for s in piecewise_segments(seq, sys, wf)
             if s.kind == "evolve" and s.grad != 0.0 and not _commutes_with_jz(s.h)]
 
 
@@ -294,10 +301,11 @@ class TestTaylorKernel:
         assert fitted_rf_pieces(calls) == len(rf_pieces(RF_SEQUENCE, spin_system, RF_WAVEFORM))
         # the residence trajectory takes its own exponentials, by eigh
         rho0 = code_state(rng)
-        *_, (rho, _) = state_trajectory(RF_SEQUENCE, spin_system, rho0, waveform=RF_WAVEFORM, z=zs[1])
+        *_, (rho, _) = state_trajectory(RF_SEQUENCE, spin_system, rho0)
         oracles = [expm_oracle(RF_SEQUENCE, spin_system, RF_WAVEFORM, z) for z in zs]
         assert max(np.abs(u - o).max() for u, o in zip(us, oracles)) <= 1e-10
-        assert np.abs(rho - oracles[1] @ rho0 @ oracles[1].conj().T).max() <= 1e-10
+        free = expm_oracle(RF_SEQUENCE, spin_system, None, 0.0)
+        assert np.abs(rho - free @ rho0 @ free.conj().T).max() <= 1e-10
 
     def test_composite_y90_at_1000_khz_per_cm(self, spin_system):
         seq = composite_y90(spin_system, calibrate=False)
@@ -309,7 +317,7 @@ class TestTaylorKernel:
         # members against the 30-digit oracle, so that the bound measures
         # the engine's error rather than expm_oracle's
         prefix = PulseSequence(seq.events[:16])
-        segments = fuse_segments(piecewise_segments(prefix, spin_system, wf))
+        segments = piecewise_segments(prefix, spin_system, wf)
         assert sum(not _commutes_with_jz(s.h) and s.grad != 0.0 for s in segments) >= 10
         zs = zs[[0, -1]]
         for z, u in zip(zs, ensemble_propagators(prefix, spin_system, wf, zs)):
@@ -362,7 +370,7 @@ class TestChebyshevPieces:
         us = ensemble_propagators(prefix, spin_system, wf, zs)
         assert fitted_rf_pieces(calls) == len(rf_pieces(prefix, spin_system, wf)) >= 10
         assert any(fitted_rf_pieces([call]) > 1 for call in calls)
-        segments = fuse_segments(piecewise_segments(prefix, spin_system, wf))
+        segments = piecewise_segments(prefix, spin_system, wf)
         for i in (0, 50, 100):
             assert np.abs(us[i] - segments_oracle_30_digits(segments, spin_system, zs[i])).max() <= 1e-12
 
@@ -392,7 +400,7 @@ class TestRuns:
             us = ensemble_propagators(seq, sys, wf, zs)
         (runs,) = groups
         cap = min(n, BLOCK, RUN_TERMS)
-        assert sum(len(factors) for factors, _ in runs) == len(fuse_segments(piecewise_segments(seq, sys, wf)))
+        assert sum(len(factors) for factors, _ in runs) == len(piecewise_segments(seq, sys, wf))
         for factors, n_terms in runs:
             if n_terms is None:
                 assert len(factors) == 1 and term_count(factors[0][-1]) >= cap
@@ -410,22 +418,60 @@ class TestRuns:
             calls = run_fit_spy(mp)
             us = ensemble_propagators(seq, sys, wf, zs)
         assert [(n_terms, len(factors)) for n_terms, factors in calls] == [
-            (1, len(fuse_segments(piecewise_segments(seq, sys, wf))))]
+            (1, len(piecewise_segments(seq, sys, wf)))]
         oracle = expm_oracle(seq, sys, wf, 0.0)
         assert max(np.abs(u - oracle).max() for u in us) <= 1e-10
 
 
-def runs_between_rotations(segments):
+def runs_between_rotations(items, is_rotation) -> list:
     runs = [[]]
-    for seg in segments:
-        if seg.kind == "rotate":
+    for item in items:
+        if is_rotation(item):
             runs.append([])
         else:
-            runs[-1].append(seg)
+            runs[-1].append(item)
     return runs
 
 
+def cut_then_fuse(seq, sys, wf) -> list:
+    """Reference for piecewise_segments in two passes, as [kind, h or u,
+    duration, grad, sum of g dt]: every event piece cut at each step of the
+    same waveform clock, then each run of cuts under one h merged where h
+    commutes with Jz or no gradient acts."""
+    cuts, k, t_in = [], 0, 0.0
+    for ev in seq.events:
+        if isinstance(ev, IdealRotation):
+            cuts.append(("rotate", ev.unitary, 0.0, 0.0))
+            continue
+        for h, rem in event_pieces(ev, sys):
+            while rem:
+                step = min(rem, wf.step_time - t_in)
+                step = rem if rem - step <= 1e-12 else step
+                cuts.append(("evolve", h, step, float(wf.values[min(k, len(wf.values) - 1)])))
+                rem, t_in = rem - step, t_in + step
+                if t_in >= wf.step_time - 1e-12:
+                    k, t_in = k + 1, 0.0
+    fused = []
+    for kind, h, dt, g in cuts:
+        last = fused[-1] if fused else None
+        if (kind == "evolve" and last and last[0] == "evolve" and last[1].tobytes() == h.tobytes()
+                and (_commutes_with_jz(h) or last[3] == g == 0.0)):
+            area, duration = last[4] + g * dt, last[2] + dt
+            fused[-1] = ["evolve", h, duration, area / duration, area]
+        else:
+            fused.append([kind, h, dt, g, g * dt])
+    return fused
+
+
 class TestFusion:
+    @property_settings
+    @given(spin_systems, sequences, waveforms)
+    def test_matches_cut_then_fuse(self, sys, seq, wf):
+        # the one walk makes the same sums in the same order: equal bits
+        got = [(s.kind, (s.u if s.kind == "rotate" else s.h).tobytes(), s.duration, s.grad)
+               for s in piecewise_segments(seq, sys, wf)]
+        assert got == [(kind, m.tobytes(), dt, g) for kind, m, dt, g, _ in cut_then_fuse(seq, sys, wf)]
+
     @pytest.mark.parametrize("k", range(-14, 7))
     def test_commute_verdict_is_scale_free(self, spin_system, k):
         h_int = internal_hamiltonian(spin_system)
@@ -436,7 +482,7 @@ class TestFusion:
     @property_settings
     @given(spin_systems, st.integers(1, 5000).map(lambda k: k * 1e-6), waveforms)
     def test_hold_fuses_to_one_segment(self, sys, t, wf):
-        fused = fuse_segments(piecewise_segments(PulseSequence((Delay(t),)), sys, wf))
+        fused = piecewise_segments(PulseSequence((Delay(t),)), sys, wf)
         assert len(fused) == 1
         assert fused[0].duration == pytest.approx(t, rel=1e-12)
 
@@ -444,28 +490,26 @@ class TestFusion:
         wf = GradientWaveform(step_time=20e-6, values=np.array([0.1, -0.05, 0.2, 0.03, -0.15, 0.07]))
         seq = PulseSequence((RfPulse(5e4, 0.3, 100e-6), RfPulse(5e4, 0.3, 20e-6)))
         segments = piecewise_segments(seq, spin_system, wf)
-        fused = fuse_segments(segments)
-        assert len(segments) == 6
-        assert [(s.duration, s.grad) for s in fused] == [(s.duration, s.grad) for s in segments]
+        assert [(s.duration, s.grad) for s in segments] == [(pytest.approx(20e-6, rel=1e-12), g) for g in wf.values]
 
     def test_rf_pieces_without_gradient_merge(self, spin_system):
         wf = GradientWaveform(step_time=20e-6, values=np.zeros(6))
         seq = PulseSequence((RfPulse(5e4, 0.3, 100e-6), RfPulse(5e4, 0.3, 20e-6)))
-        fused = fuse_segments(piecewise_segments(seq, spin_system, wf))
+        fused = piecewise_segments(seq, spin_system, wf)
         assert [(s.duration, s.grad) for s in fused] == [(pytest.approx(120e-6, rel=1e-12), 0.0)]
 
     @property_settings
     @given(spin_systems, sequences, st.none() | waveforms)
     def test_rotations_always_split_runs(self, sys, seq, wf):
         segments = piecewise_segments(seq, sys, wf)
-        fused = fuse_segments(segments)
-        rotations = [s.u.tobytes() for s in segments if s.kind == "rotate"]
-        assert [s.u.tobytes() for s in fused if s.kind == "rotate"] == rotations
-        runs, fused_runs = runs_between_rotations(segments), runs_between_rotations(fused)
-        assert len(fused_runs) == len(runs)
-        for run, fused_run in zip(runs, fused_runs):
-            assert bool(fused_run) == bool(run)
-            assert sum(s.duration for s in fused_run) == pytest.approx(sum(s.duration for s in run), rel=1e-12)
+        assert [s.u.tobytes() for s in segments if s.kind == "rotate"] == [
+            ev.unitary.tobytes() for ev in seq.events if isinstance(ev, IdealRotation)]
+        runs = runs_between_rotations(segments, lambda s: s.kind == "rotate")
+        event_runs = runs_between_rotations(seq.events, lambda ev: isinstance(ev, IdealRotation))
+        assert len(runs) == len(event_runs)
+        for run, events in zip(runs, event_runs):
+            assert bool(run) == bool(events)
+            assert sum(s.duration for s in run) == pytest.approx(sum(ev.duration for ev in events), rel=1e-12)
 
 
 class TestGradientDiffusionEcho:

@@ -11,6 +11,7 @@ from dfsim.errors import NumericalContractError
 from dfsim.hamiltonians import SpinSystem, internal_hamiltonian, logical_decompose
 from dfsim.metrics import member_gate_fidelities
 from dfsim.pulses import (
+    COMPOSITE_90X_180Y_90X,
     Delay,
     IdealRotation,
     PulseSequence,
@@ -31,7 +32,7 @@ from dfsim.pulses import (
     xy_train,
 )
 
-from conftest import property_settings, sequences
+from conftest import event_pieces, expm_oracle, property_settings, sequences
 
 
 def rot_1q(axis, theta):
@@ -102,12 +103,25 @@ class TestPropagator:
         assert errs[1] <= 1e-4
 
     def test_unitarity_across_many_segments(self, spin_system):
-        seq = enc_x(2 * math.pi - 1e-9, spin_system)  # 256 cycles
-        waveform = GradientWaveform(step_time=10e-6, values=np.full(40000, 0.01))
-        from dfsim.pulses import piecewise_segments
+        # 256 cycles; 1.5 us waveform steps cut each pulse into about 43 RF
+        # pieces under a gradient, which fusion keeps apart
+        seq = enc_x(2 * math.pi - 1e-9, spin_system)
+        waveform = GradientWaveform(step_time=1.5e-6, values=np.full(120_000, 0.01))
         assert len(piecewise_segments(seq, spin_system, waveform)) >= 10_000
         u = propagator(seq, spin_system, waveform=waveform, z=0.003)
         assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-10
+
+    @pytest.mark.parametrize("duration", [50e-6 + 9e-13, 9e-13, 100e-6 - 5e-13])
+    def test_time_within_the_clock_tolerance_is_kept(self, spin_system, duration):
+        # remainders of at most 1e-12 s past a waveform step boundary, and
+        # pieces that short, still evolve; the gradient is the same in
+        # every step, so the step a remainder is charged to does not matter
+        seq = PulseSequence((RfPulse(1e5, 0.0, duration), Delay(20e-6), RfPulse(1e5, 0.7, duration)))
+        waveform = GradientWaveform(step_time=50e-6, values=np.full(8, 0.05))
+        segments = piecewise_segments(seq, spin_system, waveform)
+        assert sum(s.duration for s in segments) == pytest.approx(seq.duration, rel=1e-14, abs=0)
+        u = propagator(seq, spin_system, waveform=waveform, z=0.003)
+        assert np.abs(u - expm_oracle(seq, spin_system, waveform, 0.003)).max() <= 1e-10
 
 
 class TestTogglingFrames:
@@ -303,47 +317,45 @@ class TestResidence:
             dfs_residence_fraction(PulseSequence((Delay(1e-3),)), spin_system, rho)
 
 
-def substeps(seg) -> int:
+def substeps(duration: float) -> int:
     """state_trajectory's substep count: pieces of at most max(duration/32, 1 us)."""
-    return max(1, math.ceil(seg.duration / max(seg.duration / 32, 1e-6)))
+    return max(1, math.ceil(duration / max(duration / 32, 1e-6)))
 
 
-def residence_oracle(seq, sys, rho0, waveform, z):
-    """Time-weighted code-space population, stepped through the unfused
-    segments with state_trajectory's substeps and scipy exponentials."""
+def residence_oracle(seq, sys, rho0):
+    """Time-weighted code-space population, stepped through the events'
+    pieces with state_trajectory's substeps and scipy exponentials."""
     p_zero = ops.zq_projectors()[1]
     rho, weight, total = rho0, 0.0, 0.0
-    for seg in piecewise_segments(seq, sys, waveform):
-        if seg.kind == "rotate":
-            rho = seg.u @ rho @ seg.u.conj().T
+    for ev in seq.events:
+        if isinstance(ev, IdealRotation):
+            rho = ev.unitary @ rho @ ev.unitary.conj().T
             continue
-        n = substeps(seg)
-        dt = seg.duration / n
-        u = scipy.linalg.expm(-1j * (seg.h + sys.gamma * z * seg.grad * ops.J_Z / 2) * dt)
-        for _ in range(n):
-            rho = u @ rho @ u.conj().T
-            weight += np.trace(p_zero @ rho).real * dt
-            total += dt
+        for h, duration in event_pieces(ev, sys):
+            n = substeps(duration)
+            dt = duration / n
+            u = scipy.linalg.expm(-1j * h * dt)
+            for _ in range(n):
+                rho = u @ rho @ u.conj().T
+                weight += np.trace(p_zero @ rho).real * dt
+                total += dt
     return weight / total
 
 
 class TestTrajectory:
-    WAVEFORMS = (None, GradientWaveform(step_time=1.0, values=np.array([0.05])),
-                 GradientWaveform(step_time=50.6e-6, values=np.linspace(-0.2, 0.2, 7)))
-
-    @pytest.mark.parametrize("wf", WAVEFORMS)
-    def test_one_yield_per_substep_of_the_unfused_segments(self, spin_system, wf):
-        seq = composite_y90(spin_system, calibrate=False)
+    def test_one_yield_per_substep_of_the_event_pieces(self, spin_system):
+        seq = PulseSequence(composite_y90(spin_system, calibrate=False).events
+                            + (IdealRotation("pi_x_pair"), RfPulse(5e4, 0.3, 124.8e-6, shape=COMPOSITE_90X_180Y_90X)))
         rho0 = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
-        want = sum(substeps(s) for s in piecewise_segments(seq, spin_system, wf) if s.kind == "evolve")
-        assert sum(1 for _ in state_trajectory(seq, spin_system, rho0, waveform=wf, z=0.002)) == want
+        want = sum(substeps(duration) for ev in seq.events if not isinstance(ev, IdealRotation)
+                   for _, duration in event_pieces(ev, spin_system))
+        assert sum(1 for _ in state_trajectory(seq, spin_system, rho0)) == want
 
-    @pytest.mark.parametrize("wf", WAVEFORMS[:2])
-    def test_residence_matches_oracle(self, spin_system, wf):
+    def test_residence_matches_oracle(self, spin_system):
         seq = enc_x(math.pi / 2, spin_system)
         rho0 = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
-        got = dfs_residence_fraction(seq, spin_system, rho0, waveform=wf, z=0.002)
-        assert got == pytest.approx(residence_oracle(seq, spin_system, rho0, wf, 0.002), abs=1e-10)
+        got = dfs_residence_fraction(seq, spin_system, rho0)
+        assert got == pytest.approx(residence_oracle(seq, spin_system, rho0), abs=1e-10)
 
 
 class TestSerialization:
