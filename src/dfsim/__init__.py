@@ -57,7 +57,6 @@ from .pulses import (
     dfs_residence_fraction,
     enc_x,
     enc_z,
-    encoded_cp_train,
     propagator,
     sequence_from_text,
     sequence_to_text,

@@ -3,8 +3,8 @@
 The central object is the three-operator collective-dephasing channel built
 from the Jz eigenprojectors. Its strong-noise ("crusher") limit projects onto
 the Jz eigenblocks, and for any strength it acts as the identity on the
-zero-quantum code space. A discrete-time relaxation channel models ambient
-noise with a tunable collective fraction.
+zero-quantum code space. An ambient-relaxation channel, exact for any
+holding time, models natural noise with a tunable collective fraction.
 
 Superoperators use the column-stacking convention: vec stacks columns, so
 vec(A rho B) = (B^T kron A) vec(rho) and channel composition is matrix
@@ -167,8 +167,8 @@ def _on_spin(kraus_2: list[np.ndarray], spin: int) -> list[np.ndarray]:
     return [np.kron(eye, k) for k in kraus_2]
 
 
-def natural_relaxation_step(sys: SpinSystem, f_collective: float, dt: float) -> KrausChannel:
-    """One discrete time step of ambient relaxation.
+def natural_relaxation_step(sys: SpinSystem, f_collective: float, duration: float) -> KrausChannel:
+    """Ambient relaxation over `duration` seconds, exact at any duration.
 
     Composes per-spin amplitude damping at rate 1/T1 with phase damping of
     total single-spin rate Gamma_phi = 1/T2 - 1/(2 T1), split into a
@@ -176,28 +176,30 @@ def natural_relaxation_step(sys: SpinSystem, f_collective: float, dt: float) -> 
     sets how much of the phase damping acts collectively:
 
     * a single spin's transverse magnetization decays by exactly
-      exp(-dt/T2) for every f_collective;
+      exp(-duration/T2) for every f_collective;
     * the code-space (zero-quantum) coherence dephases at the reduced rate
       (1 - f_collective) * Gamma_phi, from "as fast as an un-encoded spin"
       at f_collective = 0 down to no dephasing at all at f_collective = 1,
       where only T1 leakage (rate 1/T1) remains.
 
     Internally that split is collective rate (1 + f)/2 * Gamma_phi and
-    independent per-spin rate (1 - f)/2 * Gamma_phi.
+    independent per-spin rate (1 - f)/2 * Gamma_phi. The damping processes
+    commute, so their composition is the solution of the Lindblad master
+    equation with these jumps over the whole duration, and channels of
+    durations a and b compose to the one of a + b.
     """
     if not 0.0 <= f_collective <= 1.0:
         raise ValueError(f"f_collective must be in [0, 1], got {f_collective!r}")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if dt > sys.t2 / 20:
-        raise ValueError(f"dt={dt} too coarse; require dt << T2={sys.t2}")
-    gamma_phi = 1.0 / sys.t2 - 1.0 / (2.0 * sys.t1)
-    p = 1.0 - math.exp(-dt / sys.t1)
-    gamma_coll = 0.5 * (1.0 + f_collective) * gamma_phi * dt
-    q = 0.5 * (1.0 - math.exp(-0.5 * (1.0 - f_collective) * gamma_phi * dt))
+    if not duration >= 0:
+        raise ValueError(f"duration must be >= 0, got {duration!r}")
+    # t2 may exceed 2 t1 by round-off, which must not make a rate negative
+    gamma_phi = max(1.0 / sys.t2 - 1.0 / (2.0 * sys.t1), 0.0)
+    p = 1.0 - math.exp(-duration / sys.t1)
+    gamma_coll = 0.5 * (1.0 + f_collective) * gamma_phi * duration
+    q = 0.5 * (1.0 - math.exp(-0.5 * (1.0 - f_collective) * gamma_phi * duration))
 
     step = collective_dephasing(gamma_coll)
     for spin in (1, 2):
         step = KrausChannel(tuple(_on_spin(_phase_damping(q), spin)), "pd").compose(step)
         step = KrausChannel(tuple(_on_spin(_amplitude_damping(p), spin)), "ad").compose(step)
-    return KrausChannel(step.kraus_ops, label=f"relaxation(f={f_collective:g}, dt={dt:g})")
+    return KrausChannel(step.kraus_ops, label=f"relaxation(f={f_collective:g}, t={duration:g})")

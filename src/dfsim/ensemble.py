@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import operators as ops
 from .errors import NumericalContractError
@@ -104,25 +105,16 @@ def random_walk_waveform(grad_max: float, n_steps: int, seed: int,
         raise ValueError(f"grad_max must be finite and >= 0, got {grad_max!r}")
     if n_steps < 1:
         raise ValueError("need n_steps >= 1")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     increments = rng.uniform(-grad_max, grad_max, size=n_steps) if grad_max > 0 else np.zeros(n_steps)
     return GradientWaveform(step_time, _reflect(np.cumsum(increments), grad_max))
 
 
-def member_positions(spec: EnsembleSpec, jitter: bool = False,
-                     rng: np.random.Generator | None = None) -> np.ndarray:
-    """Stratified midpoint positions over the sample, centered on z = 0.
-
-    With jitter=True each member moves uniformly within its stratum (needs an
-    rng); the default midpoint rule keeps acceptance runs deterministic.
-    """
+def member_positions(spec: EnsembleSpec) -> np.ndarray:
+    """Stratified midpoint positions over the sample, centered on z = 0: the
+    nodes of the midpoint quadrature rule over the sample."""
     n, length = spec.n_members, spec.sample_length
-    offsets = np.full(n, 0.5)
-    if jitter:
-        if rng is None:
-            raise ValueError("jitter requires an rng")
-        offsets = rng.uniform(0.0, 1.0, size=n)
-    return (np.arange(n) + offsets) / n * length - length / 2
+    return (np.arange(n) + 0.5) / n * length - length / 2
 
 
 #: members per block of the engine: each block runs the whole segment chain
@@ -396,7 +388,7 @@ def diffusion_phase_kicks(grad: float, delta: float, big_delta: float,
     std sqrt(2 D big_delta). The uniform member positions cancel exactly
     between a gradient pulse and its inverse; only the displacement survives.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     dz = rng.normal(0.0, math.sqrt(2.0 * spec.diffusion_d * big_delta), size=spec.n_members)
     phi = sys.gamma * grad * delta * dz
     out = np.zeros((len(phi), 4, 4), dtype=complex)

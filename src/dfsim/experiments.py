@@ -93,7 +93,7 @@ EXPERIMENTS = {
     "natural": Experiment(
         header="t_s,c_encoded,c_unencoded",
         sweep={"times_s": [round(x, 4) for x in np.linspace(0.0, 3.0, 13)],
-               "f_collective": 0.9, "dt_s": 1e-3},
+               "f_collective": 0.9},
         runner=lambda c: natural_experiment(c.spin_system, c.sweep)),
     "gates": Experiment(
         header="gate,fe,dfs_residence",
@@ -300,20 +300,13 @@ def memory_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed: in
 def natural_experiment(sys: SpinSystem, sweep: dict):
     """Ambient-relaxation storage: coherence metric vs holding time.
 
-    The holding channel is the discrete-time relaxation step composed up to
-    each sample time (times are rounded to the step grid); C is evaluated on
-    the decoded data spin for the encoded branch and on the idle data spin
-    for the un-encoded one.
+    The holding channel up to each sample time is the exact relaxation
+    channel of each gap between consecutive sorted sample times, composed
+    (one channel per distinct gap). C is evaluated on the decoded data spin
+    for the encoded branch and on the idle data spin for the un-encoded one.
     """
     f_coll = _sweep_number("f_collective", sweep["f_collective"], lambda x: 0 <= x <= 1, " in [0, 1]")
-    dt = _sweep_number("dt_s", sweep["dt_s"])
     times = sorted(_sweep_values(sweep, "times_s", *_NON_NEGATIVE))
-    try:
-        step = natural_relaxation_step(sys, f_coll, dt).superoperator()
-    except ValueError as exc:  # f_collective is checked above, so this is dt
-        raise ConfigError(f"sweep.dt_s: {exc}") from exc
-    if not math.isfinite(times[-1] / dt):
-        raise ConfigError(f"sweep.times_s: {times[-1]} s is not a finite number of {dt} s steps")
 
     u_enc, u_dec = ops.encoding_unitary(), ops.decoding_unitary()
 
@@ -329,15 +322,15 @@ def natural_experiment(sys: SpinSystem, sweep: dict):
             total += float(np.trace(np.kron(pauli, np.eye(2)) @ out).real)
         return total / 2
 
-    rows = []
-    s_cum = np.eye(16, dtype=complex)
-    k_done = 0
+    rows, steps = [], {}
+    s_cum, t_done = np.eye(16, dtype=complex), 0.0
     for t in times:
-        k = int(round(t / dt))
-        if k > k_done:
-            s_cum = np.linalg.matrix_power(step, k - k_done) @ s_cum
-            k_done = k
-        rows.append({"t_s": k * dt,
+        gap = t - t_done
+        if gap > 0:
+            if gap not in steps:
+                steps[gap] = natural_relaxation_step(sys, f_coll, gap).superoperator()
+            s_cum, t_done = steps[gap] @ s_cum, t
+        rows.append({"t_s": t,
                      "c_encoded": coherence(s_cum, True),
                      "c_unencoded": coherence(s_cum, False)})
     reports = [FidelityReport(label=f"natural_{branch}", coherence=rows[-1][f"c_{branch}"],

@@ -18,8 +18,8 @@ under any waveform is one shared exponential times member phases. This
 module flattens sequences into segments, fusing each such run as it walks
 the waveform clock; the exponentials and their product come from the one
 engine in `dfsim.ensemble`, of which `propagator` is the single-position
-case. The residence trajectory steps the events' pieces, without a
-gradient, with its own exponentials.
+case. The residence trajectory evolves each of the events' pieces, without
+a gradient, in the eigenbasis of its Hamiltonian, all its substeps at once.
 
 Builders are provided for the refocusing trains used by the average
 Hamiltonian analysis and for the encoded one-qubit gates: a z rotation by
@@ -168,9 +168,10 @@ def piecewise_segments(seq: PulseSequence, sys: SpinSystem, waveform=None) -> li
     Consecutive cuts under one h merge as they are made: into one segment of
     the summed duration when h commutes with Jz, with the mean gradient, so
     that grad * duration is the summed g dt (exp(-i h sum dt) times the
-    member phases of sum g dt is their product), and under any h while no
-    gradient acts. Rotations split runs; RF pieces under a gradient stay
-    apart.
+    member phases of sum g dt is their product), and under any h while the
+    gradient value stays the same (one exponent over the summed duration),
+    keeping that value. Rotations split runs; RF pieces under changing
+    gradient values stay apart.
     """
     h_int = internal_hamiltonian(sys)
     if waveform is not None:
@@ -199,10 +200,11 @@ def piecewise_segments(seq: PulseSequence, sys: SpinSystem, waveform=None) -> li
                         k, t_in = k + 1, 0.0
                 rem -= step
                 run = runs[-1] if runs else [None, None]
-                if run[1] == hkey and (commutes[hkey] or run[4] == g == 0.0):
+                if run[1] == hkey and (commutes[hkey] or run[4] == g):
                     run[3] += g * step
                     run[2] += step
-                    run[4] = run[3] / run[2]
+                    if commutes[hkey]:
+                        run[4] = run[3] / run[2]
                 else:
                     runs.append([h, hkey, step, g * step, g])
     return [Segment("rotate", u=h) if hkey is None else Segment("evolve", dt, h, g, commutes=commutes[hkey])
@@ -220,16 +222,19 @@ def propagator(seq: PulseSequence, sys: SpinSystem, waveform=None, z: float = 0.
 
 
 def state_trajectory(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray):
-    """Yield (rho, dt) after each internal substep of the evolution.
+    """Yield (rhos, dt) for each piece of each event: rhos is the (n, 4, 4)
+    stack of the states after each of the piece's n substeps of dt.
 
     Substep policy: each piece of each event (a delay, or one piece of a
-    pulse) is cut into n equal substeps of at most max(duration/32, 1 us),
-    each stepped by exp(-i h dt), cached per call. Instantaneous rotations
-    are applied but contribute no time weight.
+    pulse) is cut into n equal substeps of at most max(duration/32, 1 us).
+    The piece's h is diagonalized once per call, as h = V diag(w) V^dag,
+    and the state after k substeps is V (r_ab exp(-i (w_a - w_b) k dt)) V^dag
+    with r = V^dag rho V at the piece's start. Instantaneous rotations are
+    applied but contribute no time weight.
     """
     h_int = internal_hamiltonian(sys)
     rho = np.asarray(rho0, dtype=complex)
-    steps: dict = {}
+    eigs: dict = {}
     for ev in seq.events:
         if isinstance(ev, IdealRotation):
             rho = ev.unitary @ rho @ ev.unitary.conj().T
@@ -237,17 +242,20 @@ def state_trajectory(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray):
         for h, duration in _event_pieces(ev, h_int):
             n = max(1, int(math.ceil(duration / max(duration / 32, 1e-6))))
             dt = duration / n
-            key = (h.tobytes(), dt)
-            ustep = steps.get(key)
-            if ustep is None:
-                ustep = steps[key] = ops.expm_hermitian(h, dt)
-            for _ in range(n):
-                rho = ustep @ rho @ ustep.conj().T
-                yield rho, dt
+            key = h.tobytes()
+            if key not in eigs:
+                eigs[key] = np.linalg.eigh(h)
+            w, v = eigs[key]
+            r = v.conj().T @ rho @ v
+            e = np.exp(-1j * np.outer(np.arange(1, n + 1) * dt, w))  # e[k - 1, a] = exp(-i w_a k dt)
+            rhos = v @ (e[:, :, None] * r * e.conj()[:, None, :]) @ v.conj().T
+            rho = rhos[-1]
+            yield rhos, dt
 
 
 def dfs_residence_fraction(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray) -> float:
-    """Time-weighted average population of the code space over a sequence.
+    """Time-weighted average population of the code space over a sequence,
+    summed over every substep of `state_trajectory`.
 
     rho0 must be supported on the code space (population within 1e-10 of 1).
     """
@@ -257,9 +265,9 @@ def dfs_residence_fraction(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray
         raise ValueError(f"rho0 is not supported on the code space (population {pop0:.6f})")
     total = 0.0
     weight = 0.0
-    for rho, dt in state_trajectory(seq, sys, rho0):
-        weight += float(np.trace(p_zero @ rho).real) * dt
-        total += dt
+    for rhos, dt in state_trajectory(seq, sys, rho0):
+        weight += float(np.einsum("ij,nji->", p_zero, rhos).real) * dt
+        total += len(rhos) * dt
     if total == 0.0:
         raise ValueError("sequence has no finite-duration events")
     return weight / total
@@ -345,10 +353,13 @@ def ideal_pulse_train(rotation: str, n_pulses: int, spacing: float, label: str =
 
 
 def xx_train(n_pulses: int = 2, spacing: float = DEFAULT_PULSE_SPACING) -> PulseSequence:
-    """Train of simultaneous ideal pi_x pulses on both spins.
+    """Train of simultaneous ideal pi_x pulses on both spins: the
+    Carr-Purcell train of ideal encoded pi_x pulses (hard pi pair limit).
 
     Averages away both chemical-shift terms of the internal Hamiltonian while
-    leaving the spin-spin coupling untouched.
+    leaving the spin-spin coupling untouched: the encoded z evolution is
+    refocused and the encoded x coupling kept, so the average Hamiltonian is
+    pi J on the logical x axis.
     """
     return ideal_pulse_train("pi_x_pair", n_pulses, spacing, "xx_train")
 
@@ -360,15 +371,6 @@ def xy_train(n_pulses: int = 2, spacing: float = DEFAULT_PULSE_SPACING) -> Pulse
     leaving only the zz part -- an encoded identity on the code space.
     """
     return ideal_pulse_train("pi_x1_y2", n_pulses, spacing, "xy_train")
-
-
-def encoded_cp_train(n_pulses: int = 2, spacing: float = DEFAULT_PULSE_SPACING) -> PulseSequence:
-    """Carr-Purcell train of ideal encoded pi_x pulses (hard pi pair limit).
-
-    Refocuses the encoded z evolution and keeps the encoded x coupling, so
-    the average Hamiltonian is pi J on the logical x axis.
-    """
-    return ideal_pulse_train("pi_x_pair", n_pulses, spacing, "encoded_cp")
 
 
 def _cz_rate(sys: SpinSystem) -> float:

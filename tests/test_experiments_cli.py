@@ -179,6 +179,14 @@ class TestNatural:
         rows, _ = natural_experiment(spin_system, {**EXPERIMENTS["natural"].sweep, "times_s": [1.0]})
         assert rows[0]["c_unencoded"] == pytest.approx(math.exp(-1.0 / 3.5), abs=1e-9)
 
+    def test_shipped_unencoded_column_is_exact_t2_decay(self):
+        config = json.loads((Path(__file__).resolve().parents[1] / "configs" / "natural.json").read_text())
+        rows, _ = natural_experiment(SpinSystem(**config["spin_system"]),
+                                     {**EXPERIMENTS["natural"].sweep, **config["sweep"]})
+        assert [r["t_s"] for r in rows] == config["sweep"]["times_s"]
+        for r in rows:
+            assert abs(r["c_unencoded"] - math.exp(-r["t_s"] / config["spin_system"]["t2"])) <= 1e-15
+
 
 class TestGates:
     def test_all_three_gates(self, spin_system):
@@ -311,9 +319,7 @@ class TestRunAndCli:
          "sweep.gradient_t_per_m"),
         ("noisy-gate", {"sweep": {"step_time_s": "fast"}}, "sweep.step_time_s"),
         ("noisy-gate", {"sweep": {"step_time_s": 1e-12}}, "sweep.step_time_s"),
-        ("natural", {"sweep": {"dt_s": 0}}, "sweep.dt_s"),
-        ("natural", {"sweep": {"dt_s": 1.0}}, "sweep.dt_s"),
-        ("natural", {"sweep": {"times_s": [0, 1e308]}}, "sweep.times_s"),
+        ("natural", {"sweep": {"dt_s": 1e-3}}, "unknown field(s) for natural: ['dt_s']"),
         ("gates", {"sweep": {"gates": []}}, "sweep.gates: must be a non-empty list"),
         ("memory", {"sweep": {"gradients_t_per_m": []}}, "sweep.gradients_t_per_m"),
         ("noisy-gate", {"sweep": {"grad_max_khz_per_cm": []}}, "sweep.grad_max_khz_per_cm"),
@@ -326,7 +332,7 @@ class TestRunAndCli:
         ("noisy-gate", {"ensemble": {"grad_max": 3.0}}, "'grad_max'"),
     ], ids=["t1_nan", "n_members_fraction", "gradients_nan", "grad_max_nan", "grad_max_t_per_m",
             "unknown_gate", "small_delta_text", "gradient_text", "step_time_text", "step_time_tiny",
-            "dt_zero", "dt_coarse", "times_overflow", "gates_empty", "gradients_empty",
+            "dt_s_unknown", "gates_empty", "gradients_empty",
             "grad_max_empty", "gates_string", "unknown_process", "gradients_overflow",
             "gradient_overflow", "ensemble_seed", "ensemble_grad_max"])
     def test_cli_bad_value_exit_code(self, tmp_path, capsys, experiment, config, field):
@@ -336,6 +342,15 @@ class TestRunAndCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error") and field in err
+
+    def test_cli_natural_time_beyond_any_step_grid(self, tmp_path):
+        # the holding channel is exact at any duration, so no time is too long
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"sweep": {"times_s": [0, 1e308]}}))
+        assert cli.main(["natural", "--config", str(path), "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in (tmp_path / "natural.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["0", "1e+308"]
+        assert all(math.isfinite(float(c)) for row in rows for c in row[1:])
 
     def test_cli_numerical_contract_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(config):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -21,7 +22,6 @@ from dfsim.pulses import (
     dfs_residence_fraction,
     enc_x,
     enc_z,
-    encoded_cp_train,
     piecewise_segments,
     propagator,
     sequence_from_text,
@@ -91,10 +91,10 @@ class TestPropagator:
 
     def test_encoded_cp_matches_average_hamiltonian_in_fast_limit(self, spin_system):
         total = 1.28e-3
-        hbar = average_hamiltonian(encoded_cp_train(2, total / 2), spin_system)
+        hbar = average_hamiltonian(xx_train(2, total / 2), spin_system)
         errs = []
         for n in (64, 128):
-            seq = encoded_cp_train(n, total / n)
+            seq = xx_train(n, total / n)
             u = propagator(seq, spin_system)
             target = ops.expm_hermitian(hbar, total)
             phase = np.trace(target.conj().T @ u)
@@ -104,12 +104,26 @@ class TestPropagator:
 
     def test_unitarity_across_many_segments(self, spin_system):
         # 256 cycles; 1.5 us waveform steps cut each pulse into about 43 RF
-        # pieces under a gradient, which fusion keeps apart
+        # pieces under a gradient, which fusion keeps apart, since the
+        # gradient value alternates from step to step
         seq = enc_x(2 * math.pi - 1e-9, spin_system)
-        waveform = GradientWaveform(step_time=1.5e-6, values=np.full(120_000, 0.01))
+        waveform = GradientWaveform(step_time=1.5e-6, values=0.01 * (1 + np.arange(120_000) % 2))
         assert len(piecewise_segments(seq, spin_system, waveform)) >= 10_000
         u = propagator(seq, spin_system, waveform=waveform, z=0.003)
         assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-10
+
+    def test_constant_gradient_merges_each_pulse(self, spin_system):
+        # under one gradient value each pulse is one exponential: 256 pulses
+        # and the 257 delay runs between and around them
+        waveform = GradientWaveform(step_time=1.5e-6, values=np.full(120_000, 0.01))
+        seq = enc_x(2 * math.pi - 1e-9, spin_system)
+        segments = piecewise_segments(seq, spin_system, waveform)
+        assert len(segments) == 513
+        assert all(s.grad == 0.01 for s in segments if not s.commutes)
+        short = enc_x(math.pi / 8, spin_system)
+        assert len(piecewise_segments(short, spin_system, waveform)) == 33
+        u = propagator(short, spin_system, waveform=waveform, z=0.003)
+        assert np.abs(u - expm_oracle(short, spin_system, waveform, 0.003)).max() <= 1e-10
 
     @pytest.mark.parametrize("duration", [50e-6 + 9e-13, 9e-13, 100e-6 - 5e-13])
     def test_time_within_the_clock_tolerance_is_kept(self, spin_system, duration):
@@ -178,7 +192,7 @@ class TestAverageHamiltonian:
         assert np.abs(hbar - np.pi * spin_system.j_coupling * zz / 2).max() <= 1e-9
 
     def test_encoded_cp_keeps_only_logical_x(self, spin_system):
-        hbar = average_hamiltonian(encoded_cp_train(2, 1e-3), spin_system)
+        hbar = average_hamiltonian(xx_train(2, 1e-3), spin_system)
         cz, cx, cy, _ = logical_decompose(hbar, ops.logical_frame("hybrid"))
         assert abs(cz) <= 1e-9
         assert abs(cy) <= 1e-9
@@ -342,20 +356,55 @@ def residence_oracle(seq, sys, rho0):
     return weight / total
 
 
+def residence_oracle_30_digits(seq, sys, rho0):
+    """residence_oracle at 30 significant digits: each substep exponential
+    by mpmath.expm, the states and weights in mpmath, rounded to double
+    precision only at the end."""
+    p_zero = mpmath.matrix(ops.zq_projectors()[1].tolist())
+    with mpmath.workdps(30):
+        rho = mpmath.matrix(np.asarray(rho0).tolist())
+        weight = total = mpmath.mpf(0)
+        for ev in seq.events:
+            if isinstance(ev, IdealRotation):
+                u = mpmath.matrix(ev.unitary.tolist())
+                rho = u * rho * u.H
+                continue
+            for h, duration in event_pieces(ev, sys):
+                n = substeps(duration)
+                dt = mpmath.mpf(duration) / n
+                u = mpmath.expm(-1j * dt * mpmath.matrix(h.tolist()))
+                for _ in range(n):
+                    rho = u * rho * u.H
+                    weight += sum(p_zero[k, k] * rho[k, k] for k in range(4)).real * dt
+                    total += dt
+        return float(weight / total)
+
+
 class TestTrajectory:
-    def test_one_yield_per_substep_of_the_event_pieces(self, spin_system):
-        seq = PulseSequence(composite_y90(spin_system, calibrate=False).events
-                            + (IdealRotation("pi_x_pair"), RfPulse(5e4, 0.3, 124.8e-6, shape=COMPOSITE_90X_180Y_90X)))
+    SEQ_TAIL = (IdealRotation("pi_x_pair"), RfPulse(5e4, 0.3, 124.8e-6, shape=COMPOSITE_90X_180Y_90X))
+
+    def test_one_yield_per_event_piece(self, spin_system):
+        seq = PulseSequence(composite_y90(spin_system, calibrate=False).events + self.SEQ_TAIL)
         rho0 = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
-        want = sum(substeps(duration) for ev in seq.events if not isinstance(ev, IdealRotation)
-                   for _, duration in event_pieces(ev, spin_system))
-        assert sum(1 for _ in state_trajectory(seq, spin_system, rho0)) == want
+        pieces = [duration for ev in seq.events if not isinstance(ev, IdealRotation)
+                  for _, duration in event_pieces(ev, spin_system)]
+        got = list(state_trajectory(seq, spin_system, rho0))
+        assert len(got) == len(pieces)
+        assert [len(rhos) for rhos, _ in got] == [substeps(d) for d in pieces]
+        assert [dt for _, dt in got] == pytest.approx([d / substeps(d) for d in pieces], rel=1e-15)
 
     def test_residence_matches_oracle(self, spin_system):
         seq = enc_x(math.pi / 2, spin_system)
         rho0 = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
         got = dfs_residence_fraction(seq, spin_system, rho0)
         assert got == pytest.approx(residence_oracle(seq, spin_system, rho0), abs=1e-10)
+
+    def test_residence_matches_30_digit_oracle(self, spin_system):
+        seq = PulseSequence(enc_x(math.pi / 32, spin_system).events + self.SEQ_TAIL)
+        assert len(seq.events) == 14
+        rho0 = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
+        got = dfs_residence_fraction(seq, spin_system, rho0)
+        assert abs(got - residence_oracle_30_digits(seq, spin_system, rho0)) <= 1e-14
 
 
 class TestSerialization:
