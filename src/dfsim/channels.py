@@ -6,6 +6,9 @@ the Jz eigenblocks, and for any strength it acts as the identity on the
 zero-quantum code space. An ambient-relaxation channel, exact for any
 holding time, models natural noise with a tunable collective fraction.
 
+A channel holds its Kraus operators as one (k, d, d) array; completeness,
+`apply`, `superoperator` and `compose` are each one array expression.
+
 Superoperators use the column-stacking convention: vec stacks columns, so
 vec(A rho B) = (B^T kron A) vec(rho) and channel composition is matrix
 multiplication of superoperators.
@@ -28,34 +31,36 @@ def vec(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).reshape(-1, order="F")
 
 
-def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
+def unvec(v: np.ndarray) -> np.ndarray:
+    """Inverse of `vec` for a square matrix, whose dimension is read off the size."""
     v = np.asarray(v)
-    if dim is None:
-        dim = int(round(math.sqrt(v.size)))
+    dim = int(round(math.sqrt(v.size)))
     return v.reshape(dim, dim, order="F")
 
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A completely positive trace-preserving map given by Kraus operators.
+    """A completely positive trace-preserving map given by a (k, d, d)
+    complex array of Kraus operators.
 
     Completeness sum_a E_a^dag E_a = 1 is verified at construction to 1e-10;
     a violation raises NumericalContractError.
     """
 
-    kraus_ops: tuple
+    kraus_ops: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        kraus = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
-        object.__setattr__(self, "kraus_ops", kraus)
-        if not kraus:
+        try:
+            kraus = np.asarray(self.kraus_ops, dtype=complex)
+        except ValueError as exc:  # ragged: operators of different shapes
+            raise ValueError("all Kraus operators must be square with equal dimension") from exc
+        if not kraus.size:
             raise ValueError("channel needs at least one Kraus operator")
-        d = kraus[0].shape[0]
-        if any(k.shape != (d, d) for k in kraus):
+        if kraus.ndim != 3 or kraus.shape[1] != kraus.shape[2]:
             raise ValueError("all Kraus operators must be square with equal dimension")
-        s = sum(k.conj().T @ k for k in kraus)
-        err = np.abs(s - np.eye(d)).max()
+        object.__setattr__(self, "kraus_ops", kraus)
+        err = np.abs(np.einsum("aji,ajk->ik", kraus.conj(), kraus) - np.eye(self.dim)).max()
         if err > COMPLETENESS_TOL:
             raise NumericalContractError(
                 f"Kraus completeness violated by {err:.3e} (label={self.label!r})"
@@ -63,33 +68,33 @@ class KrausChannel:
 
     @property
     def dim(self) -> int:
-        return self.kraus_ops[0].shape[0]
+        return self.kraus_ops.shape[1]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """rho -> sum_a E_a rho E_a^dag."""
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise ValueError(f"state dimension {rho.shape} does not match channel dim {self.dim}")
-        out = np.zeros_like(rho)
-        for k in self.kraus_ops:
-            out += k @ rho @ k.conj().T
-        return out
+        k = self.kraus_ops
+        return (k @ rho @ k.conj().transpose(0, 2, 1)).sum(axis=0)
 
     def superoperator(self) -> np.ndarray:
-        """Matrix S with vec(E(rho)) = S vec(rho), column-stacking convention."""
+        """Matrix S with vec(E(rho)) = S vec(rho), column-stacking convention:
+        the sum of kron(conj(E_a), E_a)."""
         d = self.dim
-        s = np.zeros((d * d, d * d), dtype=complex)
-        for k in self.kraus_ops:
-            s += np.kron(k.conj(), k)
-        return s
+        return np.einsum("aij,akl->ikjl", self.kraus_ops.conj(), self.kraus_ops).reshape(d * d, d * d)
 
     def compose(self, other: "KrausChannel") -> "KrausChannel":
         """Channel applying `other` first, then self."""
         if self.dim != other.dim:
             raise ValueError("channel dimensions differ")
-        kraus = [a @ b for a in self.kraus_ops for b in other.kraus_ops]
-        kraus = [k for k in kraus if np.abs(k).max() > 0.0]
-        return KrausChannel(tuple(kraus), label=f"{self.label}*{other.label}")
+        kraus = (self.kraus_ops[:, None] @ other.kraus_ops[None]).reshape(-1, self.dim, self.dim)
+        return KrausChannel(_nonzero(kraus), label=f"{self.label}*{other.label}")
+
+
+def _nonzero(kraus: np.ndarray) -> np.ndarray:
+    """The operators of a (k, d, d) stack that are not exactly zero."""
+    return kraus[np.abs(kraus).max(axis=(1, 2)) > 0.0]
 
 
 def identity_channel(dim: int = 4) -> KrausChannel:
@@ -105,14 +110,13 @@ def ensemble_channel(unitaries, weights=None, label: str = "ensemble") -> KrausC
 
     Kraus operators are sqrt(w_i) U_i; weights default to uniform.
     """
-    unitaries = [np.asarray(u, dtype=complex) for u in unitaries]
-    n = len(unitaries)
+    unitaries = np.asarray(unitaries, dtype=complex)
     if weights is None:
-        weights = np.full(n, 1.0 / n)
+        weights = np.full(len(unitaries), 1.0 / len(unitaries))
     weights = np.asarray(weights, dtype=float)
     if abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError("weights must sum to 1")
-    return KrausChannel(tuple(np.sqrt(w) * u for w, u in zip(weights, unitaries)), label=label)
+    return KrausChannel(np.sqrt(weights)[:, None, None] * unitaries, label=label)
 
 
 def collective_dephasing(gamma: float) -> KrausChannel:
@@ -125,14 +129,19 @@ def collective_dephasing(gamma: float) -> KrausChannel:
     """
     if not gamma >= 0:
         raise ValueError(f"gamma must be >= 0, got {gamma!r}")
+    return KrausChannel(_collective_kraus(gamma), label=f"collective_dephasing({gamma:g})")
+
+
+def _collective_kraus(gamma: float) -> np.ndarray:
+    """The (3, 4, 4) Kraus stack of collective_dephasing(gamma)."""
     p_plus, p_zero, p_minus = zq_proj = ops.zq_projectors()
     if math.isinf(gamma):
-        return KrausChannel(zq_proj, label="collective_dephasing(inf)")
+        return np.array(zq_proj)
     x = math.exp(-2.0 * gamma)
     e0 = p_plus + math.exp(-gamma) * p_zero + math.exp(-4.0 * gamma) * p_minus
     e1 = math.sqrt(1.0 - x) * p_zero + math.exp(-gamma) * (1.0 + x) * math.sqrt(1.0 - x) * p_minus
     e2 = (1.0 - x) * math.sqrt(1.0 + x) * p_minus
-    return KrausChannel((e0, e1, e2), label=f"collective_dephasing({gamma:g})")
+    return np.array([e0, e1, e2])
 
 
 def coherence_decay_factors(gamma: float) -> tuple[float, float]:
@@ -147,24 +156,6 @@ def coherence_decay_factors(gamma: float) -> tuple[float, float]:
     d1 = ch.apply(unit_single)[0, 1]
     d2 = ch.apply(unit_double)[0, 3]
     return float(d1.real), float(d2.real)
-
-
-def _amplitude_damping(p: float) -> list[np.ndarray]:
-    k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - p)]], dtype=complex)
-    k1 = np.array([[0.0, math.sqrt(p)], [0.0, 0.0]], dtype=complex)
-    return [k0, k1]
-
-
-def _phase_damping(q: float) -> list[np.ndarray]:
-    return [math.sqrt(1.0 - q) * np.eye(2, dtype=complex),
-            math.sqrt(q) * np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)]
-
-
-def _on_spin(kraus_2: list[np.ndarray], spin: int) -> list[np.ndarray]:
-    eye = np.eye(2, dtype=complex)
-    if spin == 1:
-        return [np.kron(k, eye) for k in kraus_2]
-    return [np.kron(eye, k) for k in kraus_2]
 
 
 def natural_relaxation_step(sys: SpinSystem, f_collective: float, duration: float) -> KrausChannel:
@@ -198,8 +189,11 @@ def natural_relaxation_step(sys: SpinSystem, f_collective: float, duration: floa
     gamma_coll = 0.5 * (1.0 + f_collective) * gamma_phi * duration
     q = 0.5 * (1.0 - math.exp(-0.5 * (1.0 - f_collective) * gamma_phi * duration))
 
-    step = collective_dephasing(gamma_coll)
-    for spin in (1, 2):
-        step = KrausChannel(tuple(_on_spin(_phase_damping(q), spin)), "pd").compose(step)
-        step = KrausChannel(tuple(_on_spin(_amplitude_damping(p), spin)), "ad").compose(step)
-    return KrausChannel(step.kraus_ops, label=f"relaxation(f={f_collective:g}, t={duration:g})")
+    # per spin, amplitude damping after phase damping: 4 operators indexed (ad, pd)
+    ad = np.array([[[1.0, 0.0], [0.0, math.sqrt(1.0 - p)]], [[0.0, math.sqrt(p)], [0.0, 0.0]]], dtype=complex)
+    pd = np.array([math.sqrt(1.0 - q) * np.eye(2), math.sqrt(q) * np.diag([1.0, -1.0])], dtype=complex)
+    spin = (ad[:, None] @ pd[None]).reshape(4, 2, 2)
+    # the two spins side by side, kron(spin 1, spin 2), indexed (spin 2, spin 1)
+    pair = np.einsum("aij,bkl->baikjl", spin, spin).reshape(16, 4, 4)
+    kraus = (pair[:, None] @ _collective_kraus(gamma_coll)[None]).reshape(48, 4, 4)
+    return KrausChannel(_nonzero(kraus), label=f"relaxation(f={f_collective:g}, t={duration:g})")

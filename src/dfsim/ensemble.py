@@ -36,6 +36,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from . import operators as ops
+from .channels import ensemble_channel
 from .errors import NumericalContractError
 from .hamiltonians import SpinSystem, internal_hamiltonian
 from .pulses import PulseSequence, piecewise_segments
@@ -357,10 +358,6 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
     return out.reshape(z.shape + (4, 4))
 
 
-def _average_conjugation(us: np.ndarray, rho0: np.ndarray) -> np.ndarray:
-    return np.einsum("nij,jk,nlk->il", us, np.asarray(rho0, dtype=complex), us.conj()) / len(us)
-
-
 def _check_output_state(rho: np.ndarray) -> None:
     if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
         raise NumericalContractError("ensemble state lost trace normalization")
@@ -374,7 +371,7 @@ def evolve_ensemble(seq: PulseSequence, waveform, spec: EnsembleSpec,
     coherent evolution, i.e. the trace over the spatial degree of freedom."""
     zs = member_positions(spec)
     us = ensemble_propagators(seq, sys, waveform, zs)
-    rho = _average_conjugation(us, rho0)
+    rho = ensemble_channel(us).apply(rho0)
     _check_output_state(rho)
     return rho
 
@@ -410,6 +407,6 @@ def gradient_diffusion_echo(grad: float, delta: float, big_delta: float,
     u_int = ops.expm_hermitian(internal_hamiltonian(sys), 2 * delta + big_delta)
     kicks = diffusion_phase_kicks(grad, delta, big_delta, spec, sys, seed)
     us = u_int[None, :, :] @ kicks
-    rho = _average_conjugation(us, rho0)
+    rho = ensemble_channel(us).apply(rho0)
     _check_output_state(rho)
     return rho

@@ -18,11 +18,13 @@ Five experiments reproduce the storage and encoded-control studies:
                     item 2; and the held-memory reference).
 
 Every experiment is a pure function of (spin system, ensemble spec, sweep,
-seed); `run` adds the CSV/JSON writing. Point k of a sweep uses the RNG seed
-base_seed XOR k, so sweeps are reproducible point by point. The engineered
-noise window is modeled with the deterministic internal evolution refocused
-exactly (the idealized limit of the refocusing pulse pair the hardware
-sequence uses), so storage fidelities isolate the noise itself.
+seed); `run` adds the CSV/JSON writing. Every reported fidelity and
+coherence is read off the data spin through `metrics.data_blocks`. Point k
+of a sweep uses the RNG seed base_seed XOR k, so sweeps are reproducible
+point by point. The engineered noise window is modeled with the
+deterministic internal evolution refocused exactly (the idealized limit of
+the refocusing pulse pair the hardware sequence uses), so storage
+fidelities isolate the noise itself.
 """
 
 import copy
@@ -35,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import operators as ops
-from .channels import collective_dephasing, identity_channel, natural_relaxation_step, unvec, vec
+from .channels import collective_dephasing, identity_channel, natural_relaxation_step
 from .ensemble import (
     DEFAULT_STEP_TIME,
     EnsembleSpec,
@@ -48,10 +50,8 @@ from .errors import ConfigError, NumericalContractError
 from .hamiltonians import SpinSystem
 from .metrics import (
     ENTANGLEMENT_THRESHOLD,
-    KET0,
-    KET_PLUS,
-    KET_PLUS_I,
     FidelityReport,
+    coherence_metric,
     data_blocks,
     gate_fidelity_from_states,
     induced_data_channel,
@@ -300,39 +300,18 @@ def memory_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed: in
 def natural_experiment(sys: SpinSystem, sweep: dict):
     """Ambient-relaxation storage: coherence metric vs holding time.
 
-    The holding channel up to each sample time is the exact relaxation
-    channel of each gap between consecutive sorted sample times, composed
-    (one channel per distinct gap). C is evaluated on the decoded data spin
-    for the encoded branch and on the idle data spin for the un-encoded one.
+    Each sample time's holding channel is the exact relaxation channel of
+    that whole duration, built directly; nothing is composed. C is evaluated
+    on the decoded data spin for the encoded branch and on the idle data
+    spin for the un-encoded one. Rows follow the sorted sample times.
     """
     f_coll = _sweep_number("f_collective", sweep["f_collective"], lambda x: 0 <= x <= 1, " in [0, 1]")
-    times = sorted(_sweep_values(sweep, "times_s", *_NON_NEGATIVE))
-
-    u_enc, u_dec = ops.encoding_unitary(), ops.decoding_unitary()
-
-    def coherence(s_cum: np.ndarray, encoded: bool) -> float:
-        total = 0.0
-        for ket, pauli in ((KET_PLUS, ops.PAULI["x"]), (KET_PLUS_I, ops.PAULI["y"])):
-            rho4 = np.kron(np.outer(ket, ket.conj()), np.outer(KET0, KET0.conj()))
-            if encoded:
-                rho4 = u_enc @ rho4 @ u_enc.conj().T
-            out = unvec(s_cum @ vec(rho4))
-            if encoded:
-                out = u_dec @ out @ u_dec.conj().T
-            total += float(np.trace(np.kron(pauli, np.eye(2)) @ out).real)
-        return total / 2
-
-    rows, steps = [], {}
-    s_cum, t_done = np.eye(16, dtype=complex), 0.0
-    for t in times:
-        gap = t - t_done
-        if gap > 0:
-            if gap not in steps:
-                steps[gap] = natural_relaxation_step(sys, f_coll, gap).superoperator()
-            s_cum, t_done = steps[gap] @ s_cum, t
+    rows = []
+    for t in sorted(_sweep_values(sweep, "times_s", *_NON_NEGATIVE)):
+        step = natural_relaxation_step(sys, f_coll, t)
         rows.append({"t_s": t,
-                     "c_encoded": coherence(s_cum, True),
-                     "c_unencoded": coherence(s_cum, False)})
+                     "c_encoded": coherence_metric(induced_data_channel(step, encoded=True)),
+                     "c_unencoded": coherence_metric(induced_data_channel(step, encoded=False))})
     reports = [FidelityReport(label=f"natural_{branch}", coherence=rows[-1][f"c_{branch}"],
                               metadata={"f_collective": f_coll, "t_s": rows[-1]["t_s"]})
                for branch in ("encoded", "unencoded")]

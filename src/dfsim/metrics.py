@@ -16,7 +16,10 @@ not unital (T1 relaxation), the retained transverse magnetization
 
     C = ( Tr sigma_x E(|+><+|) + Tr sigma_y E(|i><i|) ) / 2
 
-is used instead.
+is used instead. Both kinds of number are read off the data spin through
+one encode/act/decode kernel, `data_blocks`, which gathers the entries of
+U_dec A U_enc (U_enc is a CNOT, a basis permutation) for unitaries or
+Kraus operators A.
 """
 
 import json
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operators as ops
-from .channels import KrausChannel, unvec, vec
+from .channels import KrausChannel
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
@@ -41,14 +44,20 @@ def entanglement_fidelity(ch: KrausChannel, u_target: np.ndarray) -> float:
         raise ValueError("target dimension does not match channel")
     if not ops.is_unitary(u_target):
         raise ValueError("target must be unitary")
-    n = ch.dim
-    return float(sum(abs(np.trace(u_target.conj().T @ k) / n) ** 2 for k in ch.kraus_ops))
+    return float(_trace_overlap(ch.kraus_ops, u_target))
+
+
+def _trace_overlap(kraus: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """sum_a |Tr(target^dag K_a) / d|^2 over the Kraus axis, the one before
+    the last two, of a (..., k, d, d) stack."""
+    tdag = np.asarray(target, dtype=complex).conj().T
+    tr = np.einsum("ij,...bji->...b", tdag, kraus) / len(tdag)
+    return (np.abs(tr) ** 2).sum(axis=-1)
 
 
 def is_unital(ch: KrausChannel, tol: float = 1e-9) -> bool:
-    s = ch.superoperator()
     eye = np.eye(ch.dim, dtype=complex)
-    return bool(np.abs(unvec(s @ vec(eye)) - eye).max() <= tol)
+    return bool(np.abs(ch.apply(eye) - eye).max() <= tol)
 
 
 def state_fidelities(ch: KrausChannel, u_target: np.ndarray) -> tuple[float, float, float]:
@@ -90,6 +99,11 @@ def coherence_metric(ch: KrausChannel) -> float:
     return float(0.5 * (np.trace(sx @ ch.apply(rho_x)).real + np.trace(sy @ ch.apply(rho_y)).real))
 
 
+# row r of U_dec U U_enc is U's row _DEC[r], column c is U's column _ENC[c]
+_ENC = np.argmax(np.abs(ops.encoding_unitary()), axis=0)
+_DEC = np.argmax(np.abs(ops.decoding_unitary()), axis=1)
+
+
 def data_blocks(us: np.ndarray, encoded: bool) -> np.ndarray:
     """Data-spin blocks K_b = <b| U_dec U U_enc |0> of two-spin operators.
 
@@ -97,10 +111,10 @@ def data_blocks(us: np.ndarray, encoded: bool) -> np.ndarray:
     the encode/decode unitaries are left out. Shape (..., 2, 2, 2), block b
     at index [..., b, :, :].
     """
-    us = np.asarray(us, dtype=complex)
+    rows, cols = np.array([[0, 2], [1, 3]]), np.array([0, 2])  # ancilla |b> out, |0> in
     if encoded:
-        us = ops.decoding_unitary() @ us @ ops.encoding_unitary()
-    return us[..., [[0, 2], [1, 3]], :][..., [0, 2]]
+        rows, cols = _DEC[rows], _ENC[cols]
+    return np.asarray(us, dtype=complex)[..., rows, :][..., cols]
 
 
 def member_gate_fidelities(us: np.ndarray, target2: np.ndarray, encoded: bool) -> np.ndarray:
@@ -112,9 +126,7 @@ def member_gate_fidelities(us: np.ndarray, target2: np.ndarray, encoded: bool) -
     gate are midpoint quadrature nodes of one waveform realization, not
     independent samples, so their spread is no error bar for that mean.
     """
-    tdag = np.asarray(target2, dtype=complex).conj().T
-    tr = np.einsum("ij,...bji->...b", tdag, data_blocks(us, encoded)) / 2
-    return (np.abs(tr) ** 2).sum(axis=-1)
+    return _trace_overlap(data_blocks(us, encoded), target2)
 
 
 def induced_data_channel(ch: KrausChannel, encoded: bool) -> KrausChannel:
@@ -127,9 +139,8 @@ def induced_data_channel(ch: KrausChannel, encoded: bool) -> KrausChannel:
     """
     if ch.dim != 4:
         raise ValueError("induced channel needs a two-spin channel")
-    blocks = data_blocks(np.stack(ch.kraus_ops), encoded).reshape(-1, 2, 2)
-    kraus = tuple(k for k in blocks if np.abs(k).max() > 0.0)
-    return KrausChannel(kraus, label=f"data({ch.label})")
+    blocks = data_blocks(ch.kraus_ops, encoded).reshape(-1, 2, 2)
+    return KrausChannel(blocks[np.abs(blocks).max(axis=(1, 2)) > 0.0], label=f"data({ch.label})")
 
 
 @dataclass

@@ -134,18 +134,23 @@ class Segment:
     commutes: bool = False
 
 
-def _event_pieces(ev, h_int: np.ndarray):
+def _event_pieces(ev, h_int: np.ndarray, pulse_h: dict):
     """Expand a delay or pulse into (h, duration) pieces with the internal
-    Hamiltonian on."""
+    Hamiltonian on. `pulse_h` maps (amplitude, phase) to the pulse
+    Hamiltonians already built on this walk of a sequence, so that each
+    distinct one is built once."""
     if isinstance(ev, Delay):
         yield h_int, ev.duration
-    elif ev.shape == HARD:
-        yield h_int + rf_hamiltonian(ev.amplitude, ev.phase), ev.duration
-    else:
-        # 90x-180y-90x composite: nutation fractions 1/4, 1/2, 1/4 at
-        # relative phases 0, +90deg, 0
-        for frac, dphi in ((0.25, 0.0), (0.5, math.pi / 2), (0.25, 0.0)):
-            yield h_int + rf_hamiltonian(ev.amplitude, ev.phase + dphi), ev.duration * frac
+        return
+    # a hard pulse is one piece; the 90x-180y-90x composite has nutation
+    # fractions 1/4, 1/2, 1/4 at relative phases 0, +90deg, 0
+    parts = ((0.25, 0.0), (0.5, math.pi / 2), (0.25, 0.0))
+    pieces = (((ev.phase, ev.duration),) if ev.shape == HARD else
+              ((ev.phase + dphi, ev.duration * frac) for frac, dphi in parts))
+    for phase, duration in pieces:
+        if (ev.amplitude, phase) not in pulse_h:
+            pulse_h[ev.amplitude, phase] = h_int + rf_hamiltonian(ev.amplitude, phase)
+        yield pulse_h[ev.amplitude, phase], duration
 
 
 def _commutes_with_jz(h: np.ndarray) -> bool:
@@ -178,13 +183,13 @@ def piecewise_segments(seq: PulseSequence, sys: SpinSystem, waveform=None) -> li
         tau = float(waveform.step_time)
         values = np.asarray(waveform.values, dtype=float).tolist()
     k, t_in, eps = 0, 0.0, 1e-12  # waveform step, time consumed within it, clock tolerance
-    commutes: dict = {}
+    commutes, pulse_h = {}, {}
     runs: list = []  # [h, h as bytes, duration, sum of g dt, grad]; [u, None, ...] for a rotation
     for ev in seq.events:
         if isinstance(ev, IdealRotation):
             runs.append([ev.unitary, None, 0.0, 0.0, 0.0])
             continue
-        for h, rem in _event_pieces(ev, h_int):
+        for h, rem in _event_pieces(ev, h_int, pulse_h):
             hkey = h.tobytes()
             if hkey not in commutes:
                 commutes[hkey] = _commutes_with_jz(h)
@@ -234,12 +239,12 @@ def state_trajectory(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray):
     """
     h_int = internal_hamiltonian(sys)
     rho = np.asarray(rho0, dtype=complex)
-    eigs: dict = {}
+    eigs, pulse_h = {}, {}
     for ev in seq.events:
         if isinstance(ev, IdealRotation):
             rho = ev.unitary @ rho @ ev.unitary.conj().T
             continue
-        for h, duration in _event_pieces(ev, h_int):
+        for h, duration in _event_pieces(ev, h_int, pulse_h):
             n = max(1, int(math.ceil(duration / max(duration / 32, 1e-6))))
             dt = duration / n
             key = h.tobytes()

@@ -144,6 +144,26 @@ def test_kraus_completeness_enforced():
         KrausChannel((np.eye(4) * 0.9,), label="broken")
 
 
+@pytest.mark.parametrize("kraus, message", [
+    ((), "at least one"),
+    ([], "at least one"),
+    ((np.eye(2), np.eye(4)), "square with equal dimension"),
+    ((np.eye(2), np.eye(2)[0]), "square with equal dimension"),
+    ((np.ones((2, 3)) / 2,), "square with equal dimension"),
+    ((np.array([1.0, 0.0]),), "square with equal dimension"),
+    (np.eye(2), "square with equal dimension"),
+])
+def test_kraus_input_checks(kraus, message):
+    with pytest.raises(ValueError, match=message):
+        KrausChannel(kraus)
+
+
+def test_kraus_ops_are_one_complex_stack():
+    ch = KrausChannel([np.eye(2), np.zeros((2, 2))])
+    assert isinstance(ch.kraus_ops, np.ndarray)
+    assert ch.kraus_ops.shape == (2, 2, 2) and ch.kraus_ops.dtype == complex
+
+
 unitaries = st.integers(0, 2**32 - 1).map(lambda seed: random_unitary(np.random.default_rng(seed), 4))
 channels = st.one_of(
     st.floats(0.0, 50.0).map(collective_dephasing),

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dfsim import cli, experiments
+from dfsim import operators as ops
 from dfsim.ensemble import EnsembleSpec
 from dfsim.errors import ConfigError, NumericalContractError
 from dfsim.experiments import (
@@ -26,6 +28,8 @@ from dfsim.experiments import (
 )
 from dfsim.hamiltonians import SpinSystem
 from dfsim.units import GAMMA_PROTON
+
+from conftest import lindblad_superoperator
 
 
 class TestConfig:
@@ -186,6 +190,43 @@ class TestNatural:
         assert [r["t_s"] for r in rows] == config["sweep"]["times_s"]
         for r in rows:
             assert abs(r["c_unencoded"] - math.exp(-r["t_s"] / config["spin_system"]["t2"])) <= 1e-15
+
+    @staticmethod
+    def expm_coherence(spins, f, t, encoded):
+        """C of the Lindblad propagator expm(L t), with explicit encode and
+        decode of |+> x |0> and |+i> x |0>: the composed-superoperator path
+        natural_experiment once had, here as an oracle."""
+        s = scipy.linalg.expm(lindblad_superoperator(spins, f) * t)
+        u_enc, u_dec = ops.encoding_unitary(), ops.decoding_unitary()
+        ancilla = np.diag([1.0, 0.0])
+        total = 0.0
+        for ket, pauli in ((np.array([1.0, 1.0]), "x"), (np.array([1.0, 1.0j]), "y")):
+            rho = np.kron(np.outer(ket, ket.conj()) / 2, ancilla)
+            if encoded:
+                rho = u_enc @ rho @ u_enc.conj().T
+            out = (s @ rho.reshape(-1, order="F")).reshape(4, 4, order="F")
+            if encoded:
+                out = u_dec @ out @ u_dec.conj().T
+            total += np.trace(np.kron(ops.PAULI[pauli], np.eye(2)) @ out).real
+        return total / 2
+
+    @pytest.mark.parametrize("f", [0.0, 0.5, 0.9, 1.0])
+    def test_shipped_sweep_matches_lindblad_propagator(self, f):
+        config = json.loads((Path(__file__).resolve().parents[1] / "configs" / "natural.json").read_text())
+        spins = SpinSystem(**config["spin_system"])
+        rows, _ = natural_experiment(spins, {**config["sweep"], "f_collective": f})
+        for r in rows:
+            assert abs(r["c_encoded"] - self.expm_coherence(spins, f, r["t_s"], True)) <= 1e-14
+            assert abs(r["c_unencoded"] - self.expm_coherence(spins, f, r["t_s"], False)) <= 1e-14
+
+    def test_unsorted_and_repeated_times_give_the_sorted_rows(self, spin_system):
+        times = [1.5, 0.0, 3.0, 0.5, 1.5, 0.0]
+        sweep = EXPERIMENTS["natural"].sweep
+        rows, reports = natural_experiment(spin_system, {**sweep, "times_s": times})
+        want_rows, want_reports = natural_experiment(spin_system, {**sweep, "times_s": sorted(times)})
+        assert rows == want_rows
+        assert [r["t_s"] for r in rows] == sorted(times)
+        assert [r.to_dict() for r in reports] == [r.to_dict() for r in want_reports]
 
 
 class TestGates:

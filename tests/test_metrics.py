@@ -9,6 +9,7 @@ from dfsim.channels import KrausChannel, collective_dephasing, identity_channel,
 from dfsim.metrics import (
     FidelityReport,
     coherence_metric,
+    data_blocks,
     entanglement_fidelity,
     gate_fidelity_from_states,
     induced_data_channel,
@@ -135,6 +136,25 @@ class TestInducedDataChannel:
         want = [entanglement_fidelity(induced_data_channel(unitary_channel(u), encoded), target)
                 for u in us]
         assert np.abs(member_gate_fidelities(us, target, encoded) - want).max() <= 1e-12
+
+
+class TestDataBlocks:
+    """The basis gather against the matmul form it replaces."""
+
+    @staticmethod
+    def matmul_blocks(us, encoded):
+        if encoded:
+            us = ops.decoding_unitary() @ us @ ops.encoding_unitary()
+        return us[..., [[0, 2], [1, 3]], :][..., [0, 2]]
+
+    @pytest.mark.parametrize("encoded", [True, False])
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+    def test_gather_equals_matmul_bit_for_bit(self, rng, encoded, shape):
+        us = (rng.normal(size=shape + (4, 4)) + 1j * rng.normal(size=shape + (4, 4)))
+        got = data_blocks(us, encoded)
+        want = self.matmul_blocks(us, encoded)
+        assert got.shape == shape + (2, 2, 2)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestFidelityReport:

@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given
 
 from dfsim import operators as ops
+from dfsim import pulses
 from dfsim.ensemble import GradientWaveform
 from dfsim.errors import NumericalContractError
 from dfsim.hamiltonians import SpinSystem, internal_hamiltonian, logical_decompose
@@ -392,6 +393,18 @@ class TestTrajectory:
         assert len(got) == len(pieces)
         assert [len(rhos) for rhos, _ in got] == [substeps(d) for d in pieces]
         assert [dt for _, dt in got] == pytest.approx([d / substeps(d) for d in pieces], rel=1e-15)
+
+    def test_each_distinct_pulse_hamiltonian_built_once_per_walk(self, spin_system, monkeypatch):
+        seq = PulseSequence(composite_y90(spin_system, calibrate=False).events + self.SEQ_TAIL)
+        n_pulses = sum(isinstance(ev, RfPulse) for ev in seq.events)
+        real, built = pulses.rf_hamiltonian, []
+        monkeypatch.setattr(pulses, "rf_hamiltonian", lambda *args: built.append(args) or real(*args))
+        rho0 = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
+        for walk in (lambda: piecewise_segments(seq, spin_system),
+                     lambda: list(state_trajectory(seq, spin_system, rho0))):
+            built.clear()
+            walk()
+            assert len(built) == len(set(built)) < n_pulses
 
     def test_residence_matches_oracle(self, spin_system):
         seq = enc_x(math.pi / 2, spin_system)
