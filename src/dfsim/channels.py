@@ -105,18 +105,12 @@ def unitary_channel(u: np.ndarray, label: str = "unitary") -> KrausChannel:
     return KrausChannel((np.asarray(u, dtype=complex),), label=label)
 
 
-def ensemble_channel(unitaries, weights=None, label: str = "ensemble") -> KrausChannel:
-    """Channel averaging conjugation by a family of unitaries.
-
-    Kraus operators are sqrt(w_i) U_i; weights default to uniform.
-    """
+def ensemble_channel(unitaries) -> KrausChannel:
+    """Channel averaging conjugation by a family of n unitaries with equal
+    weights: Kraus operators U_i / sqrt(n). No unitaries is no Kraus
+    operator, which `KrausChannel` rejects."""
     unitaries = np.asarray(unitaries, dtype=complex)
-    if weights is None:
-        weights = np.full(len(unitaries), 1.0 / len(unitaries))
-    weights = np.asarray(weights, dtype=float)
-    if abs(weights.sum() - 1.0) > 1e-12:
-        raise ValueError("weights must sum to 1")
-    return KrausChannel(np.sqrt(weights)[:, None, None] * unitaries, label=label)
+    return KrausChannel(math.sqrt(1.0 / max(len(unitaries), 1)) * unitaries, label="ensemble")
 
 
 def collective_dephasing(gamma: float) -> KrausChannel:

@@ -21,7 +21,9 @@ products. The product of a run of consecutive segments is
 an entire function of z, so each run is multiplied out at Chebyshev points
 in z once per call and interpolated; a segment too wide in z for
 RUN_TERMS points, or more points than there are members, keeps its member
-phases or a batched Taylor exponential. No path needs an eigensolver.
+phases or a batched Taylor exponential. One routine, `_multiply_out`,
+multiplies a chain of such factors out at any positions. No path needs an
+eigensolver.
 
 All randomness flows through numpy Generators seeded by an explicit seed
 argument, and the member sum runs in a fixed order, so outputs are
@@ -206,12 +208,6 @@ def _half_widths() -> np.ndarray:
     return np.array([((tail + n * log_rho) / half_axis).max() for n in range(1, BLOCK + 1)])
 
 
-def _phased(u0: np.ndarray, rate: float | None, z: np.ndarray) -> np.ndarray:
-    """u0 times the member phases exp(-i rate z Jz/2) at positions z, or u0
-    itself when rate is None."""
-    return u0 if rate is None else u0 * np.exp(-1j * rate * np.multiply.outer(ops.SPIN_PROJECTION, z))
-
-
 def _group_runs(factors: list, cap: int) -> list:
     """Split `factors` (each ending in its half-width w) into consecutive
     runs, as (factors, N): a run grows while its summed w needs N < cap
@@ -231,38 +227,60 @@ def _group_runs(factors: list, cap: int) -> list:
             for fs, w in runs]
 
 
+def _multiply_out(chain: list, z: np.ndarray, basis: np.ndarray | None, buffers: np.ndarray) -> np.ndarray:
+    """The product of the factors of `chain`, in order, at positions z: a
+    member-last (4, 4, m) view into rows 7-8 of `buffers` (row 9 is
+    scratch), valid until they are next written.
+
+    A factor is either (u0, rate, seg, w) as `ensemble_propagators` resolves
+    a segment -- the shared unitary u0 times the member phases
+    exp(-i rate z Jz/2) (none when rate is None), or the RF piece seg under
+    a gradient of rate when seg is not None -- or a fitted run, the (32, N)
+    coefficients of `_fit_run`, evaluated in rows 0-1 with the first N rows
+    of `basis` (T_k at z). The RF pieces' exponentials come from
+    `_expm_members` in rows 0-6, as many pieces at once as fill one row,
+    each column with its own h and dt, and stay in rows 4-5 until the next
+    batch.
+    """
+    m = z.size
+    u, spare, tmp = _views(buffers[7:], m)
+    u.fill(0.0)
+    u.reshape(16, -1)[::5] = 1.0
+    pieces = [f for f in chain if not isinstance(f, np.ndarray) and f[2] is not None]
+    per_batch = buffers.shape[1] // (16 * m)
+    done = 0  # RF pieces taken so far
+    for f in chain:
+        if isinstance(f, np.ndarray):
+            re_im = np.matmul(f, basis[:f.shape[1]], out=buffers[1].view(float)[:32 * m].reshape(32, m))
+            g = buffers[0][:16 * m].reshape(16, m)
+            g.real, g.imag = re_im[:16], re_im[16:]
+            g = g.reshape(4, 4, m)
+        elif f[2] is None:
+            u0, rate, _, _ = f
+            g = u0 if rate is None else u0 * np.exp(-1j * rate * np.multiply.outer(ops.SPIN_PROJECTION, z))
+        else:
+            col = done % per_batch * m
+            if col == 0:
+                batch = pieces[done:done + per_batch]
+                h = _views(buffers[:1], len(batch) * m)[0]
+                for j, (_, _, seg, _) in enumerate(batch):
+                    h[:, :, j * m:(j + 1) * m] = seg.h[:, :, None]
+                exps = _expm_members(h, np.multiply.outer([rate for _, rate, _, _ in batch], z).ravel(),
+                                     np.repeat([seg.duration for _, _, seg, _ in batch], m), buffers)
+            g = exps[:, :, col:col + m]
+            done += 1
+        u, spare = _matmul(g, u, spare, tmp), u
+    return u
+
+
 def _fit_run(factors: list, n_terms: int, z_max: float, buffers: np.ndarray) -> np.ndarray:
     """(32, N) real, then imaginary, parts of the coefficients c_k of the
-    run's product sum_k c_k T_k(z / z_max): the run multiplied out at the N
-    Chebyshev points z_max cos(pi (j + 1/2)/N), then a DCT-II.
-
-    Rows 7-9 of `buffers` hold the product. The node exponentials of the
-    run's RF pieces come from `_expm_members` on rows 0-6, as many pieces at
-    once as fill one row, each column with its own h and dt.
+    run's product sum_k c_k T_k(z / z_max): the run multiplied out
+    (`_multiply_out`) at the N Chebyshev points z_max cos(pi (j + 1/2)/N),
+    then a DCT-II.
     """
     theta = np.pi / n_terms * (np.arange(n_terms) + 0.5)
-    nodes = z_max * np.cos(theta)
-    acc, spare, tmp = _views(buffers[7:], n_terms)
-    acc.fill(0.0)
-    acc.reshape(16, -1)[::5] = 1.0
-    pieces = [(rate, seg) for _, rate, seg, _ in factors if seg is not None]
-    per_batch = buffers.shape[1] // (16 * n_terms)
-    done = 0  # RF pieces taken so far
-    for u0, rate, seg, _ in factors:
-        if seg is None:
-            f = _phased(u0, rate, nodes)
-        else:
-            col = done % per_batch * n_terms
-            if col == 0:
-                rates, batch = zip(*pieces[done:done + per_batch])
-                h = _views(buffers[:1], len(batch) * n_terms)[0]
-                for j, piece in enumerate(batch):
-                    h[:, :, j * n_terms:(j + 1) * n_terms] = piece.h[:, :, None]
-                exps = _expm_members(h, np.multiply.outer(rates, nodes).ravel(),
-                                     np.repeat([piece.duration for piece in batch], n_terms), buffers)
-            f = exps[:, :, col:col + n_terms]
-            done += 1
-        acc, spare = _matmul(f, acc, spare, tmp), acc
+    acc = _multiply_out(factors, z_max * np.cos(theta), None, buffers)
     coef = np.concatenate([acc.reshape(16, -1).real, acc.reshape(16, -1).imag])
     coef = coef @ np.cos(np.outer(np.arange(n_terms), theta)).T * (2.0 / n_terms)  # T_k(x_j)
     coef[:, 0] /= 2
@@ -283,13 +301,14 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
     w = gamma |g| max|z| dt (0 for a shared unitary). Consecutive factors
     form runs while their summed w needs N < min(n, BLOCK, RUN_TERMS)
     Chebyshev terms for a tail bound below 1e-17 (`_half_widths`); each run
-    is multiplied out at its N Chebyshev points once per call (`_fit_run`).
-    A factor whose own N reaches that cap stays as it is: member phases, or
-    the per-member Taylor exponential `_expm_members`, so one molecule and
-    tiny ensembles take no Chebyshev path. Blocks of at most BLOCK members,
-    in buffers allocated once per call, then evaluate each run as one real
-    product with the basis T_k(z / max|z|), built once per call, and each
-    remaining factor per member, and multiply them out.
+    is multiplied out at its N Chebyshev points once per call (`_fit_run`)
+    and becomes one factor of the chain, its coefficients. A factor whose
+    own N reaches that cap enters the chain as it is: member phases, or the
+    per-member Taylor exponential `_expm_members`, so one molecule and tiny
+    ensembles take no Chebyshev path. Each block of at most BLOCK members,
+    in buffers allocated once per call, multiplies the chain out in one
+    `_multiply_out`, a fitted run being one real product with the basis
+    T_k(z / max|z|), built once per call.
     """
     z = np.asarray(z, dtype=float)
     zs = z.reshape(-1)
@@ -318,10 +337,9 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
             u0 = shared[key] = ops.expm_hermitian(seg.h, seg.duration)[:, :, None]
         factors.append((u0, rate, None, 0.0 if rate is None else abs(rate) * z_max))
 
-    # per run: its one factor left unfitted, less w, or (None, None, its Chebyshev coefficients)
-    runs = [(None, None, _fit_run(fs, n_terms, z_max, buffers)) if n_terms else fs[0][:3]
-            for fs, n_terms in _group_runs(factors, min(zs.size, BLOCK, RUN_TERMS))]
-    n_basis = max((piece.shape[1] for u0, rate, piece in runs if u0 is None and rate is None), default=0)
+    chain = [_fit_run(fs, n_terms, z_max, buffers) if n_terms else fs[0]
+             for fs, n_terms in _group_runs(factors, min(zs.size, BLOCK, RUN_TERMS))]
+    n_basis = max((f.shape[1] for f in chain if isinstance(f, np.ndarray)), default=0)
     basis = np.empty((n_basis, zs.size))  # T_k(z / z_max) by the three-term recurrence
     basis[:1] = 1.0
     if n_basis > 1:
@@ -330,26 +348,11 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
             np.subtract(2.0 * basis[1] * basis[k - 1], basis[k - 2], out=basis[k])
     out = np.empty((zs.size, 4, 4), dtype=complex)
     for start in range(0, zs.size, BLOCK):
-        zb = zs[start:start + BLOCK]
-        m = zb.size
-        u, spare, tmp = _views(buffers[7:], m)
-        u.fill(0.0)
-        u.reshape(16, -1)[::5] = 1.0
-        for u0, rate, piece in runs:
-            if piece is None:
-                useg = _phased(u0, rate, zb)
-            elif rate is None:
-                re_im = np.matmul(piece, basis[:piece.shape[1], start:start + m],
-                                  out=buffers[1].view(float)[:32 * m].reshape(32, m))
-                useg = buffers[0][:16 * m].reshape(16, m)
-                useg.real, useg.imag = re_im[:16], re_im[16:]
-                useg = useg.reshape(4, 4, m)
-            else:
-                useg = _expm_members(piece.h, rate * zb, piece.duration, buffers)
-            u, spare = _matmul(useg, u, spare, tmp), u
+        m = min(BLOCK, zs.size - start)
+        u = _multiply_out(chain, zs[start:start + m], basis[:, start:start + m], buffers)
         out[start:start + m] = u.transpose(2, 0, 1)
-        # u^dagger u - 1, in buffers the exponential no longer needs
-        u_dag, gram = _views(buffers[:2], m)
+        # u^dagger u - 1, in buffers the product does not use
+        u_dag, gram, tmp = _views(buffers[:3], m)
         np.conjugate(u.transpose(1, 0, 2), out=u_dag)
         _matmul(u_dag, u, gram, tmp).reshape(16, -1)[::5] -= 1.0
         err = np.abs(gram).max()

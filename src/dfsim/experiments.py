@@ -15,7 +15,7 @@ Five experiments reproduce the storage and encoded-control studies:
                     noise of swept maximum strength (F_e; fe_stderr, the
                     member spread over the midpoint quadrature nodes of one
                     waveform realization divided by sqrt(n), see ROADMAP
-                    item 2; and the held-memory reference).
+                    item 1; and the held-memory reference).
 
 Every experiment is a pure function of (spin system, ensemble spec, sweep,
 seed); `run` adds the CSV/JSON writing. Every reported fidelity and
@@ -357,7 +357,7 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
     sample; the reported F_e is the ensemble mean of per-member fidelities.
     fe_stderr is their spread divided by sqrt(n); the members are midpoint
     quadrature nodes of one waveform realization, not independent samples,
-    so it is no error bar for F_e (ROADMAP item 2). fe_memory is the same
+    so it is no error bar for F_e (ROADMAP item 1). fe_memory is the same
     noise applied while the encoded state merely waits, measured against the
     noiseless evolution -- it stays at 1, showing that gate losses come only
     from the intervals the pulses spend outside the code space.

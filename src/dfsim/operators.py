@@ -94,7 +94,8 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
 
 
 def is_unitary(a: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    return bool(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max() <= tol)
+    """True iff a, or every matrix of a (..., d, d) stack, is unitary to tol."""
+    return bool(np.abs(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1])).max() <= tol)
 
 
 def dfs_violations(a: np.ndarray, tol: float = 1e-10) -> list[tuple[int, int, float]]:
@@ -122,8 +123,9 @@ def is_dfs_preserving(a: np.ndarray, tol: float = 1e-10) -> bool:
     return not dfs_violations(a, tol)
 
 
-def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    """Propagator exp(-i h t) of a hermitian generator, by eigendecomposition.
+def expm_hermitian(h: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """Propagator exp(-i h t) of a hermitian generator, by eigendecomposition:
+    (d, d) for a number t, (..., d, d) for an array of durations.
 
     Raises ValueError for a non-hermitian input, NumericalContractError if the
     result fails the unitarity check.
@@ -131,7 +133,7 @@ def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     if not is_hermitian(h):
         raise ValueError("generator must be hermitian to 1e-12")
     w, v = np.linalg.eigh(h)
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
+    u = (v * np.exp(-1j * np.multiply.outer(t, w))[..., None, :]) @ v.conj().T
     if not is_unitary(u):
         raise NumericalContractError("propagator failed unitarity check at 1e-10")
     return u

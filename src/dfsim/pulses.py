@@ -313,25 +313,22 @@ def toggling_frames(seq: PulseSequence, sys: SpinSystem) -> list[np.ndarray]:
 def average_hamiltonian(seq: PulseSequence, sys: SpinSystem) -> np.ndarray:
     """Zeroth-order average Hamiltonian of an ideal-pulse train.
 
-    Each toggling frame is weighted by the free-evolution time spent in it;
-    for the equally spaced trains built here this reduces to the plain mean
-    over one cycle. An empty sequence averages to the internal Hamiltonian.
+    Each frame of `toggling_frames` is weighted by the free-evolution time
+    spent in it; for the equally spaced trains built here this reduces to
+    the plain mean over one cycle. An empty sequence averages to the
+    internal Hamiltonian.
     """
-    h_int = internal_hamiltonian(sys)
+    frames = toggling_frames(seq, sys)
     if not seq.events:
-        return h_int
-    u = np.eye(4, dtype=complex)
+        return frames[0]
     acc = np.zeros((4, 4), dtype=complex)
-    t_total = 0.0
+    t_total, k = 0.0, 0  # k: rotations so far
     for ev in seq.events:
-        if isinstance(ev, RfPulse):
-            raise ValueError("average Hamiltonian needs ideal pulses (Delay/IdealRotation only)")
         if isinstance(ev, IdealRotation):
-            u = ev.unitary @ u
+            k += 1
         else:
-            acc += (u.conj().T @ h_int @ u) * ev.duration
+            acc += frames[k] * ev.duration
             t_total += ev.duration
-    _check_cyclic(u)
     if t_total == 0.0:
         raise ValueError("sequence has no delays; average Hamiltonian undefined")
     return acc / t_total
@@ -341,10 +338,12 @@ def average_hamiltonian(seq: PulseSequence, sys: SpinSystem) -> np.ndarray:
 # sequence builders
 # ---------------------------------------------------------------------------
 
-DEFAULT_PULSE_DURATION = 62.4e-6
+#: hard pi pulse length and cycle spacing of `enc_x` (the spacing is also
+#: the default of the ideal trains), and its WALTZ-style pulse phase cycle
+PULSE_DURATION = 62.4e-6
 DEFAULT_PULSE_SPACING = 630e-6
 CYCLES_PER_QUARTER_TURN = 64
-DEFAULT_WALTZ_PHASES = (0.0, 0.0, math.pi, math.pi)
+WALTZ_PHASES = (0.0, 0.0, math.pi, math.pi)
 
 
 def ideal_pulse_train(rotation: str, n_pulses: int, spacing: float, label: str = "") -> PulseSequence:
@@ -398,11 +397,7 @@ def enc_z(theta: float, sys: SpinSystem) -> PulseSequence:
     return PulseSequence((Delay(duration),), label=f"enc_z({theta:.6g})")
 
 
-def enc_x(theta: float, sys: SpinSystem,
-          pulse_duration: float = DEFAULT_PULSE_DURATION,
-          spacing: float = DEFAULT_PULSE_SPACING,
-          waltz_phases: tuple = DEFAULT_WALTZ_PHASES,
-          shape: str = HARD) -> PulseSequence:
+def enc_x(theta: float, sys: SpinSystem) -> PulseSequence:
     """Encoded x rotation exp(-i theta sx/2) from a hard-pi-pulse train.
 
     Each cycle is delay/2, hard pi pulse, delay/2; the pi-pulse propagator
@@ -418,23 +413,13 @@ def enc_x(theta: float, sys: SpinSystem,
     i.e. the identity, for theta rounding to zero).
     """
     theta = theta % (2 * math.pi)
-    period = len(waltz_phases)
-    if period % 2:
-        raise ValueError("phase pattern length must be even: an odd pulse count "
-                         "leaves a net logical x flip and unpaired refocusing delays")
-    per_quarter_turn = max(1, CYCLES_PER_QUARTER_TURN // period)
-    n_cycles = period * round(theta / (math.pi / 2) * per_quarter_turn)
-    amplitude = math.pi / pulse_duration
+    period, amplitude = len(WALTZ_PHASES), math.pi / PULSE_DURATION
+    n_cycles = period * round(theta / (math.pi / 2) * (CYCLES_PER_QUARTER_TURN // period))
     events = []
     for k in range(n_cycles):
-        phase = waltz_phases[k % len(waltz_phases)]
-        events += [
-            Delay(spacing / 2),
-            RfPulse(amplitude, phase, pulse_duration, shape),
-            Delay(spacing / 2),
-        ]
-    return PulseSequence(tuple(events), cycle_length=len(waltz_phases),
-                         label=f"enc_x({theta:.6g})")
+        pulse = RfPulse(amplitude, WALTZ_PHASES[k % period], PULSE_DURATION)
+        events += [Delay(DEFAULT_PULSE_SPACING / 2), pulse, Delay(DEFAULT_PULSE_SPACING / 2)]
+    return PulseSequence(tuple(events), cycle_length=period, label=f"enc_x({theta:.6g})")
 
 
 def composite_y90(sys: SpinSystem, calibrate: bool = True) -> PulseSequence:
@@ -453,29 +438,24 @@ def composite_y90(sys: SpinSystem, calibrate: bool = True) -> PulseSequence:
     t_post = z_post.events[0].duration
 
     if calibrate:
-        w, v = np.linalg.eigh(internal_hamiltonian(sys))
+        h_int = internal_hamiltonian(sys)
         u_x = propagator(x_leg, sys)
         target = ops.expm_hermitian(ops.PAULI["y"], math.pi / 4)  # exp(-i pi/4 sy)
 
-        def u_free(t):  # exp(-i H_int t) for each duration in the array t
-            return (v * np.exp(-1j * w * t[:, None])[:, None, :]) @ v.conj().T
-
-        def fidelities(s1, s2):
-            u = u_free(t_post * s2) @ u_x @ u_free(t_pre * s1)
-            return member_gate_fidelities(u, target, encoded=True)
+        def fidelities(s1, s2):  # at every pair of the scale grids, s1 outer
+            u = ops.expm_hermitian(h_int, t_post * s2) @ u_x @ ops.expm_hermitian(h_int, t_pre * s1)[:, None]
+            return member_gate_fidelities(u.reshape(-1, 4, 4), target, encoded=True)
 
         best = (fidelities(np.ones(1), np.ones(1))[0], 1.0, 1.0)
         centre, span, steps = (1.0, 1.0), 0.05, 10
         for _ in range(3):
-            grid1 = np.linspace(centre[0] - span, centre[0] + span, 2 * steps + 1)
-            grid2 = np.linspace(centre[1] - span, centre[1] + span, 2 * steps + 1)
-            s1, s2 = (g.ravel() for g in np.meshgrid(grid1, grid2, indexing="ij"))
+            s1, s2 = (np.linspace(c - span, c + span, 2 * steps + 1) for c in centre)
             f = fidelities(s1, s2)
             # argmax takes the first maximum in s1-outer, s2-inner order, as
             # a scan that only moves on strict improvement would
             k = int(np.argmax(f))
             if f[k] > best[0]:
-                best = (f[k], float(s1[k]), float(s2[k]))
+                best = (f[k], float(s1[k // s2.size]), float(s2[k % s2.size]))
             centre, span = (best[1], best[2]), span / steps
         t_pre *= best[1]
         t_post *= best[2]

@@ -158,6 +158,19 @@ def test_kraus_input_checks(kraus, message):
         KrausChannel(kraus)
 
 
+@pytest.mark.parametrize("unitaries", [[], (), np.empty((0, 4, 4))], ids=["list", "tuple", "array"])
+def test_ensemble_channel_of_no_unitaries_is_a_value_error(unitaries):
+    with pytest.raises(ValueError, match="at least one Kraus operator"):
+        ensemble_channel(unitaries)
+
+
+@pytest.mark.parametrize("n", [1, 3, 1001])
+def test_ensemble_channel_weights_are_uniform_bit_for_bit(rng, n):
+    us = np.array([random_unitary(rng, 4) for _ in range(n)])
+    weighted = np.sqrt(np.full(n, 1.0 / n))[:, None, None] * us
+    assert ensemble_channel(us).kraus_ops.tobytes() == weighted.tobytes()
+
+
 def test_kraus_ops_are_one_complex_stack():
     ch = KrausChannel([np.eye(2), np.zeros((2, 2))])
     assert isinstance(ch.kraus_ops, np.ndarray)

@@ -414,6 +414,28 @@ class TestRuns:
         assert max(np.abs(u - oracle).max() for u in us) <= 1e-10
 
 
+class TestNonFinitePositions:
+    SEQ = PulseSequence(RF_SEQUENCE.events + (Delay(1e-4), IdealRotation("pi_x_pair"), Delay(2e-5)))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("wf", [None, static_waveform(0.0)], ids=["no_waveform", "zero_waveform"])
+    def test_without_gradient_is_the_propagator_at_zero(self, spin_system, bad, wf):
+        assert ensemble_propagators(self.SEQ, spin_system, wf, bad).tobytes() == \
+            ensemble_propagators(self.SEQ, spin_system, wf, 0.0).tobytes()
+        # several members: the one run of one term, read with T_0 alone
+        zs = np.array([-3e-3, bad, 0.0, 2e-3, bad])
+        assert ensemble_propagators(self.SEQ, spin_system, wf, zs).tobytes() == \
+            ensemble_propagators(self.SEQ, spin_system, wf, np.zeros(zs.size)).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("n", [1, 5, BLOCK + 1])
+    def test_under_a_gradient_breaks_the_contract(self, spin_system, bad, n):
+        zs = np.linspace(-5e-3, 5e-3, n)
+        zs[n // 2] = bad
+        with pytest.raises(NumericalContractError, match="not finite"):
+            ensemble_propagators(self.SEQ, spin_system, RF_WAVEFORM, zs if n > 1 else bad)
+
+
 def runs_between_rotations(items, is_rotation) -> list:
     runs = [[]]
     for item in items:

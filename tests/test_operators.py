@@ -173,6 +173,29 @@ class TestExpmHermitian:
         with pytest.raises(ValueError):
             ops.expm_hermitian(np.triu(np.ones((4, 4))), 1.0)
 
+    @pytest.mark.parametrize("shape", [(1,), (7,), (2, 3)])
+    def test_durations_array_equals_stacked_scalar_calls(self, rng, shape):
+        h = random_hermitian(rng, scale=5.0)
+        ts = rng.uniform(-2.0, 2.0, shape)
+        us = ops.expm_hermitian(h, ts)
+        assert us.shape == shape + (4, 4)
+        stacked = np.array([ops.expm_hermitian(h, float(t)) for t in ts.ravel()]).reshape(us.shape)
+        assert us.tobytes() == stacked.tobytes()
+
+    def test_number_gives_one_matrix(self, rng):
+        h = random_hermitian(rng)
+        assert ops.expm_hermitian(h, 0.5).shape == (4, 4)
+        assert ops.expm_hermitian(h, np.float64(0.5)).shape == (4, 4)
+
+
+class TestIsUnitary:
+    def test_stack_flags_a_single_bad_member(self, rng):
+        us = ops.expm_hermitian(random_hermitian(rng), np.linspace(0.0, 1.0, 6)).reshape(2, 3, 4, 4)
+        assert ops.is_unitary(us)
+        us[1, 2] *= 1.0 + 1e-9
+        assert not ops.is_unitary(us)
+        assert ops.is_unitary(us[0]) and not ops.is_unitary(us[1, 2])
+
 
 class TestEncoding:
     def test_basis_action(self):

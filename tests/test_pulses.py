@@ -199,6 +199,40 @@ class TestAverageHamiltonian:
         assert abs(cy) <= 1e-9
         assert cx == pytest.approx(np.pi * spin_system.j_coupling, rel=1e-9)
 
+    @pytest.mark.parametrize("seq", [
+        xx_train(2, 1e-3),
+        xy_train(4, 2e-4),
+        # unequal delays, two in a row, and both rotations: a cyclic train
+        # whose frames are not the plain mean
+        PulseSequence((Delay(1e-3), IdealRotation("pi_x_pair"), Delay(2e-3), Delay(3e-4),
+                       IdealRotation("pi_x1_y2"), Delay(5e-4), IdealRotation("pi_x1_y2"),
+                       Delay(1.5e-3), IdealRotation("pi_x_pair"), Delay(7e-4))),
+    ], ids=["xx_train", "xy_train", "mixed"])
+    def test_weights_toggling_frames_as_its_own_walk_did(self, spin_system, seq):
+        # reference: the walk over the rotations that average_hamiltonian
+        # once made itself, beside toggling_frames
+        h_int = internal_hamiltonian(spin_system)
+        u = np.eye(4, dtype=complex)
+        acc = np.zeros((4, 4), dtype=complex)
+        t_total = 0.0
+        for ev in seq.events:
+            if isinstance(ev, IdealRotation):
+                u = ev.unitary @ u
+            else:
+                acc += (u.conj().T @ h_int @ u) * ev.duration
+                t_total += ev.duration
+        assert average_hamiltonian(seq, spin_system).tobytes() == (acc / t_total).tobytes()
+
+    def test_rejects_what_toggling_frames_rejects(self, spin_system):
+        with pytest.raises(NumericalContractError, match="not cyclic"):
+            average_hamiltonian(PulseSequence((Delay(1e-3), IdealRotation("pi_x_pair"))), spin_system)
+        with pytest.raises(ValueError, match="ideal pulses"):
+            average_hamiltonian(PulseSequence((Delay(1e-3), RfPulse(1e4, 0.0, 1e-5))), spin_system)
+        with pytest.raises(ValueError, match="no delays"):
+            average_hamiltonian(PulseSequence((IdealRotation("pi_x_pair"),) * 2), spin_system)
+        assert np.array_equal(average_hamiltonian(PulseSequence(()), spin_system),
+                              internal_hamiltonian(spin_system))
+
 
 class TestBuilders:
     def test_enc_z_duration_formula(self, spin_system):
@@ -245,10 +279,6 @@ class TestBuilders:
 
     def test_enc_x_zero_angle_is_empty(self, spin_system):
         assert enc_x(0.0, spin_system).events == ()
-
-    def test_enc_x_rejects_odd_phase_pattern(self, spin_system):
-        with pytest.raises(ValueError, match="even"):
-            enc_x(math.pi / 2, spin_system, waltz_phases=(0.0, 0.0, math.pi))
 
     def test_composite_y90_gate_fidelity(self, spin_system):
         u = propagator(composite_y90(spin_system), spin_system)
