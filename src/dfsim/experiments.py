@@ -138,7 +138,7 @@ class ExperimentConfig:
             raise ConfigError(f"seed: required for ensemble experiment {self.experiment!r}")
         if not self.label:
             self.label = self.experiment
-        if any(sep in self.label for sep in ("/", "\\", "..")):
+        if any(sep in self.label for sep in ("/", "\\", "..", "\0")):
             raise ConfigError(f"label: must be a plain file stem, got {self.label!r}")
 
 
@@ -327,6 +327,15 @@ GATES = {
 }
 
 
+def _gate_sequence(name: str, sys: SpinSystem) -> PulseSequence:
+    """The sequence of gate `name` on `sys`; ConfigError naming the spin
+    system when it cannot carry the gate (encoded z needs nu1 < nu2)."""
+    try:
+        return GATES[name][0](sys)
+    except ValueError as exc:
+        raise ConfigError(f"spin_system: {exc}") from exc
+
+
 def gates_experiment(sys: SpinSystem, sweep: dict):
     """Noiseless encoded gates: fidelity against the ideal rotation and the
     fraction of the gate time spent inside the code space."""
@@ -335,8 +344,8 @@ def gates_experiment(sys: SpinSystem, sweep: dict):
     rho_code = p_zero / 2
     rows, reports = [], []
     for name in names:
-        build, axis, angle = GATES[name]
-        seq = build(sys)
+        _, axis, angle = GATES[name]
+        seq = _gate_sequence(name, sys)
         u = propagator(seq, sys)
         fe = float(member_gate_fidelities(u[None, :, :], _rot(axis, angle), encoded=True)[0])
         residence = dfs_residence_fraction(seq, sys, rho_code)
@@ -362,12 +371,15 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
     noiseless evolution -- it stays at 1, showing that gate losses come only
     from the intervals the pulses spend outside the code space.
     """
-    grads = [khz_per_cm_to_t_per_m(x, sys.gamma)
-             for x in _sweep_values(sweep, "grad_max_khz_per_cm", *_NON_NEGATIVE)]
+    khz = _sweep_values(sweep, "grad_max_khz_per_cm", *_NON_NEGATIVE)
+    if not (sys.gamma > 0 and math.isfinite(khz_per_cm_to_t_per_m(max(khz), sys.gamma))):
+        raise ConfigError(f"spin_system.gamma: {sys.gamma!r} must be > 0 and turn sweep.grad_max_khz_per_cm "
+                          f"up to {max(khz)!r} into finite gradients in T/m")
+    grads = [khz_per_cm_to_t_per_m(x, sys.gamma) for x in khz]
     step_time = _sweep_number("step_time_s", sweep["step_time_s"], *_POSITIVE)
 
-    build, axis, angle = GATES["composite_y90"]
-    seq = build(sys)
+    _, axis, angle = GATES["composite_y90"]
+    seq = _gate_sequence("composite_y90", sys)
     mem_seq = PulseSequence((Delay(seq.duration),), label="hold")
     target = _rot(axis, angle)
     u_free = propagator(mem_seq, sys)
@@ -465,6 +477,6 @@ def run(config: ExperimentConfig) -> dict:
         with open(json_path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    except OSError as exc:
-        raise ConfigError(f"out: cannot write to {out_dir!s}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise ConfigError(f"out: cannot write to {str(out_dir)!r}: {exc}") from exc
     return {"csv": csv_path, "json": json_path, "rows": rows, "reports": reports}

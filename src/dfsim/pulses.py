@@ -18,8 +18,10 @@ under any waveform is one shared exponential times member phases. This
 module flattens sequences into segments, fusing each such run as it walks
 the waveform clock; the exponentials and their product come from the one
 engine in `dfsim.ensemble`, of which `propagator` is the single-position
-case. The residence trajectory evolves each of the events' pieces, without
-a gradient, in the eigenbasis of its Hamiltonian, all its substeps at once.
+case. The residence trajectory walks the same segments, without a
+gradient, and averages the state over each one exactly in the eigenbasis of
+its Hamiltonian, so the residence fraction does not depend on where a
+sequence is cut.
 
 Builders are provided for the refocusing trains used by the average
 Hamiltonian analysis and for the encoded one-qubit gates: a z rotation by
@@ -27,6 +29,7 @@ timed free evolution, an x rotation from a WALTZ-phase-cycled train of hard
 pi pulses, and the composite y rotation concatenated from those.
 """
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -56,8 +59,8 @@ class Delay:
     duration: float
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("delay duration must be positive")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"delay duration must be finite and positive, got {self.duration!r}")
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,8 @@ class RfPulse:
     shape: str = HARD
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.amplitude, self.phase, self.duration))):
+            raise ValueError(f"pulse amplitude, phase and duration must be finite, got {self!r}")
         if self.duration <= 0:
             raise ValueError("pulse duration must be positive")
         if self.amplitude < 0:
@@ -134,25 +139,6 @@ class Segment:
     commutes: bool = False
 
 
-def _event_pieces(ev, h_int: np.ndarray, pulse_h: dict):
-    """Expand a delay or pulse into (h, duration) pieces with the internal
-    Hamiltonian on. `pulse_h` maps (amplitude, phase) to the pulse
-    Hamiltonians already built on this walk of a sequence, so that each
-    distinct one is built once."""
-    if isinstance(ev, Delay):
-        yield h_int, ev.duration
-        return
-    # a hard pulse is one piece; the 90x-180y-90x composite has nutation
-    # fractions 1/4, 1/2, 1/4 at relative phases 0, +90deg, 0
-    parts = ((0.25, 0.0), (0.5, math.pi / 2), (0.25, 0.0))
-    pieces = (((ev.phase, ev.duration),) if ev.shape == HARD else
-              ((ev.phase + dphi, ev.duration * frac) for frac, dphi in parts))
-    for phase, duration in pieces:
-        if (ev.amplitude, phase) not in pulse_h:
-            pulse_h[ev.amplitude, phase] = h_int + rf_hamiltonian(ev.amplitude, phase)
-        yield pulse_h[ev.amplitude, phase], duration
-
-
 def _commutes_with_jz(h: np.ndarray) -> bool:
     """[h, Jz] = 0 to round-off, relative to the size of h (any units)."""
     scale = max(np.abs(h).max(), np.finfo(float).tiny)
@@ -183,13 +169,21 @@ def piecewise_segments(seq: PulseSequence, sys: SpinSystem, waveform=None) -> li
         tau = float(waveform.step_time)
         values = np.asarray(waveform.values, dtype=float).tolist()
     k, t_in, eps = 0, 0.0, 1e-12  # waveform step, time consumed within it, clock tolerance
-    commutes, pulse_h = {}, {}
+    commutes = {}  # each distinct pulse Hamiltonian is built once per walk
+    pulse_h = functools.cache(lambda amplitude, phase: h_int + rf_hamiltonian(amplitude, phase))
     runs: list = []  # [h, h as bytes, duration, sum of g dt, grad]; [u, None, ...] for a rotation
     for ev in seq.events:
         if isinstance(ev, IdealRotation):
             runs.append([ev.unitary, None, 0.0, 0.0, 0.0])
             continue
-        for h, rem in _event_pieces(ev, h_int, pulse_h):
+        if isinstance(ev, Delay):
+            pieces = ((h_int, ev.duration),)
+        elif ev.shape == HARD:
+            pieces = ((pulse_h(ev.amplitude, ev.phase), ev.duration),)
+        else:  # 90x-180y-90x: nutation fractions 1/4, 1/2, 1/4 at relative phases 0, +90deg, 0
+            pieces = ((pulse_h(ev.amplitude, ev.phase + dphi), ev.duration * frac)
+                      for frac, dphi in ((0.25, 0.0), (0.5, math.pi / 2), (0.25, 0.0)))
+        for h, rem in pieces:
             hkey = h.tobytes()
             if hkey not in commutes:
                 commutes[hkey] = _commutes_with_jz(h)
@@ -227,40 +221,33 @@ def propagator(seq: PulseSequence, sys: SpinSystem, waveform=None, z: float = 0.
 
 
 def state_trajectory(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray):
-    """Yield (rhos, dt) for each piece of each event: rhos is the (n, 4, 4)
-    stack of the states after each of the piece's n substeps of dt.
+    """Yield (mean, duration, rho) for each evolve segment of
+    `piecewise_segments(seq, sys)`, without a gradient: the state averaged
+    over the segment's duration, and the state at its end.
 
-    Substep policy: each piece of each event (a delay, or one piece of a
-    pulse) is cut into n equal substeps of at most max(duration/32, 1 us).
-    The piece's h is diagonalized once per call, as h = V diag(w) V^dag,
-    and the state after k substeps is V (r_ab exp(-i (w_a - w_b) k dt)) V^dag
-    with r = V^dag rho V at the piece's start. Instantaneous rotations are
-    applied but contribute no time weight.
+    With h = V diag(w) V^dag and r = V^dag rho V at the segment's start,
+    r_ab evolves as r_ab exp(-i x_ab t / T), x_ab = (w_a - w_b) T, so its
+    mean over the duration T is r_ab phi(x_ab), phi(x) = (1 - exp(-i x)) / (i x)
+    = exp(-i x / 2) sinc(x / 2), phi(0) = 1. The mean is exact, so it does
+    not depend on where the sequence is cut. Rotations are applied between
+    segments and contribute no time.
     """
-    h_int = internal_hamiltonian(sys)
     rho = np.asarray(rho0, dtype=complex)
-    eigs, pulse_h = {}, {}
-    for ev in seq.events:
-        if isinstance(ev, IdealRotation):
-            rho = ev.unitary @ rho @ ev.unitary.conj().T
+    for seg in piecewise_segments(seq, sys):
+        if seg.kind == "rotate":
+            rho = seg.u @ rho @ seg.u.conj().T
             continue
-        for h, duration in _event_pieces(ev, h_int, pulse_h):
-            n = max(1, int(math.ceil(duration / max(duration / 32, 1e-6))))
-            dt = duration / n
-            key = h.tobytes()
-            if key not in eigs:
-                eigs[key] = np.linalg.eigh(h)
-            w, v = eigs[key]
-            r = v.conj().T @ rho @ v
-            e = np.exp(-1j * np.outer(np.arange(1, n + 1) * dt, w))  # e[k - 1, a] = exp(-i w_a k dt)
-            rhos = v @ (e[:, :, None] * r * e.conj()[:, None, :]) @ v.conj().T
-            rho = rhos[-1]
-            yield rhos, dt
+        w, v = np.linalg.eigh(seg.h)
+        r = v.conj().T @ rho @ v
+        x = np.subtract.outer(w, w) * seg.duration
+        mean = v @ (r * np.exp(-0.5j * x) * np.sinc(x / (2 * math.pi))) @ v.conj().T
+        rho = v @ (r * np.exp(-1j * x)) @ v.conj().T
+        yield mean, seg.duration, rho
 
 
 def dfs_residence_fraction(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray) -> float:
-    """Time-weighted average population of the code space over a sequence,
-    summed over every substep of `state_trajectory`.
+    """Time average of the code-space population over a sequence: the
+    segment means of `state_trajectory`, weighted by their durations.
 
     rho0 must be supported on the code space (population within 1e-10 of 1).
     """
@@ -268,11 +255,10 @@ def dfs_residence_fraction(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray
     pop0 = float(np.trace(p_zero @ np.asarray(rho0)).real)
     if abs(pop0 - 1.0) > 1e-10:
         raise ValueError(f"rho0 is not supported on the code space (population {pop0:.6f})")
-    total = 0.0
-    weight = 0.0
-    for rhos, dt in state_trajectory(seq, sys, rho0):
-        weight += float(np.einsum("ij,nji->", p_zero, rhos).real) * dt
-        total += len(rhos) * dt
+    weight = total = 0.0
+    for mean, dt, _ in state_trajectory(seq, sys, rho0):
+        weight += float(np.trace(p_zero @ mean).real) * dt
+        total += dt
     if total == 0.0:
         raise ValueError("sequence has no finite-duration events")
     return weight / total

@@ -289,10 +289,11 @@ class TestTaylorKernel:
         us = ensemble_propagators(RF_SEQUENCE, spin_system, RF_WAVEFORM, zs)
         monkeypatch.undo()
         assert fitted_rf_pieces(calls) == len(rf_pieces(RF_SEQUENCE, spin_system, RF_WAVEFORM))
-        # the residence trajectory diagonalizes each piece's h, by eigh
+        # the residence trajectory diagonalizes each evolve segment's h, by eigh
         rho0 = code_state(rng)
-        *_, (rhos, _) = state_trajectory(RF_SEQUENCE, spin_system, rho0)
-        rho = rhos[-1]
+        steps = list(state_trajectory(RF_SEQUENCE, spin_system, rho0))
+        assert len(steps) == sum(seg.kind == "evolve" for seg in piecewise_segments(RF_SEQUENCE, spin_system))
+        rho = steps[-1][2]
         oracles = [expm_oracle(RF_SEQUENCE, spin_system, RF_WAVEFORM, z) for z in zs]
         assert max(np.abs(u - o).max() for u, o in zip(us, oracles)) <= 1e-10
         free = expm_oracle(RF_SEQUENCE, spin_system, None, 0.0)

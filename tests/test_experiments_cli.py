@@ -371,11 +371,22 @@ class TestRunAndCli:
          "sweep.gradient_t_per_m"),
         ("memory", {"ensemble": {"seed": 7}}, "'seed'"),
         ("noisy-gate", {"ensemble": {"grad_max": 3.0}}, "'grad_max'"),
+        ("gates", {"spin_system": {"nu1": 0.0, "nu2": 0.0}}, "spin_system: encoded z gates assume"),
+        ("noisy-gate", {"spin_system": {"nu1": 200.0}, "ensemble": {"n_members": 3}},
+         "spin_system: encoded z gates assume"),
+        ("noisy-gate", {"spin_system": {"gamma": 0.0}, "ensemble": {"n_members": 3}}, "spin_system.gamma"),
+        ("noisy-gate", {"spin_system": {"gamma": 1e-310}, "ensemble": {"n_members": 3}}, "spin_system.gamma"),
+        ("noisy-gate", {"spin_system": {"gamma": -2.6e8}, "ensemble": {"n_members": 3}}, "spin_system.gamma"),
+        ("noisy-gate", {"sweep": {"grad_max_khz_per_cm": [1e308]}, "ensemble": {"n_members": 3}},
+         "sweep.grad_max_khz_per_cm"),
+        ("crusher", {"label": "a\u0000b"}, "label"),
     ], ids=["t1_nan", "n_members_fraction", "gradients_nan", "grad_max_nan", "grad_max_t_per_m",
             "unknown_gate", "small_delta_text", "gradient_text", "step_time_text", "step_time_tiny",
             "dt_s_unknown", "gates_empty", "gradients_empty",
             "grad_max_empty", "gates_string", "unknown_process", "gradients_overflow",
-            "gradient_overflow", "ensemble_seed", "ensemble_grad_max"])
+            "gradient_overflow", "ensemble_seed", "ensemble_grad_max", "gates_equal_shifts",
+            "noisy_gate_nu1_above_nu2", "gamma_zero", "gamma_subnormal", "gamma_negative",
+            "grad_max_overflow", "label_nul"])
     def test_cli_bad_value_exit_code(self, tmp_path, capsys, experiment, config, field):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
@@ -383,6 +394,12 @@ class TestRunAndCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error") and field in err
+
+    def test_cli_nul_in_out_dir_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"out": str(tmp_path / "a\u0000b")}))
+        assert cli.main(["crusher", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: out: cannot write")
 
     def test_cli_natural_time_beyond_any_step_grid(self, tmp_path):
         # the holding channel is exact at any duration, so no time is too long
