@@ -267,10 +267,10 @@ def memory_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed: in
     grad = _sweep_number("gradient_t_per_m", sweep["gradient_t_per_m"], *_NON_NEGATIVE)
     time_sweep = "diffusion_times_s" in sweep
     if time_sweep:
-        grad_key = "gradient_t_per_m"
+        grad_key, delay_key = "gradient_t_per_m", "diffusion_times_s"
         points = [(grad, t) for t in _sweep_values(sweep, "diffusion_times_s", *_POSITIVE)]
     else:
-        grad_key = "gradients_t_per_m"
+        grad_key, delay_key = "gradients_t_per_m", "big_delta_s"
         points = [(g, big_delta) for g in _sweep_values(sweep, grad_key, *_NON_NEGATIVE)]
 
     eye2 = np.eye(2, dtype=complex)
@@ -281,6 +281,9 @@ def memory_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed: in
         if not math.isfinite(strength):
             raise ConfigError(f"sweep.{grad_key}: noise strength D (gamma g delta)^2 Delta is not finite "
                               f"at {grad!r} T/m")
+        if not math.isfinite(2.0 * spec.diffusion_d * big_delta):
+            raise ConfigError(f"sweep.{delay_key}: displacement spread sqrt(2 D Delta) is not finite "
+                              f"at Delta = {big_delta!r} s, D = {spec.diffusion_d!r} m^2/s")
         kicks = diffusion_phase_kicks(grad, delta, big_delta, spec, sys, seed=seed ^ idx)
         fe_enc = float(member_gate_fidelities(kicks, eye2, encoded=True).mean())
         fe_un = float(member_gate_fidelities(kicks, eye2, encoded=False).mean())
@@ -410,10 +413,11 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
 def fit_decay(times, values) -> dict:
     """Least-squares fit of a storage curve to A exp(-t/tau) + 0.5.
 
-    Uses a log-linear fit of the offset-subtracted curve; a curve with no
-    resolvable decay (offset below 1e-3) is reported as A = 0 with the
+    Uses a log-linear fit of the offset-subtracted curve, in units of the
+    longest sample time so that no time scale underflows; a curve with no
+    resolvable decay (offset below 1e-3, or no falling slope) gets the
     'no_decay' flag, and one with fewer than three points above the floor,
-    decayed faster than the sampling resolves, as A = 0, tau = 0 with the
+    decayed faster than the sampling resolves, A = 0, tau = 0 and the
     'at_floor' flag. Needs at least three points.
     """
     times = np.asarray(times, dtype=float)
@@ -428,11 +432,12 @@ def fit_decay(times, values) -> dict:
     if usable.sum() < 3:
         return {"a": 0.0, "tau": 0.0, "residual_rms": float(np.sqrt(np.mean(shifted ** 2))),
                 "flag": "at_floor"}
-    slope, intercept = np.polyfit(times[usable], np.log(shifted[usable]), 1)
+    unit = np.abs(times).max() or 1.0
+    slope, intercept = np.polyfit(times[usable] / unit, np.log(shifted[usable]), 1)
     if slope >= 0:
         return {"a": float(np.exp(intercept)), "tau": math.inf,
                 "residual_rms": float(np.std(shifted)), "flag": "no_decay"}
-    a, tau = float(np.exp(intercept)), float(-1.0 / slope)
+    a, tau = float(np.exp(intercept)), float(-unit / slope)
     model = a * np.exp(-times / tau) + 0.5
     return {"a": a, "tau": tau,
             "residual_rms": float(np.sqrt(np.mean((model - values) ** 2))), "flag": "ok"}

@@ -37,9 +37,9 @@ class SpinSystem:
         for name in ("nu1", "nu2", "j_coupling", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        for name in ("t1", "t2"):  # inf switches the process off
-            if not getattr(self, name) > 0:
-                raise ValueError(f"relaxation time {name} must be positive, got {getattr(self, name)!r}")
+        for name, t in (("t1", self.t1), ("t2", self.t2)):  # inf switches the process off
+            if not (t > 0 and 1.0 / t < math.inf):  # 1/t overflows for subnormal t
+                raise ValueError(f"relaxation time {name} must be positive with a finite rate, got {t!r}")
         if self.t2 > 2 * self.t1 + 1e-12:
             raise ValueError(f"t2={self.t2} exceeds 2*t1={2 * self.t1}")
 

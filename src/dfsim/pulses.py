@@ -14,14 +14,14 @@ Propagation model: every event is piecewise constant in time, and an optional
 gradient waveform is piecewise constant too, so the exact propagator is a
 time-ordered product of matrix exponentials over the intersection segments.
 The internal Hamiltonian commutes with Jz, so a free-evolution interval
-under any waveform is one shared exponential times member phases. This
-module flattens sequences into segments, fusing each such run as it walks
-the waveform clock; the exponentials and their product come from the one
-engine in `dfsim.ensemble`, of which `propagator` is the single-position
-case. The residence trajectory walks the same segments, without a
-gradient, and averages the state over each one exactly in the eigenbasis of
-its Hamiltonian, so the residence fraction does not depend on where a
-sequence is cut.
+under any waveform is one shared exponential times member phases; a pulse
+of nonzero amplitude never does. Sequences are flattened into segments,
+fused by event kind on one walk of the waveform clock; the exponentials
+and their product come from the one engine in `dfsim.ensemble`, of which
+`propagator` is the single-position case. The residence trajectory walks
+the same segments, without a gradient, and averages the state over each
+one exactly in the eigenbasis of its Hamiltonian, so the residence
+fraction does not depend on where a sequence is cut.
 
 Builders are provided for the refocusing trains used by the average
 Hamiltonian analysis and for the encoded one-qubit gates: a z rotation by
@@ -126,8 +126,9 @@ class Segment:
     """One piecewise-constant piece of the evolution.
 
     kind "evolve": Hamiltonian h (rad/s, gradient-free) plus a gradient of
-    strength grad (T/m) for `duration` seconds; `commutes` records that h
-    commutes with Jz, so that the gradient acts as member phases alone.
+    strength grad (T/m) for `duration` seconds; `commutes` marks the
+    internal Hamiltonian (delays, pulses of amplitude 0), which commutes
+    with Jz, so that the gradient acts as member phases alone.
     kind "rotate": instantaneous unitary u.
     """
 
@@ -139,12 +140,6 @@ class Segment:
     commutes: bool = False
 
 
-def _commutes_with_jz(h: np.ndarray) -> bool:
-    """[h, Jz] = 0 to round-off, relative to the size of h (any units)."""
-    scale = max(np.abs(h).max(), np.finfo(float).tiny)
-    return np.abs(h @ ops.J_Z - ops.J_Z @ h).max() <= 1e-12 * scale
-
-
 def piecewise_segments(seq: PulseSequence, sys: SpinSystem, waveform=None) -> list[Segment]:
     """Flatten a sequence into exact piecewise-constant segments, fusing
     consecutive pieces where that is exact.
@@ -154,27 +149,30 @@ def piecewise_segments(seq: PulseSequence, sys: SpinSystem, waveform=None) -> li
     last value is held beyond the end of the list. Every piece of an event
     is cut at the waveform's step boundaries, so each cut carries a single
     gradient value; a boundary within 1e-12 s counts as reached, and a
-    remainder of at most 1e-12 s past one stays in the step before it.
+    remainder of at most 1e-12 s past one stays in the step before it. From
+    the last value on, the rest of a piece is one cut.
 
-    Consecutive cuts under one h merge as they are made: into one segment of
-    the summed duration when h commutes with Jz, with the mean gradient, so
-    that grad * duration is the summed g dt (exp(-i h sum dt) times the
-    member phases of sum g dt is their product), and under any h while the
+    Consecutive cuts of the same Hamiltonian this walk built merge as they
+    are made: the internal one (delays, pulses of amplitude 0) commutes
+    with Jz, so its runs become one segment of the summed duration at the
+    mean gradient, so that grad * duration is the summed g dt (exp(-i h sum
+    dt) times the member phases of sum g dt is their product). A pulse of
+    nonzero amplitude never commutes with Jz ([cos(phi) Jx + sin(phi) Jy,
+    Jz] != 0); the cuts of one (amplitude, phase) merge only while the
     gradient value stays the same (one exponent over the summed duration),
-    keeping that value. Rotations split runs; RF pieces under changing
-    gradient values stay apart.
+    keeping that value. Rotations split runs.
     """
     h_int = internal_hamiltonian(sys)
     if waveform is not None:
         tau = float(waveform.step_time)
         values = np.asarray(waveform.values, dtype=float).tolist()
     k, t_in, eps = 0, 0.0, 1e-12  # waveform step, time consumed within it, clock tolerance
-    commutes = {}  # each distinct pulse Hamiltonian is built once per walk
-    pulse_h = functools.cache(lambda amplitude, phase: h_int + rf_hamiltonian(amplitude, phase))
-    runs: list = []  # [h, h as bytes, duration, sum of g dt, grad]; [u, None, ...] for a rotation
+    pulse_h = functools.cache(lambda amplitude, phase: h_int + rf_hamiltonian(amplitude, phase)
+                              if amplitude else h_int)
+    runs: list = []  # [h, duration, sum of g dt, grad]; [u, None, ...] for a rotation
     for ev in seq.events:
         if isinstance(ev, IdealRotation):
-            runs.append([ev.unitary, None, 0.0, 0.0, 0.0])
+            runs.append([ev.unitary, None, 0.0, 0.0])
             continue
         if isinstance(ev, Delay):
             pieces = ((h_int, ev.duration),)
@@ -184,30 +182,26 @@ def piecewise_segments(seq: PulseSequence, sys: SpinSystem, waveform=None) -> li
             pieces = ((pulse_h(ev.amplitude, ev.phase + dphi), ev.duration * frac)
                       for frac, dphi in ((0.25, 0.0), (0.5, math.pi / 2), (0.25, 0.0)))
         for h, rem in pieces:
-            hkey = h.tobytes()
-            if hkey not in commutes:
-                commutes[hkey] = _commutes_with_jz(h)
             while rem:
                 step, g = rem, 0.0
                 if waveform is not None:
-                    step = min(rem, tau - t_in)
-                    if rem - step <= eps:
-                        step = rem
-                    g = values[min(k, len(values) - 1)]
-                    t_in += step
-                    if t_in >= tau - eps:
-                        k, t_in = k + 1, 0.0
+                    g = values[k]
+                    if k < len(values) - 1:  # from the last value on, the gradient is held
+                        step = rem if rem - (tau - t_in) <= eps else tau - t_in
+                        t_in += step
+                        if t_in >= tau - eps:
+                            k, t_in = k + 1, 0.0
                 rem -= step
-                run = runs[-1] if runs else [None, None]
-                if run[1] == hkey and (commutes[hkey] or run[4] == g):
-                    run[3] += g * step
-                    run[2] += step
-                    if commutes[hkey]:
-                        run[4] = run[3] / run[2]
+                run = runs[-1] if runs else [None]
+                if run[0] is h and (h is h_int or run[3] == g):
+                    run[2] += g * step
+                    run[1] += step
+                    if h is h_int:
+                        run[3] = run[2] / run[1]
                 else:
-                    runs.append([h, hkey, step, g * step, g])
-    return [Segment("rotate", u=h) if hkey is None else Segment("evolve", dt, h, g, commutes=commutes[hkey])
-            for h, hkey, dt, _, g in runs]
+                    runs.append([h, step, g * step, g])
+    return [Segment("rotate", u=h) if dt is None else Segment("evolve", dt, h, g, commutes=h is h_int)
+            for h, dt, _, g in runs]
 
 
 def propagator(seq: PulseSequence, sys: SpinSystem, waveform=None, z: float = 0.0) -> np.ndarray:

@@ -72,16 +72,29 @@ def random_unitary(rng, dim=2):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def piece_drives(ev) -> list:
+    """(amplitude, phase, duration) of each piece of a delay or pulse, a
+    delay being a piece of amplitude 0."""
+    if isinstance(ev, Delay):
+        return [(0.0, 0.0, ev.duration)]
+    if ev.shape == HARD:
+        return [(ev.amplitude, ev.phase, ev.duration)]
+    # 90x-180y-90x: nutation quarters at relative phases 0, +90 deg, 0
+    return [(ev.amplitude, ev.phase + dphi, ev.duration * frac)
+            for frac, dphi in ((0.25, 0.0), (0.5, math.pi / 2), (0.25, 0.0))]
+
+
 def event_pieces(ev, sys: SpinSystem) -> list:
     """(h, duration) pieces of a delay or pulse, the internal Hamiltonian on."""
     h_int = internal_hamiltonian(sys)
-    if isinstance(ev, Delay):
-        return [(h_int, ev.duration)]
-    if ev.shape == HARD:
-        return [(h_int + rf_hamiltonian(ev.amplitude, ev.phase), ev.duration)]
-    # 90x-180y-90x: nutation quarters at relative phases 0, +90 deg, 0
-    return [(h_int + rf_hamiltonian(ev.amplitude, ev.phase + dphi), ev.duration * frac)
-            for frac, dphi in ((0.25, 0.0), (0.5, math.pi / 2), (0.25, 0.0))]
+    return [(h_int + rf_hamiltonian(a, phase) if a else h_int, dt) for a, phase, dt in piece_drives(ev)]
+
+
+def commutes_with_jz(h: np.ndarray) -> bool:
+    """[h, Jz] = 0 to round-off, relative to the size of h (any units): a
+    numerical probe, independent of how `piecewise_segments` decides."""
+    scale = max(np.abs(h).max(), np.finfo(float).tiny)
+    return np.abs(h @ ops.J_Z - ops.J_Z @ h).max() <= 1e-12 * scale
 
 
 def expm_oracle(seq, sys: SpinSystem, waveform, z: float) -> np.ndarray:

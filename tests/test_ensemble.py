@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +36,6 @@ from dfsim.pulses import (
     PulseSequence,
     RfPulse,
     Segment,
-    _commutes_with_jz,
     composite_y90,
     piecewise_segments,
     propagator,
@@ -41,9 +44,10 @@ from dfsim.pulses import (
 from dfsim.units import khz_per_cm_to_t_per_m
 
 from conftest import (
-    event_pieces,
+    commutes_with_jz,
     expm_oracle,
     hermitians,
+    piece_drives,
     positions,
     property_settings,
     random_ket,
@@ -209,7 +213,13 @@ class TestEngineOracle:
                    for k in range(math.ceil(total / tau)))
         assert sum(s.duration for s in segments) == pytest.approx(seq.duration, rel=1e-12)
         assert sum(s.grad * s.duration for s in segments) == pytest.approx(area, rel=1e-9, abs=1e-15)
-        assert all(s.commutes == _commutes_with_jz(s.h) for s in segments if s.kind == "evolve")
+        evolve = [s for s in segments if s.kind == "evolve"]
+        # marked commuting: really commutes; every piece of a pulse of
+        # nonzero amplitude, however weak, is marked non-commuting
+        assert all(commutes_with_jz(s.h) for s in evolve if s.commutes)
+        rf_time = sum(dt for ev in seq.events if isinstance(ev, RfPulse) and ev.amplitude
+                      for _, _, dt in piece_drives(ev))
+        assert sum(s.duration for s in evolve if not s.commutes) == pytest.approx(rf_time, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("z", [0.002, np.array([-0.001, 0.0, 0.003])])
     def test_non_unitary_segment_breaks_the_contract(self, spin_system, monkeypatch, z):
@@ -233,7 +243,7 @@ def noise_waveform(seq, grad_max):
 def rf_pieces(seq, sys, wf):
     """Segments of `seq` that are RF pieces under a gradient."""
     return [s for s in piecewise_segments(seq, sys, wf)
-            if s.kind == "evolve" and s.grad != 0.0 and not _commutes_with_jz(s.h)]
+            if s.kind == "evolve" and s.grad != 0.0 and not commutes_with_jz(s.h)]
 
 
 def run_fit_spy(monkeypatch) -> list:
@@ -310,7 +320,7 @@ class TestTaylorKernel:
         # the engine's error rather than expm_oracle's
         prefix = PulseSequence(seq.events[:16])
         segments = piecewise_segments(prefix, spin_system, wf)
-        assert sum(not _commutes_with_jz(s.h) and s.grad != 0.0 for s in segments) >= 10
+        assert sum(not commutes_with_jz(s.h) and s.grad != 0.0 for s in segments) >= 10
         zs = zs[[0, -1]]
         for z, u in zip(zs, ensemble_propagators(prefix, spin_system, wf, zs)):
             assert np.abs(u - segments_oracle_30_digits(segments, spin_system, z)).max() <= 1e-10
@@ -448,33 +458,39 @@ def runs_between_rotations(items, is_rotation) -> list:
 
 
 def cut_then_fuse(seq, sys, wf) -> list:
-    """Reference for piecewise_segments in two passes, as [kind, h or u,
-    duration, grad, sum of g dt]: every event piece cut at each step of the
-    same waveform clock, then each run of cuts under one h merged where h
-    commutes with Jz (at the mean gradient) or the gradient value stays the
-    same (at that value)."""
-    cuts, k, t_in = [], 0, 0.0
+    """Reference for piecewise_segments in two passes, as [kind, drive,
+    h or u, duration, grad, sum of g dt]: every event piece cut at each step
+    of the same waveform clock up to its last value, past which the rest of
+    a piece is one cut; then each run of cuts of one drive (amplitude,
+    phase), or of the internal Hamiltonian (drive None: a delay or a pulse
+    of amplitude 0), merged, at the mean gradient for the internal
+    Hamiltonian and otherwise while the gradient value stays the same."""
+    h_int = internal_hamiltonian(sys)
+    built = {None: h_int}  # one Hamiltonian per drive, as the walk builds them
+    cuts, k, t_in, last = [], 0, 0.0, len(wf.values) - 1
     for ev in seq.events:
         if isinstance(ev, IdealRotation):
-            cuts.append(("rotate", ev.unitary, 0.0, 0.0))
+            cuts.append(("rotate", None, ev.unitary, 0.0, 0.0))
             continue
-        for h, rem in event_pieces(ev, sys):
+        for a, phase, rem in piece_drives(ev):
+            drive = (a, phase) if a else None
+            h = built.setdefault(drive, h_int + rf_hamiltonian(a, phase))
             while rem:
-                step = min(rem, wf.step_time - t_in)
+                step = min(rem, wf.step_time - t_in) if k < last else rem
                 step = rem if rem - step <= 1e-12 else step
-                cuts.append(("evolve", h, step, float(wf.values[min(k, len(wf.values) - 1)])))
+                cuts.append(("evolve", drive, h, step, float(wf.values[min(k, last)])))
                 rem, t_in = rem - step, t_in + step
                 if t_in >= wf.step_time - 1e-12:
                     k, t_in = k + 1, 0.0
     fused = []
-    for kind, h, dt, g in cuts:
-        last = fused[-1] if fused else None
-        if (kind == "evolve" and last and last[0] == "evolve" and last[1].tobytes() == h.tobytes()
-                and (_commutes_with_jz(h) or last[3] == g)):
-            area, duration = last[4] + g * dt, last[2] + dt
-            fused[-1] = ["evolve", h, duration, area / duration if _commutes_with_jz(h) else g, area]
+    for kind, drive, m, dt, g in cuts:
+        prev = fused[-1] if fused else None
+        if (kind == "evolve" and prev and prev[0] == "evolve" and prev[1] == drive
+                and (drive is None or prev[4] == g)):
+            area, duration = prev[5] + g * dt, prev[3] + dt
+            fused[-1] = ["evolve", drive, m, duration, area / duration if drive is None else g, area]
         else:
-            fused.append([kind, h, dt, g, g * dt])
+            fused.append([kind, drive, m, dt, g, g * dt])
     return fused
 
 
@@ -483,16 +499,64 @@ class TestFusion:
     @given(spin_systems, sequences, waveforms)
     def test_matches_cut_then_fuse(self, sys, seq, wf):
         # the one walk makes the same sums in the same order: equal bits
-        got = [(s.kind, (s.u if s.kind == "rotate" else s.h).tobytes(), s.duration, s.grad)
+        got = [(s.kind, (s.u if s.kind == "rotate" else s.h).tobytes(), s.duration, s.grad, s.commutes)
                for s in piecewise_segments(seq, sys, wf)]
-        assert got == [(kind, m.tobytes(), dt, g) for kind, m, dt, g, _ in cut_then_fuse(seq, sys, wf)]
+        assert got == [(kind, m.tobytes(), dt, g, kind == "evolve" and drive is None)
+                       for kind, drive, m, dt, g, _ in cut_then_fuse(seq, sys, wf)]
 
-    @pytest.mark.parametrize("k", range(-14, 7))
+    @pytest.mark.parametrize("k", range(-300, 7))
     def test_commute_verdict_is_scale_free(self, spin_system, k):
-        h_int = internal_hamiltonian(spin_system)
-        rf = rf_hamiltonian(2 * math.pi * 8e3, 0.3)
-        assert _commutes_with_jz(10.0 ** k * h_int)
-        assert not _commutes_with_jz(10.0 ** k * (h_int + rf))
+        # the verdict follows the event kind, not a tolerance: a pulse of any
+        # nonzero amplitude stays apart as RF pieces under each gradient
+        # step, and the delays around it fuse, each into one segment
+        wf = GradientWaveform(step_time=20e-6, values=np.array([0.1, -0.05, 0.2, 0.03]))
+        seq = PulseSequence((Delay(30e-6), RfPulse(10.0 ** k, 0.3, 20e-6), Delay(30e-6)))
+        segments = piecewise_segments(seq, spin_system, wf)
+        assert [(s.commutes, s.grad) for s in segments] == [
+            (True, pytest.approx((0.1 * 20 - 0.05 * 10) / 30, rel=1e-12)), (False, -0.05), (False, 0.2),
+            (True, pytest.approx((0.2 * 10 + 0.03 * 20) / 30, rel=1e-12))]
+        assert [s.commutes for s in piecewise_segments(seq, spin_system)] == [True, False, True]
+
+    def test_feeble_pulse_propagator_matches_oracle(self, spin_system):
+        wf = GradientWaveform(step_time=20e-6, values=np.array([0.1, -0.05, 0.2, 0.03]))
+        seq = PulseSequence((Delay(30e-6), RfPulse(1e-200, 0.3, 20e-6), Delay(30e-6)))
+        zs = np.array([-0.004, 0.001, 0.005])
+        for z, u in zip(zs, ensemble_propagators(seq, spin_system, wf, zs)):
+            assert np.abs(u - expm_oracle(seq, spin_system, wf, z)).max() <= 1e-10
+
+    def test_zero_amplitude_pulse_fuses_with_delays(self, spin_system):
+        wf = GradientWaveform(step_time=20e-6, values=np.array([0.1, -0.05, 0.2, 0.03]))
+        seq = PulseSequence((Delay(30e-6), RfPulse(0.0, 0.3, 20e-6), Delay(30e-6)))
+        [seg] = piecewise_segments(seq, spin_system, wf)
+        assert seg.commutes
+        assert seg.h.tobytes() == internal_hamiltonian(spin_system).tobytes()
+        assert seg.duration == pytest.approx(80e-6, rel=1e-12)
+        assert seg.grad * seg.duration == pytest.approx((0.1 - 0.05 + 0.2 + 0.03) * 20e-6, rel=1e-12)
+
+    def test_long_piece_past_the_waveform_is_one_cut(self):
+        # past the last value the gradient is constant: a delay of 1e13 s
+        # is one cut, not 2e17 waveform steps (run apart, so that a walk
+        # that steps on fails by its timeout rather than hanging)
+        code = ("import numpy as np\n"
+                "from dfsim import SpinSystem\n"
+                "from dfsim.ensemble import GradientWaveform\n"
+                "from dfsim.pulses import Delay, PulseSequence, piecewise_segments\n"
+                "segs = piecewise_segments(PulseSequence((Delay(1e13),)), SpinSystem(),"
+                " GradientWaveform(50.6e-6, np.zeros(3)))\n"
+                "print(len(segs), repr(segs[0].duration))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "10000000000000.0"]
+
+    def test_pulse_after_the_waveform_is_one_segment(self, spin_system):
+        # the waveform ends at 151.8 us, within the delay: the pulse is one
+        # cut of its whole duration, not a sum of 50.6 us steps
+        wf = GradientWaveform(step_time=50.6e-6, values=np.array([0.1, -0.05, 0.2]))
+        seq = PulseSequence((Delay(200e-6), RfPulse(1e5, 0.0, 10.0)))
+        _, pulse = piecewise_segments(seq, spin_system, wf)
+        assert (pulse.commutes, pulse.grad, pulse.duration) == (False, 0.2, 10.0)
 
     @property_settings
     @given(spin_systems, st.integers(1, 5000).map(lambda k: k * 1e-6), waveforms)

@@ -123,6 +123,19 @@ class TestFitDecay:
         with pytest.raises(ValueError):
             fit_decay([0.0, 1.0], [1.0, 0.9])
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e30])
+    def test_fit_does_not_depend_on_time_scale(self, scale):
+        t = np.linspace(0, 2, 15)
+        y = 0.42 * np.exp(-t / 0.7) + 0.5
+        fit, scaled = fit_decay(t, y), fit_decay(t * scale, y)
+        assert scaled["flag"] == "ok"
+        assert scaled["tau"] == pytest.approx(fit["tau"] * scale, rel=1e-9)
+        assert scaled["a"] == pytest.approx(fit["a"], rel=1e-9)
+
+    def test_flat_curve_at_tiny_times_flags_no_decay(self):
+        fit = fit_decay([1e-300, 2e-300, 3e-300], [1.0, 1.0, 1.0])
+        assert (fit["flag"], fit["tau"]) == ("no_decay", math.inf)
+
 
 class TestCrusher:
     def test_table_values(self, spin_system):
@@ -380,13 +393,22 @@ class TestRunAndCli:
         ("noisy-gate", {"sweep": {"grad_max_khz_per_cm": [1e308]}, "ensemble": {"n_members": 3}},
          "sweep.grad_max_khz_per_cm"),
         ("crusher", {"label": "a\u0000b"}, "label"),
+        ("natural", {"spin_system": {"t1": 1e-309, "t2": 1e-309}, "sweep": {"times_s": [0.5]}},
+         "spin_system: relaxation time t1"),
+        ("natural", {"spin_system": {"t2": 1e-309}}, "spin_system: relaxation time t2"),
+        ("memory", {"ensemble": {"diffusion_d": 1e10}, "sweep": {"big_delta_s": 1e300, "gradients_t_per_m": [0.0]}},
+         "sweep.big_delta_s"),
+        ("memory", {"ensemble": {"diffusion_d": 1e10},
+                    "sweep": {"gradient_t_per_m": 0.0, "diffusion_times_s": [1e300, 2e300, 3e300]}},
+         "sweep.diffusion_times_s"),
     ], ids=["t1_nan", "n_members_fraction", "gradients_nan", "grad_max_nan", "grad_max_t_per_m",
             "unknown_gate", "small_delta_text", "gradient_text", "step_time_text", "step_time_tiny",
             "dt_s_unknown", "gates_empty", "gradients_empty",
             "grad_max_empty", "gates_string", "unknown_process", "gradients_overflow",
             "gradient_overflow", "ensemble_seed", "ensemble_grad_max", "gates_equal_shifts",
             "noisy_gate_nu1_above_nu2", "gamma_zero", "gamma_subnormal", "gamma_negative",
-            "grad_max_overflow", "label_nul"])
+            "grad_max_overflow", "label_nul", "t1_t2_rate_overflow", "t2_rate_overflow",
+            "big_delta_spread_overflow", "diffusion_times_spread_overflow"])
     def test_cli_bad_value_exit_code(self, tmp_path, capsys, experiment, config, field):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
@@ -445,6 +467,15 @@ class TestRunAndCli:
         assert code == 0
         assert len((tmp_path / "memory.csv").read_text().splitlines()) == 4
         assert json.loads((tmp_path / "memory_report.json").read_text())["fit"]["flag"] == "at_floor"
+
+    def test_cli_memory_curve_at_tiny_times(self, tmp_path, capfd):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"sweep": {"diffusion_times_s": [1e-200, 2e-200, 3e-200]}}))
+        code = cli.main(["memory", "--config", str(path), "--members", "8", "--seed", "1",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        assert capfd.readouterr().err == ""
+        assert json.loads((tmp_path / "memory_report.json").read_text())["fit"]["flag"] == "no_decay"
 
     def test_python_m_dfsim(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,14 @@ class TestSpinSystem:
             SpinSystem(t1=-1.0)
         with pytest.raises(ValueError):
             SpinSystem(t1=1.0, t2=2.5)  # t2 > 2 t1
+
+    @pytest.mark.parametrize("t1, t2", [(1e-309, 1e-309), (7.0, 1e-309), (0.0, 3.5), (math.nan, 3.5)])
+    def test_relaxation_rates_must_be_finite(self, t1, t2):
+        with pytest.raises(ValueError, match="relaxation time t[12] must be positive with a finite rate, got"):
+            SpinSystem(t1=t1, t2=t2)
+
+    def test_infinite_relaxation_time_switches_the_process_off(self):
+        assert SpinSystem(t1=math.inf, t2=math.inf).t2 == math.inf
 
 
 class TestInternalHamiltonian:
