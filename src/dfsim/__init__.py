@@ -14,7 +14,6 @@ from .ensemble import (
     EnsembleSpec,
     GradientWaveform,
     ensemble_propagators,
-    evolve_ensemble,
     gradient_diffusion_echo,
     member_positions,
     random_walk_waveform,

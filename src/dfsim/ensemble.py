@@ -2,10 +2,12 @@
 
 A sample is modeled as a stratified set of positions along z. A field
 gradient makes every position precess at its own rate, which is a purely
-coherent evolution per member; averaging over members turns it into the
-engineered decoherence the storage experiments use. Molecular diffusion
-between a gradient pulse and its inverse makes the echo imperfect, with the
-order-m coherence decaying as exp(-D (gamma grad m delta)^2 Delta).
+coherent evolution per member; averaging over members turns it into
+engineered decoherence. Molecular diffusion between a gradient pulse and
+its inverse makes the echo imperfect, with the order-m coherence decaying
+as exp(-D (gamma grad m delta)^2 Delta): the member mean of
+`gradient_diffusion_echo` tends to `channels.collective_dephasing`, the
+exact channel the storage experiments read.
 
 The time-varying case ("fast switching") uses a reflected bounded random
 walk for the gradient strength, changing every step_time, so the waveform's
@@ -366,17 +368,6 @@ def _check_output_state(rho: np.ndarray) -> None:
         raise NumericalContractError("ensemble state lost trace normalization")
     if np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < -1e-8:
         raise NumericalContractError("ensemble state positivity violated beyond 1e-8")
-
-
-def evolve_ensemble(seq: PulseSequence, waveform, spec: EnsembleSpec,
-                    sys: SpinSystem, rho0: np.ndarray) -> np.ndarray:
-    """Ensemble-averaged final state: mean over member positions of the
-    coherent evolution, i.e. the trace over the spatial degree of freedom."""
-    zs = member_positions(spec)
-    us = ensemble_propagators(seq, sys, waveform, zs)
-    rho = ensemble_channel(us).apply(rho0)
-    _check_output_state(rho)
-    return rho
 
 
 def diffusion_phase_kicks(grad: float, delta: float, big_delta: float,

@@ -6,7 +6,9 @@ Five experiments reproduce the storage and encoded-control studies:
                     un-encoded and encoded data spin (table of state
                     fidelities and F_e);
 * ``memory``     -- gradient-diffusion noise of swept strength between
-                    encode and decode (F_e curves, encoded vs un-encoded);
+                    encode and decode (F_e curves, encoded vs un-encoded,
+                    from the exact channel the diffusing sample averages
+                    to; the crusher is its infinite-strength row);
 * ``natural``    -- ambient T1/T2 relaxation over swept holding times
                     (coherence metric curves);
 * ``gates``      -- noiseless finite-duration encoded gates (gate F_e and
@@ -19,12 +21,12 @@ Five experiments reproduce the storage and encoded-control studies:
 
 Every experiment is a pure function of (spin system, ensemble spec, sweep,
 seed); `run` adds the CSV/JSON writing. Every reported fidelity and
-coherence is read off the data spin through `metrics.data_blocks`. Point k
-of a sweep uses the RNG seed base_seed XOR k, so sweeps are reproducible
-point by point. The engineered noise window is modeled with the
-deterministic internal evolution refocused exactly (the idealized limit of
-the refocusing pulse pair the hardware sequence uses), so storage
-fidelities isolate the noise itself.
+coherence is read off the data spin through `metrics.data_blocks`. Only
+``noisy_gate`` draws random numbers: its point k uses the RNG seed
+base_seed XOR k, so sweeps are reproducible point by point. The engineered
+noise window is modeled with the deterministic internal evolution
+refocused exactly (the idealized limit of the refocusing pulse pair the
+hardware sequence uses), so storage fidelities isolate the noise itself.
 """
 
 import copy
@@ -37,11 +39,11 @@ from typing import Callable
 import numpy as np
 
 from . import operators as ops
-from .channels import collective_dephasing, identity_channel, natural_relaxation_step
+from .channels import KrausChannel, collective_dephasing, identity_channel, natural_relaxation_step
 from .ensemble import (
     DEFAULT_STEP_TIME,
     EnsembleSpec,
-    diffusion_phase_kicks,
+    diffusion_phase_kicks,  # not called here; perfbench/tracer.py patches this name in this module
     ensemble_propagators,
     member_positions,
     random_walk_waveform,
@@ -84,8 +86,7 @@ EXPERIMENTS = {
                "big_delta_s": 36.275e-3,     # diffusion delay; 2*delta + Delta = 37.765 ms
                "gradient_t_per_m": 0.05},    # gradient of a diffusion_times_s sweep
         extra_keys=("diffusion_times_s",),
-        seeded=True,
-        runner=lambda c: memory_experiment(c.spin_system, c.ensemble, c.sweep, c.seed)),
+        runner=lambda c: memory_experiment(c.spin_system, c.ensemble, c.sweep)),
     "crusher": Experiment(
         header="process,f0,fplus,fplusi,fe",
         sweep={"processes": ["unencoded_crusher", "encoded_no_noise", "encoded_crusher"]},
@@ -232,6 +233,14 @@ CRUSHER_PROCESSES = {
 }
 
 
+def _held_report(ch: KrausChannel, encoded: bool, label: str, **metadata) -> FidelityReport:
+    """The data spin held through two-spin channel `ch`, un-encoded or
+    encoded: its three state fidelities and F_e against the identity."""
+    report = gate_fidelity_from_states(induced_data_channel(ch, encoded), np.eye(2, dtype=complex))
+    report.label, report.metadata = label, metadata
+    return report
+
+
 def crusher_experiment(sys: SpinSystem, sweep: dict):
     """Full-strength collective dephasing: the strong-noise table, one row
     per listed process.
@@ -244,23 +253,25 @@ def crusher_experiment(sys: SpinSystem, sweep: dict):
     rows, reports = [], []
     for label in processes:
         crushed, encoded = CRUSHER_PROCESSES[label]
-        data_ch = induced_data_channel(crusher if crushed else identity_channel(4), encoded=encoded)
-        report = gate_fidelity_from_states(data_ch, np.eye(2, dtype=complex))
-        report.label = label
+        report = _held_report(crusher if crushed else identity_channel(4), encoded, label)
         reports.append(report)
         rows.append({"process": label, "f0": report.f0, "fplus": report.fplus,
                      "fplusi": report.fplusi, "fe": report.fe})
     return rows, reports
 
 
-def memory_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed: int):
+def memory_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict):
     """Engineered-noise storage sweep.
 
-    Each point applies the imperfect gradient echo (phase kicks from the
-    diffusion displacements) between encode and decode; deterministic
+    Each point holds the data spin between encode and decode through the
+    imperfect gradient echo. Averaged over the sample's Gaussian diffusion
+    displacements, that echo is exactly collective_dephasing(s), s = D
+    (gamma g delta)^2 Delta being the reported noise_strength (the
+    narrow-pulse Stejskal-Tanner attenuation exp(-m^2 s) of order-m
+    coherences): the un-encoded F_e is 0.5 + 0.5 exp(-s), the encoded one 1,
+    and neither depends on a seed or on spec.n_members. Deterministic
     internal evolution is refocused exactly, so the encoded branch isolates
-    the response of the code space to the noise alone. noise_strength is the
-    analytic un-encoded decay exponent D (gamma g delta)^2 Delta.
+    the response of the code space to the noise alone.
     """
     delta = _sweep_number("small_delta_s", sweep["small_delta_s"], *_POSITIVE)
     big_delta = _sweep_number("big_delta_s", sweep["big_delta_s"], *_POSITIVE)
@@ -273,7 +284,6 @@ def memory_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed: in
         grad_key, delay_key = "gradients_t_per_m", "big_delta_s"
         points = [(g, big_delta) for g in _sweep_values(sweep, grad_key, *_NON_NEGATIVE)]
 
-    eye2 = np.eye(2, dtype=complex)
     rows, reports = [], []
     for idx, (grad, big_delta) in enumerate(points):
         phase = sys.gamma * grad * delta  # float products overflow to inf, ** raises
@@ -284,16 +294,12 @@ def memory_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed: in
         if not math.isfinite(2.0 * spec.diffusion_d * big_delta):
             raise ConfigError(f"sweep.{delay_key}: displacement spread sqrt(2 D Delta) is not finite "
                               f"at Delta = {big_delta!r} s, D = {spec.diffusion_d!r} m^2/s")
-        kicks = diffusion_phase_kicks(grad, delta, big_delta, spec, sys, seed=seed ^ idx)
-        fe_enc = float(member_gate_fidelities(kicks, eye2, encoded=True).mean())
-        fe_un = float(member_gate_fidelities(kicks, eye2, encoded=False).mean())
-        rows.append({"noise_strength": strength, "fe_encoded": fe_enc, "fe_unencoded": fe_un})
-        for branch, fe in (("encoded", fe_enc), ("unencoded", fe_un)):
-            reports.append(FidelityReport(
-                label=f"memory_{branch}", fe=fe, seed=seed ^ idx,
-                metadata={"noise_strength": strength, "grad_t_per_m": grad,
-                          "big_delta_s": big_delta, "point": idx},
-            ))
+        noise = collective_dephasing(strength)
+        meta = {"noise_strength": strength, "grad_t_per_m": grad, "big_delta_s": big_delta, "point": idx}
+        enc = _held_report(noise, True, "memory_encoded", **meta)
+        un = _held_report(noise, False, "memory_unencoded", **meta)
+        rows.append({"noise_strength": strength, "fe_encoded": enc.fe, "fe_unencoded": un.fe})
+        reports += [enc, un]
     fit = None
     if time_sweep and len(points) >= 3:
         fit = fit_decay([t for _, t in points], [r["fe_unencoded"] for r in rows])
@@ -379,6 +385,9 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
         raise ConfigError(f"spin_system.gamma: {sys.gamma!r} must be > 0 and turn sweep.grad_max_khz_per_cm "
                           f"up to {max(khz)!r} into finite gradients in T/m")
     grads = [khz_per_cm_to_t_per_m(x, sys.gamma) for x in khz]
+    if not math.isfinite(sys.gamma * max(grads) * spec.sample_length / 2):
+        raise ConfigError(f"ensemble.sample_length: {spec.sample_length!r} m gives a gradient phase rate "
+                          f"gamma g z that is not finite at the sample edge")
     step_time = _sweep_number("step_time_s", sweep["step_time_s"], *_POSITIVE)
 
     _, axis, angle = GATES["composite_y90"]

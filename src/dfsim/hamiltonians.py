@@ -37,6 +37,10 @@ class SpinSystem:
         for name in ("nu1", "nu2", "j_coupling", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not math.isfinite(math.pi * (abs(self.nu1) + abs(self.nu2) + abs(self.j_coupling))):
+            name = max(("nu1", "nu2", "j_coupling"), key=lambda n: abs(getattr(self, n)))
+            raise ValueError(f"{name} = {getattr(self, name)!r} Hz overflows the Hamiltonian: "
+                             f"pi (|nu1| + |nu2| + |j_coupling|) must be finite in rad/s")
         for name, t in (("t1", self.t1), ("t2", self.t2)):  # inf switches the process off
             if not (t > 0 and 1.0 / t < math.inf):  # 1/t overflows for subnormal t
                 raise ValueError(f"relaxation time {name} must be positive with a finite rate, got {t!r}")

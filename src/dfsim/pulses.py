@@ -41,10 +41,6 @@ from .errors import NumericalContractError
 from .hamiltonians import SpinSystem, internal_hamiltonian, logical_decompose, rf_hamiltonian
 from .metrics import member_gate_fidelities
 
-HARD = "hard"
-COMPOSITE_90X_180Y_90X = "composite_90x_180y_90x"
-PULSE_SHAPES = (HARD, COMPOSITE_90X_180Y_90X)
-
 #: named zero-duration rotations usable in sequences and text serialization
 ROTATIONS = {
     # hard pi pulse on both spins about x: exp(-i pi/2 (sx1+sx2)) = -sx1 sx2
@@ -68,7 +64,6 @@ class RfPulse:
     amplitude: float  # nutation power, rad/s
     phase: float      # rad
     duration: float   # s
-    shape: str = HARD
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.amplitude, self.phase, self.duration))):
@@ -77,8 +72,6 @@ class RfPulse:
             raise ValueError("pulse duration must be positive")
         if self.amplitude < 0:
             raise ValueError("pulse amplitude must be >= 0")
-        if self.shape not in PULSE_SHAPES:
-            raise ValueError(f"unknown pulse shape {self.shape!r}")
 
     @property
     def nutation_angle(self) -> float:
@@ -146,11 +139,11 @@ def piecewise_segments(seq: PulseSequence, sys: SpinSystem, waveform=None) -> li
 
     `waveform`, when given, must expose ``step_time`` (s) and ``values``
     (gradient strengths, T/m); its clock starts at the sequence start and the
-    last value is held beyond the end of the list. Every piece of an event
-    is cut at the waveform's step boundaries, so each cut carries a single
+    last value is held beyond the end of the list. Every delay and pulse is
+    cut at the waveform's step boundaries, so each cut carries a single
     gradient value; a boundary within 1e-12 s counts as reached, and a
     remainder of at most 1e-12 s past one stays in the step before it. From
-    the last value on, the rest of a piece is one cut.
+    the last value on, the rest of an event is one cut.
 
     Consecutive cuts of the same Hamiltonian this walk built merge as they
     are made: the internal one (delays, pulses of amplitude 0) commutes
@@ -174,32 +167,25 @@ def piecewise_segments(seq: PulseSequence, sys: SpinSystem, waveform=None) -> li
         if isinstance(ev, IdealRotation):
             runs.append([ev.unitary, None, 0.0, 0.0])
             continue
-        if isinstance(ev, Delay):
-            pieces = ((h_int, ev.duration),)
-        elif ev.shape == HARD:
-            pieces = ((pulse_h(ev.amplitude, ev.phase), ev.duration),)
-        else:  # 90x-180y-90x: nutation fractions 1/4, 1/2, 1/4 at relative phases 0, +90deg, 0
-            pieces = ((pulse_h(ev.amplitude, ev.phase + dphi), ev.duration * frac)
-                      for frac, dphi in ((0.25, 0.0), (0.5, math.pi / 2), (0.25, 0.0)))
-        for h, rem in pieces:
-            while rem:
-                step, g = rem, 0.0
-                if waveform is not None:
-                    g = values[k]
-                    if k < len(values) - 1:  # from the last value on, the gradient is held
-                        step = rem if rem - (tau - t_in) <= eps else tau - t_in
-                        t_in += step
-                        if t_in >= tau - eps:
-                            k, t_in = k + 1, 0.0
-                rem -= step
-                run = runs[-1] if runs else [None]
-                if run[0] is h and (h is h_int or run[3] == g):
-                    run[2] += g * step
-                    run[1] += step
-                    if h is h_int:
-                        run[3] = run[2] / run[1]
-                else:
-                    runs.append([h, step, g * step, g])
+        h, rem = (h_int if isinstance(ev, Delay) else pulse_h(ev.amplitude, ev.phase)), ev.duration
+        while rem:
+            step, g = rem, 0.0
+            if waveform is not None:
+                g = values[k]
+                if k < len(values) - 1:  # from the last value on, the gradient is held
+                    step = rem if rem - (tau - t_in) <= eps else tau - t_in
+                    t_in += step
+                    if t_in >= tau - eps:
+                        k, t_in = k + 1, 0.0
+            rem -= step
+            run = runs[-1] if runs else [None]
+            if run[0] is h and (h is h_int or run[3] == g):
+                run[2] += g * step
+                run[1] += step
+                if h is h_int:
+                    run[3] = run[2] / run[1]
+            else:
+                runs.append([h, step, g * step, g])
     return [Segment("rotate", u=h) if dt is None else Segment("evolve", dt, h, g, commutes=h is h_int)
             for h, dt, _, g in runs]
 
@@ -465,7 +451,7 @@ def sequence_to_text(seq: PulseSequence) -> str:
             out.write(
                 f"pulse amp_hz={amp_hz:.12g} "
                 f"phase_deg={math.degrees(ev.phase):.12g} "
-                f"us={ev.duration * 1e6:.12g} shape={ev.shape}\n"
+                f"us={ev.duration * 1e6:.12g}\n"
             )
         else:
             out.write(f"rotation name={ev.name}\n")
@@ -490,11 +476,12 @@ def sequence_from_text(text: str) -> PulseSequence:
             elif kind == "delay":
                 events.append(Delay(float(fields["us"]) * 1e-6))
             elif kind == "pulse":
+                if fields.get("shape", "hard") != "hard":  # older files name the shape; pulses are hard
+                    raise ValueError(f"unknown pulse shape {fields['shape']!r}")
                 events.append(RfPulse(
                     amplitude=float(fields["amp_hz"]) * 2 * math.pi,
                     phase=math.radians(float(fields["phase_deg"])),
                     duration=float(fields["us"]) * 1e-6,
-                    shape=fields.get("shape", HARD),
                 ))
             elif kind == "rotation":
                 events.append(IdealRotation(fields["name"]))

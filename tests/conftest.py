@@ -11,7 +11,7 @@ from dfsim import SpinSystem
 from dfsim import operators as ops
 from dfsim.ensemble import GradientWaveform
 from dfsim.hamiltonians import internal_hamiltonian, rf_hamiltonian
-from dfsim.pulses import HARD, PULSE_SHAPES, ROTATIONS, Delay, IdealRotation, PulseSequence, RfPulse
+from dfsim.pulses import ROTATIONS, Delay, IdealRotation, PulseSequence, RfPulse
 
 
 @pytest.fixture
@@ -72,22 +72,18 @@ def random_unitary(rng, dim=2):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def piece_drives(ev) -> list:
-    """(amplitude, phase, duration) of each piece of a delay or pulse, a
-    delay being a piece of amplitude 0."""
-    if isinstance(ev, Delay):
-        return [(0.0, 0.0, ev.duration)]
-    if ev.shape == HARD:
-        return [(ev.amplitude, ev.phase, ev.duration)]
-    # 90x-180y-90x: nutation quarters at relative phases 0, +90 deg, 0
-    return [(ev.amplitude, ev.phase + dphi, ev.duration * frac)
-            for frac, dphi in ((0.25, 0.0), (0.5, math.pi / 2), (0.25, 0.0))]
+def composite_90x_180y_90x(pulse: RfPulse) -> tuple:
+    """The 90x-180y-90x composite of `pulse`'s drive and total duration:
+    three hard pulses of nutation fractions 1/4, 1/2 and 1/4 at relative
+    phases 0, +90 deg and 0."""
+    return tuple(RfPulse(pulse.amplitude, pulse.phase + dphi, pulse.duration * frac)
+                 for frac, dphi in ((0.25, 0.0), (0.5, math.pi / 2), (0.25, 0.0)))
 
 
-def event_pieces(ev, sys: SpinSystem) -> list:
-    """(h, duration) pieces of a delay or pulse, the internal Hamiltonian on."""
+def event_hamiltonian(ev, sys: SpinSystem) -> np.ndarray:
+    """h of a delay or pulse, the internal Hamiltonian on."""
     h_int = internal_hamiltonian(sys)
-    return [(h_int + rf_hamiltonian(a, phase) if a else h_int, dt) for a, phase, dt in piece_drives(ev)]
+    return h_int + rf_hamiltonian(ev.amplitude, ev.phase) if isinstance(ev, RfPulse) and ev.amplitude else h_int
 
 
 def commutes_with_jz(h: np.ndarray) -> bool:
@@ -111,18 +107,18 @@ def expm_oracle(seq, sys: SpinSystem, waveform, z: float) -> np.ndarray:
         if isinstance(ev, IdealRotation):
             u = ev.unitary @ u
             continue
-        for h, dur in event_pieces(ev, sys):
-            cuts = [t, t + dur]
+        h, dur = event_hamiltonian(ev, sys), ev.duration
+        cuts = [t, t + dur]
+        if waveform is not None:
+            tau = waveform.step_time
+            inner = range(math.floor(t / tau) + 1, math.ceil((t + dur) / tau))
+            cuts = [t] + [k * tau for k in inner] + [t + dur]
+        for a, b in zip(cuts, cuts[1:]):
+            g = 0.0
             if waveform is not None:
-                tau = waveform.step_time
-                inner = range(math.floor(t / tau) + 1, math.ceil((t + dur) / tau))
-                cuts = [t] + [k * tau for k in inner] + [t + dur]
-            for a, b in zip(cuts, cuts[1:]):
-                g = 0.0
-                if waveform is not None:
-                    g = waveform.values[min(int((a + b) / 2 // waveform.step_time), len(waveform.values) - 1)]
-                u = scipy.linalg.expm(-1j * (h + sys.gamma * z * g * ops.J_Z / 2) * (b - a)) @ u
-            t += dur
+                g = waveform.values[min(int((a + b) / 2 // waveform.step_time), len(waveform.values) - 1)]
+            u = scipy.linalg.expm(-1j * (h + sys.gamma * z * g * ops.J_Z / 2) * (b - a)) @ u
+        t += dur
     return u
 
 
@@ -153,14 +149,16 @@ def segments_oracle_30_digits(segments, sys: SpinSystem, z: float) -> np.ndarray
 # times sit on a microsecond grid, so no piece ends within the 1e-12 s clock
 # tolerance of piecewise_segments past a step boundary, where its remainder
 # would keep the step before's gradient rather than expm_oracle's next one.
+# An element of a sequence is one event or a composite pulse's three.
 durations = st.integers(1, 300).map(lambda k: k * 1e-6)
+pulses = st.builds(RfPulse, amplitude=st.floats(0.0, 1e5), phase=st.floats(-math.pi, math.pi),
+                   duration=durations)
 events = st.one_of(
-    durations.map(Delay),
-    st.builds(RfPulse, amplitude=st.floats(0.0, 1e5), phase=st.floats(-math.pi, math.pi),
-              duration=durations, shape=st.sampled_from(PULSE_SHAPES)),
-    st.sampled_from(sorted(ROTATIONS)).map(IdealRotation),
+    durations.map(lambda d: (Delay(d),)),
+    pulses.map(lambda ev: (ev,)) | pulses.map(composite_90x_180y_90x),
+    st.sampled_from(sorted(ROTATIONS)).map(lambda name: (IdealRotation(name),)),
 )
-sequences = st.lists(events, min_size=1, max_size=8).map(PulseSequence)
+sequences = st.lists(events, min_size=1, max_size=8).map(lambda groups: PulseSequence(sum(groups, ())))
 waveforms = st.builds(
     GradientWaveform,
     step_time=st.integers(5, 100).map(lambda k: k * 1e-6),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dfsim import ensemble
 from dfsim import operators as ops
+from dfsim.channels import collective_dephasing, ensemble_channel
 from dfsim.ensemble import (
     BLOCK,
     DEFAULT_STEP_TIME,
@@ -21,7 +22,6 @@ from dfsim.ensemble import (
     _expm_members,
     _half_widths,
     ensemble_propagators,
-    evolve_ensemble,
     gradient_diffusion_echo,
     member_positions,
     random_walk_waveform,
@@ -29,7 +29,6 @@ from dfsim.ensemble import (
 from dfsim.errors import NumericalContractError
 from dfsim.hamiltonians import SpinSystem, internal_hamiltonian, rf_hamiltonian
 from dfsim.pulses import (
-    COMPOSITE_90X_180Y_90X,
     ROTATIONS,
     Delay,
     IdealRotation,
@@ -45,9 +44,9 @@ from dfsim.units import khz_per_cm_to_t_per_m
 
 from conftest import (
     commutes_with_jz,
+    composite_90x_180y_90x,
     expm_oracle,
     hermitians,
-    piece_drives,
     positions,
     property_settings,
     random_ket,
@@ -123,6 +122,12 @@ class TestMemberPositions:
         assert np.allclose(z, [-0.00375, -0.00125, 0.00125, 0.00375])
 
 
+def evolve_ensemble(seq, waveform, spec, sys, rho0):
+    """Ensemble-averaged final state: the member mean of the coherent
+    evolution, as the channel of the member propagators."""
+    return ensemble_channel(ensemble_propagators(seq, sys, waveform, member_positions(spec))).apply(rho0)
+
+
 class TestEvolveEnsemble:
     def test_zero_waveform_equals_single_molecule(self, spin_system, rng):
         spec = EnsembleSpec(n_members=8)
@@ -175,14 +180,13 @@ class TestEvolveEnsemble:
         assert np.abs(a - b).max() <= 1e-12
 
     def test_batched_matches_scalar_propagator(self, spin_system):
-        # pulse segments with gradient active, hard and composite shapes: the
-        # batch and the scalar propagator both match the scipy oracle
+        # pulse segments with gradient active, a hard pulse and a composite
+        # one: the batch and the scalar propagator both match the scipy oracle
         seq = PulseSequence((
             Delay(4e-4),
             RfPulse(5e4, 0.3, 62.4e-6),
             Delay(2e-4),
-            RfPulse(5e4, 1.1, 124.8e-6, shape="composite_90x_180y_90x"),
-        ))
+        ) + composite_90x_180y_90x(RfPulse(5e4, 1.1, 124.8e-6)))
         wf = random_walk_waveform(0.4, 50, seed=6)
         zs = np.array([-0.003, 0.0041])
         us = ensemble_propagators(seq, spin_system, wf, zs)
@@ -217,8 +221,7 @@ class TestEngineOracle:
         # marked commuting: really commutes; every piece of a pulse of
         # nonzero amplitude, however weak, is marked non-commuting
         assert all(commutes_with_jz(s.h) for s in evolve if s.commutes)
-        rf_time = sum(dt for ev in seq.events if isinstance(ev, RfPulse) and ev.amplitude
-                      for _, _, dt in piece_drives(ev))
+        rf_time = sum(ev.duration for ev in seq.events if isinstance(ev, RfPulse) and ev.amplitude)
         assert sum(s.duration for s in evolve if not s.commutes) == pytest.approx(rf_time, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("z", [0.002, np.array([-0.001, 0.0, 0.003])])
@@ -231,8 +234,7 @@ class TestEngineOracle:
 
 # nothing but RF pieces under a gradient: two pulses, cut by a waveform
 # whose values are all nonzero
-RF_SEQUENCE = PulseSequence((RfPulse(5e4, 0.3, 62.4e-6),
-                             RfPulse(5e4, 1.1, 124.8e-6, shape=COMPOSITE_90X_180Y_90X)))
+RF_SEQUENCE = PulseSequence((RfPulse(5e4, 0.3, 62.4e-6),) + composite_90x_180y_90x(RfPulse(5e4, 1.1, 124.8e-6)))
 RF_WAVEFORM = GradientWaveform(step_time=50.6e-6, values=np.array([0.2, -0.1, 0.15, -0.2, 0.05, 0.1]))
 
 
@@ -459,9 +461,9 @@ def runs_between_rotations(items, is_rotation) -> list:
 
 def cut_then_fuse(seq, sys, wf) -> list:
     """Reference for piecewise_segments in two passes, as [kind, drive,
-    h or u, duration, grad, sum of g dt]: every event piece cut at each step
-    of the same waveform clock up to its last value, past which the rest of
-    a piece is one cut; then each run of cuts of one drive (amplitude,
+    h or u, duration, grad, sum of g dt]: every delay and pulse cut at each
+    step of the same waveform clock up to its last value, past which the
+    rest of an event is one cut; then each run of cuts of one drive (amplitude,
     phase), or of the internal Hamiltonian (drive None: a delay or a pulse
     of amplitude 0), merged, at the mean gradient for the internal
     Hamiltonian and otherwise while the gradient value stays the same."""
@@ -472,16 +474,16 @@ def cut_then_fuse(seq, sys, wf) -> list:
         if isinstance(ev, IdealRotation):
             cuts.append(("rotate", None, ev.unitary, 0.0, 0.0))
             continue
-        for a, phase, rem in piece_drives(ev):
-            drive = (a, phase) if a else None
-            h = built.setdefault(drive, h_int + rf_hamiltonian(a, phase))
-            while rem:
-                step = min(rem, wf.step_time - t_in) if k < last else rem
-                step = rem if rem - step <= 1e-12 else step
-                cuts.append(("evolve", drive, h, step, float(wf.values[min(k, last)])))
-                rem, t_in = rem - step, t_in + step
-                if t_in >= wf.step_time - 1e-12:
-                    k, t_in = k + 1, 0.0
+        drive = (ev.amplitude, ev.phase) if isinstance(ev, RfPulse) and ev.amplitude else None
+        h = built.setdefault(drive, h_int + rf_hamiltonian(*drive) if drive else h_int)
+        rem = ev.duration
+        while rem:
+            step = min(rem, wf.step_time - t_in) if k < last else rem
+            step = rem if rem - step <= 1e-12 else step
+            cuts.append(("evolve", drive, h, step, float(wf.values[min(k, last)])))
+            rem, t_in = rem - step, t_in + step
+            if t_in >= wf.step_time - 1e-12:
+                k, t_in = k + 1, 0.0
     fused = []
     for kind, drive, m, dt, g in cuts:
         prev = fused[-1] if fused else None
@@ -599,10 +601,11 @@ class TestGradientDiffusionEcho:
         u = ops.expm_hermitian(internal_hamiltonian(spin_system), 2 * 745e-6 + 36e-3)
         assert np.abs(out - u @ rho0 @ u.conj().T).max() <= 1e-12
 
-    @pytest.mark.parametrize("n_members", [100, 1000])
+    @pytest.mark.parametrize("n_members", [100, 1000, 10000])
     def test_decay_matches_gaussian_average(self, spin_system, n_members):
         # oracle: <exp(i m phi)> over Gaussian displacements
-        # = exp(-D (gamma g m delta)^2 Delta)
+        # = exp(-D (gamma g m delta)^2 Delta), so the member mean tends to
+        # the exact channel the memory experiment reads
         grad, delta, big_delta = 0.05, 745e-6, 36.275e-3
         spec = EnsembleSpec(n_members=n_members, diffusion_d=2e-9)
         ket = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
@@ -616,6 +619,7 @@ class TestGradientDiffusionEcho:
         d2 = undone[0, 3] / rho0[0, 3]
         assert abs(d1 - math.exp(-rate)) <= tol
         assert abs(d2 - math.exp(-4 * rate)) <= tol
+        assert np.abs(out - collective_dephasing(rate).apply(u @ rho0 @ u.conj().T)).max() <= tol
 
     def test_zero_quantum_untouched(self, spin_system, rng):
         spec = EnsembleSpec(n_members=200, diffusion_d=5e-9)
@@ -635,7 +639,6 @@ class TestGradientDiffusionEcho:
         # the incoherent phase-kick ensemble is an implementation of the
         # analytic three-operator channel: same superoperator up to the
         # Monte-Carlo residual
-        from dfsim.channels import collective_dephasing, ensemble_channel
         from dfsim.ensemble import diffusion_phase_kicks
         grad, delta, big_delta = 0.05, 745e-6, 36.275e-3
         spec = EnsembleSpec(n_members=20000, diffusion_d=2e-9)

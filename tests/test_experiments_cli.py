@@ -51,10 +51,9 @@ class TestConfig:
 
     def test_seed_required_for_ensemble_experiments(self):
         with pytest.raises(ConfigError, match="seed"):
-            config_from_dict({"experiment": "memory"})
-        with pytest.raises(ConfigError, match="seed"):
             config_from_dict({"experiment": "noisy_gate"})
-        config_from_dict({"experiment": "memory", "seed": 1})  # fine
+        config_from_dict({"experiment": "noisy_gate", "seed": 1})  # fine
+        config_from_dict({"experiment": "memory"})  # draws nothing
 
     @pytest.mark.parametrize("seed", [-1, 1.7, True, "7", math.inf, math.nan])
     def test_seed_must_be_a_non_negative_integer(self, seed):
@@ -162,26 +161,42 @@ class TestCrusher:
 class TestMemory:
     def test_encoded_branch_is_flat_at_one(self, spin_system):
         spec = EnsembleSpec(n_members=101)
-        rows, _, _ = memory_experiment(spin_system, spec, EXPERIMENTS["memory"].sweep, seed=3)
+        rows, _, _ = memory_experiment(spin_system, spec, EXPERIMENTS["memory"].sweep)
         assert all(abs(r["fe_encoded"] - 1.0) <= 1e-9 for r in rows)
 
-    def test_unencoded_branch_tracks_gaussian_average(self, spin_system):
-        spec = EnsembleSpec(n_members=400)
-        rows, _, _ = memory_experiment(spin_system, spec, EXPERIMENTS["memory"].sweep, seed=3)
+    def test_unencoded_branch_is_stejskal_tanner_decay(self, spin_system):
+        # the sample average is exact: F_e = 0.5 + 0.5 exp(-s) for the
+        # un-encoded spin and 1 for the encoded one, to round-off; the
+        # default sweep, extended out to s = 26
+        sweep = dict(EXPERIMENTS["memory"].sweep)
+        sweep["gradients_t_per_m"] = sweep["gradients_t_per_m"] + [1.0, 3.0]
+        rows, reports, _ = memory_experiment(spin_system, EnsembleSpec(), sweep)
         for r in rows:
-            expected = 0.5 + 0.5 * math.exp(-r["noise_strength"])
-            assert abs(r["fe_unencoded"] - expected) <= 3.0 / math.sqrt(400)
+            assert abs(r["fe_unencoded"] - (0.5 + 0.5 * math.exp(-r["noise_strength"]))) <= 1e-15
+            assert abs(r["fe_encoded"] - 1.0) <= 1e-15
+        assert all(None not in (rep.f0, rep.fplus, rep.fplusi) and rep.seed is None for rep in reports)
 
     def test_time_sweep_recovers_diffusion_rate(self, spin_system):
-        # fitted tau must match 1/(D (gamma g delta)^2) within 5 percent
-        spec = EnsembleSpec(n_members=4000, diffusion_d=2e-9)
+        # the fit of the exact curve recovers A = 0.5 and tau = 1/(D (gamma g delta)^2)
+        spec = EnsembleSpec(diffusion_d=2e-9)
         grad, delta = 0.05, 745e-6
         rate = spec.diffusion_d * (spin_system.gamma * grad * delta) ** 2
         sweep = {**EXPERIMENTS["memory"].sweep, "gradient_t_per_m": grad,
                  "diffusion_times_s": list(np.linspace(0.1, 2.5, 9) / rate / 10)}
-        rows, _, fit = memory_experiment(spin_system, spec, sweep, seed=12)
+        rows, _, fit = memory_experiment(spin_system, spec, sweep)
         assert fit is not None and fit["flag"] == "ok"
-        assert fit["tau"] == pytest.approx(1.0 / rate, rel=0.05)
+        assert abs(fit["a"] - 0.5) <= 1e-12
+        assert fit["tau"] == pytest.approx(1.0 / rate, rel=1e-12, abs=0)
+
+    def test_cli_output_depends_on_neither_seed_nor_members(self, tmp_path):
+        config = Path(__file__).resolve().parents[1] / "configs" / "memory.json"
+        outputs = []
+        for k, flags in enumerate((["--seed", "42"], ["--seed", "7", "--members", "3"], [])):
+            out = tmp_path / str(k)
+            assert cli.main(["memory", "--config", str(config), "--out", str(out)] + flags) == 0
+            blob = json.loads((out / "memory_report.json").read_text())
+            outputs.append(((out / "memory.csv").read_bytes(), blob["reports"]))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 class TestNatural:
@@ -346,7 +361,7 @@ class TestRunAndCli:
         assert blob["seed"] == 5
 
     def test_cli_config_error_exit_code(self, tmp_path, capsys):
-        assert cli.main(["memory", "--out", str(tmp_path)]) == 2  # missing seed
+        assert cli.main(["noisy-gate", "--out", str(tmp_path)]) == 2  # missing seed
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert cli.main(["crusher", "--config", str(bad)]) == 2
@@ -401,6 +416,10 @@ class TestRunAndCli:
         ("memory", {"ensemble": {"diffusion_d": 1e10},
                     "sweep": {"gradient_t_per_m": 0.0, "diffusion_times_s": [1e300, 2e300, 3e300]}},
          "sweep.diffusion_times_s"),
+        ("noisy-gate", {"ensemble": {"sample_length": 1e308, "n_members": 3},
+                        "sweep": {"grad_max_khz_per_cm": [1.0]}}, "ensemble.sample_length"),
+        ("gates", {"spin_system": {"nu2": 1e308}}, "spin_system: nu2 = 1e+308 Hz overflows"),
+        ("gates", {"spin_system": {"nu1": -5e307, "nu2": 5.5e307}}, "spin_system: nu2 = 5.5e+307 Hz overflows"),
     ], ids=["t1_nan", "n_members_fraction", "gradients_nan", "grad_max_nan", "grad_max_t_per_m",
             "unknown_gate", "small_delta_text", "gradient_text", "step_time_text", "step_time_tiny",
             "dt_s_unknown", "gates_empty", "gradients_empty",
@@ -408,7 +427,8 @@ class TestRunAndCli:
             "gradient_overflow", "ensemble_seed", "ensemble_grad_max", "gates_equal_shifts",
             "noisy_gate_nu1_above_nu2", "gamma_zero", "gamma_subnormal", "gamma_negative",
             "grad_max_overflow", "label_nul", "t1_t2_rate_overflow", "t2_rate_overflow",
-            "big_delta_spread_overflow", "diffusion_times_spread_overflow"])
+            "big_delta_spread_overflow", "diffusion_times_spread_overflow", "sample_length_overflow",
+            "nu2_overflow", "shift_sum_overflow"])
     def test_cli_bad_value_exit_code(self, tmp_path, capsys, experiment, config, field):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
@@ -416,6 +436,7 @@ class TestRunAndCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error") and field in err
+        assert "RuntimeWarning" not in err
 
     def test_cli_nul_in_out_dir_exit_code(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -465,8 +486,10 @@ class TestRunAndCli:
         code = cli.main(["memory", "--config", str(path), "--members", "8", "--seed", "1",
                          "--out", str(tmp_path)])
         assert code == 0
-        assert len((tmp_path / "memory.csv").read_text().splitlines()) == 4
-        assert json.loads((tmp_path / "memory_report.json").read_text())["fit"]["flag"] == "at_floor"
+        rows = (tmp_path / "memory.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3 and all(abs(float(row.split(",")[2]) - 0.5) <= 1e-15 for row in rows)
+        # every sample on the floor: no decay the fit can resolve
+        assert json.loads((tmp_path / "memory_report.json").read_text())["fit"]["flag"] == "no_decay"
 
     def test_cli_memory_curve_at_tiny_times(self, tmp_path, capfd):
         path = tmp_path / "c.json"
