@@ -424,21 +424,23 @@ def fit_decay(times, values) -> dict:
 
     Uses a log-linear fit of the offset-subtracted curve, in units of the
     longest sample time so that no time scale underflows; a curve with no
-    resolvable decay (offset below 1e-3, or no falling slope) gets the
-    'no_decay' flag, and one with fewer than three points above the floor,
-    decayed faster than the sampling resolves, A = 0, tau = 0 and the
-    'at_floor' flag. Needs at least three points.
+    resolvable decay (offset below 1e-3 from t = 0 on, or no falling slope)
+    gets the 'no_decay' flag, and one with fewer than three points above the
+    floor, or within 1e-3 of it at every sample and none at t = 0, decayed
+    faster than the sampling resolves: A = 0, tau = 0 and the 'at_floor'
+    flag. Needs at least three points.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.size != values.size or times.size < 3:
         raise ValueError("need at least 3 (t, value) points")
     shifted = values - 0.5
-    if np.ptp(shifted) < 1e-3 and np.abs(shifted).max() < 1e-3:
+    on_floor = np.ptp(shifted) < 1e-3 and np.abs(shifted).max() < 1e-3
+    if on_floor and times.min() <= 0:
         return {"a": 0.0, "tau": math.inf, "residual_rms": float(np.std(shifted)),
                 "flag": "no_decay"}
     usable = shifted > 1e-12
-    if usable.sum() < 3:
+    if on_floor or usable.sum() < 3:
         return {"a": 0.0, "tau": 0.0, "residual_rms": float(np.sqrt(np.mean(shifted ** 2))),
                 "flag": "at_floor"}
     unit = np.abs(times).max() or 1.0

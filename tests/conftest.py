@@ -151,14 +151,22 @@ def segments_oracle_30_digits(segments, sys: SpinSystem, z: float) -> np.ndarray
 # would keep the step before's gradient rather than expm_oracle's next one.
 # An element of a sequence is one event or a composite pulse's three.
 durations = st.integers(1, 300).map(lambda k: k * 1e-6)
-pulses = st.builds(RfPulse, amplitude=st.floats(0.0, 1e5), phase=st.floats(-math.pi, math.pi),
-                   duration=durations)
-events = st.one_of(
-    durations.map(lambda d: (Delay(d),)),
-    pulses.map(lambda ev: (ev,)) | pulses.map(composite_90x_180y_90x),
-    st.sampled_from(sorted(ROTATIONS)).map(lambda name: (IdealRotation(name),)),
-)
-sequences = st.lists(events, min_size=1, max_size=8).map(lambda groups: PulseSequence(sum(groups, ())))
+
+
+def sequences_of(amplitudes):
+    """Sequences whose pulses draw their amplitude (rad/s) from `amplitudes`."""
+    pulses = st.builds(RfPulse, amplitude=amplitudes, phase=st.floats(-math.pi, math.pi), duration=durations)
+    events = st.one_of(
+        durations.map(lambda d: (Delay(d),)),
+        pulses.map(lambda ev: (ev,)) | pulses.map(composite_90x_180y_90x),
+        st.sampled_from(sorted(ROTATIONS)).map(lambda name: (IdealRotation(name),)),
+    )
+    return st.lists(events, min_size=1, max_size=8).map(lambda groups: PulseSequence(sum(groups, ())))
+
+
+sequences = sequences_of(st.floats(0.0, 1e5))
+# the text form holds amplitudes in Hz, which must be 0 or a normal float
+text_sequences = sequences_of(st.just(0.0) | st.floats(1e-300, 1e5))
 waveforms = st.builds(
     GradientWaveform,
     step_time=st.integers(5, 100).map(lambda k: k * 1e-6),

@@ -118,6 +118,12 @@ class TestFitDecay:
         assert fit == {"a": 0.0, "tau": 0.0, "residual_rms": pytest.approx(rms), "flag": "at_floor"}
         assert fit.keys() == fit_decay([0.0, 1.0, 2.0], [0.5, 0.5, 0.5]).keys()
 
+    @pytest.mark.parametrize("times", [[1.0, 2.0, 3.0], [1e30, 2e30, 3e30]])
+    def test_curve_on_the_floor_after_t0_flags_at_floor(self, times):
+        # with no sample at t = 0, a curve on the floor decayed before the first one
+        fit = fit_decay(times, [0.5, 0.5 + 1e-16, 0.5])
+        assert (fit["flag"], fit["a"], fit["tau"]) == ("at_floor", 0.0, 0.0)
+
     def test_degenerate_input(self):
         with pytest.raises(ValueError):
             fit_decay([0.0, 1.0], [1.0, 0.9])
@@ -488,8 +494,9 @@ class TestRunAndCli:
         assert code == 0
         rows = (tmp_path / "memory.csv").read_text().splitlines()[1:]
         assert len(rows) == 3 and all(abs(float(row.split(",")[2]) - 0.5) <= 1e-15 for row in rows)
-        # every sample on the floor: no decay the fit can resolve
-        assert json.loads((tmp_path / "memory_report.json").read_text())["fit"]["flag"] == "no_decay"
+        # every sample on the floor: the curve decayed before the first one
+        fit = json.loads((tmp_path / "memory_report.json").read_text())["fit"]
+        assert (fit["flag"], fit["a"], fit["tau"]) == ("at_floor", 0.0, 0.0)
 
     def test_cli_memory_curve_at_tiny_times(self, tmp_path, capfd):
         path = tmp_path / "c.json"
