@@ -19,7 +19,7 @@ from .ensemble import (
     random_walk_waveform,
 )
 from .errors import ConfigError, DfsimError, NumericalContractError
-from .experiments import ExperimentConfig, config_from_dict, fit_decay, run
+from .experiments import ExperimentConfig, config_from_dict, run
 from .hamiltonians import (
     SpinSystem,
     gradient_hamiltonian,

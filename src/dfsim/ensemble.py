@@ -44,6 +44,7 @@ from .channels import ensemble_channel
 from .errors import NumericalContractError
 from .hamiltonians import SpinSystem, internal_hamiltonian
 from .pulses import PulseSequence, piecewise_segments
+from .units import is_real
 
 DEFAULT_STEP_TIME = 50.6e-6
 
@@ -57,13 +58,14 @@ class EnsembleSpec:
     diffusion_d: float = 2.0e-9   # m^2/s
 
     def __post_init__(self):
-        if not isinstance(self.n_members, (int, np.integer)):
+        if isinstance(self.n_members, bool) or not isinstance(self.n_members, (int, np.integer)):
             raise ValueError(f"n_members must be an integer, got {self.n_members!r}")
         if self.n_members < 2:
-            raise ValueError("need at least 2 ensemble members")
+            raise ValueError(f"n_members must be at least 2, got {self.n_members!r}")
         for name in ("sample_length", "diffusion_d"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (is_real(value) and 0 <= value < math.inf):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,12 +83,6 @@ class GradientWaveform:
             raise ValueError("values must be a non-empty 1-d array")
         if not np.isfinite(self.values).all():
             raise ValueError("values must be finite")
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("time_us,grad_T_per_m\n")
-            for i, v in enumerate(self.values):
-                fh.write(f"{i * self.step_time * 1e6:.12g},{v:.12g}\n")
 
 
 def _reflect(x: np.ndarray, bound: float) -> np.ndarray:

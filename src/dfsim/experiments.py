@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from . import operators as ops
-from .channels import KrausChannel, collective_dephasing, identity_channel, natural_relaxation_step
+from .channels import KrausChannel, collective_dephasing, natural_relaxation_step
 from .ensemble import (
     DEFAULT_STEP_TIME,
     EnsembleSpec,
@@ -60,7 +60,7 @@ from .metrics import (
     member_gate_fidelities,
 )
 from .pulses import Delay, PulseSequence, composite_y90, dfs_residence_fraction, enc_x, enc_z, propagator
-from .units import khz_per_cm_to_t_per_m
+from .units import is_real, khz_per_cm_to_t_per_m
 
 
 @dataclass(frozen=True)
@@ -192,11 +192,9 @@ _NON_NEGATIVE = (lambda x: x >= 0, " >= 0")
 
 def _sweep_number(key: str, raw, ok=lambda x: True, need: str = "") -> float:
     """`raw`, the value of sweep field `key`, as a float; ConfigError naming
-    the field unless it is finite and `ok` holds (`need` says what it asks)."""
-    try:
-        x = float(raw)
-    except (TypeError, ValueError, OverflowError):
-        x = math.nan
+    the field unless it is a finite number (`units.is_real`) and `ok` holds
+    (`need` says what it asks)."""
+    x = float(raw) if is_real(raw) else math.nan
     if not (math.isfinite(x) and ok(x)):
         raise ConfigError(f"sweep.{key}: must be a finite number{need}, got {raw!r}")
     return x
@@ -225,11 +223,11 @@ def _rot(axis: str, theta: float) -> np.ndarray:
 # experiments
 # ---------------------------------------------------------------------------
 
-# crusher process -> (crusher applied, encoded)
+# crusher process -> (collective dephasing strength, encoded)
 CRUSHER_PROCESSES = {
-    "unencoded_crusher": (True, False),
-    "encoded_no_noise": (False, True),
-    "encoded_crusher": (True, True),
+    "unencoded_crusher": (math.inf, False),
+    "encoded_no_noise": (0.0, True),
+    "encoded_crusher": (math.inf, True),
 }
 
 
@@ -243,17 +241,17 @@ def _held_report(ch: KrausChannel, encoded: bool, label: str, **metadata) -> Fid
 
 def crusher_experiment(sys: SpinSystem, sweep: dict):
     """Full-strength collective dephasing: the strong-noise table, one row
-    per listed process.
+    per listed process, each read through collective_dephasing(s) at s = inf
+    or, for the noiseless reference, s = 0.
 
     The un-encoded data spin is fully phase damped (F_e = 0.5); the encoded
     path is untouched by arbitrarily strong collective noise.
     """
     processes = _sweep_values(sweep, "processes", known=CRUSHER_PROCESSES)
-    crusher = collective_dephasing(math.inf)
     rows, reports = [], []
     for label in processes:
-        crushed, encoded = CRUSHER_PROCESSES[label]
-        report = _held_report(crusher if crushed else identity_channel(4), encoded, label)
+        strength, encoded = CRUSHER_PROCESSES[label]
+        report = _held_report(collective_dephasing(strength), encoded, label)
         reports.append(report)
         rows.append({"process": label, "f0": report.f0, "fplus": report.fplus,
                      "fplusi": report.fplusi, "fe": report.fe})
@@ -272,6 +270,11 @@ def memory_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict):
     and neither depends on a seed or on spec.n_members. Deterministic
     internal evolution is refocused exactly, so the encoded branch isolates
     the response of the code space to the noise alone.
+
+    A diffusion_times_s sweep also returns its decay in closed form, A = 0.5
+    and tau = 1 / (D (gamma g delta)^2) (inf at rate 0, flag 'no_decay',
+    else 'ok'); residual_rms is the rms distance of the fe_unencoded column
+    from 0.5 + 0.5 exp(-t/tau). A gradient sweep returns no fit.
     """
     delta = _sweep_number("small_delta_s", sweep["small_delta_s"], *_POSITIVE)
     big_delta = _sweep_number("big_delta_s", sweep["big_delta_s"], *_POSITIVE)
@@ -287,23 +290,29 @@ def memory_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict):
     rows, reports = [], []
     for idx, (grad, big_delta) in enumerate(points):
         phase = sys.gamma * grad * delta  # float products overflow to inf, ** raises
-        strength = spec.diffusion_d * (phase * phase) * big_delta
+        rate = spec.diffusion_d * (phase * phase)
+        strength = rate * big_delta
         if not math.isfinite(strength):
             raise ConfigError(f"sweep.{grad_key}: noise strength D (gamma g delta)^2 Delta is not finite "
-                              f"at {grad!r} T/m")
+                              f"at g = {grad!r} T/m, with ensemble.diffusion_d = {spec.diffusion_d!r}, "
+                              f"spin_system.gamma = {sys.gamma!r}, sweep.small_delta_s = {delta!r} "
+                              f"and sweep.{delay_key} = {big_delta!r}")
         if not math.isfinite(2.0 * spec.diffusion_d * big_delta):
             raise ConfigError(f"sweep.{delay_key}: displacement spread sqrt(2 D Delta) is not finite "
-                              f"at Delta = {big_delta!r} s, D = {spec.diffusion_d!r} m^2/s")
+                              f"at Delta = {big_delta!r} s, ensemble.diffusion_d = {spec.diffusion_d!r} m^2/s")
         noise = collective_dephasing(strength)
         meta = {"noise_strength": strength, "grad_t_per_m": grad, "big_delta_s": big_delta, "point": idx}
         enc = _held_report(noise, True, "memory_encoded", **meta)
         un = _held_report(noise, False, "memory_unencoded", **meta)
         rows.append({"noise_strength": strength, "fe_encoded": enc.fe, "fe_unencoded": un.fe})
         reports += [enc, un]
-    fit = None
-    if time_sweep and len(points) >= 3:
-        fit = fit_decay([t for _, t in points], [r["fe_unencoded"] for r in rows])
-    return rows, reports, fit
+    if not time_sweep:
+        return rows, reports, None
+    tau = 1.0 / rate if rate else math.inf  # a time sweep's points share one gradient, so one rate
+    residuals = [r["fe_unencoded"] - (0.5 + 0.5 * math.exp(-t / tau)) for (_, t), r in zip(points, rows)]
+    return rows, reports, {"a": 0.5, "tau": tau,
+                           "residual_rms": math.sqrt(sum(x * x for x in residuals) / len(residuals)),
+                           "flag": "ok" if math.isfinite(tau) else "no_decay"}
 
 
 def natural_experiment(sys: SpinSystem, sweep: dict):
@@ -417,41 +426,6 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
                                       metadata={"grad_max_t_per_m": grad, "fe_stderr": stderr,
                                                 "fe_memory": fe_mem, "point": idx}))
     return rows, reports
-
-
-def fit_decay(times, values) -> dict:
-    """Least-squares fit of a storage curve to A exp(-t/tau) + 0.5.
-
-    Uses a log-linear fit of the offset-subtracted curve, in units of the
-    longest sample time so that no time scale underflows; a curve with no
-    resolvable decay (offset below 1e-3 from t = 0 on, or no falling slope)
-    gets the 'no_decay' flag, and one with fewer than three points above the
-    floor, or within 1e-3 of it at every sample and none at t = 0, decayed
-    faster than the sampling resolves: A = 0, tau = 0 and the 'at_floor'
-    flag. Needs at least three points.
-    """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.size != values.size or times.size < 3:
-        raise ValueError("need at least 3 (t, value) points")
-    shifted = values - 0.5
-    on_floor = np.ptp(shifted) < 1e-3 and np.abs(shifted).max() < 1e-3
-    if on_floor and times.min() <= 0:
-        return {"a": 0.0, "tau": math.inf, "residual_rms": float(np.std(shifted)),
-                "flag": "no_decay"}
-    usable = shifted > 1e-12
-    if on_floor or usable.sum() < 3:
-        return {"a": 0.0, "tau": 0.0, "residual_rms": float(np.sqrt(np.mean(shifted ** 2))),
-                "flag": "at_floor"}
-    unit = np.abs(times).max() or 1.0
-    slope, intercept = np.polyfit(times[usable] / unit, np.log(shifted[usable]), 1)
-    if slope >= 0:
-        return {"a": float(np.exp(intercept)), "tau": math.inf,
-                "residual_rms": float(np.std(shifted)), "flag": "no_decay"}
-    a, tau = float(np.exp(intercept)), float(-unit / slope)
-    model = a * np.exp(-times / tau) + 0.5
-    return {"a": a, "tau": tau,
-            "residual_rms": float(np.sqrt(np.mean((model - values) ** 2))), "flag": "ok"}
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .units import GAMMA_PROTON
+from .units import GAMMA_PROTON, is_real
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,18 @@ class SpinSystem:
     gamma: float = GAMMA_PROTON
 
     def __post_init__(self):
+        for name in ("nu1", "nu2", "j_coupling", "gamma", "t1", "t2"):
+            if not is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         for name in ("nu1", "nu2", "j_coupling", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not math.isfinite(math.pi * (abs(self.nu1) + abs(self.nu2) + abs(self.j_coupling))):
+        # 2 pi (|nu1| + |nu2| + |J|) bounds every transition frequency of the
+        # internal Hamiltonian, and so the traces `logical_decompose` sums
+        if not math.isfinite(2 * math.pi * sum(abs(float(getattr(self, n))) for n in ("nu1", "nu2", "j_coupling"))):
             name = max(("nu1", "nu2", "j_coupling"), key=lambda n: abs(getattr(self, n)))
             raise ValueError(f"{name} = {getattr(self, name)!r} Hz overflows the Hamiltonian: "
-                             f"pi (|nu1| + |nu2| + |j_coupling|) must be finite in rad/s")
+                             f"2 pi (|nu1| + |nu2| + |j_coupling|) must be finite in rad/s")
         for name, t in (("t1", self.t1), ("t2", self.t2)):  # inf switches the process off
             if not (t > 0 and 1.0 / t < math.inf):  # 1/t overflows for subnormal t
                 raise ValueError(f"relaxation time {name} must be positive with a finite rate, got {t!r}")

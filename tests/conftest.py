@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 
 import mpmath
 import numpy as np
@@ -7,12 +9,17 @@ import scipy.linalg
 from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
-from dfsim import SpinSystem
-from dfsim import operators as ops
-from dfsim.ensemble import GradientWaveform
-from dfsim.hamiltonians import internal_hamiltonian, rf_hamiltonian
-from dfsim.pulses import ROTATIONS, Delay, IdealRotation, PulseSequence, RfPulse
+# No bytecode cache for dfsim: a stale src/dfsim/__pycache__ moves measured
+# timings. The environment variable also reaches the `python -m dfsim` and
+# `python -c` subprocesses that tests start.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
+from dfsim import SpinSystem  # noqa: E402
+from dfsim import operators as ops  # noqa: E402
+from dfsim.ensemble import GradientWaveform  # noqa: E402
+from dfsim.hamiltonians import internal_hamiltonian, rf_hamiltonian  # noqa: E402
+from dfsim.pulses import ROTATIONS, Delay, IdealRotation, PulseSequence, RfPulse  # noqa: E402
 
 @pytest.fixture
 def spin_system():

@@ -84,12 +84,6 @@ class TestSpecs:
         with pytest.raises(ValueError, match=match):
             GradientWaveform(step_time=step_time, values=values)
 
-    def test_waveform_csv(self, tmp_path):
-        wf = GradientWaveform(step_time=50.6e-6, values=np.array([0.1, -0.2]))
-        path = tmp_path / "wf.csv"
-        wf.to_csv(path)
-        assert path.read_text() == "time_us,grad_T_per_m\n0,0.1\n50.6,-0.2\n"
-
 
 class TestRandomWalk:
     def test_zero_strength_is_flat(self):

@@ -1,25 +1,32 @@
+import contextlib
+import io
 import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dfsim import cli, experiments
 from dfsim import operators as ops
 from dfsim.ensemble import EnsembleSpec
 from dfsim.errors import ConfigError, NumericalContractError
 from dfsim.experiments import (
+    CRUSHER_PROCESSES,
     EXPERIMENTS,
+    GATES,
     ExperimentConfig,
     config_from_dict,
     crusher_experiment,
-    fit_decay,
     gates_experiment,
     memory_experiment,
     natural_experiment,
@@ -29,7 +36,7 @@ from dfsim.experiments import (
 from dfsim.hamiltonians import SpinSystem
 from dfsim.units import GAMMA_PROTON
 
-from conftest import lindblad_superoperator
+from conftest import lindblad_superoperator, property_settings
 
 
 class TestConfig:
@@ -97,51 +104,6 @@ class TestConfig:
             config_from_dict({"experiment": "crusher", "label": "../evil"})
 
 
-class TestFitDecay:
-    def test_recovers_exact_exponential(self):
-        t = np.linspace(0, 2, 15)
-        y = 0.42 * np.exp(-t / 0.7) + 0.5
-        fit = fit_decay(t, y)
-        assert fit["a"] == pytest.approx(0.42, abs=1e-6)
-        assert fit["tau"] == pytest.approx(0.7, abs=1e-6)
-        assert fit["flag"] == "ok"
-
-    def test_constant_curve_flags_no_decay(self):
-        fit = fit_decay([0.0, 1.0, 2.0], [0.5, 0.5, 0.5])
-        assert fit["flag"] == "no_decay"
-        assert fit["a"] == 0.0
-
-    def test_curve_at_the_floor_flags_at_floor(self):
-        # Monte-Carlo scatter around 0.5 leaves fewer than three points above it
-        fit = fit_decay([1.0, 2.0, 3.0], [0.72, 0.38, 0.78])
-        rms = math.sqrt((0.22 ** 2 + 0.12 ** 2 + 0.28 ** 2) / 3)
-        assert fit == {"a": 0.0, "tau": 0.0, "residual_rms": pytest.approx(rms), "flag": "at_floor"}
-        assert fit.keys() == fit_decay([0.0, 1.0, 2.0], [0.5, 0.5, 0.5]).keys()
-
-    @pytest.mark.parametrize("times", [[1.0, 2.0, 3.0], [1e30, 2e30, 3e30]])
-    def test_curve_on_the_floor_after_t0_flags_at_floor(self, times):
-        # with no sample at t = 0, a curve on the floor decayed before the first one
-        fit = fit_decay(times, [0.5, 0.5 + 1e-16, 0.5])
-        assert (fit["flag"], fit["a"], fit["tau"]) == ("at_floor", 0.0, 0.0)
-
-    def test_degenerate_input(self):
-        with pytest.raises(ValueError):
-            fit_decay([0.0, 1.0], [1.0, 0.9])
-
-    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e30])
-    def test_fit_does_not_depend_on_time_scale(self, scale):
-        t = np.linspace(0, 2, 15)
-        y = 0.42 * np.exp(-t / 0.7) + 0.5
-        fit, scaled = fit_decay(t, y), fit_decay(t * scale, y)
-        assert scaled["flag"] == "ok"
-        assert scaled["tau"] == pytest.approx(fit["tau"] * scale, rel=1e-9)
-        assert scaled["a"] == pytest.approx(fit["a"], rel=1e-9)
-
-    def test_flat_curve_at_tiny_times_flags_no_decay(self):
-        fit = fit_decay([1e-300, 2e-300, 3e-300], [1.0, 1.0, 1.0])
-        assert (fit["flag"], fit["tau"]) == ("no_decay", math.inf)
-
-
 class TestCrusher:
     def test_table_values(self, spin_system):
         _, reports = crusher_experiment(spin_system, EXPERIMENTS["crusher"].sweep)
@@ -182,17 +144,38 @@ class TestMemory:
             assert abs(r["fe_encoded"] - 1.0) <= 1e-15
         assert all(None not in (rep.f0, rep.fplus, rep.fplusi) and rep.seed is None for rep in reports)
 
+    @staticmethod
+    def time_sweep(times, grad=0.05):
+        return {**EXPERIMENTS["memory"].sweep, "gradient_t_per_m": grad, "diffusion_times_s": times}
+
     def test_time_sweep_recovers_diffusion_rate(self, spin_system):
-        # the fit of the exact curve recovers A = 0.5 and tau = 1/(D (gamma g delta)^2)
+        # the fit block is the closed form A = 0.5, tau = 1/(D (gamma g delta)^2),
+        # which the channel's curve matches to round-off
         spec = EnsembleSpec(diffusion_d=2e-9)
-        grad, delta = 0.05, 745e-6
-        rate = spec.diffusion_d * (spin_system.gamma * grad * delta) ** 2
-        sweep = {**EXPERIMENTS["memory"].sweep, "gradient_t_per_m": grad,
-                 "diffusion_times_s": list(np.linspace(0.1, 2.5, 9) / rate / 10)}
-        rows, _, fit = memory_experiment(spin_system, spec, sweep)
-        assert fit is not None and fit["flag"] == "ok"
-        assert abs(fit["a"] - 0.5) <= 1e-12
-        assert fit["tau"] == pytest.approx(1.0 / rate, rel=1e-12, abs=0)
+        rate = spec.diffusion_d * (spin_system.gamma * 0.05 * 745e-6) ** 2
+        _, _, fit = memory_experiment(spin_system, spec, self.time_sweep(list(np.linspace(0.1, 2.5, 9) / rate / 10)))
+        assert fit["flag"] == "ok" and fit["a"] == 0.5
+        assert abs(fit["tau"] - 1.0 / rate) <= math.ulp(1.0 / rate)
+        assert fit["residual_rms"] <= 1e-15
+        assert sorted(fit) == ["a", "flag", "residual_rms", "tau"]
+
+    @pytest.mark.parametrize("times", [[2.0], [0.5, 7.0], [1e-300, 2e-300, 3e-300], [1e30, 2e30]])
+    def test_any_time_sweep_carries_the_fit(self, spin_system, times):
+        # one or two points, or samples long before or long after the decay:
+        # the same closed-form tau of the default gradient
+        rows, _, fit = memory_experiment(spin_system, EnsembleSpec(), self.time_sweep(times))
+        assert len(rows) == len(times)
+        assert (fit["flag"], fit["a"], fit["tau"]) == ("ok", 0.5, 5.0349810048442265)
+        assert fit["residual_rms"] <= 1e-15
+
+    def test_zero_gradient_time_sweep_flags_no_decay(self, spin_system):
+        rows, _, fit = memory_experiment(spin_system, EnsembleSpec(), self.time_sweep([0.1, 1.0, 10.0], grad=0))
+        assert (fit["flag"], fit["a"], fit["tau"]) == ("no_decay", 0.5, math.inf)
+        assert fit["residual_rms"] <= 1e-15
+        assert all(r["noise_strength"] == 0.0 for r in rows)
+
+    def test_gradient_sweep_carries_no_fit(self, spin_system):
+        assert memory_experiment(spin_system, EnsembleSpec(), EXPERIMENTS["memory"].sweep)[2] is None
 
     def test_cli_output_depends_on_neither_seed_nor_members(self, tmp_path):
         config = Path(__file__).resolve().parents[1] / "configs" / "memory.json"
@@ -426,6 +409,14 @@ class TestRunAndCli:
                         "sweep": {"grad_max_khz_per_cm": [1.0]}}, "ensemble.sample_length"),
         ("gates", {"spin_system": {"nu2": 1e308}}, "spin_system: nu2 = 1e+308 Hz overflows"),
         ("gates", {"spin_system": {"nu1": -5e307, "nu2": 5.5e307}}, "spin_system: nu2 = 5.5e+307 Hz overflows"),
+        ("gates", {"spin_system": {"nu1": "7"}}, "spin_system: nu1 must be a real number"),
+        ("gates", {"spin_system": {"nu2": 10 ** 400}}, "spin_system: nu2 must be a real number"),
+        ("memory", {"ensemble": {"n_members": True}}, "ensemble: n_members must be an integer"),
+        ("noisy-gate", {"ensemble": {"n_members": 3, "sample_length": 10 ** 400}}, "ensemble: sample_length"),
+        ("natural", {"sweep": {"times_s": ["7"]}}, "sweep.times_s"),
+        ("natural", {"sweep": {"f_collective": True}}, "sweep.f_collective"),
+        ("memory", {"ensemble": {"diffusion_d": 1e308}, "sweep": {"gradients_t_per_m": [0.05]}},
+         "ensemble.diffusion_d = 1e+308"),
     ], ids=["t1_nan", "n_members_fraction", "gradients_nan", "grad_max_nan", "grad_max_t_per_m",
             "unknown_gate", "small_delta_text", "gradient_text", "step_time_text", "step_time_tiny",
             "dt_s_unknown", "gates_empty", "gradients_empty",
@@ -434,7 +425,8 @@ class TestRunAndCli:
             "noisy_gate_nu1_above_nu2", "gamma_zero", "gamma_subnormal", "gamma_negative",
             "grad_max_overflow", "label_nul", "t1_t2_rate_overflow", "t2_rate_overflow",
             "big_delta_spread_overflow", "diffusion_times_spread_overflow", "sample_length_overflow",
-            "nu2_overflow", "shift_sum_overflow"])
+            "nu2_overflow", "shift_sum_overflow", "nu1_string", "nu2_int_overflow", "n_members_bool",
+            "sample_length_int_overflow", "times_string", "f_collective_bool", "diffusion_d_strength_overflow"])
     def test_cli_bad_value_exit_code(self, tmp_path, capsys, experiment, config, field):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
@@ -443,6 +435,42 @@ class TestRunAndCli:
         assert code == 2
         assert err.startswith("config error") and field in err
         assert "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("field, sign", [("nu1", -1.0), ("nu2", 1.0), ("j_coupling", 1.0)])
+    def test_cli_shift_bound_on_both_sides(self, tmp_path, capsys, field, sign):
+        # the largest accepted magnitude, by bisection over the bit patterns
+        # of positive floats (which order them): 2 pi times it is the largest float
+        def as_float(bits):
+            return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+        def accepted(x):
+            try:
+                SpinSystem(**{field: sign * x})
+            except ValueError:
+                return False
+            return True
+
+        lo, hi = (struct.unpack("<q", struct.pack("<d", x))[0] for x in (1.0, math.inf))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if accepted(as_float(mid)) else (lo, mid)
+        last, first = sign * as_float(lo), sign * as_float(hi)
+        assert abs(last) == pytest.approx(sys.float_info.max / (2 * math.pi), rel=1e-12)
+        path = tmp_path / "c.json"
+        for experiment in ("gates", "noisy-gate"):
+            flags = ["--members", "3"] if experiment == "noisy-gate" else []
+            path.write_text(json.dumps({"spin_system": {field: first}, "sweep": {}}))
+            assert cli.main([experiment, "--config", str(path), "--seed", "1", "--out", str(tmp_path)] + flags) == 2
+            assert capsys.readouterr().err.startswith(f"config error: spin_system: {field} = {first!r} Hz overflows")
+            # the last accepted value runs to a documented exit with no numpy
+            # warning, which the test configuration would raise as an error
+            sweep = {"grad_max_khz_per_cm": [0.0]} if experiment == "noisy-gate" else {}
+            path.write_text(json.dumps({"spin_system": {field: last}, "sweep": sweep}))
+            code = cli.main([experiment, "--config", str(path), "--seed", "1", "--out", str(tmp_path)] + flags)
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3) and "RuntimeWarning" not in err and "delay duration" not in err
+            if experiment == "gates" and field != "j_coupling":
+                assert code == 0
 
     def test_cli_nul_in_out_dir_exit_code(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -486,26 +514,29 @@ class TestRunAndCli:
         assert code == 3
         assert "unitarity" in capsys.readouterr().err
 
-    def test_cli_memory_curve_at_the_floor(self, tmp_path):
+    @staticmethod
+    def memory_time_sweep(tmp_path, capfd, times, unencoded):
+        """Run the CLI on a time sweep: exit 0, empty stderr, every un-encoded
+        cell at `unencoded`, and the closed-form fit of the shipped rate."""
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"sweep": {"diffusion_times_s": [1e30, 2e30, 3e30]}}))
-        code = cli.main(["memory", "--config", str(path), "--members", "8", "--seed", "1",
-                         "--out", str(tmp_path)])
-        assert code == 0
-        rows = (tmp_path / "memory.csv").read_text().splitlines()[1:]
-        assert len(rows) == 3 and all(abs(float(row.split(",")[2]) - 0.5) <= 1e-15 for row in rows)
-        # every sample on the floor: the curve decayed before the first one
-        fit = json.loads((tmp_path / "memory_report.json").read_text())["fit"]
-        assert (fit["flag"], fit["a"], fit["tau"]) == ("at_floor", 0.0, 0.0)
-
-    def test_cli_memory_curve_at_tiny_times(self, tmp_path, capfd):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({"sweep": {"diffusion_times_s": [1e-200, 2e-200, 3e-200]}}))
+        path.write_text(json.dumps({"sweep": {"diffusion_times_s": times}}))
         code = cli.main(["memory", "--config", str(path), "--members", "8", "--seed", "1",
                          "--out", str(tmp_path)])
         assert code == 0
         assert capfd.readouterr().err == ""
-        assert json.loads((tmp_path / "memory_report.json").read_text())["fit"]["flag"] == "no_decay"
+        rows = (tmp_path / "memory.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3 and all(abs(float(row.split(",")[2]) - unencoded) <= 1e-15 for row in rows)
+        fit = json.loads((tmp_path / "memory_report.json").read_text())["fit"]
+        assert (fit["flag"], fit["a"], fit["tau"]) == ("ok", 0.5, 5.0349810048442265)
+        assert fit["residual_rms"] <= 1e-15
+
+    def test_cli_memory_curve_at_the_floor(self, tmp_path, capfd):
+        # every sample long decayed: the closed form still holds the curve's tau
+        self.memory_time_sweep(tmp_path, capfd, [1e30, 2e30, 3e30], 0.5)
+
+    def test_cli_memory_curve_at_tiny_times(self, tmp_path, capfd):
+        # no sample has decayed yet: the same tau
+        self.memory_time_sweep(tmp_path, capfd, [1e-200, 2e-200, 3e-200], 1.0)
 
     def test_python_m_dfsim(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -526,3 +557,87 @@ class TestRunAndCli:
         assert code == 0
         header = (tmp_path / "noisy_gate.csv").read_text().splitlines()[0]
         assert header == "grad_max_t_per_m,fe,fe_stderr,fe_memory"
+
+
+# Config fuzzing against the exit-code contract: every field of an
+# experiment's schema is drawn from its valid range or, now and then, from a
+# pool of hostile values. A run exits 0 with finite cells in their documented
+# ranges, or 2 naming a field that was drawn hostile.
+HOSTILE = [0, -0.0, 5e-324, 1e-309, 1e308, math.inf, math.nan, -1, True, "7", [], {}]
+
+
+def _listed(values):
+    return st.lists(values, min_size=1, max_size=2)
+
+
+SPIN_FIELDS = {"nu1": st.floats(-50.0, 50.0), "nu2": st.floats(100.0, 500.0), "j_coupling": st.floats(0.0, 20.0),
+               "t1": st.floats(4.0, 10.0), "t2": st.floats(0.5, 3.5), "gamma": st.floats(1e8, 3e8)}
+# n_members and every sweep list is always drawn: their defaults are large
+ENSEMBLE_FIELDS = {"n_members": st.integers(2, 3), "sample_length": st.floats(1e-3, 0.02),
+                   "diffusion_d": st.floats(1e-10, 1e-8)}
+SWEEP_FIELDS = {
+    "memory": {"gradients_t_per_m": _listed(st.floats(0.0, 0.6)), "small_delta_s": st.floats(1e-4, 1e-3),
+               "big_delta_s": st.floats(1e-3, 0.1), "gradient_t_per_m": st.floats(0.0, 0.1)},
+    "crusher": {"processes": _listed(st.sampled_from(sorted(CRUSHER_PROCESSES)))},
+    "natural": {"times_s": _listed(st.floats(0.0, 3.0)), "f_collective": st.floats(0.0, 1.0)},
+    "gates": {"gates": _listed(st.sampled_from(sorted(GATES)))},
+    "noisy_gate": {"grad_max_khz_per_cm": _listed(st.floats(0.0, 100.0)), "step_time_s": st.floats(2e-4, 1e-3)},
+}
+LIST_FIELDS = {"gradients_t_per_m", "diffusion_times_s", "processes", "times_s", "gates", "grad_max_khz_per_cm"}
+# documented range of every numeric CSV column
+CELL_RANGES = {"noise_strength": (0.0, math.inf), "fe_encoded": (0.0, 1.0), "fe_unencoded": (0.0, 1.0),
+               "f0": (0.0, 1.0), "fplus": (0.0, 1.0), "fplusi": (0.0, 1.0), "fe": (0.0, 1.0),
+               "t_s": (0.0, math.inf), "c_encoded": (-1.0, 1.0), "c_unencoded": (-1.0, 1.0),
+               "dfs_residence": (0.0, 1.0), "grad_max_t_per_m": (0.0, math.inf), "fe_stderr": (0.0, math.inf),
+               "fe_memory": (0.0, 1.0)}
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """(experiment, config, names of the fields drawn hostile)."""
+    experiment = draw(st.sampled_from(sorted(SWEEP_FIELDS)))
+    hostile = set()
+
+    def value(name, valid):
+        if draw(st.integers(0, 11)) > 0:
+            return draw(valid)
+        hostile.add(name)
+        bad = draw(st.sampled_from(HOSTILE))
+        return [bad] if name in LIST_FIELDS and draw(st.booleans()) else bad
+
+    sweep_fields = dict(SWEEP_FIELDS[experiment])
+    if experiment == "memory" and draw(st.booleans()):
+        sweep_fields["diffusion_times_s"] = _listed(st.floats(1e-3, 10.0))
+    config = {"spin_system": {k: value(k, v) for k, v in SPIN_FIELDS.items()},
+              "ensemble": {k: value(k, v) for k, v in ENSEMBLE_FIELDS.items()},
+              "sweep": {k: value(k, v) for k, v in sweep_fields.items()},
+              "seed": value("seed", st.integers(0, 100))}
+    return experiment, config, hostile
+
+
+@given(fuzzed_configs())
+@property_settings
+def test_fuzzed_configs_exit_0_or_name_a_hostile_field(case):
+    experiment, config, hostile = case
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "c.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([experiment.replace("_", "-"), "--config", str(path), "--out", out])
+        err = err.getvalue()
+        if code == 2:
+            assert any(re.search(rf"\b{name}\b", err) for name in hostile), (hostile, err)
+            return
+        assert code == 0, err
+        header, *rows = (Path(out) / f"{experiment}.csv").read_text().splitlines()
+        assert rows
+        for row in rows:
+            for column, cell in zip(header.split(","), row.split(",")):
+                if column in CELL_RANGES:
+                    lo, hi = CELL_RANGES[column]
+                    assert lo - 1e-12 <= float(cell) <= hi + 1e-12 and math.isfinite(float(cell)), (column, cell)
+        fit = json.loads((Path(out) / f"{experiment}_report.json").read_text()).get("fit")
+        if fit is not None:
+            assert fit["a"] == 0.5 and fit["residual_rms"] <= 1e-15
+            assert fit["flag"] == ("ok" if math.isfinite(fit["tau"]) else "no_decay")
