@@ -21,11 +21,13 @@ ensemble, is a product of one unitary per segment of
 unitaries are held member-last, (4, 4, n), and multiplied with elementwise
 products. The product of a run of consecutive segments is
 an entire function of z, so each run is multiplied out at Chebyshev points
-in z once per call and interpolated; a segment too wide in z for
-RUN_TERMS points, or more points than there are members, keeps its member
-phases or a batched Taylor exponential. One routine, `_multiply_out`,
-multiplies a chain of such factors out at any positions. No path needs an
-eigensolver.
+in z once per call and interpolated. Its RF pieces are fitted alone first,
+at the fewer points their own width in z needs, so the long delays that
+set a run's point count cost a product there, not an exponential. A
+segment too wide in z for RUN_TERMS points, or more points than there are
+members, keeps its member phases or a batched Taylor exponential. One
+routine, `_multiply_out`, multiplies a chain of such factors out at any
+positions. No path needs an eigensolver.
 
 All randomness flows through numpy Generators seeded by an explicit seed
 argument, and the member sum runs in a fixed order, so outputs are
@@ -49,9 +51,15 @@ from .units import is_real
 DEFAULT_STEP_TIME = 50.6e-6
 
 
+#: the most members an ensemble may hold: the (n, 4, 4) propagators of one
+#: noisy-gate point take 256 B per member, so 256 MB at this bound
+MAX_MEMBERS = 10 ** 6
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Sample geometry and diffusion constant."""
+    """Sample geometry and diffusion constant; n_members from 2 to
+    MAX_MEMBERS."""
 
     n_members: int = 1001
     sample_length: float = 0.01   # m
@@ -60,8 +68,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if isinstance(self.n_members, bool) or not isinstance(self.n_members, (int, np.integer)):
             raise ValueError(f"n_members must be an integer, got {self.n_members!r}")
-        if self.n_members < 2:
-            raise ValueError(f"n_members must be at least 2, got {self.n_members!r}")
+        if not 2 <= self.n_members <= MAX_MEMBERS:
+            raise ValueError(f"n_members must be from 2 to {MAX_MEMBERS}, got {self.n_members!r}")
         for name in ("sample_length", "diffusion_d"):
             value = getattr(self, name)
             if not (is_real(value) and 0 <= value < math.inf):
@@ -124,7 +132,8 @@ BLOCK = 256
 
 #: a run of factors is fitted with fewer Chebyshev terms than this (and than
 #: the member count): each term costs every block a row of the basis
-#: product, and each node an exponential or product per factor of the run
+#: product, and each node a product per factor of the run (its RF pieces'
+#: exponentials are taken at the fewer nodes of their own fits)
 RUN_TERMS = 64
 
 # Taylor coefficients 1/k! of the degree-16 exponential, and the largest
@@ -206,6 +215,11 @@ def _half_widths() -> np.ndarray:
     return np.array([((tail + n * log_rho) / half_axis).max() for n in range(1, BLOCK + 1)])
 
 
+def _term_count(w: float) -> int:
+    """Chebyshev terms N for half-width w by `_half_widths` (1 when w is 0)."""
+    return int(np.searchsorted(_half_widths(), w)) + 1 if w else 1
+
+
 def _group_runs(factors: list, cap: int) -> list:
     """Split `factors` (each ending in its half-width w) into consecutive
     runs, as (factors, N): a run grows while its summed w needs N < cap
@@ -221,11 +235,27 @@ def _group_runs(factors: list, cap: int) -> list:
             runs[-1][1] += f[-1]
         else:
             runs.append([[f], f[-1]])
-    return [(fs, None if w is None else (int(np.searchsorted(_half_widths(), w)) + 1 if w else 1))
-            for fs, w in runs]
+    return [(fs, None if w is None else _term_count(w)) for fs, w in runs]
 
 
-def _multiply_out(chain: list, z: np.ndarray, basis: np.ndarray | None, buffers: np.ndarray) -> np.ndarray:
+def _expm_batches(pieces: list, z: np.ndarray, buffers: np.ndarray):
+    """The exponentials of the RF pieces (u0, rate, seg, w) at positions z,
+    in order: one `_expm_members` call per batch of as many pieces as fill
+    one row of `buffers`, each column with its own h and dt. Yields each
+    batch as a (4, 4, b m) view into rows 4-5, piece after piece, valid
+    until the next batch is taken."""
+    m = z.size
+    per_batch = buffers.shape[1] // (16 * m)
+    for start in range(0, len(pieces), per_batch):
+        batch = pieces[start:start + per_batch]
+        h = _views(buffers[:1], len(batch) * m)[0]
+        for j, (_, _, seg, _) in enumerate(batch):
+            h[:, :, j * m:(j + 1) * m] = seg.h[:, :, None]
+        yield _expm_members(h, np.multiply.outer([rate for _, rate, _, _ in batch], z).ravel(),
+                            np.repeat([seg.duration for _, _, seg, _ in batch], m), buffers)
+
+
+def _multiply_out(chain: list, z: np.ndarray, basis: np.ndarray, buffers: np.ndarray) -> np.ndarray:
     """The product of the factors of `chain`, in order, at positions z: a
     member-last (4, 4, m) view into rows 7-8 of `buffers` (row 9 is
     scratch), valid until they are next written.
@@ -233,20 +263,18 @@ def _multiply_out(chain: list, z: np.ndarray, basis: np.ndarray | None, buffers:
     A factor is either (u0, rate, seg, w) as `ensemble_propagators` resolves
     a segment -- the shared unitary u0 times the member phases
     exp(-i rate z Jz/2) (none when rate is None), or the RF piece seg under
-    a gradient of rate when seg is not None -- or a fitted run, the (32, N)
-    coefficients of `_fit_run`, evaluated in rows 0-1 with the first N rows
-    of `basis` (T_k at z). The RF pieces' exponentials come from
-    `_expm_members` in rows 0-6, as many pieces at once as fill one row,
-    each column with its own h and dt, and stay in rows 4-5 until the next
-    batch.
+    a gradient of rate when seg is not None -- or fitted, the (32, N)
+    coefficients of a run or piece (`_fit_run`), evaluated in rows 0-1 with
+    the first N rows of `basis` (T_k at z). The RF pieces' exponentials come
+    from `_expm_batches` in rows 0-6, as many pieces at once as fill one
+    row, and stay in rows 4-5 until the next batch.
     """
     m = z.size
     u, spare, tmp = _views(buffers[7:], m)
     u.fill(0.0)
     u.reshape(16, -1)[::5] = 1.0
     pieces = [f for f in chain if not isinstance(f, np.ndarray) and f[2] is not None]
-    per_batch = buffers.shape[1] // (16 * m)
-    done = 0  # RF pieces taken so far
+    exps = (b[:, :, j:j + m] for b in _expm_batches(pieces, z, buffers) for j in range(0, b.shape[2], m))
     for f in chain:
         if isinstance(f, np.ndarray):
             re_im = np.matmul(f, basis[:f.shape[1]], out=buffers[1].view(float)[:32 * m].reshape(32, m))
@@ -257,32 +285,53 @@ def _multiply_out(chain: list, z: np.ndarray, basis: np.ndarray | None, buffers:
             u0, rate, _, _ = f
             g = u0 if rate is None else u0 * np.exp(-1j * rate * np.multiply.outer(ops.SPIN_PROJECTION, z))
         else:
-            col = done % per_batch * m
-            if col == 0:
-                batch = pieces[done:done + per_batch]
-                h = _views(buffers[:1], len(batch) * m)[0]
-                for j, (_, _, seg, _) in enumerate(batch):
-                    h[:, :, j * m:(j + 1) * m] = seg.h[:, :, None]
-                exps = _expm_members(h, np.multiply.outer([rate for _, rate, _, _ in batch], z).ravel(),
-                                     np.repeat([seg.duration for _, _, seg, _ in batch], m), buffers)
-            g = exps[:, :, col:col + m]
-            done += 1
+            g = next(exps)
         u, spare = _matmul(g, u, spare, tmp), u
     return u
 
 
-def _fit_run(factors: list, n_terms: int, z_max: float, buffers: np.ndarray) -> np.ndarray:
-    """(32, N) real, then imaginary, parts of the coefficients c_k of the
-    run's product sum_k c_k T_k(z / z_max): the run multiplied out
-    (`_multiply_out`) at the N Chebyshev points z_max cos(pi (j + 1/2)/N),
-    then a DCT-II.
-    """
-    theta = np.pi / n_terms * (np.arange(n_terms) + 0.5)
-    acc = _multiply_out(factors, z_max * np.cos(theta), None, buffers)
-    coef = np.concatenate([acc.reshape(16, -1).real, acc.reshape(16, -1).imag])
-    coef = coef @ np.cos(np.outer(np.arange(n_terms), theta)).T * (2.0 / n_terms)  # T_k(x_j)
-    coef[:, 0] /= 2
+def _angles(n: int) -> np.ndarray:
+    """theta_j = pi (j + 1/2) / n: the n Chebyshev points are cos(theta_j),
+    where T_k is cos(k theta_j)."""
+    return np.pi / n * (np.arange(n) + 0.5)
+
+
+def _chebyshev_matrix(n: int) -> np.ndarray:
+    """(n, n) T_k(x_j) at the n Chebyshev points."""
+    return np.cos(np.outer(np.arange(n), _angles(n)))
+
+
+def _dct(values: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(..., 32, N) real, then imaginary, parts of the coefficients c_k of
+    sum_k c_k T_k(x) from its (..., 16, N) values at the N Chebyshev points,
+    with t = `_chebyshev_matrix(N)`: a DCT-II."""
+    n = values.shape[-1]
+    coef = np.concatenate([values.real, values.imag], axis=-2) @ t.T
+    coef *= 2.0 / n
+    coef[..., 0] /= 2
     return coef
+
+
+def _fit_run(factors: list, n_terms: int, z_max: float, buffers: np.ndarray) -> np.ndarray:
+    """(32, N) coefficients (`_dct`) of the run's product
+    sum_k c_k T_k(z / z_max), from its values at the N Chebyshev points.
+
+    Each RF piece is fitted alone first, with the n_p terms of the run's
+    widest piece: its exponentials at those n_p points, a batch at a time
+    (`_expm_batches`), and a DCT-II. They meet the same 1e-17 tail bound on
+    [-z_max, z_max] as the run's N, which the summed half-width of the run's
+    delays sets, so n_p is often far smaller. The run is then multiplied out
+    (`_multiply_out`) at its N points with each piece read from its fit, and
+    no exponential is taken there.
+    """
+    pieces = [f for f in factors if f[2] is not None]
+    n_p = _term_count(max((f[-1] for f in pieces), default=0.0))
+    t_p, t = _chebyshev_matrix(n_p), _chebyshev_matrix(n_terms)
+    fits = iter([c for exps in _expm_batches(pieces, z_max * np.cos(_angles(n_p)), buffers)
+                 for c in _dct(exps.reshape(16, -1, n_p).transpose(1, 0, 2), t_p)])
+    acc = _multiply_out([next(fits) if f[2] is not None else f for f in factors],
+                        z_max * np.cos(_angles(n_terms)), t[:n_p], buffers)
+    return _dct(acc.reshape(16, n_terms), t)
 
 
 def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
@@ -299,11 +348,12 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
     w = gamma |g| max|z| dt (0 for a shared unitary). Consecutive factors
     form runs while their summed w needs N < min(n, BLOCK, RUN_TERMS)
     Chebyshev terms for a tail bound below 1e-17 (`_half_widths`); each run
-    is multiplied out at its N Chebyshev points once per call (`_fit_run`)
-    and becomes one factor of the chain, its coefficients. A factor whose
-    own N reaches that cap enters the chain as it is: member phases, or the
-    per-member Taylor exponential `_expm_members`, so one molecule and tiny
-    ensembles take no Chebyshev path. Each block of at most BLOCK members,
+    is multiplied out at its N Chebyshev points once per call (`_fit_run`),
+    its RF pieces read from fits of their own at the fewer terms the widest
+    of them needs, and becomes one factor of the chain, its coefficients. A
+    factor whose own N reaches that cap enters the chain as it is: member
+    phases, or the per-member Taylor exponential `_expm_members`, so one
+    molecule and tiny ensembles take no Chebyshev path. Each block of at most BLOCK members,
     in buffers allocated once per call, multiplies the chain out in one
     `_multiply_out`, a fitted run being one real product with the basis
     T_k(z / max|z|), built once per call.

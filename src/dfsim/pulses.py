@@ -38,7 +38,7 @@ import numpy as np
 
 from . import operators as ops
 from .errors import NumericalContractError
-from .hamiltonians import SpinSystem, internal_hamiltonian, logical_decompose, rf_hamiltonian
+from .hamiltonians import SpinSystem, internal_hamiltonian, rf_hamiltonian
 from .metrics import member_gate_fidelities
 
 #: named zero-duration rotations usable in sequences and text serialization
@@ -344,11 +344,12 @@ def xy_train(n_pulses: int = 2, spacing: float = DEFAULT_PULSE_SPACING) -> Pulse
 
 
 def _cz_rate(sys: SpinSystem) -> float:
-    frame = ops.logical_frame("hybrid")
-    cz, _, _, _ = logical_decompose(internal_hamiltonian(sys), frame)
-    if cz >= 0:
+    """|c_z| = pi (nu2 - nu1) rad/s, the logical z rate of the internal
+    Hamiltonian in the hybrid frame (`hamiltonians.logical_decompose`), to
+    which J adds nothing."""
+    if sys.nu1 >= sys.nu2:
         raise ValueError("encoded z gates assume a negative logical z rate (nu1 < nu2)")
-    return abs(cz)
+    return math.pi * (sys.nu2 - sys.nu1)
 
 
 def enc_z(theta: float, sys: SpinSystem) -> PulseSequence:

@@ -71,6 +71,9 @@ class TestSpecs:
     def test_validation(self):
         with pytest.raises(ValueError):
             EnsembleSpec(n_members=1)
+        assert EnsembleSpec(n_members=ensemble.MAX_MEMBERS).n_members == 10 ** 6
+        with pytest.raises(ValueError, match="n_members must be from 2 to 1000000"):
+            EnsembleSpec(n_members=ensemble.MAX_MEMBERS + 1)
         for grad_max in (-0.1, math.inf, math.nan):
             with pytest.raises(ValueError, match="grad_max"):
                 random_walk_waveform(grad_max, 10, seed=0)
@@ -381,6 +384,30 @@ def term_count(w: float) -> int:
     return int(np.searchsorted(_half_widths(), w)) + 1 if w else 1
 
 
+def fit_work_spy(monkeypatch) -> tuple[list, list]:
+    """(N, n_p, RF pieces) of every fitted run, with n_p the term count of
+    its widest piece, and (index of the run being fitted or None, columns)
+    of every `_expm_members` call."""
+    runs, columns, inside = [], [], [None]
+    fit, expm = ensemble._fit_run, ensemble._expm_members
+
+    def fit_spy(factors, n_terms, *args):
+        widths = [f[-1] for f in factors if f[2] is not None]
+        runs.append((n_terms, term_count(max(widths, default=0.0)), len(widths)))
+        inside[0] = len(runs) - 1
+        try:
+            return fit(factors, n_terms, *args)
+        finally:
+            inside[0] = None
+
+    def expm_spy(h, shifts, *args):
+        columns.append((inside[0], shifts.size))
+        return expm(h, shifts, *args)
+    monkeypatch.setattr(ensemble, "_fit_run", fit_spy)
+    monkeypatch.setattr(ensemble, "_expm_members", expm_spy)
+    return runs, columns
+
+
 class TestRuns:
     @property_settings
     @given(spin_systems, sequences, waveforms, st.floats(0.0, 3.0),
@@ -419,6 +446,40 @@ class TestRuns:
             (1, len(piecewise_segments(seq, sys, wf)))]
         oracle = expm_oracle(seq, sys, wf, 0.0)
         assert max(np.abs(u - oracle).max() for u in us) <= 1e-10
+
+    def test_pieces_are_fitted_at_their_own_term_count(self, spin_system, monkeypatch):
+        # in composite_y90 the 630 us delays set a run's N; each RF piece is
+        # fitted alone at the n_p < N terms of the run's widest piece, so
+        # no exponential is taken at the run's N points
+        seq = composite_y90(spin_system, calibrate=False)
+        wf = noise_waveform(seq, khz_per_cm_to_t_per_m(1.0))
+        runs, columns = fit_work_spy(monkeypatch)
+        ensemble_propagators(seq, spin_system, wf, member_positions(EnsembleSpec(n_members=1001)))
+        assert sum(k for _, _, k in runs) > 100
+        for i, (n_terms, n_p, pieces) in enumerate(runs):
+            counts = [c for run, c in columns if run == i]
+            assert n_p < n_terms and all(c % n_p == 0 for c in counts)
+            assert sum(counts) == n_p * pieces
+        # each piece at its run's N points, as when pieces were not fitted alone
+        unfitted = sum(c for run, c in columns if run is None) + sum(n * k for n, _, k in runs)
+        assert 3 * sum(c for _, c in columns) <= unfitted
+
+    def test_mixed_run_matches_expm_oracle(self, spin_system, monkeypatch):
+        # long delays and short pulses in one run: N from the delays, n_p
+        # from the pulses
+        pulse = RfPulse(math.pi / 2 / 62.4e-6, 0.4, 62.4e-6)
+        seq = PulseSequence((Delay(630e-6), pulse, Delay(630e-6), IdealRotation("pi_x_pair"),
+                             Delay(630e-6), RfPulse(pulse.amplitude, 1.9, 124.8e-6), Delay(315e-6), pulse))
+        wf = static_waveform(3.6e-3)
+        zs = np.linspace(-5e-3, 5e-3, 101)
+        runs, columns = fit_work_spy(monkeypatch)
+        us = ensemble_propagators(seq, spin_system, wf, zs)
+        ((n_terms, n_p, pieces),) = runs
+        assert pieces == len(rf_pieces(seq, spin_system, wf)) == 3
+        assert n_p < n_terms / 2 < RUN_TERMS
+        assert {run for run, _ in columns} == {0} and sum(c for _, c in columns) == n_p * pieces
+        for z, u in zip(zs, us):
+            assert np.abs(u - expm_oracle(seq, spin_system, wf, z)).max() <= 1e-12
 
 
 class TestNonFinitePositions:

@@ -349,6 +349,20 @@ class TestRunAndCli:
         blob = json.loads((tmp_path / "memory_report.json").read_text())
         assert blob["seed"] == 5
 
+    @pytest.mark.parametrize("members", [10 ** 6 + 1, 10 ** 400], ids=["above_bound", "400_digits"])
+    def test_cli_members_flag_above_bound(self, tmp_path, capsys, members):
+        code = cli.main(["noisy-gate", "--seed", "1", "--members", str(members), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ensemble: n_members must be from 2 to 1000000")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("j_coupling", [1e300, 2e307, 2.8e307])
+    def test_cli_gates_at_huge_coupling(self, tmp_path, j_coupling):
+        # the logical z rate pi (nu2 - nu1) does not depend on J
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"spin_system": {"j_coupling": j_coupling}}))
+        assert cli.main(["gates", "--config", str(path), "--out", str(tmp_path)]) == 0
+
     def test_cli_config_error_exit_code(self, tmp_path, capsys):
         assert cli.main(["noisy-gate", "--out", str(tmp_path)]) == 2  # missing seed
         bad = tmp_path / "bad.json"
@@ -417,6 +431,9 @@ class TestRunAndCli:
         ("natural", {"sweep": {"f_collective": True}}, "sweep.f_collective"),
         ("memory", {"ensemble": {"diffusion_d": 1e308}, "sweep": {"gradients_t_per_m": [0.05]}},
          "ensemble.diffusion_d = 1e+308"),
+        ("noisy-gate", {"ensemble": {"n_members": 10 ** 400}, "sweep": {"grad_max_khz_per_cm": [1.0]}},
+         "ensemble: n_members must be from 2 to 1000000"),
+        ("noisy-gate", {"ensemble": {"n_members": 10 ** 6 + 1}}, "ensemble: n_members must be from 2 to 1000000"),
     ], ids=["t1_nan", "n_members_fraction", "gradients_nan", "grad_max_nan", "grad_max_t_per_m",
             "unknown_gate", "small_delta_text", "gradient_text", "step_time_text", "step_time_tiny",
             "dt_s_unknown", "gates_empty", "gradients_empty",
@@ -426,7 +443,8 @@ class TestRunAndCli:
             "grad_max_overflow", "label_nul", "t1_t2_rate_overflow", "t2_rate_overflow",
             "big_delta_spread_overflow", "diffusion_times_spread_overflow", "sample_length_overflow",
             "nu2_overflow", "shift_sum_overflow", "nu1_string", "nu2_int_overflow", "n_members_bool",
-            "sample_length_int_overflow", "times_string", "f_collective_bool", "diffusion_d_strength_overflow"])
+            "sample_length_int_overflow", "times_string", "f_collective_bool", "diffusion_d_strength_overflow",
+            "n_members_400_digits", "n_members_above_bound"])
     def test_cli_bad_value_exit_code(self, tmp_path, capsys, experiment, config, field):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
@@ -469,7 +487,7 @@ class TestRunAndCli:
             code = cli.main([experiment, "--config", str(path), "--seed", "1", "--out", str(tmp_path)] + flags)
             err = capsys.readouterr().err
             assert code in (0, 2, 3) and "RuntimeWarning" not in err and "delay duration" not in err
-            if experiment == "gates" and field != "j_coupling":
+            if experiment == "gates":
                 assert code == 0
 
     def test_cli_nul_in_out_dir_exit_code(self, tmp_path, capsys):
