@@ -41,7 +41,7 @@ def main(argv=None) -> int:
                     raw = json.load(fh)
             except OSError as exc:
                 raise ConfigError(f"config: cannot read {args.config!r}: {exc}") from exc
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
                 raise ConfigError(f"config: {args.config!r} is not valid JSON: {exc}") from exc
         raw["experiment"] = experiment
         overrides = {"seed": args.seed, "out": args.out, "label": args.label}

@@ -18,10 +18,11 @@ The module also holds the package's one propagation engine,
 `ensemble_propagators`: every propagator, for one molecule or for the whole
 ensemble, is a product of one unitary per segment of
 `pulses.piecewise_segments`, which fuses runs as it flattens. Member
-unitaries are held member-last, (4, 4, n), and multiplied with elementwise
-products. The product of a run of consecutive segments is
-an entire function of z, so each run is multiplied out at Chebyshev points
-in z once per call and interpolated. Its RF pieces are fitted alone first,
+unitaries are held member-last, (4, 4, m), and multiplied with elementwise
+products; each helper takes and returns plain arrays of at most BLOCK
+columns. The product of a run of consecutive segments is an entire
+function of z, so each run is multiplied out at Chebyshev points in z once
+per call and interpolated. Its RF pieces are fitted alone first,
 at the fewer points their own width in z needs, so the long delays that
 set a run's point count cost a product there, not an exponential. A
 segment too wide in z for RUN_TERMS points, or more points than there are
@@ -126,8 +127,9 @@ def member_positions(spec: EnsembleSpec) -> np.ndarray:
     return (np.arange(n) + 0.5) / n * length - length / 2
 
 
-#: members per block of the engine: each block runs the whole segment chain
-#: in (4, 4, BLOCK) buffers, so that peak memory does not grow with n
+#: the most columns of any temporary of the engine: members per block, and
+#: points times pieces per Taylor batch, so that peak memory does not grow
+#: with n
 BLOCK = 256
 
 #: a run of factors is fitted with fewer Chebyshev terms than this (and than
@@ -142,28 +144,20 @@ _TAYLOR = tuple(1.0 / math.factorial(k) for k in range(17))
 _THETA = (2.0 ** -53 * math.factorial(17)) ** (1 / 17)
 
 
-def _views(buffers: np.ndarray, m: int) -> list[np.ndarray]:
-    """Contiguous (4, 4, m) member-last views of the rows of `buffers`."""
-    return [b[:16 * m].reshape(4, 4, m) for b in buffers]
-
-
-def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """out = a @ b member by member, for member-last (4, 4, m) arrays, or
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b member by member, for member-last (4, 4, m) arrays, or
     (4, 4, 1) for a matrix every member shares. Elementwise products only,
-    so no BLAS thread joins in; out and tmp must not overlap a or b."""
-    np.multiply(a[:, :1], b[:1], out=out)
+    so no BLAS thread joins in."""
+    out = a[:, :1] * b[:1]
     for j in (1, 2, 3):
-        np.multiply(a[:, j:j + 1], b[j:j + 1], out=tmp)
-        out += tmp
+        out += a[:, j:j + 1] * b[j:j + 1]
     return out
 
 
-def _expm_members(h: np.ndarray, shifts: np.ndarray, dt: float | np.ndarray, buffers: np.ndarray) -> np.ndarray:
+def _expm_members(h: np.ndarray, shifts: np.ndarray, dt: float | np.ndarray) -> np.ndarray:
     """exp(-i (h + s Jz/2) dt) for each member shift s (rad/s), as a
-    member-last (4, 4, m) view into `buffers` (at least 7 rows of 16 m),
-    valid until they are next written. h is (4, 4), or (4, 4, m) per member
-    (it may be that view of the first row of `buffers` itself); dt is a
-    number, or (m,) per member.
+    member-last (4, 4, m) array. h is (4, 4), or (4, 4, m) per member; dt
+    is a number, or (m,) per member.
 
     Scaling and squaring: the largest member 1-norm of the exponent sets one
     squaring count k for the batch, so that every exponent divided by 2^k
@@ -174,7 +168,7 @@ def _expm_members(h: np.ndarray, shifts: np.ndarray, dt: float | np.ndarray, buf
     past which no digit of the result would be right.
     """
     m = shifts.size
-    x, x2, x3, x4, p, q, t = _views(buffers[:7], m)
+    x = np.empty((4, 4, m), dtype=complex)
     np.multiply(-1j * dt, h.reshape(4, 4, -1), out=x)
     x[0, 0] -= (1j * dt) * shifts
     x[3, 3] += (1j * dt) * shifts
@@ -184,19 +178,17 @@ def _expm_members(h: np.ndarray, shifts: np.ndarray, dt: float | np.ndarray, buf
     k = math.ceil(math.log2(norm / _THETA)) if norm > _THETA else 0
     if k:
         x *= 2.0 ** -k
-    _matmul(x, x, x2, t)
-    _matmul(x2, x, x3, t)
-    _matmul(x2, x2, x4, t)
-    np.multiply(x4, _TAYLOR[16], out=p)
+    x2 = _matmul(x, x)
+    x3, x4 = _matmul(x2, x), _matmul(x2, x2)
+    p = x4 * _TAYLOR[16]
     for base in (12, 8, 4, 0):
         if base != 12:
-            p, q = _matmul(x4, p, q, t), p
+            p = _matmul(x4, p)
         for j, xj in enumerate((x, x2, x3), 1):
-            np.multiply(xj, _TAYLOR[base + j], out=t)
-            p += t
+            p += xj * _TAYLOR[base + j]
         p.reshape(16, m)[::5] += _TAYLOR[base]
     for _ in range(k):
-        p, q = _matmul(p, p, q, t), p
+        p = _matmul(p, p)
     return p
 
 
@@ -212,7 +204,7 @@ def _half_widths() -> np.ndarray:
     per process."""
     rho = 1.0 + np.logspace(-3, 9, 300)
     tail, log_rho, half_axis = math.log(0.5e-17) + np.log1p(-1.0 / rho), np.log(rho), (rho - 1.0 / rho) / 2
-    return np.array([((tail + n * log_rho) / half_axis).max() for n in range(1, BLOCK + 1)])
+    return np.array([((tail + n * log_rho) / half_axis).max() for n in range(1, RUN_TERMS + 1)])
 
 
 def _term_count(w: float) -> int:
@@ -238,47 +230,44 @@ def _group_runs(factors: list, cap: int) -> list:
     return [(fs, None if w is None else _term_count(w)) for fs, w in runs]
 
 
-def _expm_batches(pieces: list, z: np.ndarray, buffers: np.ndarray):
+def _expm_batches(pieces: list, z: np.ndarray):
     """The exponentials of the RF pieces (u0, rate, seg, w) at positions z,
-    in order: one `_expm_members` call per batch of as many pieces as fill
-    one row of `buffers`, each column with its own h and dt. Yields each
-    batch as a (4, 4, b m) view into rows 4-5, piece after piece, valid
-    until the next batch is taken."""
+    in order: one `_expm_members` call per batch of BLOCK // m pieces, each
+    column with its own h and dt. Yields each batch as a (4, 4, b m) array,
+    piece after piece, and builds the next one only when it is asked for,
+    so that memory holds one batch at a time."""
     m = z.size
-    per_batch = buffers.shape[1] // (16 * m)
+    per_batch = BLOCK // m
     for start in range(0, len(pieces), per_batch):
         batch = pieces[start:start + per_batch]
-        h = _views(buffers[:1], len(batch) * m)[0]
+        h = np.empty((4, 4, len(batch) * m), dtype=complex)
         for j, (_, _, seg, _) in enumerate(batch):
             h[:, :, j * m:(j + 1) * m] = seg.h[:, :, None]
         yield _expm_members(h, np.multiply.outer([rate for _, rate, _, _ in batch], z).ravel(),
-                            np.repeat([seg.duration for _, _, seg, _ in batch], m), buffers)
+                            np.repeat([seg.duration for _, _, seg, _ in batch], m))
 
 
-def _multiply_out(chain: list, z: np.ndarray, basis: np.ndarray, buffers: np.ndarray) -> np.ndarray:
-    """The product of the factors of `chain`, in order, at positions z: a
-    member-last (4, 4, m) view into rows 7-8 of `buffers` (row 9 is
-    scratch), valid until they are next written.
+def _multiply_out(chain: list, z: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The product of the factors of `chain`, in order, at positions z, as a
+    member-last (4, 4, m) array.
 
     A factor is either (u0, rate, seg, w) as `ensemble_propagators` resolves
     a segment -- the shared unitary u0 times the member phases
     exp(-i rate z Jz/2) (none when rate is None), or the RF piece seg under
     a gradient of rate when seg is not None -- or fitted, the (32, N)
-    coefficients of a run or piece (`_fit_run`), evaluated in rows 0-1 with
-    the first N rows of `basis` (T_k at z). The RF pieces' exponentials come
-    from `_expm_batches` in rows 0-6, as many pieces at once as fill one
-    row, and stay in rows 4-5 until the next batch.
+    coefficients of a run or piece (`_fit_run`), evaluated with the first N
+    rows of `basis` (T_k at z). The RF pieces' exponentials come from
+    `_expm_batches`, a batch at a time.
     """
     m = z.size
-    u, spare, tmp = _views(buffers[7:], m)
-    u.fill(0.0)
-    u.reshape(16, -1)[::5] = 1.0
+    u = np.zeros((4, 4, m), dtype=complex)
+    u[range(4), range(4)] = 1.0
     pieces = [f for f in chain if not isinstance(f, np.ndarray) and f[2] is not None]
-    exps = (b[:, :, j:j + m] for b in _expm_batches(pieces, z, buffers) for j in range(0, b.shape[2], m))
+    exps = (b[:, :, j:j + m] for b in _expm_batches(pieces, z) for j in range(0, b.shape[2], m))
     for f in chain:
         if isinstance(f, np.ndarray):
-            re_im = np.matmul(f, basis[:f.shape[1]], out=buffers[1].view(float)[:32 * m].reshape(32, m))
-            g = buffers[0][:16 * m].reshape(16, m)
+            re_im = f @ basis[:f.shape[1]]
+            g = np.empty((16, m), dtype=complex)
             g.real, g.imag = re_im[:16], re_im[16:]
             g = g.reshape(4, 4, m)
         elif f[2] is None:
@@ -286,7 +275,7 @@ def _multiply_out(chain: list, z: np.ndarray, basis: np.ndarray, buffers: np.nda
             g = u0 if rate is None else u0 * np.exp(-1j * rate * np.multiply.outer(ops.SPIN_PROJECTION, z))
         else:
             g = next(exps)
-        u, spare = _matmul(g, u, spare, tmp), u
+        u = _matmul(g, u)
     return u
 
 
@@ -312,7 +301,7 @@ def _dct(values: np.ndarray, t: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _fit_run(factors: list, n_terms: int, z_max: float, buffers: np.ndarray) -> np.ndarray:
+def _fit_run(factors: list, n_terms: int, z_max: float) -> np.ndarray:
     """(32, N) coefficients (`_dct`) of the run's product
     sum_k c_k T_k(z / z_max), from its values at the N Chebyshev points.
 
@@ -327,10 +316,10 @@ def _fit_run(factors: list, n_terms: int, z_max: float, buffers: np.ndarray) -> 
     pieces = [f for f in factors if f[2] is not None]
     n_p = _term_count(max((f[-1] for f in pieces), default=0.0))
     t_p, t = _chebyshev_matrix(n_p), _chebyshev_matrix(n_terms)
-    fits = iter([c for exps in _expm_batches(pieces, z_max * np.cos(_angles(n_p)), buffers)
+    fits = iter([c for exps in _expm_batches(pieces, z_max * np.cos(_angles(n_p)))
                  for c in _dct(exps.reshape(16, -1, n_p).transpose(1, 0, 2), t_p)])
     acc = _multiply_out([next(fits) if f[2] is not None else f for f in factors],
-                        z_max * np.cos(_angles(n_terms)), t[:n_p], buffers)
+                        z_max * np.cos(_angles(n_terms)), t[:n_p])
     return _dct(acc.reshape(16, n_terms), t)
 
 
@@ -346,22 +335,21 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
     exp(-i gamma z g dt Jz/2) (a segment that commutes with Jz), or an RF
     piece under a gradient. Each is an entire function of z of half-width
     w = gamma |g| max|z| dt (0 for a shared unitary). Consecutive factors
-    form runs while their summed w needs N < min(n, BLOCK, RUN_TERMS)
-    Chebyshev terms for a tail bound below 1e-17 (`_half_widths`); each run
-    is multiplied out at its N Chebyshev points once per call (`_fit_run`),
+    form runs while their summed w needs N < min(n, RUN_TERMS) Chebyshev
+    terms for a tail bound below 1e-17 (`_half_widths`); each run is
+    multiplied out at its N Chebyshev points once per call (`_fit_run`),
     its RF pieces read from fits of their own at the fewer terms the widest
     of them needs, and becomes one factor of the chain, its coefficients. A
     factor whose own N reaches that cap enters the chain as it is: member
     phases, or the per-member Taylor exponential `_expm_members`, so one
-    molecule and tiny ensembles take no Chebyshev path. Each block of at most BLOCK members,
-    in buffers allocated once per call, multiplies the chain out in one
-    `_multiply_out`, a fitted run being one real product with the basis
-    T_k(z / max|z|), built once per call.
+    molecule and tiny ensembles take no Chebyshev path. Each block of at
+    most BLOCK members multiplies the chain out in one `_multiply_out`, a
+    fitted run being one real product with the basis T_k(z / max|z|), built
+    once per call.
     """
     z = np.asarray(z, dtype=float)
     zs = z.reshape(-1)
     z_max = float(np.abs(zs).max(initial=0.0))  # NaN if any z is
-    buffers = np.empty((10, 16 * min(zs.size, BLOCK)), dtype=complex)
     shared: dict = {}
     # (shared unitary or None, rad/s per metre of z or None, RF segment or None, half-width w)
     factors = []
@@ -385,8 +373,8 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
             u0 = shared[key] = ops.expm_hermitian(seg.h, seg.duration)[:, :, None]
         factors.append((u0, rate, None, 0.0 if rate is None else abs(rate) * z_max))
 
-    chain = [_fit_run(fs, n_terms, z_max, buffers) if n_terms else fs[0]
-             for fs, n_terms in _group_runs(factors, min(zs.size, BLOCK, RUN_TERMS))]
+    chain = [_fit_run(fs, n_terms, z_max) if n_terms else fs[0]
+             for fs, n_terms in _group_runs(factors, min(zs.size, RUN_TERMS))]
     n_basis = max((f.shape[1] for f in chain if isinstance(f, np.ndarray)), default=0)
     basis = np.empty((n_basis, zs.size))  # T_k(z / z_max) by the three-term recurrence
     basis[:1] = 1.0
@@ -397,13 +385,9 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
     out = np.empty((zs.size, 4, 4), dtype=complex)
     for start in range(0, zs.size, BLOCK):
         m = min(BLOCK, zs.size - start)
-        u = _multiply_out(chain, zs[start:start + m], basis[:, start:start + m], buffers)
+        u = _multiply_out(chain, zs[start:start + m], basis[:, start:start + m])
         out[start:start + m] = u.transpose(2, 0, 1)
-        # u^dagger u - 1, in buffers the product does not use
-        u_dag, gram, tmp = _views(buffers[:3], m)
-        np.conjugate(u.transpose(1, 0, 2), out=u_dag)
-        _matmul(u_dag, u, gram, tmp).reshape(16, -1)[::5] -= 1.0
-        err = np.abs(gram).max()
+        err = np.abs(_matmul(u.conj().transpose(1, 0, 2), u) - np.eye(4)[:, :, None]).max()
         if not err <= ops.UNITARY_TOL:
             raise NumericalContractError(f"sequence propagator failed unitarity at 1e-10 (error {err:.3e})")
     return out.reshape(z.shape + (4, 4))

@@ -102,7 +102,7 @@ def logical_decompose(h: np.ndarray, frame: ops.LogicalFrame) -> tuple[float, fl
         + cy * ops.code_block(frame.sy)
         + cz * ops.code_block(frame.sz)
     )
-    err = np.abs(recon - blk).max()
-    if err > 1e-10:
-        raise ValueError(f"code-block reconstruction error {err:.3e} exceeds 1e-10")
+    err, bound = np.abs(recon - blk).max(), 1e-10 * max(1.0, np.abs(blk).max())
+    if err > bound:
+        raise ValueError(f"code-block reconstruction error {err:.3e} exceeds {bound:.3e}")
     return cz, cx, cy, cid

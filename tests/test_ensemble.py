@@ -273,7 +273,7 @@ class TestTaylorKernel:
         jz_half = np.diag(ops.SPIN_PROJECTION).astype(complex)
         largest = max(np.abs(h + s * jz_half).sum(axis=0).max() for s in shifts)
         dt = norm / largest if largest > 0 else 1.0
-        u = _expm_members(h, shifts, dt, np.empty((7, 16 * n), dtype=complex))
+        u = _expm_members(h, shifts, dt)
         assert u.shape == (4, 4, n)
         for i, s in enumerate(shifts):
             assert np.abs(u[:, :, i] - scipy.linalg.expm(-1j * (h + s * jz_half) * dt)).max() <= 1e-12
@@ -323,6 +323,32 @@ class TestTaylorKernel:
         zs = zs[[0, -1]]
         for z, u in zip(zs, ensemble_propagators(prefix, spin_system, wf, zs)):
             assert np.abs(u - segments_oracle_30_digits(segments, spin_system, z)).max() <= 1e-10
+
+    def test_batches_fill_block_columns(self, spin_system, monkeypatch):
+        # at 100 members many RF pieces stay unfitted; each block batches
+        # BLOCK // 100 = 2 of them per Taylor call, whose columns share one
+        # squaring count, and each column is still its own exponential
+        seq = composite_y90(spin_system, calibrate=False)
+        wf = noise_waveform(seq, khz_per_cm_to_t_per_m(1000.0))
+        zs = member_positions(EnsembleSpec(n_members=100))
+        calls, expm = [], ensemble._expm_members
+
+        def spy(h, shifts, dt, *args):
+            calls.append((np.broadcast_to(h.reshape(4, 4, -1), (4, 4, shifts.size)).copy(), shifts,
+                          np.broadcast_to(dt, shifts.shape), expm(h, shifts, dt, *args)))
+            return calls[-1][-1]
+        monkeypatch.setattr(ensemble, "_expm_members", spy)
+        us = ensemble_propagators(seq, spin_system, wf, zs)
+        monkeypatch.undo()
+        assert all(shifts.size <= BLOCK for _, shifts, _, _ in calls)
+        assert any(shifts.size > zs.size for _, shifts, _, _ in calls)
+        jz_half = np.diag(ops.SPIN_PROJECTION)
+        for h, shifts, dt, u in calls:
+            exponent = -1j * (h.transpose(2, 0, 1) + shifts[:, None, None] * jz_half) * dt[:, None, None]
+            assert np.abs(u.transpose(2, 0, 1) - scipy.linalg.expm(exponent)).max() <= 1e-12
+        # expm_oracle's own pieces are off by about 5e-11 at this gradient
+        for i in (0, 50, 99):
+            assert np.abs(us[i] - expm_oracle(seq, spin_system, wf, zs[i])).max() <= 1e-10
 
     @pytest.mark.parametrize("grad, match", [
         (khz_per_cm_to_t_per_m(1e7), "unitarity"),  # squaring amplifies round-off past 1e-10
@@ -376,7 +402,7 @@ class TestChebyshevPieces:
             assert np.abs(us[i] - segments_oracle_30_digits(segments, spin_system, zs[i])).max() <= 1e-12
 
     def test_term_count_table_is_increasing(self):
-        assert _half_widths().shape == (BLOCK,)
+        assert _half_widths().shape == (RUN_TERMS,)
         assert np.all(np.diff(_half_widths()) > 0)
 
 
@@ -424,7 +450,7 @@ class TestRuns:
             calls = run_fit_spy(mp)
             us = ensemble_propagators(seq, sys, wf, zs)
         (runs,) = groups
-        cap = min(n, BLOCK, RUN_TERMS)
+        cap = min(n, RUN_TERMS)
         assert sum(len(factors) for factors, _ in runs) == len(piecewise_segments(seq, sys, wf))
         for factors, n_terms in runs:
             if n_terms is None:

@@ -370,6 +370,17 @@ class TestRunAndCli:
         assert cli.main(["crusher", "--config", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_cli_integer_literal_past_the_digit_limit(self, tmp_path, capsys):
+        # json.load raises a plain ValueError for an integer literal of more
+        # than 4300 digits, not a JSONDecodeError
+        path = tmp_path / "c.json"
+        path.write_text('{"ensemble": {"n_members": 1' + "0" * 5000 + "}}")
+        assert cli.main(["memory", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config: {str(path)!r} is not valid JSON: ")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("experiment", ["noisy-gate", "memory"])
     def test_cli_negative_seed_exit_code(self, tmp_path, capsys, experiment):
         config = Path(__file__).resolve().parents[1] / "configs" / f"{experiment.replace('-', '_')}.json"
@@ -563,6 +574,23 @@ class TestRunAndCli:
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: dfsim gates")
+
+    def test_import_loads_only_numpy_and_the_standard_library(self):
+        # numpy is the one runtime dependency. Only what `import dfsim` adds
+        # counts (`site` may have loaded other packages before it), and not
+        # the module objects that compiled extensions make at run time
+        # (Cython's `cython_runtime`), which no finder loaded
+        code = ("import sys\n"
+                "before = set(sys.modules)\n"
+                "import dfsim\n"
+                "added = {name.partition('.')[0] for name, module in sys.modules.items()\n"
+                "         if name not in before and module.__spec__ is not None}\n"
+                "print(' '.join(sorted(added - set(sys.stdlib_module_names))))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["dfsim", "numpy"]
 
     def test_cli_noisy_gate_schema(self, tmp_path):
         config = tmp_path / "c.json"

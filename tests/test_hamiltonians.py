@@ -118,6 +118,19 @@ class TestLogicalDecompose:
             assert cx == pytest.approx(np.pi * j, abs=1e-9)
             assert cy == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("frame", ops.LogicalFrame.CHOICES)
+    @pytest.mark.parametrize("coupling", ["measured", "equal_to_nu2"])
+    def test_logical_z_rate_at_every_scale(self, frame, coupling):
+        # the reconstruction bound is relative to the block's largest entry,
+        # so accepted systems decompose at any shift up to the overflow bound;
+        # c_z is the difference of the diagonal entries, so its round-off is
+        # relative to the block's scale, which J sets at the smallest shifts
+        for nu2 in np.logspace(-3, 307, 200):
+            sys = SpinSystem(nu2=nu2, j_coupling=5.7 if coupling == "measured" else nu2)
+            h = internal_hamiltonian(sys)
+            cz, _, _, _ = logical_decompose(h, ops.logical_frame(frame))
+            assert abs(cz + np.pi * (nu2 - sys.nu1)) <= 1e-15 * np.abs(ops.code_block(h)).max()
+
     def test_identity(self):
         frame = ops.logical_frame("hybrid")
         assert logical_decompose(np.eye(4, dtype=complex), frame) == pytest.approx((0, 0, 0, 1))
