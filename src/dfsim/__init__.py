@@ -41,8 +41,6 @@ from .operators import (
     decoding_unitary,
     encoding_unitary,
     expm_hermitian,
-    is_dfs_preserving,
-    logical_frame,
     pauli_embed,
     zq_projectors,
 )

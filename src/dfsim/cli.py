@@ -34,7 +34,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     experiment = args.experiment.replace("-", "_")
     try:
-        raw: dict = {}
+        raw = {}
         if args.config:
             try:
                 with open(args.config) as fh:
@@ -43,12 +43,10 @@ def main(argv=None) -> int:
                 raise ConfigError(f"config: cannot read {args.config!r}: {exc}") from exc
             except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
                 raise ConfigError(f"config: {args.config!r} is not valid JSON: {exc}") from exc
-        raw["experiment"] = experiment
-        overrides = {"seed": args.seed, "out": args.out, "label": args.label}
-        if args.members is not None:
-            ensemble = dict(raw.get("ensemble", {}))
-            ensemble["n_members"] = args.members
-            raw["ensemble"] = ensemble
+        # a config or ensemble that is not a mapping is left for config_from_dict to reject
+        if args.members is not None and isinstance(raw, dict) and isinstance(raw.get("ensemble", {}), dict):
+            raw = {**raw, "ensemble": {**raw.get("ensemble", {}), "n_members": args.members}}
+        overrides = {"experiment": experiment, "seed": args.seed, "out": args.out, "label": args.label}
         config = config_from_dict(raw, overrides)
         result = run(config)
     except ConfigError as exc:

@@ -149,8 +149,11 @@ _CONFIG_KEYS = {"experiment", "spin_system", "ensemble", "sweep", "seed", "out",
 def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     """Build a validated config from a parsed config file plus CLI overrides.
 
-    Raises ConfigError naming the offending field.
+    Raises ConfigError naming the offending field, or `config` when `raw`
+    is not a mapping.
     """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config: must be a JSON object, got {raw!r}")
     data = dict(raw)
     for key, value in (overrides or {}).items():
         if value is not None:
@@ -160,6 +163,9 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
         raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
     if "experiment" not in data:
         raise ConfigError("experiment: field is required")
+    for key in ("out", "label"):
+        if not isinstance(data.get(key, ""), str):
+            raise ConfigError(f"{key}: must be a string, got {data[key]!r}")
 
     def build(section: str, cls):
         params = data.get(section, {})
@@ -181,8 +187,8 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
         ensemble=ens,
         sweep=sweep,
         seed=data.get("seed"),
-        out_dir=str(data.get("out", "results")),
-        label=str(data.get("label", "")),
+        out_dir=data.get("out", "results"),
+        label=data.get("label", ""),
     )
 
 
@@ -297,9 +303,6 @@ def memory_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict):
                               f"at g = {grad!r} T/m, with ensemble.diffusion_d = {spec.diffusion_d!r}, "
                               f"spin_system.gamma = {sys.gamma!r}, sweep.small_delta_s = {delta!r} "
                               f"and sweep.{delay_key} = {big_delta!r}")
-        if not math.isfinite(2.0 * spec.diffusion_d * big_delta):
-            raise ConfigError(f"sweep.{delay_key}: displacement spread sqrt(2 D Delta) is not finite "
-                              f"at Delta = {big_delta!r} s, ensemble.diffusion_d = {spec.diffusion_d!r} m^2/s")
         noise = collective_dephasing(strength)
         meta = {"noise_strength": strength, "grad_t_per_m": grad, "big_delta_s": big_delta, "point": idx}
         enc = _held_report(noise, True, "memory_encoded", **meta)

@@ -22,7 +22,6 @@ U_dec A U_enc (U_enc is a CNOT, a basis permutation) for unitaries or
 Kraus operators A.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +34,8 @@ KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
 KET_PLUS_I = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2)
 
 ENTANGLEMENT_THRESHOLD = 0.5
+#: largest |E(I) - I| entry `is_unital` accepts
+UNITAL_TOL = 1e-9
 
 
 def entanglement_fidelity(ch: KrausChannel, u_target: np.ndarray) -> float:
@@ -55,9 +56,9 @@ def _trace_overlap(kraus: np.ndarray, target: np.ndarray) -> np.ndarray:
     return (np.abs(tr) ** 2).sum(axis=-1)
 
 
-def is_unital(ch: KrausChannel, tol: float = 1e-9) -> bool:
+def is_unital(ch: KrausChannel) -> bool:
     eye = np.eye(ch.dim, dtype=complex)
-    return bool(np.abs(ch.apply(eye) - eye).max() <= tol)
+    return bool(np.abs(ch.apply(eye) - eye).max() <= UNITAL_TOL)
 
 
 def state_fidelities(ch: KrausChannel, u_target: np.ndarray) -> tuple[float, float, float]:
@@ -181,6 +182,3 @@ class FidelityReport:
             d["fe_above_threshold"] = bool(self.fe > ENTANGLEMENT_THRESHOLD)
         d.update(self.metadata)
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)

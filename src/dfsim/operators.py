@@ -19,6 +19,8 @@ from .errors import NumericalContractError
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
+#: largest |entry| between the code space and |00>/|11> that `dfs_violations` ignores
+DFS_TOL = 1e-10
 
 PAULI = {
     "i": np.eye(2, dtype=complex),
@@ -89,19 +91,19 @@ def coherence_order(k, l) -> int:
     return abs(SPIN_PROJECTION[ik] - SPIN_PROJECTION[il])
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return bool(np.abs(a - a.conj().T).max() <= tol)
+def is_hermitian(a: np.ndarray) -> bool:
+    return bool(np.abs(a - a.conj().T).max() <= HERMITIAN_TOL)
 
 
-def is_unitary(a: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    """True iff a, or every matrix of a (..., d, d) stack, is unitary to tol."""
-    return bool(np.abs(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1])).max() <= tol)
+def is_unitary(a: np.ndarray) -> bool:
+    """True iff a, or every matrix of a (..., d, d) stack, is unitary to UNITARY_TOL."""
+    return bool(np.abs(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1])).max() <= UNITARY_TOL)
 
 
-def dfs_violations(a: np.ndarray, tol: float = 1e-10) -> list[tuple[int, int, float]]:
+def dfs_violations(a: np.ndarray) -> list[tuple[int, int, float]]:
     """Entries of a hermitian operator that couple the code space to |00>/|11>.
 
-    Returns (row, col, |entry|) for every offending entry above tol. An empty
+    Returns (row, col, |entry|) for every offending entry above DFS_TOL. An empty
     list means evolution generated by the operator cannot leak amplitude out
     of the code space.
     """
@@ -112,15 +114,9 @@ def dfs_violations(a: np.ndarray, tol: float = 1e-10) -> list[tuple[int, int, fl
         for j in OUTER_INDICES:
             for r, c in ((i, j), (j, i)):
                 v = abs(a[r, c])
-                if v > tol:
+                if v > DFS_TOL:
                     out.append((r, c, float(v)))
     return out
-
-
-def is_dfs_preserving(a: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff the hermitian operator a has no matrix element between the
-    code space and its complement (each |entry| <= tol)."""
-    return not dfs_violations(a, tol)
 
 
 def expm_hermitian(h: np.ndarray, t: float | np.ndarray) -> np.ndarray:
@@ -190,8 +186,6 @@ class LogicalFrame:
             self.sz = -SIGMA_Z2
             self.sx = half_flipflop
         self.sy = 1j * (self.sx @ self.sz - self.sz @ self.sx) / 2
-        self.ket0 = basis_ket("01")
-        self.ket1 = basis_ket("10")
         for name, op in (("sx", self.sx), ("sy", self.sy), ("sz", self.sz)):
             blk = code_block(op)
             if np.abs(blk - PAULI[name[1]]).max() > HERMITIAN_TOL:
@@ -199,8 +193,3 @@ class LogicalFrame:
 
     def __repr__(self):
         return f"LogicalFrame({self.choice!r})"
-
-
-def logical_frame(choice: str = "hybrid") -> LogicalFrame:
-    """Construct one of the three supported logical frames."""
-    return LogicalFrame(choice)

@@ -73,10 +73,6 @@ class RfPulse:
         if self.amplitude < 0:
             raise ValueError("pulse amplitude must be >= 0")
 
-    @property
-    def nutation_angle(self) -> float:
-        return self.amplitude * self.duration
-
 
 @dataclass(frozen=True)
 class IdealRotation:
@@ -143,7 +139,8 @@ def piecewise_segments(seq: PulseSequence, sys: SpinSystem, waveform=None) -> li
     cut at the waveform's step boundaries, so each cut carries a single
     gradient value; a boundary within 1e-12 s counts as reached, and a
     remainder of at most 1e-12 s past one stays in the step before it. From
-    the last value on, the rest of an event is one cut.
+    the last value on, the rest of an event is one cut. Without a waveform
+    the walk is that of the one-value waveform [0.0].
 
     Consecutive cuts of the same Hamiltonian this walk built merge as they
     are made: the internal one (delays, pulses of amplitude 0) commutes
@@ -156,9 +153,8 @@ def piecewise_segments(seq: PulseSequence, sys: SpinSystem, waveform=None) -> li
     keeping that value. Rotations split runs.
     """
     h_int = internal_hamiltonian(sys)
-    if waveform is not None:
-        tau = float(waveform.step_time)
-        values = np.asarray(waveform.values, dtype=float).tolist()
+    tau = float(waveform.step_time) if waveform is not None else 0.0
+    values = np.asarray([0.0] if waveform is None else waveform.values, dtype=float).tolist()
     k, t_in, eps = 0, 0.0, 1e-12  # waveform step, time consumed within it, clock tolerance
     pulse_h = functools.cache(lambda amplitude, phase: h_int + rf_hamiltonian(amplitude, phase)
                               if amplitude else h_int)
@@ -169,14 +165,12 @@ def piecewise_segments(seq: PulseSequence, sys: SpinSystem, waveform=None) -> li
             continue
         h, rem = (h_int if isinstance(ev, Delay) else pulse_h(ev.amplitude, ev.phase)), ev.duration
         while rem:
-            step, g = rem, 0.0
-            if waveform is not None:
-                g = values[k]
-                if k < len(values) - 1:  # from the last value on, the gradient is held
-                    step = rem if rem - (tau - t_in) <= eps else tau - t_in
-                    t_in += step
-                    if t_in >= tau - eps:
-                        k, t_in = k + 1, 0.0
+            step, g = rem, values[k]
+            if k < len(values) - 1:  # from the last value on, the gradient is held
+                step = rem if rem - (tau - t_in) <= eps else tau - t_in
+                t_in += step
+                if t_in >= tau - eps:
+                    k, t_in = k + 1, 0.0
             rem -= step
             run = runs[-1] if runs else [None]
             if run[0] is h and (h is h_int or run[3] == g):
@@ -389,43 +383,39 @@ def enc_x(theta: float, sys: SpinSystem) -> PulseSequence:
     return PulseSequence(tuple(events), cycle_length=period, label=f"enc_x({theta:.6g})")
 
 
-def composite_y90(sys: SpinSystem, calibrate: bool = True) -> PulseSequence:
-    """Composite encoded y rotation by pi/2: z(-pi/2), x(pi/2), z(pi/2).
+def composite_y90(sys: SpinSystem) -> PulseSequence:
+    """Calibrated composite encoded y rotation by pi/2: z(-pi/2), x(pi/2), z(pi/2).
 
     With nominal delays the always-on logical x coupling tilts the two z legs
-    enough to cost about 1e-3 in gate fidelity, so by default the two delay
-    durations are trimmed (a few percent, found by a deterministic grid
-    search against the ideal target) -- the software analogue of calibrating
-    the gate on the spectrometer.
+    enough to cost about 1e-3 in gate fidelity, so the two delay durations
+    are trimmed (a few percent, found by a deterministic grid search against
+    the ideal target) -- the software analogue of calibrating the gate on
+    the spectrometer.
     """
     x_leg = enc_x(math.pi / 2, sys)
-    z_pre = enc_z(-math.pi / 2, sys)
-    z_post = enc_z(math.pi / 2, sys)
-    t_pre = z_pre.events[0].duration
-    t_post = z_post.events[0].duration
+    t_pre = enc_z(-math.pi / 2, sys).events[0].duration
+    t_post = enc_z(math.pi / 2, sys).events[0].duration
+    h_int = internal_hamiltonian(sys)
+    u_x = propagator(x_leg, sys)
+    target = ops.expm_hermitian(ops.PAULI["y"], math.pi / 4)  # exp(-i pi/4 sy)
 
-    if calibrate:
-        h_int = internal_hamiltonian(sys)
-        u_x = propagator(x_leg, sys)
-        target = ops.expm_hermitian(ops.PAULI["y"], math.pi / 4)  # exp(-i pi/4 sy)
+    def fidelities(s1, s2):  # at every pair of the scale grids, s1 outer
+        u = ops.expm_hermitian(h_int, t_post * s2) @ u_x @ ops.expm_hermitian(h_int, t_pre * s1)[:, None]
+        return member_gate_fidelities(u.reshape(-1, 4, 4), target, encoded=True)
 
-        def fidelities(s1, s2):  # at every pair of the scale grids, s1 outer
-            u = ops.expm_hermitian(h_int, t_post * s2) @ u_x @ ops.expm_hermitian(h_int, t_pre * s1)[:, None]
-            return member_gate_fidelities(u.reshape(-1, 4, 4), target, encoded=True)
-
-        best = (fidelities(np.ones(1), np.ones(1))[0], 1.0, 1.0)
-        centre, span, steps = (1.0, 1.0), 0.05, 10
-        for _ in range(3):
-            s1, s2 = (np.linspace(c - span, c + span, 2 * steps + 1) for c in centre)
-            f = fidelities(s1, s2)
-            # argmax takes the first maximum in s1-outer, s2-inner order, as
-            # a scan that only moves on strict improvement would
-            k = int(np.argmax(f))
-            if f[k] > best[0]:
-                best = (f[k], float(s1[k // s2.size]), float(s2[k % s2.size]))
-            centre, span = (best[1], best[2]), span / steps
-        t_pre *= best[1]
-        t_post *= best[2]
+    best = (fidelities(np.ones(1), np.ones(1))[0], 1.0, 1.0)
+    centre, span, steps = (1.0, 1.0), 0.05, 10
+    for _ in range(3):
+        s1, s2 = (np.linspace(c - span, c + span, 2 * steps + 1) for c in centre)
+        f = fidelities(s1, s2)
+        # argmax takes the first maximum in s1-outer, s2-inner order, as
+        # a scan that only moves on strict improvement would
+        k = int(np.argmax(f))
+        if f[k] > best[0]:
+            best = (f[k], float(s1[k // s2.size]), float(s2[k % s2.size]))
+        centre, span = (best[1], best[2]), span / steps
+    t_pre *= best[1]
+    t_post *= best[2]
 
     events = (Delay(t_pre),) + x_leg.events + (Delay(t_post),)
     return PulseSequence(events, cycle_length=x_leg.cycle_length, label="composite_y90")

@@ -19,7 +19,7 @@ from dfsim import SpinSystem  # noqa: E402
 from dfsim import operators as ops  # noqa: E402
 from dfsim.ensemble import GradientWaveform  # noqa: E402
 from dfsim.hamiltonians import internal_hamiltonian, rf_hamiltonian  # noqa: E402
-from dfsim.pulses import ROTATIONS, Delay, IdealRotation, PulseSequence, RfPulse  # noqa: E402
+from dfsim.pulses import ROTATIONS, Delay, IdealRotation, PulseSequence, RfPulse, enc_x, enc_z  # noqa: E402
 
 @pytest.fixture
 def spin_system():
@@ -85,6 +85,13 @@ def composite_90x_180y_90x(pulse: RfPulse) -> tuple:
     phases 0, +90 deg and 0."""
     return tuple(RfPulse(pulse.amplitude, pulse.phase + dphi, pulse.duration * frac)
                  for frac, dphi in ((0.25, 0.0), (0.5, math.pi / 2), (0.25, 0.0)))
+
+
+def nominal_composite_y90(sys: SpinSystem) -> PulseSequence:
+    """`composite_y90` before calibration: the enc_z(-pi/2), enc_x(pi/2) and
+    enc_z(pi/2) events at their nominal delays."""
+    events = enc_z(-math.pi / 2, sys).events + enc_x(math.pi / 2, sys).events + enc_z(math.pi / 2, sys).events
+    return PulseSequence(events, cycle_length=4, label="composite_y90")
 
 
 def event_hamiltonian(ev, sys: SpinSystem) -> np.ndarray:

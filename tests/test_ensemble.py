@@ -35,7 +35,6 @@ from dfsim.pulses import (
     PulseSequence,
     RfPulse,
     Segment,
-    composite_y90,
     piecewise_segments,
     propagator,
     state_trajectory,
@@ -47,6 +46,7 @@ from conftest import (
     composite_90x_180y_90x,
     expm_oracle,
     hermitians,
+    nominal_composite_y90,
     positions,
     property_settings,
     random_ket,
@@ -309,7 +309,7 @@ class TestTaylorKernel:
         assert np.abs(rho - free @ rho0 @ free.conj().T).max() <= 1e-10
 
     def test_composite_y90_at_1000_khz_per_cm(self, spin_system):
-        seq = composite_y90(spin_system, calibrate=False)
+        seq = nominal_composite_y90(spin_system)
         wf = noise_waveform(seq, khz_per_cm_to_t_per_m(1000.0))
         zs = member_positions(EnsembleSpec(n_members=5))
         for z, u in zip(zs, ensemble_propagators(seq, spin_system, wf, zs)):
@@ -328,7 +328,7 @@ class TestTaylorKernel:
         # at 100 members many RF pieces stay unfitted; each block batches
         # BLOCK // 100 = 2 of them per Taylor call, whose columns share one
         # squaring count, and each column is still its own exponential
-        seq = composite_y90(spin_system, calibrate=False)
+        seq = nominal_composite_y90(spin_system)
         wf = noise_waveform(seq, khz_per_cm_to_t_per_m(1000.0))
         zs = member_positions(EnsembleSpec(n_members=100))
         calls, expm = [], ensemble._expm_members
@@ -356,7 +356,7 @@ class TestTaylorKernel:
         (1e305, "not finite"),                      # gamma g overflows to inf
     ], ids=["1e7_khz_per_cm", "1e299_t_per_m", "1e305_t_per_m"])
     def test_absurd_gradient_breaks_the_contract(self, spin_system, grad, match):
-        seq = composite_y90(spin_system, calibrate=False)
+        seq = nominal_composite_y90(spin_system)
         wf = noise_waveform(seq, grad)
         with pytest.raises(NumericalContractError, match=match):
             ensemble_propagators(seq, spin_system, wf, member_positions(EnsembleSpec(n_members=101)))
@@ -389,7 +389,7 @@ class TestChebyshevPieces:
     def test_composite_y90_at_100_khz_per_cm(self, spin_system, monkeypatch):
         # the shipped sweep's strongest point: at 101 members every RF piece
         # of the prefix is fitted in a run, checked against the 30-digit oracle
-        seq = composite_y90(spin_system, calibrate=False)
+        seq = nominal_composite_y90(spin_system)
         wf = noise_waveform(seq, khz_per_cm_to_t_per_m(100.0))
         prefix = PulseSequence(seq.events[:16])
         zs = member_positions(EnsembleSpec(n_members=101))
@@ -477,7 +477,7 @@ class TestRuns:
         # in composite_y90 the 630 us delays set a run's N; each RF piece is
         # fitted alone at the n_p < N terms of the run's widest piece, so
         # no exponential is taken at the run's N points
-        seq = composite_y90(spin_system, calibrate=False)
+        seq = nominal_composite_y90(spin_system)
         wf = noise_waveform(seq, khz_per_cm_to_t_per_m(1.0))
         runs, columns = fit_work_spy(monkeypatch)
         ensemble_propagators(seq, spin_system, wf, member_positions(EnsembleSpec(n_members=1001)))

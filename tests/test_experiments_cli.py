@@ -36,7 +36,7 @@ from dfsim.experiments import (
 from dfsim.hamiltonians import SpinSystem
 from dfsim.units import GAMMA_PROTON
 
-from conftest import lindblad_superoperator, property_settings
+from conftest import lindblad_superoperator, nominal_composite_y90, property_settings
 
 
 class TestConfig:
@@ -102,6 +102,17 @@ class TestConfig:
     def test_label_must_be_plain_stem(self):
         with pytest.raises(ConfigError, match="label"):
             config_from_dict({"experiment": "crusher", "label": "../evil"})
+
+    @pytest.mark.parametrize("raw", [[1, 2], None, "x", 3])
+    def test_config_must_be_a_mapping(self, raw):
+        with pytest.raises(ConfigError, match="^config: must be a JSON object"):
+            config_from_dict(raw, {"experiment": "crusher"})
+
+    @pytest.mark.parametrize("key, value", [("out", None), ("out", ["a"]), ("out", 3),
+                                            ("label", False), ("label", 12), ("label", None)])
+    def test_out_and_label_must_be_strings(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key}: must be a string"):
+            config_from_dict({"experiment": "crusher", key: value})
 
 
 class TestCrusher:
@@ -289,11 +300,11 @@ class TestRegistry:
         assert (tmp_path / f"{name}.csv").read_text() == EXPERIMENTS[name].header + "\n"
 
     def test_gate_table_calls_builders_by_name(self, monkeypatch, spin_system):
-        real, calls = experiments.composite_y90, []
+        calls = []
 
         def uncalibrated(sys):
             calls.append(sys)
-            return real(sys, calibrate=False)
+            return nominal_composite_y90(sys)
 
         monkeypatch.setattr(experiments, "composite_y90", uncalibrated)
         gates_experiment(spin_system, {"gates": ["composite_y90"]})
@@ -370,6 +381,34 @@ class TestRunAndCli:
         assert cli.main(["crusher", "--config", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", '"x"'])
+    @pytest.mark.parametrize("members", [[], ["--members", "3"]], ids=["", "members"])
+    def test_cli_config_that_is_not_an_object(self, tmp_path, capsys, text, members):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert cli.main(["memory", "--config", str(path), "--out", str(tmp_path)] + members) == 2
+        assert capsys.readouterr().err.startswith("config error: config: must be a JSON object")
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("ensemble", [[1], "ab", 3])
+    @pytest.mark.parametrize("members", [[], ["--members", "3"]], ids=["", "members"])
+    def test_cli_ensemble_that_is_not_a_mapping(self, tmp_path, capsys, ensemble, members):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"ensemble": ensemble}))
+        assert cli.main(["memory", "--config", str(path), "--out", str(tmp_path)] + members) == 2
+        assert capsys.readouterr().err.startswith("config error: ensemble: must be a mapping")
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("config, field", [({"out": None, "label": False}, "out"),
+                                               ({"out": ["a"], "label": 12}, "out"),
+                                               ({"label": False}, "label"), ({"label": None}, "label")])
+    def test_cli_out_and_label_that_are_not_strings(self, tmp_path, monkeypatch, capsys, config, field):
+        monkeypatch.chdir(tmp_path)  # a relative output directory lands here
+        Path("c.json").write_text(json.dumps(config))
+        assert cli.main(["crusher", "--config", "c.json"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}: must be a string")
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
     def test_cli_integer_literal_past_the_digit_limit(self, tmp_path, capsys):
         # json.load raises a plain ValueError for an integer literal of more
         # than 4300 digits, not a JSONDecodeError
@@ -425,11 +464,6 @@ class TestRunAndCli:
         ("natural", {"spin_system": {"t1": 1e-309, "t2": 1e-309}, "sweep": {"times_s": [0.5]}},
          "spin_system: relaxation time t1"),
         ("natural", {"spin_system": {"t2": 1e-309}}, "spin_system: relaxation time t2"),
-        ("memory", {"ensemble": {"diffusion_d": 1e10}, "sweep": {"big_delta_s": 1e300, "gradients_t_per_m": [0.0]}},
-         "sweep.big_delta_s"),
-        ("memory", {"ensemble": {"diffusion_d": 1e10},
-                    "sweep": {"gradient_t_per_m": 0.0, "diffusion_times_s": [1e300, 2e300, 3e300]}},
-         "sweep.diffusion_times_s"),
         ("noisy-gate", {"ensemble": {"sample_length": 1e308, "n_members": 3},
                         "sweep": {"grad_max_khz_per_cm": [1.0]}}, "ensemble.sample_length"),
         ("gates", {"spin_system": {"nu2": 1e308}}, "spin_system: nu2 = 1e+308 Hz overflows"),
@@ -452,7 +486,7 @@ class TestRunAndCli:
             "gradient_overflow", "ensemble_seed", "ensemble_grad_max", "gates_equal_shifts",
             "noisy_gate_nu1_above_nu2", "gamma_zero", "gamma_subnormal", "gamma_negative",
             "grad_max_overflow", "label_nul", "t1_t2_rate_overflow", "t2_rate_overflow",
-            "big_delta_spread_overflow", "diffusion_times_spread_overflow", "sample_length_overflow",
+            "sample_length_overflow",
             "nu2_overflow", "shift_sum_overflow", "nu1_string", "nu2_int_overflow", "n_members_bool",
             "sample_length_int_overflow", "times_string", "f_collective_bool", "diffusion_d_strength_overflow",
             "n_members_400_digits", "n_members_above_bound"])
@@ -543,6 +577,20 @@ class TestRunAndCli:
         assert code == 3
         assert "unitarity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sweep", [{"big_delta_s": 1e300, "gradients_t_per_m": [0.0]},
+                                       {"gradient_t_per_m": 0.0, "diffusion_times_s": [1e300, 2e300, 3e300]}],
+                             ids=["big_delta", "diffusion_times"])
+    def test_cli_memory_without_gradient_at_huge_diffusion(self, tmp_path, sweep):
+        # no gradient, no noise: however large D Delta is, both branches hold at 1
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"ensemble": {"diffusion_d": 1e10}, "sweep": sweep}))
+        assert cli.main(["memory", "--config", str(path), "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "memory.csv").read_text().splitlines()[1:]
+        assert rows and all(row == "0,1,1" for row in rows)  # noise_strength, fe_encoded, fe_unencoded
+        fit = json.loads((tmp_path / "memory_report.json").read_text()).get("fit")
+        if "diffusion_times_s" in sweep:
+            assert fit["flag"] == "no_decay"
+
     @staticmethod
     def memory_time_sweep(tmp_path, capfd, times, unencoded):
         """Run the CLI on a time sweep: exit 0, empty stderr, every un-encoded
@@ -609,7 +657,7 @@ class TestRunAndCli:
 # experiment's schema is drawn from its valid range or, now and then, from a
 # pool of hostile values. A run exits 0 with finite cells in their documented
 # ranges, or 2 naming a field that was drawn hostile.
-HOSTILE = [0, -0.0, 5e-324, 1e-309, 1e308, math.inf, math.nan, -1, True, "7", [], {}]
+HOSTILE = [0, -0.0, 5e-324, 1e-309, 1e308, math.inf, math.nan, -1, True, "7", [], {}, None]
 
 
 def _listed(values):
@@ -657,7 +705,8 @@ def fuzzed_configs(draw):
     config = {"spin_system": {k: value(k, v) for k, v in SPIN_FIELDS.items()},
               "ensemble": {k: value(k, v) for k, v in ENSEMBLE_FIELDS.items()},
               "sweep": {k: value(k, v) for k, v in sweep_fields.items()},
-              "seed": value("seed", st.integers(0, 100))}
+              "seed": value("seed", st.integers(0, 100)),
+              "label": value("label", st.just("") | st.from_regex(r"[a-z0-9_]{1,8}", fullmatch=True))}
     return experiment, config, hostile
 
 
@@ -676,14 +725,15 @@ def test_fuzzed_configs_exit_0_or_name_a_hostile_field(case):
             assert any(re.search(rf"\b{name}\b", err) for name in hostile), (hostile, err)
             return
         assert code == 0, err
-        header, *rows = (Path(out) / f"{experiment}.csv").read_text().splitlines()
+        stem = config["label"] or experiment
+        header, *rows = (Path(out) / f"{stem}.csv").read_text().splitlines()
         assert rows
         for row in rows:
             for column, cell in zip(header.split(","), row.split(",")):
                 if column in CELL_RANGES:
                     lo, hi = CELL_RANGES[column]
                     assert lo - 1e-12 <= float(cell) <= hi + 1e-12 and math.isfinite(float(cell)), (column, cell)
-        fit = json.loads((Path(out) / f"{experiment}_report.json").read_text()).get("fit")
+        fit = json.loads((Path(out) / f"{stem}_report.json").read_text()).get("fit")
         if fit is not None:
             assert fit["a"] == 0.5 and fit["residual_rms"] <= 1e-15
             assert fit["flag"] == ("ok" if math.isfinite(fit["tau"]) else "no_decay")

@@ -102,14 +102,14 @@ class TestGradientHamiltonian:
 
 class TestLogicalDecompose:
     def test_experimental_frame_coefficients(self, spin_system):
-        frame = ops.logical_frame("hybrid")
+        frame = ops.LogicalFrame("hybrid")
         cz, cx, cy, _ = logical_decompose(internal_hamiltonian(spin_system), frame)
         assert cz == pytest.approx(-137.5 * np.pi, rel=1e-12)
         assert cx == pytest.approx(5.7 * np.pi, rel=1e-12)
         assert cy == pytest.approx(0.0, abs=1e-12)
 
     def test_independent_frame_general_shifts(self, rng):
-        frame = ops.logical_frame("independent")
+        frame = ops.LogicalFrame("independent")
         for _ in range(20):
             nu1, nu2, j = rng.uniform(-300, 300, size=3)
             h = internal_hamiltonian(SpinSystem(nu1=nu1, nu2=nu2, j_coupling=j))
@@ -128,22 +128,22 @@ class TestLogicalDecompose:
         for nu2 in np.logspace(-3, 307, 200):
             sys = SpinSystem(nu2=nu2, j_coupling=5.7 if coupling == "measured" else nu2)
             h = internal_hamiltonian(sys)
-            cz, _, _, _ = logical_decompose(h, ops.logical_frame(frame))
+            cz, _, _, _ = logical_decompose(h, ops.LogicalFrame(frame))
             assert abs(cz + np.pi * (nu2 - sys.nu1)) <= 1e-15 * np.abs(ops.code_block(h)).max()
 
     def test_identity(self):
-        frame = ops.logical_frame("hybrid")
+        frame = ops.LogicalFrame("hybrid")
         assert logical_decompose(np.eye(4, dtype=complex), frame) == pytest.approx((0, 0, 0, 1))
 
     def test_rejects_leaky_operator_naming_entries(self):
-        frame = ops.logical_frame("hybrid")
+        frame = ops.LogicalFrame("hybrid")
         h = ops.pauli_embed(1, "x")
         with pytest.raises(ValueError, match=r"\[0,2\]|\[2,0\]"):
             logical_decompose(h, frame)
 
     def test_reconstruction_roundtrip(self, rng):
         # random DFS-preserving hermitian operators reconstruct exactly
-        frame = ops.logical_frame("hybrid")
+        frame = ops.LogicalFrame("hybrid")
         for _ in range(100):
             a = np.zeros((4, 4), dtype=complex)
             a[np.arange(4), np.arange(4)] = rng.normal(size=4)

@@ -174,7 +174,7 @@ class TestFidelityReport:
             FidelityReport(fe=1.5)
 
     def test_json_fixed_field_names(self):
-        blob = json.loads(FidelityReport(label="run", fe=0.9, seed=3).to_json())
+        blob = json.loads(json.dumps(FidelityReport(label="run", fe=0.9, seed=3).to_dict()))
         for key in ("label", "f0", "fplus", "fplusi", "fe", "fbar", "coherence", "seed"):
             assert key in blob
 

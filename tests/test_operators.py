@@ -79,18 +79,18 @@ class TestCoherenceOrder:
 class TestLogicalFrames:
     @pytest.mark.parametrize("choice", ops.LogicalFrame.CHOICES)
     def test_code_restrictions_are_pauli(self, choice):
-        f = ops.logical_frame(choice)
+        f = ops.LogicalFrame(choice)
         for name, pauli in (("sx", "x"), ("sy", "y"), ("sz", "z")):
             blk = ops.code_block(getattr(f, name))
             assert np.abs(blk - ops.PAULI[pauli]).max() <= 1e-12
 
     @pytest.mark.parametrize("choice", ops.LogicalFrame.CHOICES)
     def test_sy_commutator_definition(self, choice):
-        f = ops.logical_frame(choice)
+        f = ops.LogicalFrame(choice)
         assert np.abs(f.sy - 1j * (f.sx @ f.sz - f.sz @ f.sx) / 2).max() <= 1e-12
 
     def test_independent_frame_vanishes_outside_code(self):
-        f = ops.logical_frame("independent")
+        f = ops.LogicalFrame("independent")
         for op in (f.sx, f.sy, f.sz):
             for i in ops.OUTER_INDICES:
                 assert np.abs(op[i, :]).max() <= 1e-15
@@ -98,27 +98,26 @@ class TestLogicalFrames:
 
     def test_logical_z_action(self):
         for choice in ("independent", "product", "hybrid"):
-            f = ops.logical_frame(choice)
+            f = ops.LogicalFrame(choice)
             assert np.allclose(f.sz @ ket("01"), ket("01"))
             assert np.allclose(f.sz @ ket("10"), -ket("10"))
 
     def test_hybrid_sx_swaps_code_kets(self):
-        f = ops.logical_frame("hybrid")
+        f = ops.LogicalFrame("hybrid")
         assert np.allclose(f.sx @ ket("01"), ket("10"))
 
     def test_unknown_choice(self):
         with pytest.raises(ValueError):
-            ops.logical_frame("obs3")
+            ops.LogicalFrame("obs3")
 
 
 class TestDfsPreserving:
     def test_identity(self):
-        assert ops.is_dfs_preserving(np.eye(4, dtype=complex))
+        assert not ops.dfs_violations(np.eye(4, dtype=complex))
 
     def test_hard_pulse_generator_leaks(self):
         h = ops.pauli_embed(1, "x") + ops.pauli_embed(2, "x")
         bad = ops.dfs_violations(h)
-        assert not ops.is_dfs_preserving(h)
         assert {(r, c) for r, c, _ in bad} == {(1, 0), (0, 1), (2, 0), (0, 2),
                                                (1, 3), (3, 1), (2, 3), (3, 2)}
 
@@ -128,7 +127,7 @@ class TestDfsPreserving:
         for _ in range(100):
             coeffs = rng.normal(size=5)
             a = sum(c * b for c, b in zip(coeffs, basis))
-            assert ops.is_dfs_preserving(a)
+            assert not ops.dfs_violations(a)
 
     def test_general_preserving_form(self, rng):
         # arbitrary hermitian block structure: real diagonal, code-block
@@ -138,11 +137,11 @@ class TestDfsPreserving:
         b, c = rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal()
         a[1, 2], a[2, 1] = b, np.conj(b)
         a[0, 3], a[3, 0] = c, np.conj(c)
-        assert ops.is_dfs_preserving(a)
+        assert not ops.dfs_violations(a)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            ops.is_dfs_preserving(np.triu(np.ones((4, 4))))
+            ops.dfs_violations(np.triu(np.ones((4, 4))))
 
 
 class TestExpmHermitian:

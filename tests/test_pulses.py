@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given
+from hypothesis import strategies as st
 from mpmath.calculus.quadrature import GaussLegendre
 
 from dfsim import operators as ops
@@ -34,8 +35,8 @@ from dfsim.pulses import (
     xy_train,
 )
 
-from conftest import (composite_90x_180y_90x, event_hamiltonian, expm_oracle, property_settings, sequences,
-                      text_sequences)
+from conftest import (composite_90x_180y_90x, event_hamiltonian, expm_oracle, nominal_composite_y90,
+                      property_settings, sequences, spin_systems, text_sequences)
 
 
 def rot_1q(axis, theta):
@@ -69,10 +70,6 @@ class TestEvents:
     def test_text_with_non_finite_field_names_the_line(self, line):
         with pytest.raises(ValueError, match=f"line 2: {line!r}"):
             sequence_from_text(f"# pulse-sequence v1\n{line}\n")
-
-    def test_nutation_angle(self):
-        p = RfPulse(math.pi / 62.4e-6, 0.0, 62.4e-6)
-        assert p.nutation_angle == pytest.approx(math.pi)
 
     def test_sequence_rejects_non_events(self):
         with pytest.raises(ValueError):
@@ -158,6 +155,20 @@ class TestPropagator:
         assert np.abs(u - expm_oracle(seq, spin_system, waveform, 0.003)).max() <= 1e-10
 
 
+    @given(seq=sequences, system=spin_systems, step_time=st.floats(0.0, exclude_min=True, allow_infinity=False))
+    @property_settings
+    def test_no_waveform_walks_a_one_value_zero_waveform(self, seq, system, step_time):
+        plain = piecewise_segments(seq, system)
+        held = piecewise_segments(seq, system, GradientWaveform(step_time, [0.0]))
+        assert len(plain) == len(held)
+        for a, b in zip(plain, held):
+            assert (a.kind, a.duration, a.grad, a.commutes) == (b.kind, b.duration, b.grad, b.commutes)
+            for x, y in ((a.h, b.h), (a.u, b.u)):
+                assert (x is None) == (y is None)
+                if x is not None:
+                    assert x.tobytes() == y.tobytes()
+
+
 class TestTogglingFrames:
     def test_single_pair_flips_zeeman_terms(self, spin_system):
         seq = xx_train(n_pulses=2, spacing=1e-3)
@@ -213,7 +224,7 @@ class TestAverageHamiltonian:
 
     def test_encoded_cp_keeps_only_logical_x(self, spin_system):
         hbar = average_hamiltonian(xx_train(2, 1e-3), spin_system)
-        cz, cx, cy, _ = logical_decompose(hbar, ops.logical_frame("hybrid"))
+        cz, cx, cy, _ = logical_decompose(hbar, ops.LogicalFrame("hybrid"))
         assert abs(cz) <= 1e-9
         assert abs(cy) <= 1e-9
         assert cx == pytest.approx(np.pi * spin_system.j_coupling, rel=1e-9)
@@ -257,7 +268,7 @@ class TestBuilders:
     def test_enc_z_duration_formula(self, spin_system):
         seq = enc_z(math.pi / 2, spin_system)
         cz = abs(logical_decompose(internal_hamiltonian(spin_system),
-                                   ops.logical_frame("hybrid"))[0])
+                                   ops.LogicalFrame("hybrid"))[0])
         assert seq.events[0].duration == pytest.approx((2 * math.pi - math.pi / 2) / (2 * cz))
 
     def test_enc_z_gate_fidelity(self, spin_system):
@@ -308,7 +319,7 @@ class TestBuilders:
         # reference: one scalar fidelity at a time, s1 outer and s2 inner,
         # moving only on strict improvement
         sys = SpinSystem(**params)
-        nominal = composite_y90(sys, calibrate=False)
+        nominal = nominal_composite_y90(sys)
         t_pre, t_post = nominal.events[0].duration, nominal.events[-1].duration
         h_int = internal_hamiltonian(sys)
         u_x = propagator(enc_x(math.pi / 2, sys), sys)
@@ -336,7 +347,7 @@ class TestBuilders:
     def test_composite_rotation_algebra(self):
         # exp(-i pi/4 sz) sx exp(+i pi/4 sz) = sy, exactly, in every frame
         for choice in ("independent", "product", "hybrid"):
-            f = ops.logical_frame(choice)
+            f = ops.LogicalFrame(choice)
             r = ops.expm_hermitian(f.sz, math.pi / 4)
             assert np.abs(r @ f.sx @ r.conj().T - f.sy).max() <= 1e-12
 
@@ -455,7 +466,7 @@ class TestTrajectory:
     SEQ_TAIL = (IdealRotation("pi_x_pair"),) + composite_90x_180y_90x(RfPulse(5e4, 0.3, 124.8e-6))
 
     def test_one_yield_per_evolve_segment(self, spin_system):
-        seq = PulseSequence(composite_y90(spin_system, calibrate=False).events + self.SEQ_TAIL)
+        seq = PulseSequence(nominal_composite_y90(spin_system).events + self.SEQ_TAIL)
         rho0 = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
         evolve = [seg.duration for seg in piecewise_segments(seq, spin_system) if seg.kind == "evolve"]
         timed = [ev for ev in seq.events if not isinstance(ev, IdealRotation)]
@@ -470,7 +481,7 @@ class TestTrajectory:
                 assert abs(np.trace(state) - 1) <= 1e-12
 
     def test_each_distinct_pulse_hamiltonian_built_once_per_walk(self, spin_system, monkeypatch):
-        seq = PulseSequence(composite_y90(spin_system, calibrate=False).events + self.SEQ_TAIL)
+        seq = PulseSequence(nominal_composite_y90(spin_system).events + self.SEQ_TAIL)
         n_pulses = sum(isinstance(ev, RfPulse) for ev in seq.events)
         real, built = pulses.rf_hamiltonian, []
         monkeypatch.setattr(pulses, "rf_hamiltonian", lambda *args: built.append(args) or real(*args))
@@ -508,7 +519,7 @@ class TestTrajectory:
 
 class TestSerialization:
     def test_roundtrip(self, spin_system):
-        seq = composite_y90(spin_system, calibrate=False)
+        seq = nominal_composite_y90(spin_system)
         text = sequence_to_text(seq)
         back = sequence_from_text(text)
         assert back.label == seq.label
