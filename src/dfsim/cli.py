@@ -44,6 +44,8 @@ def main(argv=None) -> int:
             except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
                 raise ConfigError(f"config: {args.config!r} is not valid JSON: {exc}") from exc
         # a config or ensemble that is not a mapping is left for config_from_dict to reject
+        if isinstance(raw, dict) and raw.get("experiment", experiment) != experiment:
+            raise ConfigError(f"experiment: the config names {raw['experiment']!r}, not {experiment!r}")
         if args.members is not None and isinstance(raw, dict) and isinstance(raw.get("ensemble", {}), dict):
             raw = {**raw, "ensemble": {**raw.get("ensemble", {}), "n_members": args.members}}
         overrides = {"experiment": experiment, "seed": args.seed, "out": args.out, "label": args.label}

@@ -9,8 +9,8 @@ as exp(-D (gamma grad m delta)^2 Delta): the member mean of
 `gradient_diffusion_echo` tends to `channels.collective_dephasing`, the
 exact channel the storage experiments read.
 
-The time-varying case ("fast switching") uses a reflected bounded random
-walk for the gradient strength, changing every step_time, so the waveform's
+The time-varying case ("fast switching") scales a unit reflected random
+walk by the gradient strength, changing every step_time, so the waveform's
 correlation time is of the order of the stepping time -- too fast for the
 control sequences to refocus.
 
@@ -94,30 +94,19 @@ class GradientWaveform:
             raise ValueError("values must be finite")
 
 
-def _reflect(x: np.ndarray, bound: float) -> np.ndarray:
-    """Fold an unbounded walk into [-bound, bound] (triangle-wave map)."""
-    if bound == 0.0:
-        return np.zeros_like(x)
-    y = np.mod(x + bound, 4.0 * bound)
-    y = np.where(y > 2.0 * bound, 4.0 * bound - y, y)
-    return y - bound
+def random_walk_waveform(n_steps: int, seed: int, step_time: float = DEFAULT_STEP_TIME) -> GradientWaveform:
+    """The unit reflected random walk: the shape of the gradient noise, in
+    [-1, 1], to be scaled by a strength in T/m.
 
-
-def random_walk_waveform(grad_max: float, n_steps: int, seed: int,
-                         step_time: float = DEFAULT_STEP_TIME) -> GradientWaveform:
-    """Reflected bounded random walk in [-grad_max, +grad_max] (T/m).
-
-    Increments are uniform in +-grad_max, so the empirical autocorrelation
-    falls below 1/e within a few steps: the correlation time is of the order
-    of step_time. Deterministic for a fixed seed.
+    Increments are uniform in +-1 and the walk folds back at +-1 (a triangle
+    wave), so the empirical autocorrelation falls below 1/e within a few
+    steps: the correlation time is of the order of step_time. Deterministic
+    for a fixed seed.
     """
-    if not 0 <= grad_max < math.inf:
-        raise ValueError(f"grad_max must be finite and >= 0, got {grad_max!r}")
     if n_steps < 1:
         raise ValueError("need n_steps >= 1")
-    rng = default_rng(seed)
-    increments = rng.uniform(-grad_max, grad_max, size=n_steps) if grad_max > 0 else np.zeros(n_steps)
-    return GradientWaveform(step_time, _reflect(np.cumsum(increments), grad_max))
+    folded = np.mod(np.cumsum(default_rng(seed).uniform(-1.0, 1.0, size=n_steps)) + 1.0, 4.0)
+    return GradientWaveform(step_time, np.where(folded > 2.0, 3.0 - folded, folded - 1.0))
 
 
 def member_positions(spec: EnsembleSpec) -> np.ndarray:

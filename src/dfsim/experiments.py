@@ -13,20 +13,21 @@ Five experiments reproduce the storage and encoded-control studies:
                     (coherence metric curves);
 * ``gates``      -- noiseless finite-duration encoded gates (gate F_e and
                     code-space residence);
-* ``noisy_gate`` -- the composite y rotation under random-walk gradient
-                    noise of swept maximum strength (F_e; fe_stderr, the
-                    member spread over the midpoint quadrature nodes of one
-                    waveform realization divided by sqrt(n), see ROADMAP
-                    item 1; and the held-memory reference).
+* ``noisy_gate`` -- the composite y rotation under one random-walk
+                    gradient noise shape of swept strength (F_e; fe_stderr,
+                    the member spread over the midpoint quadrature nodes of
+                    one waveform realization divided by sqrt(n), see
+                    ROADMAP item 1; and the held-memory reference).
 
 Every experiment is a pure function of (spin system, ensemble spec, sweep,
 seed); `run` adds the CSV/JSON writing. Every reported fidelity and
 coherence is read off the data spin through `metrics.data_blocks`. Only
-``noisy_gate`` draws random numbers: its point k uses the RNG seed
-base_seed XOR k, so sweeps are reproducible point by point. The engineered
-noise window is modeled with the deterministic internal evolution
-refocused exactly (the idealized limit of the refocusing pulse pair the
-hardware sequence uses), so storage fidelities isolate the noise itself.
+``noisy_gate`` draws random numbers: one unit noise shape from the seed,
+which every point scales to its own strength, so a point's result does not
+depend on the rest of the sweep. The engineered noise window is modeled
+with the deterministic internal evolution refocused exactly (the idealized
+limit of the refocusing pulse pair the hardware sequence uses), so storage
+fidelities isolate the noise itself.
 """
 
 import copy
@@ -43,6 +44,7 @@ from .channels import KrausChannel, collective_dephasing, natural_relaxation_ste
 from .ensemble import (
     DEFAULT_STEP_TIME,
     EnsembleSpec,
+    GradientWaveform,
     diffusion_phase_kicks,  # not called here; perfbench/tracer.py patches this name in this module
     ensemble_propagators,
     member_positions,
@@ -383,8 +385,10 @@ MAX_WAVEFORM_STEPS = 10 ** 5
 def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed: int):
     """Composite y rotation under fast random-walk gradient noise.
 
-    For each maximum gradient strength a fresh waveform drives the whole
-    sample; the reported F_e is the ensemble mean of per-member fidelities.
+    One unit random walk, drawn from `seed` and scaled to each point's
+    maximum gradient strength, drives the whole sample: the sweep holds the
+    noise shape fixed. The reported F_e is the ensemble mean of per-member
+    fidelities.
     fe_stderr is their spread divided by sqrt(n); the members are midpoint
     quadrature nodes of one waveform realization, not independent samples,
     so it is no error bar for F_e (ROADMAP item 1). fe_memory is the same
@@ -416,16 +420,17 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
     if n_steps > MAX_WAVEFORM_STEPS:
         raise ConfigError(f"sweep.step_time_s: {step_time!r} s would cut the {seq.duration:.6g} s gate "
                           f"into more than {MAX_WAVEFORM_STEPS} waveform steps")
+    shape = random_walk_waveform(n_steps, seed, step_time).values
     rows, reports = [], []
     for idx, grad in enumerate(grads):
-        wf = random_walk_waveform(grad, n_steps, seed ^ idx, step_time=step_time)
+        wf = GradientWaveform(step_time, grad * shape)
         f_gate = member_gate_fidelities(ensemble_propagators(seq, sys, wf, zs), target, encoded=True)
         f_mem = member_gate_fidelities(ensemble_propagators(mem_seq, sys, wf, zs), mem_target, encoded=True)
         fe = float(f_gate.mean())
         stderr = float(f_gate.std(ddof=1) / math.sqrt(len(f_gate)))
         fe_mem = float(f_mem.mean())
         rows.append({"grad_max_t_per_m": grad, "fe": fe, "fe_stderr": stderr, "fe_memory": fe_mem})
-        reports.append(FidelityReport(label="noisy_composite_y90", fe=fe, seed=seed ^ idx,
+        reports.append(FidelityReport(label="noisy_composite_y90", fe=fe,
                                       metadata={"grad_max_t_per_m": grad, "fe_stderr": stderr,
                                                 "fe_memory": fe_mem, "point": idx}))
     return rows, reports

@@ -155,7 +155,6 @@ class FidelityReport:
     fe: float | None = None
     fbar: float | None = None
     coherence: float | None = None
-    seed: int | None = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -176,7 +175,6 @@ class FidelityReport:
             "fe": self.fe,
             "fbar": self.fbar,
             "coherence": self.coherence,
-            "seed": self.seed,
         }
         if self.fe is not None:
             d["fe_above_threshold"] = bool(self.fe > ENTANGLEMENT_THRESHOLD)

@@ -426,8 +426,11 @@ def composite_y90(sys: SpinSystem) -> PulseSequence:
 # ---------------------------------------------------------------------------
 
 def sequence_to_text(seq: PulseSequence) -> str:
-    """The text form of `seq`. Raises ValueError for a nonzero pulse
-    amplitude that is subnormal or 0 in Hz, which the text could not hold."""
+    """The text form of `seq`. Raises ValueError for what the text could not
+    hold: a label that `str.splitlines` would split or that has surrounding
+    whitespace, and a nonzero pulse amplitude that is subnormal or 0 in Hz."""
+    if seq.label != seq.label.strip() or len(seq.label.splitlines()) > 1:
+        raise ValueError(f"label {seq.label!r}: a line break or surrounding whitespace would not read back")
     out = io.StringIO()
     out.write("# pulse-sequence v1\n")
     out.write(f"label {seq.label}\n")

@@ -17,7 +17,7 @@ os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 from dfsim import SpinSystem  # noqa: E402
 from dfsim import operators as ops  # noqa: E402
-from dfsim.ensemble import GradientWaveform  # noqa: E402
+from dfsim.ensemble import GradientWaveform, random_walk_waveform  # noqa: E402
 from dfsim.hamiltonians import internal_hamiltonian, rf_hamiltonian  # noqa: E402
 from dfsim.pulses import ROTATIONS, Delay, IdealRotation, PulseSequence, RfPulse, enc_x, enc_z  # noqa: E402
 
@@ -92,6 +92,13 @@ def nominal_composite_y90(sys: SpinSystem) -> PulseSequence:
     enc_z(pi/2) events at their nominal delays."""
     events = enc_z(-math.pi / 2, sys).events + enc_x(math.pi / 2, sys).events + enc_z(math.pi / 2, sys).events
     return PulseSequence(events, cycle_length=4, label="composite_y90")
+
+
+def scaled_walk(grad_max: float, n_steps: int, seed: int) -> GradientWaveform:
+    """The unit random walk of `seed` scaled to strength `grad_max` (T/m), as
+    noisy_gate_experiment scales it for each sweep point."""
+    shape = random_walk_waveform(n_steps, seed)
+    return GradientWaveform(shape.step_time, grad_max * shape.values)
 
 
 def event_hamiltonian(ev, sys: SpinSystem) -> np.ndarray:
@@ -181,6 +188,8 @@ def sequences_of(amplitudes):
 sequences = sequences_of(st.floats(0.0, 1e5))
 # the text form holds amplitudes in Hz, which must be 0 or a normal float
 text_sequences = sequences_of(st.just(0.0) | st.floats(1e-300, 1e5))
+# labels the text form holds: one line, no surrounding whitespace
+text_labels = st.text().filter(lambda s: s == s.strip() and len(s.splitlines()) <= 1)
 waveforms = st.builds(
     GradientWaveform,
     step_time=st.integers(5, 100).map(lambda k: k * 1e-6),

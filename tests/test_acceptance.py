@@ -157,7 +157,7 @@ def test_criterion_7_noisy_composite_sweep():
     fes = [r["fe"] for r in rows]
     low = [r["fe"] for r in rows if r["grad_max_t_per_m"] <= 0.55 * 2.349e-3]  # <= 0.5 kHz/cm
     ok = len(low) >= 4 and max(low) - min(low) <= 0.02     # flat plateau at low noise
-    ok &= all(b <= a + 0.02 for a, b in zip(fes, fes[1:]))  # non-increasing within MC tol
+    ok &= all(b <= a for a, b in zip(fes, fes[1:]))  # one noise shape, scaled: non-increasing
     ok &= all(abs(r["fe_memory"] - 1.0) <= 1e-6 for r in rows)
     ok &= elapsed < 300.0
     report(7, bool(ok), f"plateau spread {max(low) - min(low):.4f}, curve non-increasing, "

@@ -50,6 +50,7 @@ from conftest import (
     positions,
     property_settings,
     random_ket,
+    scaled_walk,
     segments_oracle_30_digits,
     sequences,
     spin_systems,
@@ -74,9 +75,8 @@ class TestSpecs:
         assert EnsembleSpec(n_members=ensemble.MAX_MEMBERS).n_members == 10 ** 6
         with pytest.raises(ValueError, match="n_members must be from 2 to 1000000"):
             EnsembleSpec(n_members=ensemble.MAX_MEMBERS + 1)
-        for grad_max in (-0.1, math.inf, math.nan):
-            with pytest.raises(ValueError, match="grad_max"):
-                random_walk_waveform(grad_max, 10, seed=0)
+        with pytest.raises(ValueError, match="n_steps"):
+            random_walk_waveform(0, seed=0)
 
     @pytest.mark.parametrize("step_time, values, match", [
         (0.0, [0.1], "step_time"), (-1e-6, [0.1], "step_time"), (math.nan, [0.1], "step_time"),
@@ -89,23 +89,28 @@ class TestSpecs:
 
 
 class TestRandomWalk:
-    def test_zero_strength_is_flat(self):
-        wf = random_walk_waveform(0.0, 100, seed=5)
-        assert np.abs(wf.values).max() == 0
+    def test_length_and_clock(self):
+        wf = random_walk_waveform(7, seed=5, step_time=1e-4)
+        assert wf.values.shape == (7,) and wf.step_time == 1e-4
+        assert random_walk_waveform(7, seed=5).step_time == DEFAULT_STEP_TIME
 
     def test_deterministic_for_fixed_seed(self):
-        a = random_walk_waveform(0.3, 1000, seed=11)
-        b = random_walk_waveform(0.3, 1000, seed=11)
+        a = random_walk_waveform(1000, seed=11)
+        b = random_walk_waveform(1000, seed=11)
         assert np.array_equal(a.values, b.values)
-        c = random_walk_waveform(0.3, 1000, seed=12)
+        c = random_walk_waveform(1000, seed=12)
         assert not np.array_equal(a.values, c.values)
 
     def test_bounded(self):
-        wf = random_walk_waveform(0.25, 10_000, seed=2)
-        assert np.abs(wf.values).max() <= 0.25 + 1e-15
+        # the fold at +-1 keeps every step of the walk within its uniform
+        # increment, and the walk reaches both bounds
+        values = random_walk_waveform(10_000, seed=2).values
+        assert np.abs(values).max() <= 1.0
+        assert values.min() < -0.99 and values.max() > 0.99
+        assert np.abs(np.diff(values)).max() <= 1.0 + 1e-12
 
     def test_correlation_time_is_a_few_steps(self):
-        wf = random_walk_waveform(1.0, 100_000, seed=3)
+        wf = random_walk_waveform(100_000, seed=3)
         x = wf.values - wf.values.mean()
         den = float(x @ x)
         autocorr = [float(x[:-lag] @ x[lag:]) / den for lag in (1, 2, 3)]
@@ -148,7 +153,7 @@ class TestEvolveEnsemble:
     def test_encoded_state_immune_to_any_waveform(self, spin_system, rng):
         spec = EnsembleSpec(n_members=64)
         seq = PulseSequence((Delay(3e-3),))
-        wf = random_walk_waveform(0.6, 100, seed=9)
+        wf = scaled_walk(0.6, 100, seed=9)
         rho0 = code_state(rng)
         noisy = evolve_ensemble(seq, wf, spec, spin_system, rho0)
         clean = evolve_ensemble(seq, static_waveform(0.0), spec, spin_system, rho0)
@@ -159,7 +164,7 @@ class TestEvolveEnsemble:
         # the code space for every waveform
         sys = SpinSystem(nu1=0.0, nu2=0.0, j_coupling=0.0)
         spec = EnsembleSpec(n_members=32)
-        wf = random_walk_waveform(1.0, 200, seed=4)
+        wf = scaled_walk(1.0, 200, seed=4)
         rho0 = code_state(rng)
         rho = evolve_ensemble(PulseSequence((Delay(5e-3),)), wf, spec, sys, rho0)
         assert np.abs(rho - rho0).max() <= 1e-10
@@ -184,7 +189,7 @@ class TestEvolveEnsemble:
             RfPulse(5e4, 0.3, 62.4e-6),
             Delay(2e-4),
         ) + composite_90x_180y_90x(RfPulse(5e4, 1.1, 124.8e-6)))
-        wf = random_walk_waveform(0.4, 50, seed=6)
+        wf = scaled_walk(0.4, 50, seed=6)
         zs = np.array([-0.003, 0.0041])
         us = ensemble_propagators(seq, spin_system, wf, zs)
         for z, u in zip(zs, us):
@@ -236,7 +241,7 @@ RF_WAVEFORM = GradientWaveform(step_time=50.6e-6, values=np.array([0.2, -0.1, 0.
 
 
 def noise_waveform(seq, grad_max):
-    return random_walk_waveform(grad_max, math.ceil(seq.duration / DEFAULT_STEP_TIME) + 1, seed=3)
+    return scaled_walk(grad_max, math.ceil(seq.duration / DEFAULT_STEP_TIME) + 1, seed=3)
 
 
 def rf_pieces(seq, sys, wf):

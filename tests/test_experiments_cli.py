@@ -153,7 +153,7 @@ class TestMemory:
         for r in rows:
             assert abs(r["fe_unencoded"] - (0.5 + 0.5 * math.exp(-r["noise_strength"]))) <= 1e-15
             assert abs(r["fe_encoded"] - 1.0) <= 1e-15
-        assert all(None not in (rep.f0, rep.fplus, rep.fplusi) and rep.seed is None for rep in reports)
+        assert all(None not in (rep.f0, rep.fplus, rep.fplusi) for rep in reports)
 
     @staticmethod
     def time_sweep(times, grad=0.05):
@@ -277,6 +277,15 @@ class TestNoisyGate:
         assert all(abs(r["fe_memory"] - 1.0) <= 1e-9 for r in rows)
         assert rows[1]["fe"] < rows[0]["fe"]
 
+    def test_point_does_not_depend_on_its_place_in_the_sweep(self, spin_system):
+        # one noise shape per run, scaled per point: the 5 kHz/cm row is the
+        # same whether a 1 kHz/cm point comes before it or not
+        spec = EnsembleSpec(n_members=32)
+        sweep = EXPERIMENTS["noisy_gate"].sweep
+        pair, _ = noisy_gate_experiment(spin_system, spec, {**sweep, "grad_max_khz_per_cm": [1.0, 5.0]}, seed=9)
+        alone, _ = noisy_gate_experiment(spin_system, spec, {**sweep, "grad_max_khz_per_cm": [5.0]}, seed=9)
+        assert pair[1] == alone[0]
+
     def test_khz_per_cm_converts_with_the_spin_system_gamma(self, spin_system):
         spec = EnsembleSpec(n_members=3)
         sweep = {**EXPERIMENTS["noisy_gate"].sweep, "grad_max_khz_per_cm": [5.0]}
@@ -347,6 +356,16 @@ class TestRunAndCli:
         lines = (tmp_path / "crusher.csv").read_text().splitlines()
         assert len(lines) == 2 and lines[1].startswith("unencoded_crusher,")
         assert (tmp_path / "crusher_report.json").exists()
+
+    @pytest.mark.parametrize("subcommand", ["gates", "noisy-gate"])
+    def test_cli_subcommand_must_match_the_config_experiment(self, tmp_path, capsys, subcommand):
+        # the config's label would name the files of another experiment
+        config = Path(__file__).resolve().parents[1] / "configs" / "crusher.json"
+        code = cli.main([subcommand, "--config", str(config), "--seed", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: experiment: the config names 'crusher'")
+        assert not list(tmp_path.iterdir())
+        assert cli.main(["crusher", "--config", str(config), "--out", str(tmp_path)]) == 0
 
     def test_cli_headers(self, tmp_path):
         code = cli.main(["natural", "--out", str(tmp_path), "--label", "nat"])

@@ -2,9 +2,10 @@
 
 Every config under configs/ is run again (seed 42 where the experiment is
 seeded). CSV cells must agree with results/ within 1e-12, and each report
-must carry the same JSON keys and the same threshold/fit flags. Kernel
-rewrites may change round-off, so the comparison is numerical rather than
-byte for byte; run-to-run output is still byte-identical.
+must carry the same JSON keys, the same threshold/fit flags and every
+numeric value within 1e-12 of its golden, relative above 1 in magnitude.
+Kernel rewrites may change round-off, so the comparison is numerical rather
+than byte for byte; run-to-run output is still byte-identical.
 
 Cells are compared as the decimals they print as, not as binary floats: a
 step of one in the 12th printed digit of a value in [0.1, 1) is exactly
@@ -13,6 +14,7 @@ step of one in the 12th printed digit of a value in [0.1, 1) is exactly
 
 import csv
 import json
+import math
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
@@ -96,12 +98,42 @@ def test_cell_comparison(cell, expected, agrees):
     assert cell_agrees(cell, expected) is agrees
 
 
+def leaves(obj, path=""):
+    """(path, value) of every leaf of a JSON value, in key order."""
+    if isinstance(obj, dict):
+        return [leaf for k in sorted(obj) for leaf in leaves(obj[k], f"{path}.{k}")]
+    if isinstance(obj, list):
+        return [leaf for i, v in enumerate(obj) for leaf in leaves(v, f"{path}[{i}]")]
+    return [(path, obj)]
+
+
+def leaf_agrees(got, want) -> bool:
+    """A number within 1e-12 * max(1, |golden|) of its golden (an infinite
+    one equal to it); any other leaf equal to it."""
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (got, want))
+    if not numbers:
+        return type(got) is type(want) and got == want
+    return got == want or abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_report_matches_golden(regenerated, name):
     got = json.loads((regenerated / f"{name}_report.json").read_text())
     want = json.loads((ROOT / "results" / f"{name}_report.json").read_text())
     assert key_shape(got) == key_shape(want)
     assert flags(got) == flags(want)
+    differs = [(path, a, b) for (path, a), (_, b) in zip(leaves(got), leaves(want)) if not leaf_agrees(a, b)]
+    assert not differs
+
+
+@pytest.mark.parametrize("got, want, agrees", [
+    (0.5 + 9e-13, 0.5, True), (0.5 + 2e-12, 0.5, False),
+    (3e6 + 2e-6, 3e6, True), (3e6 + 4e-6, 3e6, False),   # relative above 1
+    (math.inf, math.inf, True), (math.inf, 1e308, False), (math.nan, math.nan, False),
+    (None, None, True), (None, 0.0, False), (True, 1, False), ("a", "a", True),
+])
+def test_leaf_comparison(got, want, agrees):
+    assert leaf_agrees(got, want) is agrees
 
 
 def test_gates_run_is_byte_identical(tmp_path):

@@ -174,9 +174,10 @@ class TestFidelityReport:
             FidelityReport(fe=1.5)
 
     def test_json_fixed_field_names(self):
-        blob = json.loads(json.dumps(FidelityReport(label="run", fe=0.9, seed=3).to_dict()))
-        for key in ("label", "f0", "fplus", "fplusi", "fe", "fbar", "coherence", "seed"):
+        blob = json.loads(json.dumps(FidelityReport(label="run", fe=0.9).to_dict()))
+        for key in ("label", "f0", "fplus", "fplusi", "fe", "fbar", "coherence"):
             assert key in blob
+        assert "seed" not in blob  # a run's seed is the report file's top-level one
 
 
 def test_state_fidelities_of_unitary(rng):

@@ -36,7 +36,7 @@ from dfsim.pulses import (
 )
 
 from conftest import (composite_90x_180y_90x, event_hamiltonian, expm_oracle, nominal_composite_y90,
-                      property_settings, sequences, spin_systems, text_sequences)
+                      property_settings, sequences, spin_systems, text_labels, text_sequences)
 
 
 def rot_1q(axis, theta):
@@ -545,8 +545,9 @@ class TestSerialization:
         assert "phase_deg=180" in text
 
     @property_settings
-    @given(text_sequences)
-    def test_roundtrip_property(self, seq):
+    @given(text_sequences, text_labels, st.integers(0, 10 ** 6))
+    def test_roundtrip_property(self, seq, label, cycle_length):
+        seq = PulseSequence(seq.events, cycle_length=cycle_length, label=label)
         back = sequence_from_text(sequence_to_text(seq))
         assert (back.label, back.cycle_length) == (seq.label, seq.cycle_length)
         assert [type(ev) for ev in back.events] == [type(ev) for ev in seq.events]
@@ -564,6 +565,12 @@ class TestSerialization:
         seq = PulseSequence((Delay(1e-6), RfPulse(amplitude, 0.0, 1e-6)))
         with pytest.raises(ValueError, match="event 1"):
             sequence_to_text(seq)
+
+    @pytest.mark.parametrize("label", ["x\ndelay us=5", "x\r\n", " x", "x ", "a\rb", "a\x1cb", "a\u2028b", "\t"])
+    def test_label_that_would_not_read_back_is_rejected(self, label):
+        # a line break would start an event line, and reading strips whitespace
+        with pytest.raises(ValueError, match="label"):
+            sequence_to_text(PulseSequence((Delay(1e-6),), label=label))
 
     def test_zero_amplitude_roundtrips(self):
         seq = PulseSequence((RfPulse(0.0, 0.0, 1e-6),))
