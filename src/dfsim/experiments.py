@@ -5,10 +5,11 @@ Five experiments reproduce the storage and encoded-control studies:
 * ``crusher``    -- full-strength collective dephasing applied to the
                     un-encoded and encoded data spin (table of state
                     fidelities and F_e);
-* ``memory``     -- gradient-diffusion noise of swept strength between
-                    encode and decode (F_e curves, encoded vs un-encoded,
-                    from the exact channel the diffusing sample averages
-                    to; the crusher is its infinite-strength row);
+* ``memory``     -- gradient-diffusion noise between encode and decode,
+                    its strength set by one swept gradient (F_e curves,
+                    encoded vs un-encoded, from the exact channel the
+                    diffusing sample averages to; the crusher is its
+                    infinite-strength row);
 * ``natural``    -- ambient T1/T2 relaxation over swept holding times
                     (coherence metric curves);
 * ``gates``      -- noiseless finite-duration encoded gates (gate F_e and
@@ -67,17 +68,16 @@ from .units import is_real, khz_per_cm_to_t_per_m
 
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment: CSV header, default sweep (its keys plus `extra_keys`
-    are the allowed keys), whether it needs a seed, and a runner mapping an
-    ExperimentConfig to (rows, reports[, fit]). The runners look the
-    experiment functions up by name at call time, so a replacement of such a
-    name in this module (the benchmark tracer's) reaches every run."""
+    """One experiment: CSV header, default sweep (its keys are the allowed
+    keys), whether it needs a seed, and a runner mapping an ExperimentConfig
+    to (rows, reports). The runners look the experiment functions up by name
+    at call time, so a replacement of such a name in this module (the
+    benchmark tracer's) reaches every run."""
 
     header: str
     sweep: dict
     runner: Callable
     seeded: bool = False
-    extra_keys: tuple = ()
 
 
 EXPERIMENTS = {
@@ -85,9 +85,7 @@ EXPERIMENTS = {
         header="noise_strength,fe_encoded,fe_unencoded",
         sweep={"gradients_t_per_m": [round(x, 4) for x in np.linspace(0.0, 0.6, 13)],
                "small_delta_s": 745e-6,      # gradient pulse length
-               "big_delta_s": 36.275e-3,     # diffusion delay; 2*delta + Delta = 37.765 ms
-               "gradient_t_per_m": 0.05},    # gradient of a diffusion_times_s sweep
-        extra_keys=("diffusion_times_s",),
+               "big_delta_s": 36.275e-3},    # diffusion delay; 2*delta + Delta = 37.765 ms
         runner=lambda c: memory_experiment(c.spin_system, c.ensemble, c.sweep)),
     "crusher": Experiment(
         header="process,f0,fplus,fplusi,fe",
@@ -127,7 +125,7 @@ class ExperimentConfig:
         if not isinstance(self.experiment, str) or self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment: must be one of {tuple(EXPERIMENTS)}, got {self.experiment!r}")
         record = EXPERIMENTS[self.experiment]
-        unknown = set(self.sweep) - set(record.sweep) - set(record.extra_keys)
+        unknown = set(self.sweep) - set(record.sweep)
         if unknown:
             raise ConfigError(f"sweep: unknown field(s) for {self.experiment}: {sorted(unknown)}")
         self.sweep = {**copy.deepcopy(record.sweep), **self.sweep}
@@ -277,47 +275,28 @@ def memory_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict):
     coherences): the un-encoded F_e is 0.5 + 0.5 exp(-s), the encoded one 1,
     and neither depends on a seed or on spec.n_members. Deterministic
     internal evolution is refocused exactly, so the encoded branch isolates
-    the response of the code space to the noise alone.
-
-    A diffusion_times_s sweep also returns its decay in closed form, A = 0.5
-    and tau = 1 / (D (gamma g delta)^2) (inf at rate 0, flag 'no_decay',
-    else 'ok'); residual_rms is the rms distance of the fe_unencoded column
-    from 0.5 + 0.5 exp(-t/tau). A gradient sweep returns no fit.
+    the response of the code space to the noise alone. Since F_e depends on
+    s alone, sweeping the gradient reaches every strength a sweep of the
+    diffusion time would.
     """
     delta = _sweep_number("small_delta_s", sweep["small_delta_s"], *_POSITIVE)
     big_delta = _sweep_number("big_delta_s", sweep["big_delta_s"], *_POSITIVE)
-    grad = _sweep_number("gradient_t_per_m", sweep["gradient_t_per_m"], *_NON_NEGATIVE)
-    time_sweep = "diffusion_times_s" in sweep
-    if time_sweep:
-        grad_key, delay_key = "gradient_t_per_m", "diffusion_times_s"
-        points = [(grad, t) for t in _sweep_values(sweep, "diffusion_times_s", *_POSITIVE)]
-    else:
-        grad_key, delay_key = "gradients_t_per_m", "big_delta_s"
-        points = [(g, big_delta) for g in _sweep_values(sweep, grad_key, *_NON_NEGATIVE)]
-
     rows, reports = [], []
-    for idx, (grad, big_delta) in enumerate(points):
+    for idx, grad in enumerate(_sweep_values(sweep, "gradients_t_per_m", *_NON_NEGATIVE)):
         phase = sys.gamma * grad * delta  # float products overflow to inf, ** raises
-        rate = spec.diffusion_d * (phase * phase)
-        strength = rate * big_delta
+        strength = spec.diffusion_d * (phase * phase) * big_delta
         if not math.isfinite(strength):
-            raise ConfigError(f"sweep.{grad_key}: noise strength D (gamma g delta)^2 Delta is not finite "
+            raise ConfigError(f"sweep.gradients_t_per_m: noise strength D (gamma g delta)^2 Delta is not finite "
                               f"at g = {grad!r} T/m, with ensemble.diffusion_d = {spec.diffusion_d!r}, "
                               f"spin_system.gamma = {sys.gamma!r}, sweep.small_delta_s = {delta!r} "
-                              f"and sweep.{delay_key} = {big_delta!r}")
+                              f"and sweep.big_delta_s = {big_delta!r}")
         noise = collective_dephasing(strength)
         meta = {"noise_strength": strength, "grad_t_per_m": grad, "big_delta_s": big_delta, "point": idx}
         enc = _held_report(noise, True, "memory_encoded", **meta)
         un = _held_report(noise, False, "memory_unencoded", **meta)
         rows.append({"noise_strength": strength, "fe_encoded": enc.fe, "fe_unencoded": un.fe})
         reports += [enc, un]
-    if not time_sweep:
-        return rows, reports, None
-    tau = 1.0 / rate if rate else math.inf  # a time sweep's points share one gradient, so one rate
-    residuals = [r["fe_unencoded"] - (0.5 + 0.5 * math.exp(-t / tau)) for (_, t), r in zip(points, rows)]
-    return rows, reports, {"a": 0.5, "tau": tau,
-                           "residual_rms": math.sqrt(sum(x * x for x in residuals) / len(residuals)),
-                           "flag": "ok" if math.isfinite(tau) else "no_decay"}
+    return rows, reports
 
 
 def natural_experiment(sys: SpinSystem, sweep: dict):
@@ -454,8 +433,7 @@ def run(config: ExperimentConfig) -> dict:
     """Execute one experiment, write `<label>.csv` and `<label>_report.json`
     into the output directory, and return the artifact paths and rows."""
     record = EXPERIMENTS[config.experiment]
-    rows, reports, *fit = record.runner(config)
-    fit = fit[0] if fit else None
+    rows, reports = record.runner(config)
 
     out_dir = Path(config.out_dir)
     csv_path = out_dir / f"{config.label}.csv"
@@ -467,8 +445,6 @@ def run(config: ExperimentConfig) -> dict:
         "threshold": ENTANGLEMENT_THRESHOLD,
         "reports": [r.to_dict() for r in reports],
     }
-    if fit is not None:
-        payload["fit"] = fit
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_csv(csv_path, record.header, rows)

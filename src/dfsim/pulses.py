@@ -97,6 +97,9 @@ class PulseSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
+        n = self.cycle_length
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"cycle_length must be an integer >= 0, got {n!r}")
         for ev in self.events:
             if not isinstance(ev, (Delay, RfPulse, IdealRotation)):
                 raise ValueError(f"not a pulse event: {ev!r}")
@@ -428,7 +431,8 @@ def composite_y90(sys: SpinSystem) -> PulseSequence:
 def sequence_to_text(seq: PulseSequence) -> str:
     """The text form of `seq`. Raises ValueError for what the text could not
     hold: a label that `str.splitlines` would split or that has surrounding
-    whitespace, and a nonzero pulse amplitude that is subnormal or 0 in Hz."""
+    whitespace, a nonzero pulse amplitude that is subnormal or 0 in Hz, and
+    an event field that is not finite in its text unit."""
     if seq.label != seq.label.strip() or len(seq.label.splitlines()) > 1:
         raise ValueError(f"label {seq.label!r}: a line break or surrounding whitespace would not read back")
     out = io.StringIO()
@@ -436,19 +440,18 @@ def sequence_to_text(seq: PulseSequence) -> str:
     out.write(f"label {seq.label}\n")
     out.write(f"cycle_length {seq.cycle_length}\n")
     for i, ev in enumerate(seq.events):
-        if isinstance(ev, Delay):
-            out.write(f"delay us={ev.duration * 1e6:.12g}\n")
-        elif isinstance(ev, RfPulse):
+        if isinstance(ev, IdealRotation):
+            out.write(f"rotation name={ev.name}\n")
+            continue
+        kind, fields = "delay", {"us": ev.duration * 1e6}
+        if isinstance(ev, RfPulse):
             amp_hz = ev.amplitude / (2 * math.pi)
             if ev.amplitude > 0 and amp_hz < np.finfo(float).tiny:
                 raise ValueError(f"event {i}, {ev!r}: amplitude in Hz is subnormal or underflows to 0")
-            out.write(
-                f"pulse amp_hz={amp_hz:.12g} "
-                f"phase_deg={math.degrees(ev.phase):.12g} "
-                f"us={ev.duration * 1e6:.12g}\n"
-            )
-        else:
-            out.write(f"rotation name={ev.name}\n")
+            kind, fields = "pulse", {"amp_hz": amp_hz, "phase_deg": math.degrees(ev.phase), **fields}
+        if not all(map(math.isfinite, fields.values())):
+            raise ValueError(f"event {i}, {ev!r}: a field overflows to inf in its text unit")
+        out.write(" ".join([kind] + [f"{key}={x:.12g}" for key, x in fields.items()]) + "\n")
     return out.getvalue()
 
 

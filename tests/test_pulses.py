@@ -75,6 +75,16 @@ class TestEvents:
         with pytest.raises(ValueError):
             PulseSequence(("delay",))
 
+    @pytest.mark.parametrize("cycle_length", [2.5, True, None, "4", -1])
+    def test_sequence_rejects_a_bad_cycle_length(self, cycle_length):
+        # each would write text that does not read back as the same sequence
+        with pytest.raises(ValueError, match="cycle_length"):
+            PulseSequence((Delay(1e-6),), cycle_length=cycle_length)
+
+    def test_text_with_a_negative_cycle_length_is_rejected(self):
+        with pytest.raises(ValueError, match="cycle_length"):
+            sequence_from_text("# pulse-sequence v1\ncycle_length -1\ndelay us=1\n")
+
 
 class TestPropagator:
     def test_delay_only_is_internal_evolution(self, spin_system):
@@ -565,6 +575,12 @@ class TestSerialization:
         seq = PulseSequence((Delay(1e-6), RfPulse(amplitude, 0.0, 1e-6)))
         with pytest.raises(ValueError, match="event 1"):
             sequence_to_text(seq)
+
+    @pytest.mark.parametrize("event", [Delay(1.7e308), RfPulse(1.0, 1e308, 1e-6)], ids=["delay-us", "phase-deg"])
+    def test_field_that_overflows_in_its_text_unit_is_rejected(self, event):
+        # us=inf or phase_deg=inf would not read back
+        with pytest.raises(ValueError, match="event 0"):
+            sequence_to_text(PulseSequence((event,)))
 
     @pytest.mark.parametrize("label", ["x\ndelay us=5", "x\r\n", " x", "x ", "a\rb", "a\x1cb", "a\u2028b", "\t"])
     def test_label_that_would_not_read_back_is_rejected(self, label):
