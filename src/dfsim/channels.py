@@ -61,7 +61,7 @@ class KrausChannel:
             raise ValueError("all Kraus operators must be square with equal dimension")
         object.__setattr__(self, "kraus_ops", kraus)
         err = np.abs(np.einsum("aji,ajk->ik", kraus.conj(), kraus) - np.eye(self.dim)).max()
-        if err > COMPLETENESS_TOL:
+        if not err <= COMPLETENESS_TOL:
             raise NumericalContractError(
                 f"Kraus completeness violated by {err:.3e} (label={self.label!r})"
             )

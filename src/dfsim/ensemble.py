@@ -383,9 +383,10 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
 
 
 def _check_output_state(rho: np.ndarray) -> None:
-    if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
+    tr = np.trace(rho)
+    if not (abs(tr.real - 1.0) <= 1e-10 and abs(tr.imag) <= 1e-10):
         raise NumericalContractError("ensemble state lost trace normalization")
-    if np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < -1e-8:
+    if not np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() >= -1e-8:
         raise NumericalContractError("ensemble state positivity violated beyond 1e-8")
 
 

@@ -90,7 +90,7 @@ EXPERIMENTS = {
     "crusher": Experiment(
         header="process,f0,fplus,fplusi,fe",
         sweep={"processes": ["unencoded_crusher", "encoded_no_noise", "encoded_crusher"]},
-        runner=lambda c: crusher_experiment(c.spin_system, c.sweep)),
+        runner=lambda c: crusher_experiment(c.sweep)),
     "natural": Experiment(
         header="t_s,c_encoded,c_unencoded",
         sweep={"times_s": [round(x, 4) for x in np.linspace(0.0, 3.0, 13)],
@@ -245,7 +245,7 @@ def _held_report(ch: KrausChannel, encoded: bool, label: str, **metadata) -> Fid
     return report
 
 
-def crusher_experiment(sys: SpinSystem, sweep: dict):
+def crusher_experiment(sweep: dict):
     """Full-strength collective dephasing: the strong-noise table, one row
     per listed process, each read through collective_dephasing(s) at s = inf
     or, for the noiseless reference, s = 0.
@@ -349,7 +349,7 @@ def gates_experiment(sys: SpinSystem, sweep: dict):
         _, axis, angle = GATES[name]
         seq = _gate_sequence(name, sys)
         u = propagator(seq, sys)
-        fe = float(member_gate_fidelities(u[None, :, :], _rot(axis, angle), encoded=True)[0])
+        fe = float(member_gate_fidelities(u[None, :, :], _rot(axis, angle))[0])
         residence = dfs_residence_fraction(seq, sys, rho_code)
         rows.append({"gate": name, "fe": fe, "dfs_residence": residence})
         reports.append(FidelityReport(label=name, fe=fe, metadata={
@@ -387,7 +387,7 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
 
     _, axis, angle = GATES["composite_y90"]
     seq = _gate_sequence("composite_y90", sys)
-    mem_seq = PulseSequence((Delay(seq.duration),), label="hold")
+    mem_seq = PulseSequence((Delay(seq.duration),))
     target = _rot(axis, angle)
     u_free = propagator(mem_seq, sys)
     mem_target = data_blocks(u_free, encoded=True)[0]
@@ -403,8 +403,8 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
     rows, reports = [], []
     for idx, grad in enumerate(grads):
         wf = GradientWaveform(step_time, grad * shape)
-        f_gate = member_gate_fidelities(ensemble_propagators(seq, sys, wf, zs), target, encoded=True)
-        f_mem = member_gate_fidelities(ensemble_propagators(mem_seq, sys, wf, zs), mem_target, encoded=True)
+        f_gate = member_gate_fidelities(ensemble_propagators(seq, sys, wf, zs), target)
+        f_mem = member_gate_fidelities(ensemble_propagators(mem_seq, sys, wf, zs), mem_target)
         fe = float(f_gate.mean())
         stderr = float(f_gate.std(ddof=1) / math.sqrt(len(f_gate)))
         fe_mem = float(f_mem.mean())

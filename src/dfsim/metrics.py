@@ -19,7 +19,8 @@ not unital (T1 relaxation), the retained transverse magnetization
 is used instead. Both kinds of number are read off the data spin through
 one encode/act/decode kernel, `data_blocks`, which gathers the entries of
 U_dec A U_enc (U_enc is a CNOT, a basis permutation) for unitaries or
-Kraus operators A.
+Kraus operators A. The batched gate fidelity of unitaries always reads
+them between encode and decode; a channel is read either way.
 """
 
 from dataclasses import dataclass, field
@@ -118,16 +119,17 @@ def data_blocks(us: np.ndarray, encoded: bool) -> np.ndarray:
     return np.asarray(us, dtype=complex)[..., rows, :][..., cols]
 
 
-def member_gate_fidelities(us: np.ndarray, target2: np.ndarray, encoded: bool) -> np.ndarray:
+def member_gate_fidelities(us: np.ndarray, target2: np.ndarray) -> np.ndarray:
     """Gate entanglement fidelity of each two-spin unitary in `us` (shape
-    (..., 4, 4)) against a one-qubit target on the decoded data spin.
+    (..., 4, 4)), between encode and decode, against a one-qubit target on
+    the decoded data spin.
 
     The ensemble channel's Kraus set is {U_i / sqrt(n)}, so its F_e is
     exactly the mean of these per-member values. The members of a noisy
     gate are midpoint quadrature nodes of one waveform realization, not
     independent samples, so their spread is no error bar for that mean.
     """
-    return _trace_overlap(data_blocks(us, encoded), target2)
+    return _trace_overlap(data_blocks(us, encoded=True), target2)
 
 
 def induced_data_channel(ch: KrausChannel, encoded: bool) -> KrausChannel:
@@ -146,19 +148,20 @@ def induced_data_channel(ch: KrausChannel, encoded: bool) -> KrausChannel:
 
 @dataclass
 class FidelityReport:
-    """Per-experiment metric bundle, serializable with fixed field names."""
+    """Per-experiment metric bundle, serializable with fixed field names.
+    fbar is not set but derived: 2/3 fe + 1/3 when fe is given."""
 
     label: str = ""
     f0: float | None = None
     fplus: float | None = None
     fplusi: float | None = None
     fe: float | None = None
-    fbar: float | None = None
+    fbar: float | None = field(init=False, default=None)
     coherence: float | None = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.fe is not None and self.fbar is None:
+        if self.fe is not None:
             self.fbar = 2.0 / 3.0 * self.fe + 1.0 / 3.0
         eps = 1e-8
         for name in ("f0", "fplus", "fplusi", "fe", "fbar"):

@@ -41,16 +41,15 @@ SPIN_PROJECTION = (1, 0, 0, -1)
 def pauli_embed(spin: int, axis: str) -> np.ndarray:
     """Pauli operator on one spin of the pair, identity on the other.
 
-    spin is 1 or 2, axis one of 'x', 'y', 'z', 'i'/'identity'.
+    spin is 1 or 2, axis one of 'x', 'y', 'z', 'i'.
     """
     if spin not in (1, 2):
         raise ValueError(f"spin must be 1 or 2, got {spin!r}")
-    key = "i" if axis in ("i", "identity") else axis
-    if key not in PAULI:
+    if axis not in PAULI:
         raise ValueError(f"unknown axis {axis!r}")
     if spin == 1:
-        return np.kron(PAULI[key], PAULI["i"])
-    return np.kron(PAULI["i"], PAULI[key])
+        return np.kron(PAULI[axis], PAULI["i"])
+    return np.kron(PAULI["i"], PAULI[axis])
 
 
 SIGMA_Z1 = pauli_embed(1, "z")

@@ -1,6 +1,6 @@
 """Pulse sequences, exact propagation, and average-Hamiltonian analysis.
 
-A sequence is an ordered list of three event kinds:
+A sequence is its events, an ordered tuple of three kinds:
 
 * ``Delay``     -- free evolution under the internal Hamiltonian;
 * ``RfPulse``   -- finite-duration RF drive, with the internal Hamiltonian
@@ -18,15 +18,17 @@ under any waveform is one shared exponential times member phases; a pulse
 of nonzero amplitude never does. Sequences are flattened into segments,
 fused by event kind on one walk of the waveform clock; the exponentials
 and their product come from the one engine in `dfsim.ensemble`, of which
-`propagator` is the single-position case. The residence trajectory walks
-the same segments, without a gradient, and averages the state over each
-one exactly in the eigenbasis of its Hamiltonian, so the residence
-fraction does not depend on where a sequence is cut.
+`propagator` is the noiseless single molecule (no gradient, z = 0). The
+residence trajectory walks the same segments, without a gradient, and
+averages the state over each one exactly in the eigenbasis of its
+Hamiltonian, so the residence fraction does not depend on where a sequence
+is cut.
 
 Builders are provided for the refocusing trains used by the average
 Hamiltonian analysis and for the encoded one-qubit gates: a z rotation by
 timed free evolution, an x rotation from a WALTZ-phase-cycled train of hard
-pi pulses, and the composite y rotation concatenated from those.
+pi pulses, and the composite y rotation concatenated from those. The text
+form is one line per event.
 """
 
 import functools
@@ -92,14 +94,9 @@ class IdealRotation:
 @dataclass(frozen=True)
 class PulseSequence:
     events: tuple
-    cycle_length: int = 0  # pulses per AHT cycle; 0 when not meant for AHT
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
-        n = self.cycle_length
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-            raise ValueError(f"cycle_length must be an integer >= 0, got {n!r}")
         for ev in self.events:
             if not isinstance(ev, (Delay, RfPulse, IdealRotation)):
                 raise ValueError(f"not a pulse event: {ev!r}")
@@ -187,14 +184,13 @@ def piecewise_segments(seq: PulseSequence, sys: SpinSystem, waveform=None) -> li
             for h, dt, _, g in runs]
 
 
-def propagator(seq: PulseSequence, sys: SpinSystem, waveform=None, z: float = 0.0) -> np.ndarray:
-    """Exact time-ordered propagator of a sequence for one member at position z.
-
-    The scalar-z case of `ensemble.ensemble_propagators`; the returned
-    matrix is checked unitary to 1e-10.
+def propagator(seq: PulseSequence, sys: SpinSystem) -> np.ndarray:
+    """Exact time-ordered propagator of a sequence for one noiseless
+    molecule: `ensemble.ensemble_propagators` without a gradient, at z = 0.
+    The returned matrix is checked unitary to 1e-10.
     """
     from . import ensemble  # not at module level: ensemble imports this module
-    return ensemble.ensemble_propagators(seq, sys, waveform, z)
+    return ensemble.ensemble_propagators(seq, sys, None, 0.0)
 
 
 def state_trajectory(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray):
@@ -230,7 +226,7 @@ def dfs_residence_fraction(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray
     """
     _, p_zero, _ = ops.zq_projectors()
     pop0 = float(np.trace(p_zero @ np.asarray(rho0)).real)
-    if abs(pop0 - 1.0) > 1e-10:
+    if not abs(pop0 - 1.0) <= 1e-10:
         raise ValueError(f"rho0 is not supported on the code space (population {pop0:.6f})")
     weight = total = 0.0
     for mean, dt, _ in state_trajectory(seq, sys, rho0):
@@ -247,7 +243,7 @@ def dfs_residence_fraction(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray
 
 def _check_cyclic(u_pulses: np.ndarray) -> None:
     s = np.trace(u_pulses) / 4.0
-    if abs(abs(s) - 1.0) > 1e-10 or np.abs(u_pulses - s * np.eye(4)).max() > 1e-10:
+    if not (abs(abs(s) - 1.0) <= 1e-10 and np.abs(u_pulses - s * np.eye(4)).max() <= 1e-10):
         raise NumericalContractError(
             "pulse train is not cyclic: product of pulses is not the identity up to phase"
         )
@@ -309,14 +305,14 @@ CYCLES_PER_QUARTER_TURN = 64
 WALTZ_PHASES = (0.0, 0.0, math.pi, math.pi)
 
 
-def ideal_pulse_train(rotation: str, n_pulses: int, spacing: float, label: str = "") -> PulseSequence:
+def ideal_pulse_train(rotation: str, n_pulses: int, spacing: float) -> PulseSequence:
     """Equally spaced train [delay, pulse] x n of one named ideal rotation."""
     if n_pulses < 1:
         raise ValueError("need n_pulses >= 1")
     events = []
     for _ in range(n_pulses):
         events += [Delay(spacing), IdealRotation(rotation)]
-    return PulseSequence(tuple(events), cycle_length=2, label=label or f"{rotation}_train")
+    return PulseSequence(tuple(events))
 
 
 def xx_train(n_pulses: int = 2, spacing: float = DEFAULT_PULSE_SPACING) -> PulseSequence:
@@ -328,7 +324,7 @@ def xx_train(n_pulses: int = 2, spacing: float = DEFAULT_PULSE_SPACING) -> Pulse
     refocused and the encoded x coupling kept, so the average Hamiltonian is
     pi J on the logical x axis.
     """
-    return ideal_pulse_train("pi_x_pair", n_pulses, spacing, "xx_train")
+    return ideal_pulse_train("pi_x_pair", n_pulses, spacing)
 
 
 def xy_train(n_pulses: int = 2, spacing: float = DEFAULT_PULSE_SPACING) -> PulseSequence:
@@ -337,7 +333,7 @@ def xy_train(n_pulses: int = 2, spacing: float = DEFAULT_PULSE_SPACING) -> Pulse
     Averages away the chemical shifts and the flip-flop part of the coupling,
     leaving only the zz part -- an encoded identity on the code space.
     """
-    return ideal_pulse_train("pi_x1_y2", n_pulses, spacing, "xy_train")
+    return ideal_pulse_train("pi_x1_y2", n_pulses, spacing)
 
 
 def _cz_rate(sys: SpinSystem) -> float:
@@ -358,7 +354,7 @@ def enc_z(theta: float, sys: SpinSystem) -> PulseSequence:
     """
     theta = theta % (2 * math.pi)
     duration = (2 * math.pi - theta) / (2 * _cz_rate(sys))
-    return PulseSequence((Delay(duration),), label=f"enc_z({theta:.6g})")
+    return PulseSequence((Delay(duration),))
 
 
 def enc_x(theta: float, sys: SpinSystem) -> PulseSequence:
@@ -383,7 +379,7 @@ def enc_x(theta: float, sys: SpinSystem) -> PulseSequence:
     for k in range(n_cycles):
         pulse = RfPulse(amplitude, WALTZ_PHASES[k % period], PULSE_DURATION)
         events += [Delay(DEFAULT_PULSE_SPACING / 2), pulse, Delay(DEFAULT_PULSE_SPACING / 2)]
-    return PulseSequence(tuple(events), cycle_length=period, label=f"enc_x({theta:.6g})")
+    return PulseSequence(tuple(events))
 
 
 def composite_y90(sys: SpinSystem) -> PulseSequence:
@@ -404,7 +400,7 @@ def composite_y90(sys: SpinSystem) -> PulseSequence:
 
     def fidelities(s1, s2):  # at every pair of the scale grids, s1 outer
         u = ops.expm_hermitian(h_int, t_post * s2) @ u_x @ ops.expm_hermitian(h_int, t_pre * s1)[:, None]
-        return member_gate_fidelities(u.reshape(-1, 4, 4), target, encoded=True)
+        return member_gate_fidelities(u.reshape(-1, 4, 4), target)
 
     best = (fidelities(np.ones(1), np.ones(1))[0], 1.0, 1.0)
     centre, span, steps = (1.0, 1.0), 0.05, 10
@@ -420,8 +416,7 @@ def composite_y90(sys: SpinSystem) -> PulseSequence:
     t_pre *= best[1]
     t_post *= best[2]
 
-    events = (Delay(t_pre),) + x_leg.events + (Delay(t_post),)
-    return PulseSequence(events, cycle_length=x_leg.cycle_length, label="composite_y90")
+    return PulseSequence((Delay(t_pre),) + x_leg.events + (Delay(t_post),))
 
 
 # ---------------------------------------------------------------------------
@@ -429,16 +424,12 @@ def composite_y90(sys: SpinSystem) -> PulseSequence:
 # ---------------------------------------------------------------------------
 
 def sequence_to_text(seq: PulseSequence) -> str:
-    """The text form of `seq`. Raises ValueError for what the text could not
-    hold: a label that `str.splitlines` would split or that has surrounding
-    whitespace, a nonzero pulse amplitude that is subnormal or 0 in Hz, and
-    an event field that is not finite in its text unit."""
-    if seq.label != seq.label.strip() or len(seq.label.splitlines()) > 1:
-        raise ValueError(f"label {seq.label!r}: a line break or surrounding whitespace would not read back")
+    """The text form of `seq`, one line per event. Raises ValueError for
+    what the text could not hold: a nonzero pulse amplitude that is
+    subnormal or 0 in Hz, and an event field that is not finite in its text
+    unit."""
     out = io.StringIO()
     out.write("# pulse-sequence v1\n")
-    out.write(f"label {seq.label}\n")
-    out.write(f"cycle_length {seq.cycle_length}\n")
     for i, ev in enumerate(seq.events):
         if isinstance(ev, IdealRotation):
             out.write(f"rotation name={ev.name}\n")
@@ -456,21 +447,17 @@ def sequence_to_text(seq: PulseSequence) -> str:
 
 
 def sequence_from_text(text: str) -> PulseSequence:
-    label = ""
-    cycle_length = 0
+    """The sequence of a text form; the `label` and `cycle_length` lines
+    that older files carry are skipped."""
     events: list = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
         kind, _, rest = line.partition(" ")
+        if not line or line.startswith("#") or kind in ("label", "cycle_length"):
+            continue
         fields = dict(tok.split("=", 1) for tok in rest.split() if "=" in tok)
         try:
-            if kind == "label":
-                label = rest.strip()
-            elif kind == "cycle_length":
-                cycle_length = int(rest.strip())
-            elif kind == "delay":
+            if kind == "delay":
                 events.append(Delay(float(fields["us"]) * 1e-6))
             elif kind == "pulse":
                 if fields.get("shape", "hard") != "hard":  # older files name the shape; pulses are hard
@@ -486,4 +473,4 @@ def sequence_from_text(text: str) -> PulseSequence:
                 raise ValueError(f"unknown event kind {kind!r}")
         except (KeyError, ValueError) as exc:
             raise ValueError(f"bad sequence line {lineno}: {raw!r} ({exc})") from exc
-    return PulseSequence(tuple(events), cycle_length=cycle_length, label=label)
+    return PulseSequence(tuple(events))

@@ -91,7 +91,7 @@ def nominal_composite_y90(sys: SpinSystem) -> PulseSequence:
     """`composite_y90` before calibration: the enc_z(-pi/2), enc_x(pi/2) and
     enc_z(pi/2) events at their nominal delays."""
     events = enc_z(-math.pi / 2, sys).events + enc_x(math.pi / 2, sys).events + enc_z(math.pi / 2, sys).events
-    return PulseSequence(events, cycle_length=4, label="composite_y90")
+    return PulseSequence(events)
 
 
 def scaled_walk(grad_max: float, n_steps: int, seed: int) -> GradientWaveform:
@@ -188,8 +188,6 @@ def sequences_of(amplitudes):
 sequences = sequences_of(st.floats(0.0, 1e5))
 # the text form holds amplitudes in Hz, which must be 0 or a normal float
 text_sequences = sequences_of(st.just(0.0) | st.floats(1e-300, 1e5))
-# labels the text form holds: one line, no surrounding whitespace
-text_labels = st.text().filter(lambda s: s == s.strip() and len(s.splitlines()) <= 1)
 waveforms = st.builds(
     GradientWaveform,
     step_time=st.integers(5, 100).map(lambda k: k * 1e-6),

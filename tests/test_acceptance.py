@@ -36,7 +36,7 @@ def report(criterion: int, ok: bool, description: str) -> None:
 
 def test_criterion_1_crusher_table():
     t0 = time.perf_counter()
-    _, reports = crusher_experiment(SYS, EXPERIMENTS["crusher"].sweep)
+    _, reports = crusher_experiment(EXPERIMENTS["crusher"].sweep)
     rows = {r.label: r for r in reports}
     elapsed = time.perf_counter() - t0
     un = rows["unencoded_crusher"]
@@ -141,7 +141,7 @@ def test_criterion_6_fidelity_identities(rng):
         ch = random_unital_channel(rng)
         u = random_unitary(rng)
         ok &= abs(gate_fidelity_from_states(ch, u).fe - entanglement_fidelity(ch, u)) <= 1e-9
-    _, reports = crusher_experiment(SYS, EXPERIMENTS["crusher"].sweep)
+    _, reports = crusher_experiment(EXPERIMENTS["crusher"].sweep)
     ok &= all(r.fbar - (2.0 / 3.0 * r.fe + 1.0 / 3.0) == 0.0 for r in reports)
     ok &= abs(entanglement_fidelity(DEPOLARIZING, np.eye(2)) - 0.25) <= 1e-12
     report(6, bool(ok), "three-state formula == Kraus form (1e-9, 100 channels); "

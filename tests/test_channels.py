@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dfsim import ensemble, pulses
 from dfsim import operators as ops
 from dfsim.channels import (
     KrausChannel,
@@ -142,6 +143,22 @@ class TestSuperoperator:
 def test_kraus_completeness_enforced():
     with pytest.raises(NumericalContractError):
         KrausChannel((np.eye(4) * 0.9,), label="broken")
+
+
+NAN4 = np.full((4, 4), np.nan, dtype=complex)
+
+
+@pytest.mark.parametrize("check, error, message", [
+    (lambda: KrausChannel(np.full((1, 2, 2), np.nan)), NumericalContractError, "completeness"),
+    (lambda: pulses._check_cyclic(NAN4), NumericalContractError, "not cyclic"),
+    (lambda: pulses.dfs_residence_fraction(pulses.enc_z(1.0, SpinSystem()), SpinSystem(), NAN4),
+     ValueError, "code space"),
+    (lambda: ensemble._check_output_state(NAN4), NumericalContractError, "trace"),
+], ids=["kraus-completeness", "cyclic-train", "residence-rho0", "ensemble-state"])
+def test_contract_checks_reject_nan(check, error, message):
+    # each check is written `not x <= tol`, which a NaN x fails
+    with pytest.raises(error, match=message):
+        check()
 
 
 @pytest.mark.parametrize("kraus, message", [

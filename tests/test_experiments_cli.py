@@ -116,22 +116,22 @@ class TestConfig:
 
 
 class TestCrusher:
-    def test_table_values(self, spin_system):
-        _, reports = crusher_experiment(spin_system, EXPERIMENTS["crusher"].sweep)
+    def test_table_values(self):
+        _, reports = crusher_experiment(EXPERIMENTS["crusher"].sweep)
         reports = {r.label: r for r in reports}
         un = reports["unencoded_crusher"]
         assert (un.f0, un.fplus, un.fplusi, un.fe) == pytest.approx((1.0, 0.5, 0.5, 0.5), abs=1e-9)
         assert reports["encoded_no_noise"].fe == pytest.approx(1.0, abs=1e-9)
         assert reports["encoded_crusher"].fe == pytest.approx(1.0, abs=1e-9)
 
-    def test_threshold_flags(self, spin_system):
-        _, reports = crusher_experiment(spin_system, EXPERIMENTS["crusher"].sweep)
+    def test_threshold_flags(self):
+        _, reports = crusher_experiment(EXPERIMENTS["crusher"].sweep)
         blobs = [r.to_dict() for r in reports]
         assert all("fe_above_threshold" in b for b in blobs)
 
-    def test_runs_listed_processes_in_order(self, spin_system):
+    def test_runs_listed_processes_in_order(self):
         sweep = {"processes": ["encoded_crusher", "unencoded_crusher"]}
-        rows, reports = crusher_experiment(spin_system, sweep)
+        rows, reports = crusher_experiment(sweep)
         assert [r["process"] for r in rows] == sweep["processes"]
         assert [r.label for r in reports] == sweep["processes"]
         assert [r["fe"] for r in rows] == pytest.approx([1.0, 0.5], abs=1e-9)
@@ -616,6 +616,17 @@ class TestRunAndCli:
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: dfsim gates")
+
+    def test_readme_library_example_runs(self):
+        # the README's one python block, in a fresh interpreter, prints the
+        # F_e of the crusher-protected data qubit
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        [block] = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1.0\n"
 
     def test_import_loads_only_numpy_and_the_standard_library(self):
         # numpy is the one runtime dependency. Only what `import dfsim` adds

@@ -2,8 +2,8 @@
 
 Every config under configs/ is run again (seed 42 where the experiment is
 seeded). CSV cells must agree with results/ within 1e-12, and each report
-must carry the same JSON keys, the same threshold/fit flags and every
-numeric value within 1e-12 of its golden, relative above 1 in magnitude.
+must carry the same JSON keys, the same `fe_above_threshold` flags and
+every numeric value within 1e-12 of its golden, relative above 1 in magnitude.
 Kernel rewrites may change round-off, so the comparison is numerical rather
 than byte for byte; run-to-run output is still byte-identical.
 
@@ -64,15 +64,6 @@ def key_shape(obj):
     return None
 
 
-def flags(obj) -> list:
-    if isinstance(obj, dict):
-        found = [obj[k] for k in sorted(obj) if k in ("fe_above_threshold", "flag")]
-        return found + [f for k in sorted(obj) for f in flags(obj[k])]
-    if isinstance(obj, list):
-        return [f for v in obj for f in flags(v)]
-    return []
-
-
 @pytest.mark.parametrize("name", NAMES)
 def test_csv_matches_golden(regenerated, name):
     got = read_csv(regenerated / f"{name}.csv")
@@ -105,6 +96,11 @@ def leaves(obj, path=""):
     if isinstance(obj, list):
         return [leaf for i, v in enumerate(obj) for leaf in leaves(v, f"{path}[{i}]")]
     return [(path, obj)]
+
+
+def flags(obj) -> list:
+    """Every `fe_above_threshold` value of a JSON value, in key order."""
+    return [v for path, v in leaves(obj) if path.endswith(".fe_above_threshold")]
 
 
 def leaf_agrees(got, want) -> bool:
