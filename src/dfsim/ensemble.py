@@ -21,10 +21,12 @@ ensemble, is a product of one unitary per segment of
 unitaries are held member-last, (4, 4, m), and multiplied with elementwise
 products; each helper takes and returns plain arrays of at most BLOCK
 columns. The product of a run of consecutive segments is an entire
-function of z, so each run is multiplied out at Chebyshev points in z once
-per call and interpolated. Its RF pieces are fitted alone first,
-at the fewer points their own width in z needs, so the long delays that
-set a run's point count cost a product there, not an exponential. A
+function of z, so each run is multiplied out at Chebyshev points in z and
+interpolated. Its RF pieces are fitted alone first (a run of one is its
+fit), at the fewer points their own width in z needs, so the long delays
+that set a run's point count cost a product there, not an exponential.
+Positions may come in rows, as a sweep that scales one waveform does (eps w
+at z is w at eps z); rows of like width in z share one set of fits. A
 segment too wide in z for RUN_TERMS points, or more points than there are
 members, keeps its member phases or a batched Taylor exponential. One
 routine, `_multiply_out`, multiplies a chain of such factors out at any
@@ -52,8 +54,9 @@ from .units import is_real
 DEFAULT_STEP_TIME = 50.6e-6
 
 
-#: the most members an ensemble may hold: the (n, 4, 4) propagators of one
-#: noisy-gate point take 256 B per member, so 256 MB at this bound
+#: the most members an ensemble may hold, and the most positions noisy_gate
+#: passes to one engine call: propagators take 256 B per position, so 256 MB
+#: at this bound
 MAX_MEMBERS = 10 ** 6
 
 
@@ -300,13 +303,16 @@ def _fit_run(factors: list, n_terms: int, z_max: float) -> np.ndarray:
     [-z_max, z_max] as the run's N, which the summed half-width of the run's
     delays sets, so n_p is often far smaller. The run is then multiplied out
     (`_multiply_out`) at its N points with each piece read from its fit, and
-    no exponential is taken there.
+    no exponential is taken there. A run of one RF piece is its fit.
     """
     pieces = [f for f in factors if f[2] is not None]
     n_p = _term_count(max((f[-1] for f in pieces), default=0.0))
-    t_p, t = _chebyshev_matrix(n_p), _chebyshev_matrix(n_terms)
+    t_p = _chebyshev_matrix(n_p)
     fits = iter([c for exps in _expm_batches(pieces, z_max * np.cos(_angles(n_p)))
                  for c in _dct(exps.reshape(16, -1, n_p).transpose(1, 0, 2), t_p)])
+    if len(factors) == 1 and pieces:  # n_p is then N
+        return next(fits)
+    t = _chebyshev_matrix(n_terms)
     acc = _multiply_out([next(fits) if f[2] is not None else f for f in factors],
                         z_max * np.cos(_angles(n_terms)), t[:n_p])
     return _dct(acc.reshape(16, n_terms), t)
@@ -315,32 +321,42 @@ def _fit_run(factors: list, n_terms: int, z_max: float) -> np.ndarray:
 def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
                          z: float | np.ndarray) -> np.ndarray:
     """Exact propagator of one sequence at every member position at once:
-    (4, 4) for a scalar z, (n, 4, 4) for an array, checked unitary to 1e-10.
+    (4, 4) for a scalar z, (n, 4, 4) for an array, and (P, n, 4, 4) for P
+    rows of n positions, such as the points of a sweep that scales one
+    waveform (a waveform eps w at z is the waveform w at eps z). Checked
+    unitary to 1e-10.
 
-    Each segment is resolved once per call into a factor: a unitary
-    all members share (a rotation, or an exponential of the gradient-free
-    Hamiltonian cached by Hamiltonian and duration, for a segment with no
-    gradient or with z = 0 everywhere), that unitary times the member phases
-    exp(-i gamma z g dt Jz/2) (a segment that commutes with Jz), or an RF
-    piece under a gradient. Each is an entire function of z of half-width
-    w = gamma |g| max|z| dt (0 for a shared unitary). Consecutive factors
-    form runs while their summed w needs N < min(n, RUN_TERMS) Chebyshev
-    terms for a tail bound below 1e-17 (`_half_widths`); each run is
-    multiplied out at its N Chebyshev points once per call (`_fit_run`),
-    its RF pieces read from fits of their own at the fewer terms the widest
-    of them needs, and becomes one factor of the chain, its coefficients. A
-    factor whose own N reaches that cap enters the chain as it is: member
-    phases, or the per-member Taylor exponential `_expm_members`, so one
-    molecule and tiny ensembles take no Chebyshev path. Each block of at
-    most BLOCK members multiplies the chain out in one `_multiply_out`, a
-    fitted run being one real product with the basis T_k(z / max|z|), built
-    once per call.
+    The sequence is flattened once per call, and each segment resolved into
+    a factor: a unitary all members share (a rotation, or an exponential of
+    the gradient-free Hamiltonian cached by Hamiltonian and duration, for a
+    segment with no gradient or with z = 0 everywhere), that unitary times
+    the member phases exp(-i gamma z g dt Jz/2) (a segment that commutes
+    with Jz), or an RF piece under a gradient. Each is an entire function of
+    z of half-width w = gamma |g| dt max|z| (0 for a shared unitary).
+    Consecutive factors form runs while their summed w needs
+    N < min(n, RUN_TERMS) Chebyshev terms for a tail bound below 1e-17
+    (`_half_widths`); each run is multiplied out at its N Chebyshev points
+    (`_fit_run`), its RF pieces read from fits of their own at the fewer
+    terms the widest of them needs, and becomes one factor of the chain, its
+    coefficients. A factor whose own N reaches that cap enters the chain as
+    it is: member phases, or the per-member Taylor exponential
+    `_expm_members`, so one molecule and tiny ensembles take no Chebyshev
+    path.
+
+    Rows share chains: taken in order of max|z|, a row joins the current
+    group while K + L B |G| (K factors, L the chain length at the group's
+    widest row, B blocks of BLOCK members per row, |G| rows) is no more
+    than the group's work plus the row's alone. Each group fits its chain
+    once, at its widest row's max|z|. Each block of at most BLOCK members
+    of a row multiplies the chain out in one `_multiply_out`, a fitted run
+    being one real product with the block's basis T_k(z / max|z|).
     """
     z = np.asarray(z, dtype=float)
-    zs = z.reshape(-1)
-    z_max = float(np.abs(zs).max(initial=0.0))  # NaN if any z is
+    rows = z.reshape(math.prod(z.shape[:-1]), z.shape[-1] if z.ndim else 1)
+    row_max = np.abs(rows).max(axis=1, initial=0.0)  # NaN if any z of the row is
+    z_max = float(row_max.max(initial=0.0))
     shared: dict = {}
-    # (shared unitary or None, rad/s per metre of z or None, RF segment or None, half-width w)
+    # (shared unitary or None, rad/s per metre of z or None, RF segment or None, half-width w per metre)
     factors = []
     for seg in piecewise_segments(seq, sys, waveform):
         if seg.kind == "rotate":
@@ -353,32 +369,43 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
                 raise NumericalContractError(f"gradient phase rate {rate:.3e} rad/s/m at |z| up to "
                                              f"{z_max:.3e} m is not finite")
             if not seg.commutes:
-                factors.append((None, rate, seg, abs(rate) * z_max * seg.duration))
+                factors.append((None, rate, seg, abs(rate) * seg.duration))
                 continue
             rate *= seg.duration
         key = (seg.h.tobytes(), seg.duration)
         u0 = shared.get(key)
         if u0 is None:
             u0 = shared[key] = ops.expm_hermitian(seg.h, seg.duration)[:, :, None]
-        factors.append((u0, rate, None, 0.0 if rate is None else abs(rate) * z_max))
+        factors.append((u0, rate, None, 0.0 if rate is None else abs(rate)))
 
-    chain = [_fit_run(fs, n_terms, z_max) if n_terms else fs[0]
-             for fs, n_terms in _group_runs(factors, min(zs.size, RUN_TERMS))]
-    n_basis = max((f.shape[1] for f in chain if isinstance(f, np.ndarray)), default=0)
-    basis = np.empty((n_basis, zs.size))  # T_k(z / z_max) by the three-term recurrence
-    basis[:1] = 1.0
-    if n_basis > 1:
-        basis[1] = zs / z_max
-        for k in range(2, n_basis):
-            np.subtract(2.0 * basis[1] * basis[k - 1], basis[k - 2], out=basis[k])
-    out = np.empty((zs.size, 4, 4), dtype=complex)
-    for start in range(0, zs.size, BLOCK):
-        m = min(BLOCK, zs.size - start)
-        u = _multiply_out(chain, zs[start:start + m], basis[:, start:start + m])
-        out[start:start + m] = u.transpose(2, 0, 1)
-        err = np.abs(_matmul(u.conj().transpose(1, 0, 2), u) - np.eye(4)[:, :, None]).max()
-        if not err <= ops.UNITARY_TOL:
-            raise NumericalContractError(f"sequence propagator failed unitarity at 1e-10 (error {err:.3e})")
+    n, blocks = rows.shape[1], -(-rows.shape[1] // BLOCK)
+    runs = [_group_runs([f[:3] + (f[3] * r_max if f[3] else 0.0,) for f in factors], min(n, RUN_TERMS))
+            for r_max in row_max]
+    groups: list = []
+    for r in np.argsort(row_max, kind="stable"):  # K + L_r B (|G| + 1) <= (K + L_G B |G|) + (K + L_r B)
+        if groups and (len(runs[r]) - len(runs[groups[-1][-1]])) * blocks * len(groups[-1]) <= len(factors):
+            groups[-1].append(r)
+        else:
+            groups.append([r])
+    out = np.empty(rows.shape + (4, 4), dtype=complex)
+    for group in groups:
+        g_max = float(row_max[group[-1]])
+        chain = [_fit_run(fs, n_terms, g_max) if n_terms else fs[0] for fs, n_terms in runs[group[-1]]]
+        n_basis = max((f.shape[1] for f in chain if isinstance(f, np.ndarray)), default=0)
+        for r in group:
+            for start in range(0, n, BLOCK):
+                zs = rows[r, start:start + BLOCK]
+                basis = np.empty((n_basis, zs.size))  # T_k(z / g_max) by the three-term recurrence
+                basis[:1] = 1.0
+                if n_basis > 1:
+                    basis[1] = zs / g_max
+                    for k in range(2, n_basis):
+                        np.subtract(2.0 * basis[1] * basis[k - 1], basis[k - 2], out=basis[k])
+                u = _multiply_out(chain, zs, basis)
+                out[r, start:start + zs.size] = u.transpose(2, 0, 1)
+                err = np.abs(_matmul(u.conj().transpose(1, 0, 2), u) - np.eye(4)[:, :, None]).max()
+                if not err <= ops.UNITARY_TOL:
+                    raise NumericalContractError(f"sequence propagator failed unitarity at 1e-10 (error {err:.3e})")
     return out.reshape(z.shape + (4, 4))
 
 

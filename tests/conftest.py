@@ -95,8 +95,9 @@ def nominal_composite_y90(sys: SpinSystem) -> PulseSequence:
 
 
 def scaled_walk(grad_max: float, n_steps: int, seed: int) -> GradientWaveform:
-    """The unit random walk of `seed` scaled to strength `grad_max` (T/m), as
-    noisy_gate_experiment scales it for each sweep point."""
+    """The unit random walk of `seed` scaled to strength `grad_max` (T/m): a
+    noisy_gate sweep point, which noisy_gate_experiment runs as the unit walk
+    at positions grad_max z."""
     shape = random_walk_waveform(n_steps, seed)
     return GradientWaveform(shape.step_time, grad_max * shape.values)
 

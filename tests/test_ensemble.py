@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfsim import ensemble
@@ -765,3 +765,82 @@ class TestWeakNoise:
         f0 = fe(0.0)
         a1, a2 = ((f0 - fe(eps)) / eps ** 2 for eps in (1e-3, 2e-3))
         assert abs(a2 - a1) <= 1e-4 * a1
+
+
+class TestScaleInvariance:
+    """The gradient enters only as gamma g(t) z, so the waveform eps w at
+    positions z is the waveform w at eps z, and a sample of length L under
+    strength g is one of length 2L under g/2: noisy_gate's sweep points are
+    one function of position. On the calibrated composite y(pi/2) under the
+    1 kHz/cm walk of the drawn seed, default system."""
+
+    SYS = SpinSystem()
+    TARGET = ops.expm_hermitian(ops.PAULI["y"], math.pi / 4)
+
+    @pytest.fixture(scope="class")
+    def seq(self):
+        return composite_y90(self.SYS)
+
+    def fe(self, seq, wf, zs):
+        return float(member_gate_fidelities(ensemble_propagators(seq, self.SYS, wf, zs), self.TARGET).mean())
+
+    def walk(self, seq, seed):
+        return scaled_walk(khz_per_cm_to_t_per_m(1.0), math.ceil(seq.duration / DEFAULT_STEP_TIME) + 1, seed)
+
+    @settings(property_settings, max_examples=25)
+    @given(st.floats(-2.0, 2.0), st.integers(0, 2 ** 32 - 1), st.integers(2, 300))
+    def test_scaled_waveform_is_scaled_positions(self, seq, log_eps, seed, n):
+        eps, zs, w = 10.0 ** log_eps, member_positions(EnsembleSpec(n_members=n)), self.walk(seq, seed)
+        assert abs(self.fe(seq, GradientWaveform(w.step_time, eps * w.values), zs) - self.fe(seq, w, eps * zs)) <= 1e-12
+
+    @settings(property_settings, max_examples=25)
+    @given(st.floats(-2.0, 2.0), st.integers(0, 2 ** 32 - 1), st.integers(2, 300))
+    def test_double_length_at_half_strength(self, seq, log_eps, seed, n):
+        eps, w = 10.0 ** log_eps, self.walk(seq, seed)
+        a = self.fe(seq, GradientWaveform(w.step_time, eps * w.values), member_positions(EnsembleSpec(n_members=n)))
+        b = self.fe(seq, GradientWaveform(w.step_time, eps / 2 * w.values),
+                    member_positions(EnsembleSpec(n_members=n, sample_length=0.02)))
+        assert abs(a - b) <= 1e-12
+
+
+class TestRows:
+    """Positions of shape (P, n): one row per sweep point of one unit walk."""
+
+    def test_one_row_is_the_one_dimensional_call(self, spin_system):
+        seq = nominal_composite_y90(spin_system)
+        wf, zs = noise_waveform(seq, khz_per_cm_to_t_per_m(1.0)), member_positions(EnsembleSpec(n_members=101))
+        us = ensemble_propagators(seq, spin_system, wf, zs[None])
+        assert us.shape == (1, 101, 4, 4)
+        assert us.tobytes() == ensemble_propagators(seq, spin_system, wf, zs).tobytes()
+
+    def test_rows_of_like_width_share_a_fit(self, monkeypatch):
+        # the shipped sweep's gate (seed 42, 1001 members): the rows group as
+        # {0-5}, {10, 20} and {50, 100} kHz/cm, each group fitted at its
+        # widest row, and every row agrees with that row alone (measured
+        # 5.9e-13 at most)
+        sys = SpinSystem()
+        seq = composite_y90(sys)
+        khz = [0.0, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0]
+        zs = np.multiply.outer([khz_per_cm_to_t_per_m(x) for x in khz], member_positions(EnsembleSpec()))
+        wf = random_walk_waveform(math.ceil(seq.duration / DEFAULT_STEP_TIME) + 1, 42)
+        widths, fit = [], ensemble._fit_run
+        monkeypatch.setattr(ensemble, "_fit_run", lambda fs, n, z_max: widths.append(z_max) or fit(fs, n, z_max))
+        us = ensemble_propagators(seq, sys, wf, zs)
+        assert sorted(set(widths)) == [np.abs(zs[i]).max() for i in (6, 8, 10)]
+        monkeypatch.undo()
+        for row, u in zip(zs, us):
+            assert np.abs(u - ensemble_propagators(seq, sys, wf, row)).max() <= 1e-12
+
+    def test_a_run_of_one_rf_piece_is_its_fit(self, spin_system, monkeypatch):
+        # the piece's own fit, at n_p = N terms, is the run's coefficients:
+        # the one product is the block's, with no second one (and DCT-II) at
+        # the same N points
+        seq = PulseSequence((RfPulse(math.pi / 2 / 62.4e-6, 0.4, 62.4e-6),))
+        wf, zs = static_waveform(5e-3), np.linspace(-5e-3, 5e-3, 101)  # w = 0.42 rad
+        multiply, products = ensemble._multiply_out, []
+        monkeypatch.setattr(ensemble, "_multiply_out", lambda *args: products.append(args) or multiply(*args))
+        calls = run_fit_spy(monkeypatch)
+        us = ensemble_propagators(seq, spin_system, wf, zs)
+        assert [len(factors) for _, factors in calls] == [1] and len(products) == 1
+        for z, u in zip(zs, us):
+            assert np.abs(u - expm_oracle(seq, spin_system, wf, z)).max() <= 1e-12

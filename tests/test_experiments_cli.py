@@ -246,12 +246,59 @@ class TestNoisyGate:
 
     def test_point_does_not_depend_on_its_place_in_the_sweep(self, spin_system):
         # one noise shape per run, scaled per point: the 5 kHz/cm row is the
-        # same whether a 1 kHz/cm point comes before it or not
+        # same whether a 1 kHz/cm point comes before it or not, byte for byte
+        # as the widest row of its fit group (the 1 kHz/cm row agrees with
+        # its point alone to round-off: test_each_row_is_its_point_alone)
         spec = EnsembleSpec(n_members=32)
         sweep = EXPERIMENTS["noisy_gate"].sweep
         pair, _ = noisy_gate_experiment(spin_system, spec, {**sweep, "grad_max_khz_per_cm": [1.0, 5.0]}, seed=9)
         alone, _ = noisy_gate_experiment(spin_system, spec, {**sweep, "grad_max_khz_per_cm": [5.0]}, seed=9)
         assert pair[1] == alone[0]
+
+    @pytest.fixture(scope="class")
+    def shipped(self):
+        """The shipped noisy_gate config as a config object, and its rows."""
+        config = config_from_dict(json.loads((Path(__file__).resolve().parents[1] / "configs" /
+                                              "noisy_gate.json").read_text()))
+        return config, EXPERIMENTS["noisy_gate"].runner(config)[0]
+
+    @staticmethod
+    def sweep_rows(config, khz):
+        return noisy_gate_experiment(config.spin_system, config.ensemble,
+                                     {**config.sweep, "grad_max_khz_per_cm": khz}, config.seed)[0]
+
+    @staticmethod
+    def assert_rows_agree(got, want):
+        for a, b in zip(got, want, strict=True):
+            assert all(abs(a[k] - b[k]) <= 1e-12 * max(1.0, abs(b[k])) for k in b), (a, b)
+
+    def test_each_row_is_its_point_alone(self, shipped):
+        # the sweep fits rows of like width together; a point run alone
+        # fits its own, and the rows agree to round-off
+        config, rows = shipped
+        for khz, row in zip(config.sweep["grad_max_khz_per_cm"], rows, strict=True):
+            self.assert_rows_agree([row], self.sweep_rows(config, [khz]))
+
+    def test_permuted_sweep_gives_permuted_rows(self, shipped):
+        config, rows = shipped
+        order = [3, 10, 0, 7, 1, 9, 5, 2, 8, 4, 6]
+        permuted = self.sweep_rows(config, [config.sweep["grad_max_khz_per_cm"][i] for i in order])
+        assert permuted == [rows[i] for i in order]
+
+    def test_noiseless_row_has_zero_spread(self, shipped):
+        # every member of the 0 kHz/cm row sits at z = 0 under the unit walk
+        _, rows = shipped
+        assert rows[0]["grad_max_t_per_m"] == 0.0 and rows[0]["fe_stderr"] == 0.0
+
+    def test_one_call_holds_at_most_max_members_positions(self, shipped, monkeypatch):
+        # with the bound at 2000 and 1001 members, one row per engine call
+        config, rows = shipped
+        sizes, engine = [], experiments.ensemble_propagators
+        monkeypatch.setattr(experiments, "MAX_MEMBERS", 2000)
+        monkeypatch.setattr(experiments, "ensemble_propagators",
+                            lambda seq, sys, wf, z: sizes.append(np.shape(z)) or engine(seq, sys, wf, z))
+        self.assert_rows_agree(self.sweep_rows(config, config.sweep["grad_max_khz_per_cm"]), rows)
+        assert sizes == [(1, 1001)] * 22
 
     def test_khz_per_cm_converts_with_the_spin_system_gamma(self, spin_system):
         spec = EnsembleSpec(n_members=3)

@@ -52,6 +52,6 @@ def test_traced_run_writes_the_same_csv(tmp_path):
         run(config_from_dict(dict(raw, out=str(tmp_path / "traced"))))
     run(config_from_dict(dict(raw, out=str(tmp_path / "plain"))))
     layers = traced.layer_metrics()
-    assert layers["ensemble.propagators_calls"] == 4
+    assert layers["ensemble.propagators_calls"] == 2
     assert layers["experiments.member_fidelity_members"] == 4 * 3
     assert (tmp_path / "traced" / "tiny.csv").read_bytes() == (tmp_path / "plain" / "tiny.csv").read_bytes()
