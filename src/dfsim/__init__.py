@@ -6,9 +6,7 @@ from .channels import (
     coherence_decay_factors,
     collective_dephasing,
     ensemble_channel,
-    identity_channel,
     natural_relaxation_step,
-    unitary_channel,
 )
 from .ensemble import (
     EnsembleSpec,
@@ -22,9 +20,7 @@ from .errors import ConfigError, DfsimError, NumericalContractError
 from .experiments import ExperimentConfig, config_from_dict, run
 from .hamiltonians import (
     SpinSystem,
-    gradient_hamiltonian,
     internal_hamiltonian,
-    logical_decompose,
     rf_hamiltonian,
 )
 from .metrics import (
@@ -35,9 +31,7 @@ from .metrics import (
     induced_data_channel,
 )
 from .operators import (
-    LogicalFrame,
     basis_ket,
-    coherence_order,
     decoding_unitary,
     encoding_unitary,
     expm_hermitian,
@@ -55,8 +49,6 @@ from .pulses import (
     enc_x,
     enc_z,
     propagator,
-    sequence_from_text,
-    sequence_to_text,
     toggling_frames,
     xx_train,
     xy_train,

@@ -7,7 +7,7 @@ zero-quantum code space. An ambient-relaxation channel, exact for any
 holding time, models natural noise with a tunable collective fraction.
 
 A channel holds its Kraus operators as one (k, d, d) array; completeness,
-`apply`, `superoperator` and `compose` are each one array expression.
+`apply` and `superoperator` are each one array expression.
 
 Superoperators use the column-stacking convention: vec stacks columns, so
 vec(A rho B) = (B^T kron A) vec(rho) and channel composition is matrix
@@ -84,25 +84,10 @@ class KrausChannel:
         d = self.dim
         return np.einsum("aij,akl->ikjl", self.kraus_ops.conj(), self.kraus_ops).reshape(d * d, d * d)
 
-    def compose(self, other: "KrausChannel") -> "KrausChannel":
-        """Channel applying `other` first, then self."""
-        if self.dim != other.dim:
-            raise ValueError("channel dimensions differ")
-        kraus = (self.kraus_ops[:, None] @ other.kraus_ops[None]).reshape(-1, self.dim, self.dim)
-        return KrausChannel(_nonzero(kraus), label=f"{self.label}*{other.label}")
-
 
 def _nonzero(kraus: np.ndarray) -> np.ndarray:
     """The operators of a (k, d, d) stack that are not exactly zero."""
     return kraus[np.abs(kraus).max(axis=(1, 2)) > 0.0]
-
-
-def identity_channel(dim: int = 4) -> KrausChannel:
-    return KrausChannel((np.eye(dim, dtype=complex),), label="identity")
-
-
-def unitary_channel(u: np.ndarray, label: str = "unitary") -> KrausChannel:
-    return KrausChannel((np.asarray(u, dtype=complex),), label=label)
 
 
 def ensemble_channel(unitaries) -> KrausChannel:

@@ -1,4 +1,4 @@
-"""Internal, RF and gradient Hamiltonians of the two-proton register.
+"""Internal and RF Hamiltonians of the two-proton register.
 
 All Hamiltonians are returned in angular-frequency units (rad/s); the
 constructors take chemical shifts and couplings in Hz and multiply by pi,
@@ -41,7 +41,8 @@ class SpinSystem:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         # 2 pi (|nu1| + |nu2| + |J|) bounds every transition frequency of the
-        # internal Hamiltonian, and so the traces `logical_decompose` sums
+        # internal Hamiltonian; without this check nu1 = nu2 = 1e308 would make
+        # its entries inf
         if not math.isfinite(2 * math.pi * sum(abs(float(getattr(self, n))) for n in ("nu1", "nu2", "j_coupling"))):
             name = max(("nu1", "nu2", "j_coupling"), key=lambda n: abs(getattr(self, n)))
             raise ValueError(f"{name} = {getattr(self, name)!r} Hz overflows the Hamiltonian: "
@@ -73,36 +74,3 @@ def rf_hamiltonian(omega: float, phi: float) -> np.ndarray:
         raise ValueError("nutation power omega must be >= 0")
     return (omega / 2) * (np.cos(phi) * ops.J_X + np.sin(phi) * ops.J_Y)
 
-
-def gradient_hamiltonian(grad: float, z: float, sys: SpinSystem) -> np.ndarray:
-    """gamma z grad Jz / 2 in rad/s for a field gradient grad (T/m) at
-    position z (m). Diagonal, and identically zero on the code space."""
-    return sys.gamma * z * grad * ops.J_Z / 2
-
-
-def logical_decompose(h: np.ndarray, frame: ops.LogicalFrame) -> tuple[float, float, float, float]:
-    """Coefficients (c_z, c_x, c_y, c_id) of the code-block restriction of a
-    DFS-preserving hermitian operator, in the frame's logical Pauli basis.
-
-    Raises ValueError naming the offending entries when h couples the code
-    space to its complement.
-    """
-    bad = ops.dfs_violations(h)
-    if bad:
-        listing = ", ".join(f"[{r},{c}]={v:.3e}" for r, c, v in bad)
-        raise ValueError(f"operator is not DFS preserving; offending entries: {listing}")
-    blk = ops.code_block(h)
-    cz = float(np.trace(ops.code_block(frame.sz) @ blk).real) / 2
-    cx = float(np.trace(ops.code_block(frame.sx) @ blk).real) / 2
-    cy = float(np.trace(ops.code_block(frame.sy) @ blk).real) / 2
-    cid = float(np.trace(blk).real) / 2
-    recon = (
-        cid * np.eye(2)
-        + cx * ops.code_block(frame.sx)
-        + cy * ops.code_block(frame.sy)
-        + cz * ops.code_block(frame.sz)
-    )
-    err, bound = np.abs(recon - blk).max(), 1e-10 * max(1.0, np.abs(blk).max())
-    if err > bound:
-        raise ValueError(f"code-block reconstruction error {err:.3e} exceeds {bound:.3e}")
-    return cz, cx, cy, cid

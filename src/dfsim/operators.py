@@ -19,8 +19,6 @@ from .errors import NumericalContractError
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
-#: largest |entry| between the code space and |00>/|11> that `dfs_violations` ignores
-DFS_TOL = 1e-10
 
 PAULI = {
     "i": np.eye(2, dtype=complex),
@@ -28,11 +26,6 @@ PAULI = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-#: indices of the code (zero-quantum) basis states |01>, |10>
-CODE_INDICES = (1, 2)
-#: indices of the states outside the code space, |00> and |11>
-OUTER_INDICES = (0, 3)
 
 #: total spin projection of each basis state, units hbar
 SPIN_PROJECTION = (1, 0, 0, -1)
@@ -82,14 +75,6 @@ def zq_projectors() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return p_plus, p_zero, p_minus
 
 
-def coherence_order(k, l) -> int:
-    """Coherence order |k - l| of the matrix element |k><l|, with the total
-    spin projection of each basis state measured in units hbar."""
-    ik = int(k, 2) if isinstance(k, str) else int(k)
-    il = int(l, 2) if isinstance(l, str) else int(l)
-    return abs(SPIN_PROJECTION[ik] - SPIN_PROJECTION[il])
-
-
 def is_hermitian(a: np.ndarray) -> bool:
     return bool(np.abs(a - a.conj().T).max() <= HERMITIAN_TOL)
 
@@ -97,25 +82,6 @@ def is_hermitian(a: np.ndarray) -> bool:
 def is_unitary(a: np.ndarray) -> bool:
     """True iff a, or every matrix of a (..., d, d) stack, is unitary to UNITARY_TOL."""
     return bool(np.abs(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1])).max() <= UNITARY_TOL)
-
-
-def dfs_violations(a: np.ndarray) -> list[tuple[int, int, float]]:
-    """Entries of a hermitian operator that couple the code space to |00>/|11>.
-
-    Returns (row, col, |entry|) for every offending entry above DFS_TOL. An empty
-    list means evolution generated by the operator cannot leak amplitude out
-    of the code space.
-    """
-    if not is_hermitian(a):
-        raise ValueError("operator must be hermitian")
-    out = []
-    for i in CODE_INDICES:
-        for j in OUTER_INDICES:
-            for r, c in ((i, j), (j, i)):
-                v = abs(a[r, c])
-                if v > DFS_TOL:
-                    out.append((r, c, float(v)))
-    return out
 
 
 def expm_hermitian(h: np.ndarray, t: float | np.ndarray) -> np.ndarray:
@@ -145,50 +111,3 @@ def encoding_unitary() -> np.ndarray:
 def decoding_unitary() -> np.ndarray:
     return encoding_unitary().conj().T
 
-
-def code_block(a: np.ndarray) -> np.ndarray:
-    """2x2 restriction of a two-spin operator to the logical basis (|01>, |10>)."""
-    return a[np.ix_(CODE_INDICES, CODE_INDICES)]
-
-
-class LogicalFrame:
-    """A choice of two-spin observables acting as encoded Pauli operators.
-
-    The three supported choices differ only outside the code space:
-
-    * ``independent``: sz = (sigma_z^1 - sigma_z^2)/2, sx = flip-flop/2; both
-      vanish identically outside the code space, so parallel encoded registers
-      would not disturb each other.
-    * ``product``: sz = -sigma_z^2, sx = sigma_x^1 sigma_x^2; simplest to
-      realize but acts on |00>, |11> as well.
-    * ``hybrid``: sz = -sigma_z^2, sx = flip-flop/2; the choice the encoded
-      gate builders use.
-
-    sy is fixed by sy = i [sx, sz] / 2, which reduces to the usual Pauli
-    algebra on the code block.
-    """
-
-    CHOICES = ("independent", "product", "hybrid")
-
-    def __init__(self, choice: str):
-        if choice not in self.CHOICES:
-            raise ValueError(f"choice must be one of {self.CHOICES}, got {choice!r}")
-        self.choice = choice
-        half_flipflop = FLIPFLOP_12 / 2
-        if choice == "independent":
-            self.sz = (SIGMA_Z1 - SIGMA_Z2) / 2
-            self.sx = half_flipflop
-        elif choice == "product":
-            self.sz = -SIGMA_Z2
-            self.sx = pauli_embed(1, "x") @ pauli_embed(2, "x")
-        else:
-            self.sz = -SIGMA_Z2
-            self.sx = half_flipflop
-        self.sy = 1j * (self.sx @ self.sz - self.sz @ self.sx) / 2
-        for name, op in (("sx", self.sx), ("sy", self.sy), ("sz", self.sz)):
-            blk = code_block(op)
-            if np.abs(blk - PAULI[name[1]]).max() > HERMITIAN_TOL:
-                raise NumericalContractError(f"{name} restriction is not the Pauli matrix")
-
-    def __repr__(self):
-        return f"LogicalFrame({self.choice!r})"

@@ -27,12 +27,10 @@ is cut.
 Builders are provided for the refocusing trains used by the average
 Hamiltonian analysis and for the encoded one-qubit gates: a z rotation by
 timed free evolution, an x rotation from a WALTZ-phase-cycled train of hard
-pi pulses, and the composite y rotation concatenated from those. The text
-form is one line per event.
+pi pulses, and the composite y rotation concatenated from those.
 """
 
 import functools
-import io
 import math
 from dataclasses import dataclass
 
@@ -43,7 +41,7 @@ from .errors import NumericalContractError
 from .hamiltonians import SpinSystem, internal_hamiltonian, rf_hamiltonian
 from .metrics import member_gate_fidelities
 
-#: named zero-duration rotations usable in sequences and text serialization
+#: named zero-duration rotations usable in sequences
 ROTATIONS = {
     # hard pi pulse on both spins about x: exp(-i pi/2 (sx1+sx2)) = -sx1 sx2
     "pi_x_pair": -ops.pauli_embed(1, "x") @ ops.pauli_embed(2, "x"),
@@ -338,8 +336,8 @@ def xy_train(n_pulses: int = 2, spacing: float = DEFAULT_PULSE_SPACING) -> Pulse
 
 def _cz_rate(sys: SpinSystem) -> float:
     """|c_z| = pi (nu2 - nu1) rad/s, the logical z rate of the internal
-    Hamiltonian in the hybrid frame (`hamiltonians.logical_decompose`), to
-    which J adds nothing."""
+    Hamiltonian: half the difference of its code block's diagonal entries,
+    to which J adds nothing."""
     if sys.nu1 >= sys.nu2:
         raise ValueError("encoded z gates assume a negative logical z rate (nu1 < nu2)")
     return math.pi * (sys.nu2 - sys.nu1)
@@ -418,59 +416,3 @@ def composite_y90(sys: SpinSystem) -> PulseSequence:
 
     return PulseSequence((Delay(t_pre),) + x_leg.events + (Delay(t_post),))
 
-
-# ---------------------------------------------------------------------------
-# text serialization (durations in us, phases in degrees)
-# ---------------------------------------------------------------------------
-
-def sequence_to_text(seq: PulseSequence) -> str:
-    """The text form of `seq`, one line per event. Raises ValueError for
-    what the text could not hold: a nonzero pulse amplitude that is
-    subnormal or 0 in Hz, and an event field that is not finite in its text
-    unit."""
-    out = io.StringIO()
-    out.write("# pulse-sequence v1\n")
-    for i, ev in enumerate(seq.events):
-        if isinstance(ev, IdealRotation):
-            out.write(f"rotation name={ev.name}\n")
-            continue
-        kind, fields = "delay", {"us": ev.duration * 1e6}
-        if isinstance(ev, RfPulse):
-            amp_hz = ev.amplitude / (2 * math.pi)
-            if ev.amplitude > 0 and amp_hz < np.finfo(float).tiny:
-                raise ValueError(f"event {i}, {ev!r}: amplitude in Hz is subnormal or underflows to 0")
-            kind, fields = "pulse", {"amp_hz": amp_hz, "phase_deg": math.degrees(ev.phase), **fields}
-        if not all(map(math.isfinite, fields.values())):
-            raise ValueError(f"event {i}, {ev!r}: a field overflows to inf in its text unit")
-        out.write(" ".join([kind] + [f"{key}={x:.12g}" for key, x in fields.items()]) + "\n")
-    return out.getvalue()
-
-
-def sequence_from_text(text: str) -> PulseSequence:
-    """The sequence of a text form; the `label` and `cycle_length` lines
-    that older files carry are skipped."""
-    events: list = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        kind, _, rest = line.partition(" ")
-        if not line or line.startswith("#") or kind in ("label", "cycle_length"):
-            continue
-        fields = dict(tok.split("=", 1) for tok in rest.split() if "=" in tok)
-        try:
-            if kind == "delay":
-                events.append(Delay(float(fields["us"]) * 1e-6))
-            elif kind == "pulse":
-                if fields.get("shape", "hard") != "hard":  # older files name the shape; pulses are hard
-                    raise ValueError(f"unknown pulse shape {fields['shape']!r}")
-                events.append(RfPulse(
-                    amplitude=float(fields["amp_hz"]) * 2 * math.pi,
-                    phase=math.radians(float(fields["phase_deg"])),
-                    duration=float(fields["us"]) * 1e-6,
-                ))
-            elif kind == "rotation":
-                events.append(IdealRotation(fields["name"]))
-            else:
-                raise ValueError(f"unknown event kind {kind!r}")
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"bad sequence line {lineno}: {raw!r} ({exc})") from exc
-    return PulseSequence(tuple(events))

@@ -79,6 +79,18 @@ def random_unitary(rng, dim=2):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def code_block(a: np.ndarray) -> np.ndarray:
+    """2x2 restriction of a two-spin operator to the logical basis (|01>, |10>)."""
+    return a[1:3, 1:3]
+
+
+def logical_coefficients(h: np.ndarray) -> tuple[float, float, float]:
+    """(c_z, c_x, c_y) of h's code block in the hybrid frame, whose encoded
+    sz = -sigma_z^2 and sx = flip-flop / 2 restrict to the Pauli matrices
+    there: tr(P block) / 2 for each Pauli P."""
+    return tuple(float(np.trace(ops.PAULI[axis] @ code_block(h)).real) / 2 for axis in "zxy")
+
+
 def composite_90x_180y_90x(pulse: RfPulse) -> tuple:
     """The 90x-180y-90x composite of `pulse`'s drive and total duration:
     three hard pulses of nutation fractions 1/4, 1/2 and 1/4 at relative
@@ -187,8 +199,6 @@ def sequences_of(amplitudes):
 
 
 sequences = sequences_of(st.floats(0.0, 1e5))
-# the text form holds amplitudes in Hz, which must be 0 or a normal float
-text_sequences = sequences_of(st.just(0.0) | st.floats(1e-300, 1e5))
 waveforms = st.builds(
     GradientWaveform,
     step_time=st.integers(5, 100).map(lambda k: k * 1e-6),

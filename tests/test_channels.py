@@ -3,8 +3,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
-from hypothesis import strategies as st
 
 from dfsim import ensemble, pulses
 from dfsim import operators as ops
@@ -13,16 +11,14 @@ from dfsim.channels import (
     coherence_decay_factors,
     collective_dephasing,
     ensemble_channel,
-    identity_channel,
     natural_relaxation_step,
-    unitary_channel,
     unvec,
     vec,
 )
 from dfsim.errors import NumericalContractError
 from dfsim.hamiltonians import SpinSystem
 
-from conftest import lindblad_superoperator, property_settings, random_ket, random_unitary
+from conftest import lindblad_superoperator, random_ket, random_unitary
 
 GAMMAS = list(np.logspace(-3, 1, 20)) + [math.inf]
 
@@ -80,10 +76,6 @@ class TestApply:
             out = collective_dephasing(gamma).apply(rho)
             assert abs(np.trace(out) - 1.0) <= 1e-10
 
-    def test_identity_channel(self, rng):
-        rho = code_state(rng)
-        assert np.abs(identity_channel(4).apply(rho) - rho).max() == 0
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             collective_dephasing(1.0).apply(np.eye(2) / 2)
@@ -111,9 +103,6 @@ class TestDecayFactors:
 
 
 class TestSuperoperator:
-    def test_identity(self):
-        assert np.abs(identity_channel(4).superoperator() - np.eye(16)).max() == 0
-
     def test_crusher_projects_matrix_units(self):
         # brute force: the crusher keeps exactly the diagonal and the
         # zero-quantum block matrix units, and kills the rest
@@ -192,26 +181,6 @@ def test_kraus_ops_are_one_complex_stack():
     ch = KrausChannel([np.eye(2), np.zeros((2, 2))])
     assert isinstance(ch.kraus_ops, np.ndarray)
     assert ch.kraus_ops.shape == (2, 2, 2) and ch.kraus_ops.dtype == complex
-
-
-unitaries = st.integers(0, 2**32 - 1).map(lambda seed: random_unitary(np.random.default_rng(seed), 4))
-channels = st.one_of(
-    st.floats(0.0, 50.0).map(collective_dephasing),
-    st.just(collective_dephasing(math.inf)),
-    unitaries.map(unitary_channel),
-    st.lists(unitaries, min_size=1, max_size=3).map(ensemble_channel),
-    st.builds(natural_relaxation_step, st.just(SpinSystem()), st.floats(0.0, 1.0), st.floats(1e-6, 0.1)),
-)
-
-
-@property_settings
-@given(st.lists(channels, min_size=2, max_size=3))
-def test_completeness_survives_compose(chain):
-    composed = chain[0]
-    for ch in chain[1:]:
-        composed = ch.compose(composed)
-    s = sum(k.conj().T @ k for k in composed.kraus_ops)
-    assert np.abs(s - np.eye(4)).max() <= 1e-10
 
 
 class TestNaturalRelaxation:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dfsim import operators as ops
-from dfsim.channels import KrausChannel, collective_dephasing, identity_channel, unitary_channel
+from dfsim.channels import KrausChannel, collective_dephasing
 from dfsim.metrics import (
     FidelityReport,
     coherence_metric,
@@ -70,7 +70,7 @@ class TestEntanglementFidelity:
 
 class TestThreeStateFormula:
     def test_identity_channel(self):
-        report = gate_fidelity_from_states(identity_channel(2), np.eye(2))
+        report = gate_fidelity_from_states(KrausChannel((np.eye(2),)), np.eye(2))
         assert (report.f0, report.fplus, report.fplusi) == pytest.approx((1, 1, 1))
         assert report.fe == pytest.approx(1.0)
 
@@ -101,7 +101,7 @@ class TestThreeStateFormula:
 
 class TestCoherenceMetric:
     def test_identity(self):
-        assert coherence_metric(identity_channel(2)) == pytest.approx(1.0)
+        assert coherence_metric(KrausChannel((np.eye(2),))) == pytest.approx(1.0)
 
     def test_full_phase_damping(self):
         assert coherence_metric(PHASE_DAMPING) == pytest.approx(0.0, abs=1e-12)
@@ -132,7 +132,7 @@ class TestInducedDataChannel:
     def test_member_kernel_is_fe_of_induced_channel(self, rng):
         us = np.stack([random_unitary(rng, 4) for _ in range(3)])
         target = random_unitary(rng, 2)
-        want = [entanglement_fidelity(induced_data_channel(unitary_channel(u), encoded=True), target)
+        want = [entanglement_fidelity(induced_data_channel(KrausChannel((u,)), encoded=True), target)
                 for u in us]
         assert np.abs(member_gate_fidelities(us, target) - want).max() <= 1e-12
 

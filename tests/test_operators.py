@@ -64,86 +64,6 @@ class TestProjectors:
         assert np.allclose(p_zero @ ket("00"), 0)
 
 
-class TestCoherenceOrder:
-    @pytest.mark.parametrize("k,l,m", [("01", "10", 0), ("00", "11", 2), ("00", "00", 0),
-                                       ("00", "01", 1), ("10", "11", 1)])
-    def test_values(self, k, l, m):
-        assert ops.coherence_order(k, l) == m
-
-    def test_symmetry(self):
-        for k in range(4):
-            for l in range(4):
-                assert ops.coherence_order(k, l) == ops.coherence_order(l, k)
-
-
-class TestLogicalFrames:
-    @pytest.mark.parametrize("choice", ops.LogicalFrame.CHOICES)
-    def test_code_restrictions_are_pauli(self, choice):
-        f = ops.LogicalFrame(choice)
-        for name, pauli in (("sx", "x"), ("sy", "y"), ("sz", "z")):
-            blk = ops.code_block(getattr(f, name))
-            assert np.abs(blk - ops.PAULI[pauli]).max() <= 1e-12
-
-    @pytest.mark.parametrize("choice", ops.LogicalFrame.CHOICES)
-    def test_sy_commutator_definition(self, choice):
-        f = ops.LogicalFrame(choice)
-        assert np.abs(f.sy - 1j * (f.sx @ f.sz - f.sz @ f.sx) / 2).max() <= 1e-12
-
-    def test_independent_frame_vanishes_outside_code(self):
-        f = ops.LogicalFrame("independent")
-        for op in (f.sx, f.sy, f.sz):
-            for i in ops.OUTER_INDICES:
-                assert np.abs(op[i, :]).max() <= 1e-15
-                assert np.abs(op[:, i]).max() <= 1e-15
-
-    def test_logical_z_action(self):
-        for choice in ("independent", "product", "hybrid"):
-            f = ops.LogicalFrame(choice)
-            assert np.allclose(f.sz @ ket("01"), ket("01"))
-            assert np.allclose(f.sz @ ket("10"), -ket("10"))
-
-    def test_hybrid_sx_swaps_code_kets(self):
-        f = ops.LogicalFrame("hybrid")
-        assert np.allclose(f.sx @ ket("01"), ket("10"))
-
-    def test_unknown_choice(self):
-        with pytest.raises(ValueError):
-            ops.LogicalFrame("obs3")
-
-
-class TestDfsPreserving:
-    def test_identity(self):
-        assert not ops.dfs_violations(np.eye(4, dtype=complex))
-
-    def test_hard_pulse_generator_leaks(self):
-        h = ops.pauli_embed(1, "x") + ops.pauli_embed(2, "x")
-        bad = ops.dfs_violations(h)
-        assert {(r, c) for r, c, _ in bad} == {(1, 0), (0, 1), (2, 0), (0, 2),
-                                               (1, 3), (3, 1), (2, 3), (3, 2)}
-
-    def test_commutant_members_preserve(self, rng):
-        basis = [np.eye(4, dtype=complex), ops.SIGMA_Z1, ops.SIGMA_Z2,
-                 ops.SIGMA_Z1 @ ops.SIGMA_Z2, ops.DOT_12]
-        for _ in range(100):
-            coeffs = rng.normal(size=5)
-            a = sum(c * b for c, b in zip(coeffs, basis))
-            assert not ops.dfs_violations(a)
-
-    def test_general_preserving_form(self, rng):
-        # arbitrary hermitian block structure: real diagonal, code-block
-        # coupling b, outer coupling c, but no cross coupling
-        a = np.zeros((4, 4), dtype=complex)
-        a[np.arange(4), np.arange(4)] = rng.normal(size=4)
-        b, c = rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal()
-        a[1, 2], a[2, 1] = b, np.conj(b)
-        a[0, 3], a[3, 0] = c, np.conj(c)
-        assert not ops.dfs_violations(a)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            ops.dfs_violations(np.triu(np.ones((4, 4))))
-
-
 class TestExpmHermitian:
     def test_zero_time(self, rng):
         h = random_hermitian(rng)

@@ -1,8 +1,14 @@
 """Source checks: every name a dfsim module imports is read in that module,
-and every name it defines at module level is read somewhere in src/ or
-tests/."""
+every name it defines at module level is read somewhere in src/ or tests/,
+and every function it defines is called by an experiment or an acceptance
+criterion."""
 
 import ast
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +73,72 @@ def test_every_module_level_definition_is_read():
     read = names_read([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")])
     unread = {path.stem: sorted(module_definitions(path) - read) for path in MODULES}
     assert {module: names for module, names in unread.items() if names} == {}
+
+
+# (module, function) that no experiment or acceptance criterion calls, each with its reason
+ORACLES = {
+    ("channels", "KrausChannel.superoperator"): "tests use it as a reference oracle",
+}
+# Records each (file, first line) of a function called, from before `import
+# dfsim` (so import-time calls count) through the README's CLI commands and
+# the acceptance suite.
+PROFILE = """\
+import json, sys
+called = set()
+
+def record(frame, event, arg):
+    if event == "call":
+        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+sys.setprofile(record)
+import dfsim.cli
+import pytest
+for command in json.loads(sys.argv[2]):
+    assert dfsim.cli.main(command) == 0, command
+exit_code = pytest.main(["-q", "-p", "no:cacheprovider", "tests/test_acceptance.py"])
+sys.setprofile(None)
+with open(sys.argv[1], "w") as fh:
+    json.dump(sorted(called), fh)
+sys.exit(exit_code)
+"""
+
+
+def function_lines(path: Path) -> dict[int, str]:
+    """Name of each top-level function and each method of a top-level class
+    of `path`, by its code object's first line (its first decorator's)."""
+    lines = {}
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        members = [(node, node.name)] if isinstance(node, ast.FunctionDef) else []
+        if isinstance(node, ast.ClassDef):
+            members = [(fn, f"{node.name}.{fn.name}") for fn in node.body if isinstance(fn, ast.FunctionDef)]
+        for fn, name in members:
+            lines[min([fn.lineno] + [d.lineno for d in fn.decorator_list])] = name
+    return lines
+
+
+@pytest.fixture(scope="module")
+def uncalled(tmp_path_factory):
+    """(module, function) of every function of src/dfsim that the README's
+    CLI commands and tests/test_acceptance.py leave uncalled."""
+    tmp = tmp_path_factory.mktemp("profile")
+    commands = [line.split()[1:] for line in re.findall(r"^dfsim .*$", (ROOT / "README.md").read_text(), re.M)]
+    assert len(commands) == 5
+    for command in commands:
+        command[command.index("--out") + 1] = str(tmp / "results")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", PROFILE, str(tmp / "called.json"), json.dumps(commands)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    called = {(os.path.realpath(file), line) for file, line in json.loads((tmp / "called.json").read_text())}
+    return {(path.stem, name) for path in SRC.glob("*.py") for line, name in function_lines(path).items()
+            if (os.path.realpath(path), line) not in called}
+
+
+def test_every_function_is_called_by_an_experiment_or_criterion(uncalled):
+    dead = [f"{module}.{name}" for module, name in sorted(uncalled - ORACLES.keys())]
+    assert not dead, f"never called: {', '.join(dead)}"
+
+
+def test_every_oracle_is_still_uncalled(uncalled):
+    called = [f"{module}.{name}" for module, name in sorted(ORACLES.keys() - uncalled)]
+    assert not called, f"called, so no longer an oracle: {', '.join(called)}"
