@@ -49,7 +49,6 @@ from .pulses import (
     enc_x,
     enc_z,
     propagator,
-    toggling_frames,
     xx_train,
     xy_train,
 )

@@ -43,12 +43,12 @@ class KrausChannel:
     """A completely positive trace-preserving map given by a (k, d, d)
     complex array of Kraus operators.
 
-    Completeness sum_a E_a^dag E_a = 1 is verified at construction to 1e-10;
+    Operators whose entries are all exactly 0 are dropped, and completeness
+    sum_a E_a^dag E_a = 1 of the rest is verified at construction to 1e-10;
     a violation raises NumericalContractError.
     """
 
     kraus_ops: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         try:
@@ -59,12 +59,11 @@ class KrausChannel:
             raise ValueError("channel needs at least one Kraus operator")
         if kraus.ndim != 3 or kraus.shape[1] != kraus.shape[2]:
             raise ValueError("all Kraus operators must be square with equal dimension")
+        kraus = kraus[~(kraus == 0.0).all(axis=(1, 2))]  # a NaN operator is kept, and fails below
         object.__setattr__(self, "kraus_ops", kraus)
         err = np.abs(np.einsum("aji,ajk->ik", kraus.conj(), kraus) - np.eye(self.dim)).max()
         if not err <= COMPLETENESS_TOL:
-            raise NumericalContractError(
-                f"Kraus completeness violated by {err:.3e} (label={self.label!r})"
-            )
+            raise NumericalContractError(f"Kraus completeness violated by {err:.3e}")
 
     @property
     def dim(self) -> int:
@@ -85,17 +84,12 @@ class KrausChannel:
         return np.einsum("aij,akl->ikjl", self.kraus_ops.conj(), self.kraus_ops).reshape(d * d, d * d)
 
 
-def _nonzero(kraus: np.ndarray) -> np.ndarray:
-    """The operators of a (k, d, d) stack that are not exactly zero."""
-    return kraus[np.abs(kraus).max(axis=(1, 2)) > 0.0]
-
-
 def ensemble_channel(unitaries) -> KrausChannel:
     """Channel averaging conjugation by a family of n unitaries with equal
     weights: Kraus operators U_i / sqrt(n). No unitaries is no Kraus
     operator, which `KrausChannel` rejects."""
     unitaries = np.asarray(unitaries, dtype=complex)
-    return KrausChannel(math.sqrt(1.0 / max(len(unitaries), 1)) * unitaries, label="ensemble")
+    return KrausChannel(math.sqrt(1.0 / max(len(unitaries), 1)) * unitaries)
 
 
 def collective_dephasing(gamma: float) -> KrausChannel:
@@ -108,7 +102,7 @@ def collective_dephasing(gamma: float) -> KrausChannel:
     """
     if not gamma >= 0:
         raise ValueError(f"gamma must be >= 0, got {gamma!r}")
-    return KrausChannel(_collective_kraus(gamma), label=f"collective_dephasing({gamma:g})")
+    return KrausChannel(_collective_kraus(gamma))
 
 
 def _collective_kraus(gamma: float) -> np.ndarray:
@@ -175,4 +169,4 @@ def natural_relaxation_step(sys: SpinSystem, f_collective: float, duration: floa
     # the two spins side by side, kron(spin 1, spin 2), indexed (spin 2, spin 1)
     pair = np.einsum("aij,bkl->baikjl", spin, spin).reshape(16, 4, 4)
     kraus = (pair[:, None] @ _collective_kraus(gamma_coll)[None]).reshape(48, 4, 4)
-    return KrausChannel(_nonzero(kraus), label=f"relaxation(f={f_collective:g}, t={duration:g})")
+    return KrausChannel(kraus)

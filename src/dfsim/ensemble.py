@@ -27,10 +27,10 @@ fit), at the fewer points their own width in z needs, so the long delays
 that set a run's point count cost a product there, not an exponential.
 Positions may come in rows, as a sweep that scales one waveform does (eps w
 at z is w at eps z); rows of like width in z share one set of fits. A
-segment too wide in z for RUN_TERMS points, or more points than there are
-members, keeps its member phases or a batched Taylor exponential. One
-routine, `_multiply_out`, multiplies a chain of such factors out at any
-positions. No path needs an eigensolver.
+segment too wide in z for RUN_TERMS points, whatever the member count,
+keeps its member phases or its own Taylor exponential. One routine,
+`_multiply_out`, multiplies a chain of such factors out at any positions.
+No path needs an eigensolver.
 
 All randomness flows through numpy Generators seeded by an explicit seed
 argument, and the member sum runs in a fixed order, so outputs are
@@ -120,12 +120,12 @@ def member_positions(spec: EnsembleSpec) -> np.ndarray:
 
 
 #: the most columns of any temporary of the engine: members per block, and
-#: points times pieces per Taylor batch, so that peak memory does not grow
-#: with n
+#: points times pieces per Taylor batch of a fit, so that peak memory does
+#: not grow with n
 BLOCK = 256
 
-#: a run of factors is fitted with fewer Chebyshev terms than this (and than
-#: the member count): each term costs every block a row of the basis
+#: a run of factors is fitted with fewer Chebyshev terms than this, whatever
+#: the member count: each term costs every block a row of the basis
 #: product, and each node a product per factor of the run (its RF pieces'
 #: exponentials are taken at the fewer nodes of their own fits)
 RUN_TERMS = 64
@@ -204,12 +204,14 @@ def _term_count(w: float) -> int:
     return int(np.searchsorted(_half_widths(), w)) + 1 if w else 1
 
 
-def _group_runs(factors: list, cap: int) -> list:
+def _group_runs(factors: list) -> list:
     """Split `factors` (each ending in its half-width w) into consecutive
-    runs, as (factors, N): a run grows while its summed w needs N < cap
-    Chebyshev terms (N = 1 when it is 0). A factor that alone needs cap or
-    more terms is a run of its own with N None, left to the block loop."""
-    w_cap = max(_half_widths()[cap - 2], 0.0) if cap > 1 else -1.0  # the largest summed w of a run
+    runs, as (factors, N): a run grows while its summed w needs
+    N < RUN_TERMS Chebyshev terms (N = 1 when it is 0). A factor that alone
+    needs RUN_TERMS or more terms is a run of its own with N None, left to
+    the block loop."""
+    # the largest summed w of a run: without width (no gradient) the table is not built, as all is one run
+    w_cap = _half_widths()[-2] if any(f[-1] for f in factors) else 0.0
     runs: list = []  # [factors, summed w, or None for a factor left unfitted]
     for f in factors:
         if f[-1] > w_cap:
@@ -223,11 +225,11 @@ def _group_runs(factors: list, cap: int) -> list:
 
 
 def _expm_batches(pieces: list, z: np.ndarray):
-    """The exponentials of the RF pieces (u0, rate, seg, w) at positions z,
-    in order: one `_expm_members` call per batch of BLOCK // m pieces, each
-    column with its own h and dt. Yields each batch as a (4, 4, b m) array,
-    piece after piece, and builds the next one only when it is asked for,
-    so that memory holds one batch at a time."""
+    """The exponentials of the RF pieces (u0, rate, seg, w) of a fit at its
+    Chebyshev points z, in order: one `_expm_members` call per batch of
+    BLOCK // m pieces, each column with its own h and dt. Yields each batch
+    as a (4, 4, b m) array, piece after piece, and builds the next one only
+    when it is asked for, so that memory holds one batch at a time."""
     m = z.size
     per_batch = BLOCK // m
     for start in range(0, len(pieces), per_batch):
@@ -246,16 +248,14 @@ def _multiply_out(chain: list, z: np.ndarray, basis: np.ndarray) -> np.ndarray:
     A factor is either (u0, rate, seg, w) as `ensemble_propagators` resolves
     a segment -- the shared unitary u0 times the member phases
     exp(-i rate z Jz/2) (none when rate is None), or the RF piece seg under
-    a gradient of rate when seg is not None -- or fitted, the (32, N)
-    coefficients of a run or piece (`_fit_run`), evaluated with the first N
-    rows of `basis` (T_k at z). The RF pieces' exponentials come from
-    `_expm_batches`, a batch at a time.
+    a gradient of rate when seg is not None, exponentiated here at z alone
+    (`_expm_members`) -- or fitted, the (32, N) coefficients of a run or
+    piece (`_fit_run`), evaluated with the first N rows of `basis` (T_k at
+    z).
     """
     m = z.size
     u = np.zeros((4, 4, m), dtype=complex)
     u[range(4), range(4)] = 1.0
-    pieces = [f for f in chain if not isinstance(f, np.ndarray) and f[2] is not None]
-    exps = (b[:, :, j:j + m] for b in _expm_batches(pieces, z) for j in range(0, b.shape[2], m))
     for f in chain:
         if isinstance(f, np.ndarray):
             re_im = f @ basis[:f.shape[1]]
@@ -266,7 +266,8 @@ def _multiply_out(chain: list, z: np.ndarray, basis: np.ndarray) -> np.ndarray:
             u0, rate, _, _ = f
             g = u0 if rate is None else u0 * np.exp(-1j * rate * np.multiply.outer(ops.SPIN_PROJECTION, z))
         else:
-            g = next(exps)
+            _, rate, seg, _ = f
+            g = _expm_members(seg.h[:, :, None], rate * z, seg.duration)
         u = _matmul(g, u)
     return u
 
@@ -334,14 +335,14 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
     with Jz), or an RF piece under a gradient. Each is an entire function of
     z of half-width w = gamma |g| dt max|z| (0 for a shared unitary).
     Consecutive factors form runs while their summed w needs
-    N < min(n, RUN_TERMS) Chebyshev terms for a tail bound below 1e-17
-    (`_half_widths`); each run is multiplied out at its N Chebyshev points
-    (`_fit_run`), its RF pieces read from fits of their own at the fewer
-    terms the widest of them needs, and becomes one factor of the chain, its
-    coefficients. A factor whose own N reaches that cap enters the chain as
-    it is: member phases, or the per-member Taylor exponential
-    `_expm_members`, so one molecule and tiny ensembles take no Chebyshev
-    path.
+    N < RUN_TERMS Chebyshev terms for a tail bound below 1e-17
+    (`_half_widths`), whatever the member count; each run is multiplied out
+    at its N Chebyshev points (`_fit_run`), its RF pieces read from fits of
+    their own at the fewer terms the widest of them needs, and becomes one
+    factor of the chain, its coefficients. Without a gradient (one molecule
+    among them) the whole chain is one run with N = 1. A factor whose own N
+    reaches RUN_TERMS enters the chain as it is: member phases, or the
+    per-member Taylor exponential `_expm_members`.
 
     Rows share chains: taken in order of max|z|, a row joins the current
     group while K + L B |G| (K factors, L the chain length at the group's
@@ -379,8 +380,7 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
         factors.append((u0, rate, None, 0.0 if rate is None else abs(rate)))
 
     n, blocks = rows.shape[1], -(-rows.shape[1] // BLOCK)
-    runs = [_group_runs([f[:3] + (f[3] * r_max if f[3] else 0.0,) for f in factors], min(n, RUN_TERMS))
-            for r_max in row_max]
+    runs = [_group_runs([f[:3] + (f[3] * r_max if f[3] else 0.0,) for f in factors]) for r_max in row_max]
     groups: list = []
     for r in np.argsort(row_max, kind="stable"):  # K + L_r B (|G| + 1) <= (K + L_G B |G|) + (K + L_r B)
         if groups and (len(runs[r]) - len(runs[groups[-1][-1]])) * blocks * len(groups[-1]) <= len(factors):

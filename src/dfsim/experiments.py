@@ -83,9 +83,7 @@ class Experiment:
 EXPERIMENTS = {
     "memory": Experiment(
         header="noise_strength,fe_encoded,fe_unencoded",
-        sweep={"gradients_t_per_m": [round(x, 4) for x in np.linspace(0.0, 0.6, 13)],
-               "small_delta_s": 745e-6,      # gradient pulse length
-               "big_delta_s": 36.275e-3},    # diffusion delay; 2*delta + Delta = 37.765 ms
+        sweep={"gradients_t_per_m": [round(x, 4) for x in np.linspace(0.0, 0.6, 13)]},
         runner=lambda c: memory_experiment(c.spin_system, c.ensemble, c.sweep)),
     "crusher": Experiment(
         header="process,f0,fplus,fplusi,fe",
@@ -221,10 +219,6 @@ def _sweep_values(sweep: dict, key: str, ok=lambda x: True, need: str = "", know
     return list(raw)
 
 
-def _rot(axis: str, theta: float) -> np.ndarray:
-    return ops.expm_hermitian(ops.PAULI[axis], theta / 2)
-
-
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
@@ -264,6 +258,11 @@ def crusher_experiment(sweep: dict):
     return rows, reports
 
 
+#: memory's gradient pulse length delta and diffusion delay Delta (s); 2 delta + Delta = 37.765 ms
+MEMORY_DELTA_S = 745e-6
+MEMORY_BIG_DELTA_S = 36.275e-3
+
+
 def memory_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict):
     """Engineered-noise storage sweep.
 
@@ -275,23 +274,21 @@ def memory_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict):
     coherences): the un-encoded F_e is 0.5 + 0.5 exp(-s), the encoded one 1,
     and neither depends on a seed or on spec.n_members. Deterministic
     internal evolution is refocused exactly, so the encoded branch isolates
-    the response of the code space to the noise alone. Since F_e depends on
-    s alone, sweeping the gradient reaches every strength a sweep of the
-    diffusion time would.
+    the response of the code space to the noise alone. delta and Delta are
+    fixed (MEMORY_DELTA_S, MEMORY_BIG_DELTA_S): F_e depends on s alone, so
+    sweeping the gradient reaches every strength another pair, or a sweep
+    of the diffusion time, would.
     """
-    delta = _sweep_number("small_delta_s", sweep["small_delta_s"], *_POSITIVE)
-    big_delta = _sweep_number("big_delta_s", sweep["big_delta_s"], *_POSITIVE)
     rows, reports = [], []
     for idx, grad in enumerate(_sweep_values(sweep, "gradients_t_per_m", *_NON_NEGATIVE)):
-        phase = sys.gamma * grad * delta  # float products overflow to inf, ** raises
-        strength = spec.diffusion_d * (phase * phase) * big_delta
+        phase = sys.gamma * grad * MEMORY_DELTA_S  # float products overflow to inf, ** raises
+        strength = spec.diffusion_d * (phase * phase) * MEMORY_BIG_DELTA_S
         if not math.isfinite(strength):
             raise ConfigError(f"sweep.gradients_t_per_m: noise strength D (gamma g delta)^2 Delta is not finite "
-                              f"at g = {grad!r} T/m, with ensemble.diffusion_d = {spec.diffusion_d!r}, "
-                              f"spin_system.gamma = {sys.gamma!r}, sweep.small_delta_s = {delta!r} "
-                              f"and sweep.big_delta_s = {big_delta!r}")
+                              f"at g = {grad!r} T/m, with ensemble.diffusion_d = {spec.diffusion_d!r} "
+                              f"and spin_system.gamma = {sys.gamma!r}")
         noise = collective_dephasing(strength)
-        meta = {"noise_strength": strength, "grad_t_per_m": grad, "big_delta_s": big_delta, "point": idx}
+        meta = {"noise_strength": strength, "grad_t_per_m": grad, "big_delta_s": MEMORY_BIG_DELTA_S, "point": idx}
         enc = _held_report(noise, True, "memory_encoded", **meta)
         un = _held_report(noise, False, "memory_unencoded", **meta)
         rows.append({"noise_strength": strength, "fe_encoded": enc.fe, "fe_unencoded": un.fe})
@@ -320,20 +317,22 @@ def natural_experiment(sys: SpinSystem, sweep: dict):
     return rows, reports
 
 
-# gate name -> (sequence builder, target rotation axis, angle); the builders
-# look the pulse functions up by name when called
+# gate name -> builder of its (sequence, target), the target being the quarter
+# turn exp(-i pi/4 sigma) about the gate's axis. Built when called, by name, so
+# that importing takes no eigendecomposition (its buffers add about 1.2 MiB)
 GATES = {
-    "enc_z_90": (lambda sys: enc_z(math.pi / 2, sys), "z", math.pi / 2),
-    "enc_x_90": (lambda sys: enc_x(math.pi / 2, sys), "x", math.pi / 2),
-    "composite_y90": (lambda sys: composite_y90(sys), "y", math.pi / 2),
+    "enc_z_90": lambda sys: (enc_z(math.pi / 2, sys), ops.expm_hermitian(ops.PAULI["z"], math.pi / 4)),
+    "enc_x_90": lambda sys: (enc_x(math.pi / 2, sys), ops.expm_hermitian(ops.PAULI["x"], math.pi / 4)),
+    "composite_y90": lambda sys: (composite_y90(sys), ops.expm_hermitian(ops.PAULI["y"], math.pi / 4)),
 }
 
 
-def _gate_sequence(name: str, sys: SpinSystem) -> PulseSequence:
-    """The sequence of gate `name` on `sys`; ConfigError naming the spin
-    system when it cannot carry the gate (encoded z needs nu1 < nu2)."""
+def _gate(name: str, sys: SpinSystem) -> tuple[PulseSequence, np.ndarray]:
+    """The sequence of gate `name` on `sys` and its target; ConfigError
+    naming the spin system when it cannot carry the gate (encoded z needs
+    nu1 < nu2)."""
     try:
-        return GATES[name][0](sys)
+        return GATES[name](sys)
     except ValueError as exc:
         raise ConfigError(f"spin_system: {exc}") from exc
 
@@ -346,10 +345,9 @@ def gates_experiment(sys: SpinSystem, sweep: dict):
     rho_code = p_zero / 2
     rows, reports = [], []
     for name in names:
-        _, axis, angle = GATES[name]
-        seq = _gate_sequence(name, sys)
+        seq, target = _gate(name, sys)
         u = propagator(seq, sys)
-        fe = float(member_gate_fidelities(u[None, :, :], _rot(axis, angle))[0])
+        fe = float(member_gate_fidelities(u[None, :, :], target)[0])
         residence = dfs_residence_fraction(seq, sys, rho_code)
         rows.append({"gate": name, "fe": fe, "dfs_residence": residence})
         reports.append(FidelityReport(label=name, fe=fe, metadata={
@@ -386,10 +384,8 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
                           f"gamma g z that is not finite at the sample edge")
     step_time = _sweep_number("step_time_s", sweep["step_time_s"], *_POSITIVE)
 
-    _, axis, angle = GATES["composite_y90"]
-    seq = _gate_sequence("composite_y90", sys)
+    seq, target = _gate("composite_y90", sys)
     mem_seq = PulseSequence((Delay(seq.duration),))
-    target = _rot(axis, angle)
     u_free = propagator(mem_seq, sys)
     mem_target = data_blocks(u_free, encoded=True)[0]
     if not ops.is_unitary(mem_target):

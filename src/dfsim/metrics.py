@@ -88,7 +88,7 @@ def gate_fidelity_from_states(ch: KrausChannel, u_target: np.ndarray) -> "Fideli
         )
     f0, fplus, fplusi = state_fidelities(ch, np.asarray(u_target, dtype=complex))
     fe = 0.5 * (f0 + fplus + fplusi - 1.0)
-    return FidelityReport(label=ch.label, f0=f0, fplus=fplus, fplusi=fplusi, fe=fe)
+    return FidelityReport(f0=f0, fplus=fplus, fplusi=fplusi, fe=fe)
 
 
 def coherence_metric(ch: KrausChannel) -> float:
@@ -142,8 +142,7 @@ def induced_data_channel(ch: KrausChannel, encoded: bool) -> KrausChannel:
     """
     if ch.dim != 4:
         raise ValueError("induced channel needs a two-spin channel")
-    blocks = data_blocks(ch.kraus_ops, encoded).reshape(-1, 2, 2)
-    return KrausChannel(blocks[np.abs(blocks).max(axis=(1, 2)) > 0.0], label=f"data({ch.label})")
+    return KrausChannel(data_blocks(ch.kraus_ops, encoded).reshape(-1, 2, 2))
 
 
 @dataclass

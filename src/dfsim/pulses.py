@@ -247,45 +247,32 @@ def _check_cyclic(u_pulses: np.ndarray) -> None:
         )
 
 
-def toggling_frames(seq: PulseSequence, sys: SpinSystem) -> list[np.ndarray]:
-    """Interaction-frame Hamiltonians H_k = U_k^dag H_int U_k for an
-    ideal-pulse train, where U_k is the product of the first k pulses.
+def average_hamiltonian(seq: PulseSequence, sys: SpinSystem) -> np.ndarray:
+    """Zeroth-order average Hamiltonian of an ideal-pulse train.
 
-    Returns the M+1 frames H_0 .. H_M; the cycle condition makes the last one
-    coincide with the first. Finite-duration pulses are rejected.
+    Each delay is spent in the toggling frame U_k^dag H_int U_k, U_k the
+    product of the k ideal pulses before it, and the frames are weighted by
+    those delays; for the equally spaced trains built here this reduces to
+    the plain mean over one cycle. The pulses must multiply to the identity
+    up to phase, and finite-duration pulses are rejected. An empty sequence
+    averages to the internal Hamiltonian.
     """
     h_int = internal_hamiltonian(sys)
-    u = np.eye(4, dtype=complex)
-    frames = [h_int.copy()]
+    if not seq.events:
+        return h_int
+    u, frame = np.eye(4, dtype=complex), h_int
+    acc = np.zeros((4, 4), dtype=complex)
+    t_total = 0.0
     for ev in seq.events:
         if isinstance(ev, RfPulse):
             raise ValueError("toggling-frame analysis needs ideal pulses (Delay/IdealRotation only)")
         if isinstance(ev, IdealRotation):
             u = ev.unitary @ u
-            frames.append(u.conj().T @ h_int @ u)
-    _check_cyclic(u)
-    return frames
-
-
-def average_hamiltonian(seq: PulseSequence, sys: SpinSystem) -> np.ndarray:
-    """Zeroth-order average Hamiltonian of an ideal-pulse train.
-
-    Each frame of `toggling_frames` is weighted by the free-evolution time
-    spent in it; for the equally spaced trains built here this reduces to
-    the plain mean over one cycle. An empty sequence averages to the
-    internal Hamiltonian.
-    """
-    frames = toggling_frames(seq, sys)
-    if not seq.events:
-        return frames[0]
-    acc = np.zeros((4, 4), dtype=complex)
-    t_total, k = 0.0, 0  # k: rotations so far
-    for ev in seq.events:
-        if isinstance(ev, IdealRotation):
-            k += 1
+            frame = u.conj().T @ h_int @ u
         else:
-            acc += frames[k] * ev.duration
+            acc += frame * ev.duration
             t_total += ev.duration
+    _check_cyclic(u)
     if t_total == 0.0:
         raise ValueError("sequence has no delays; average Hamiltonian undefined")
     return acc / t_total

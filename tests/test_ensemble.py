@@ -332,9 +332,10 @@ class TestTaylorKernel:
             assert np.abs(u - segments_oracle_30_digits(segments, spin_system, z)).max() <= 1e-10
 
     def test_batches_fill_block_columns(self, spin_system, monkeypatch):
-        # at 100 members many RF pieces stay unfitted; each block batches
-        # BLOCK // 100 = 2 of them per Taylor call, whose columns share one
-        # squaring count, and each column is still its own exponential
+        # only fits batch RF pieces: BLOCK // n_p pieces of n_p points per
+        # Taylor call, whose columns share one squaring count, and each column
+        # is still its own exponential; at this gradient many pieces are too
+        # wide to fit, and each takes one call at the 100 members
         seq = nominal_composite_y90(spin_system)
         wf = noise_waveform(seq, khz_per_cm_to_t_per_m(1000.0))
         zs = member_positions(EnsembleSpec(n_members=100))
@@ -374,9 +375,10 @@ class TestChebyshevPieces:
     @given(hermitians, st.floats(0.0, 20.0), st.floats(-4.0, 1.5), st.sampled_from([-1.0, 1.0]),
            st.integers(-3, 3), st.integers(0, 2 ** 32 - 1))
     def test_members_match_scipy_expm(self, h, angle, log_w, sign, offset, seed):
-        # one RF piece of half-width about 10^log_w rad, at n members on
-        # either side of the term count N it needs, so both paths run: it is
-        # fitted as a run of one when N < min(n, RUN_TERMS)
+        # one RF piece of half-width about 10^log_w rad, at about as many
+        # members as the term count N it needs: whatever the member count, it
+        # is fitted as a run of one when N < RUN_TERMS, and otherwise takes
+        # its own Taylor exponential
         sys, dt, z_max = SpinSystem(), 30e-6, 5e-3
         segment = Segment("evolve", dt, h * (angle / dt), sign * 10.0 ** log_w / (sys.gamma * z_max * dt))
         n_terms = int(np.searchsorted(_half_widths(), abs(sys.gamma * segment.grad) * z_max * dt)) + 1
@@ -386,8 +388,7 @@ class TestChebyshevPieces:
             mp.setattr(ensemble, "piecewise_segments", lambda *args: [segment])
             calls = run_fit_spy(mp)
             us = ensemble_propagators(None, sys, None, zs)
-        assert [(n, len(factors)) for n, factors in calls] == ([(n_terms, 1)] if n_terms < min(zs.size, RUN_TERMS)
-                                                              else [])
+        assert [(n, len(factors)) for n, factors in calls] == ([(n_terms, 1)] if n_terms < RUN_TERMS else [])
         jz_half = np.diag(ops.SPIN_PROJECTION)
         for z, u in zip(zs, us):
             exact = scipy.linalg.expm(-1j * (segment.h + sys.gamma * z * segment.grad * jz_half) * dt)
@@ -457,13 +458,12 @@ class TestRuns:
             calls = run_fit_spy(mp)
             us = ensemble_propagators(seq, sys, wf, zs)
         (runs,) = groups
-        cap = min(n, RUN_TERMS)
         assert sum(len(factors) for factors, _ in runs) == len(piecewise_segments(seq, sys, wf))
         for factors, n_terms in runs:
             if n_terms is None:
-                assert len(factors) == 1 and term_count(factors[0][-1]) >= cap
+                assert len(factors) == 1 and term_count(factors[0][-1]) >= RUN_TERMS
             else:
-                assert n_terms == term_count(sum(f[-1] for f in factors)) < cap
+                assert n_terms == term_count(sum(f[-1] for f in factors)) < RUN_TERMS
         assert [(n_terms, factors) for factors, n_terms in runs if n_terms is not None] == calls
         for i in (0, n // 2, n - 1):
             assert np.abs(us[i] - expm_oracle(seq, sys, wf, zs[i])).max() <= 1e-10

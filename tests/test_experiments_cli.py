@@ -482,7 +482,7 @@ class TestRunAndCli:
         ("noisy-gate", {"sweep": {"grad_max_khz_per_cm": [0.0, math.nan]}}, "sweep.grad_max_khz_per_cm"),
         ("noisy-gate", {"sweep": {"grad_max_t_per_m": [0.0]}}, "unknown field(s) for noisy_gate: ['grad_max_t_per_m']"),
         ("gates", {"sweep": {"gates": ["enc_q"]}}, "gates"),
-        ("memory", {"sweep": {"small_delta_s": "long"}}, "sweep.small_delta_s"),
+        ("memory", {"sweep": {"small_delta_s": "long"}}, "unknown field(s) for memory: ['small_delta_s']"),
         ("memory", {"sweep": {"gradient_t_per_m": "steep"}}, "unknown field(s) for memory: ['gradient_t_per_m']"),
         ("noisy-gate", {"sweep": {"step_time_s": "fast"}}, "sweep.step_time_s"),
         ("noisy-gate", {"sweep": {"step_time_s": 1e-12}}, "sweep.step_time_s"),
@@ -613,6 +613,17 @@ class TestRunAndCli:
         assert code == 3
         assert "numerical contract" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nu2, code", [(2e8, 0), (1e9, 3)])
+    def test_cli_noisy_gate_large_shift_exit_code(self, tmp_path, capsys, nu2, code):
+        # at 3 members the RF pieces are fitted as for a full ensemble, so the
+        # Taylor squarings of a large shift lose unitarity past 1e-10 only
+        # above about 2.2e8 Hz (7.7e-11 at 2e8 Hz, 6.7e-10 at 1e9 Hz)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"spin_system": {"nu2": nu2}, "sweep": {"grad_max_khz_per_cm": [1.0]}}))
+        assert cli.main(["noisy-gate", "--config", str(path), "--seed", "1", "--members", "3",
+                         "--out", str(tmp_path)]) == code
+        assert ("unitarity" in capsys.readouterr().err) == (code == 3)
+
     def test_cli_noisy_gate_absurd_gradient_exit_code(self, tmp_path, capsys):
         # the squaring phase of the RF-piece exponential cannot hold unitarity
         path = tmp_path / "c.json"
@@ -622,24 +633,23 @@ class TestRunAndCli:
         assert code == 3
         assert "unitarity" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sweep", [{"big_delta_s": 1e300, "gradients_t_per_m": [0.0]},
-                                       {"small_delta_s": 1e300, "gradients_t_per_m": [0.0]}],
-                             ids=["big_delta", "small_delta"])
-    def test_cli_memory_without_gradient_at_huge_diffusion(self, tmp_path, sweep):
-        # no gradient, no noise: however large D, delta or Delta is, both branches hold at 1
+    @pytest.mark.parametrize("diffusion_d", [1e10, 1.7e308], ids=["1e10", "max"])
+    def test_cli_memory_without_gradient_at_huge_diffusion(self, tmp_path, diffusion_d):
+        # no gradient, no noise: however large D is, both branches hold at 1
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"ensemble": {"diffusion_d": 1e10}, "sweep": sweep}))
+        path.write_text(json.dumps({"ensemble": {"diffusion_d": diffusion_d}, "sweep": {"gradients_t_per_m": [0.0]}}))
         assert cli.main(["memory", "--config", str(path), "--out", str(tmp_path)]) == 0
         rows = (tmp_path / "memory.csv").read_text().splitlines()[1:]
         assert rows and all(row == "0,1,1" for row in rows)  # noise_strength, fe_encoded, fe_unencoded
 
     @staticmethod
-    def memory_at_delay(tmp_path, capfd, big_delta, unencoded):
-        """Run the CLI at diffusion delay `big_delta` and the default
-        gradient 0.05 T/m: exit 0, empty stderr, the encoded cell at 1 and
-        the un-encoded one at `unencoded`."""
+    def memory_at_diffusion(tmp_path, capfd, diffusion_d, unencoded):
+        """Run the CLI at diffusion constant `diffusion_d` and gradient
+        0.05 T/m: exit 0, empty stderr, the encoded cell at 1 and the
+        un-encoded one at `unencoded`."""
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"sweep": {"gradients_t_per_m": [0.05], "big_delta_s": big_delta}}))
+        path.write_text(json.dumps({"ensemble": {"diffusion_d": diffusion_d},
+                                    "sweep": {"gradients_t_per_m": [0.05]}}))
         code = cli.main(["memory", "--config", str(path), "--members", "8", "--seed", "1",
                          "--out", str(tmp_path)])
         assert code == 0
@@ -650,11 +660,12 @@ class TestRunAndCli:
 
     def test_cli_memory_curve_at_the_floor(self, tmp_path, capfd):
         # long decayed: the un-encoded spin is fully phase damped
-        self.memory_at_delay(tmp_path, capfd, 1e30, 0.5)
+        self.memory_at_diffusion(tmp_path, capfd, 1e30, 0.5)
 
     def test_cli_memory_curve_at_tiny_times(self, tmp_path, capfd):
-        # not yet decayed, and no underflow warning on the way
-        self.memory_at_delay(tmp_path, capfd, 1e-200, 1.0)
+        # a strength of about 3.6e-194: not yet decayed, and no underflow
+        # warning on the way
+        self.memory_at_diffusion(tmp_path, capfd, 1e-200, 1.0)
 
     def test_python_m_dfsim(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -722,8 +733,7 @@ SPIN_FIELDS = {"nu1": st.floats(-50.0, 50.0), "nu2": st.floats(100.0, 500.0), "j
 ENSEMBLE_FIELDS = {"n_members": st.integers(2, 3), "sample_length": st.floats(1e-3, 0.02),
                    "diffusion_d": st.floats(1e-10, 1e-8)}
 SWEEP_FIELDS = {
-    "memory": {"gradients_t_per_m": _listed(st.floats(0.0, 0.6)), "small_delta_s": st.floats(1e-4, 1e-3),
-               "big_delta_s": st.floats(1e-3, 0.1)},
+    "memory": {"gradients_t_per_m": _listed(st.floats(0.0, 0.6))},
     "crusher": {"processes": _listed(st.sampled_from(sorted(CRUSHER_PROCESSES)))},
     "natural": {"times_s": _listed(st.floats(0.0, 3.0)), "f_collective": st.floats(0.0, 1.0)},
     "gates": {"gates": _listed(st.sampled_from(sorted(GATES)))},

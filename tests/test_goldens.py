@@ -132,8 +132,8 @@ def test_leaf_comparison(got, want, agrees):
     assert leaf_agrees(got, want) is agrees
 
 
-def test_gates_run_is_byte_identical(tmp_path):
-    run_shipped("gates", tmp_path / "a")
-    run_shipped("gates", tmp_path / "b")
-    for name in ("gates.csv", "gates_report.json"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+@pytest.mark.parametrize("name", NAMES)
+def test_second_run_is_byte_identical(regenerated, tmp_path, name):
+    run_shipped(name, tmp_path)
+    for file in (f"{name}.csv", f"{name}_report.json"):
+        assert (tmp_path / file).read_bytes() == (regenerated / file).read_bytes()

@@ -21,19 +21,16 @@ from dfsim.metrics import (
 from conftest import random_density_matrix, random_unitary
 
 PHASE_DAMPING = KrausChannel(
-    (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
-    label="phase_damping",
-)
+    (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)))
 
 DEPOLARIZING = KrausChannel(
-    tuple(ops.PAULI[a] / 2 for a in ("i", "x", "y", "z")), label="depolarizing")
+    tuple(ops.PAULI[a] / 2 for a in ("i", "x", "y", "z")))
 
 
 def random_unital_channel(rng, n_unitaries=4):
     """Random mixture of unitaries: unital and trace preserving."""
     w = rng.dirichlet(np.ones(n_unitaries))
-    return KrausChannel(tuple(math.sqrt(wi) * random_unitary(rng) for wi in w),
-                        label="unitary_mixture")
+    return KrausChannel(tuple(math.sqrt(wi) * random_unitary(rng) for wi in w))
 
 
 class TestEntanglementFidelity:
@@ -92,8 +89,7 @@ class TestThreeStateFormula:
     def test_rejects_non_unital_channel(self):
         damping = KrausChannel(
             (np.array([[1, 0], [0, math.sqrt(0.5)]], dtype=complex),
-             np.array([[0, math.sqrt(0.5)], [0, 0]], dtype=complex)),
-            label="amplitude_damping")
+             np.array([[0, math.sqrt(0.5)], [0, 0]], dtype=complex)))
         assert not is_unital(damping)
         with pytest.raises(ValueError, match="coherence_metric"):
             gate_fidelity_from_states(damping, np.eye(2))
@@ -109,7 +105,7 @@ class TestCoherenceMetric:
     def test_partial_dephasing(self):
         q = 0.2
         ch = KrausChannel((math.sqrt(1 - q) * np.eye(2, dtype=complex),
-                           math.sqrt(q) * ops.PAULI["z"]), label="pd")
+                           math.sqrt(q) * ops.PAULI["z"]))
         assert coherence_metric(ch) == pytest.approx(1 - 2 * q, abs=1e-12)
 
 

@@ -28,7 +28,6 @@ from dfsim.pulses import (
     piecewise_segments,
     propagator,
     state_trajectory,
-    toggling_frames,
     xx_train,
     xy_train,
 )
@@ -161,19 +160,21 @@ class TestPropagator:
 
 
 class TestTogglingFrames:
+    # average_hamiltonian weights each delay by the toggling frame it is spent in
     def test_single_pair_flips_zeeman_terms(self, spin_system):
-        seq = xx_train(n_pulses=2, spacing=1e-3)
-        frames = toggling_frames(seq, spin_system)
-        assert len(frames) == 3
+        # a delay between the two pulses of a pair is spent in the flipped frame alone,
+        # and a delay after both in the first frame again
+        pair = IdealRotation("pi_x_pair")
         flipped = np.pi * (-spin_system.nu1 * ops.SIGMA_Z1 - spin_system.nu2 * ops.SIGMA_Z2
                            + spin_system.j_coupling * ops.DOT_12 / 2)
-        assert np.abs(frames[1] - flipped).max() <= 1e-9
-        assert np.abs(frames[2] - frames[0]).max() <= 1e-9
+        inside = average_hamiltonian(PulseSequence((pair, Delay(1e-3), pair)), spin_system)
+        after = average_hamiltonian(PulseSequence((pair, pair, Delay(1e-3))), spin_system)
+        assert np.abs(inside - flipped).max() <= 1e-9
+        assert np.abs(after - internal_hamiltonian(spin_system)).max() <= 1e-9
 
     def test_empty_sequence(self, spin_system):
-        frames = toggling_frames(PulseSequence(()), spin_system)
-        assert len(frames) == 1
-        assert np.abs(frames[0] - internal_hamiltonian(spin_system)).max() == 0
+        hbar = average_hamiltonian(PulseSequence(()), spin_system)
+        assert np.abs(hbar - internal_hamiltonian(spin_system)).max() == 0
 
     def test_xy_train_commutation_with_jz(self, spin_system):
         # every partial pulse product either commutes or anticommutes with Jz
@@ -189,12 +190,12 @@ class TestTogglingFrames:
     def test_non_cyclic_rejected(self, spin_system):
         seq = PulseSequence((Delay(1e-3), IdealRotation("pi_x_pair")))
         with pytest.raises(NumericalContractError):
-            toggling_frames(seq, spin_system)
+            average_hamiltonian(seq, spin_system)
 
     def test_finite_pulses_rejected(self, spin_system):
         seq = PulseSequence((RfPulse(1e4, 0.0, 1e-5), RfPulse(1e4, 0.0, 1e-5)))
         with pytest.raises(ValueError):
-            toggling_frames(seq, spin_system)
+            average_hamiltonian(seq, spin_system)
 
 
 class TestAverageHamiltonian:
@@ -230,8 +231,8 @@ class TestAverageHamiltonian:
                        Delay(1.5e-3), IdealRotation("pi_x_pair"), Delay(7e-4))),
     ], ids=["xx_train", "xy_train", "mixed"])
     def test_weights_toggling_frames_as_its_own_walk_did(self, spin_system, seq):
-        # reference: the walk over the rotations that average_hamiltonian
-        # once made itself, beside toggling_frames
+        # reference: each delay weighted by its toggling frame, the frame
+        # built afresh for every delay
         h_int = internal_hamiltonian(spin_system)
         u = np.eye(4, dtype=complex)
         acc = np.zeros((4, 4), dtype=complex)
