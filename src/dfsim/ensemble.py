@@ -26,11 +26,12 @@ interpolated. Its RF pieces are fitted alone first (a run of one is its
 fit), at the fewer points their own width in z needs, so the long delays
 that set a run's point count cost a product there, not an exponential.
 Positions may come in rows, as a sweep that scales one waveform does (eps w
-at z is w at eps z); rows of like width in z share one set of fits. A
+at z is w at eps z): the runs are fitted once, at the widest row, and each
+narrower row refits a wider row's chain from products alone. A
 segment too wide in z for RUN_TERMS points, whatever the member count,
-keeps its member phases or its own Taylor exponential. One routine,
-`_multiply_out`, multiplies a chain of such factors out at any positions.
-No path needs an eigensolver.
+keeps its member phases, applied as phases, or its own Taylor exponential.
+One routine, `_multiply_out`, multiplies a chain of such factors out at any
+positions. No path needs an eigensolver.
 
 All randomness flows through numpy Generators seeded by an explicit seed
 argument, and the member sum runs in a fixed order, so outputs are
@@ -243,32 +244,41 @@ def _expm_batches(pieces: list, z: np.ndarray):
 
 def _multiply_out(chain: list, z: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """The product of the factors of `chain`, in order, at positions z, as a
-    member-last (4, 4, m) array.
+    member-last (4, 4, m) array, started from the first factor (the
+    identity when `chain` is empty).
 
     A factor is either (u0, rate, seg, w) as `ensemble_propagators` resolves
     a segment -- the shared unitary u0 times the member phases
     exp(-i rate z Jz/2) (none when rate is None), or the RF piece seg under
     a gradient of rate when seg is not None, exponentiated here at z alone
     (`_expm_members`) -- or fitted, the (32, N) coefficients of a run or
-    piece (`_fit_run`), evaluated with the first N rows of `basis` (T_k at
-    z).
+    piece, evaluated with the first N rows of `basis` (T_k at z). u0
+    commutes with Jz, so member phases act on what is already multiplied
+    out as they are: rows 0 and 3 turn by their phase and u0's entry, and
+    rows 1-2 take u0's zero-quantum block, which no member phase reaches.
     """
     m = z.size
-    u = np.zeros((4, 4, m), dtype=complex)
-    u[range(4), range(4)] = 1.0
+    u = eye = np.broadcast_to(np.eye(4, dtype=complex)[:, :, None], (4, 4, m))
     for f in chain:
         if isinstance(f, np.ndarray):
             re_im = f @ basis[:f.shape[1]]
             g = np.empty((16, m), dtype=complex)
             g.real, g.imag = re_im[:16], re_im[16:]
             g = g.reshape(4, 4, m)
-        elif f[2] is None:
-            u0, rate, _, _ = f
-            g = u0 if rate is None else u0 * np.exp(-1j * rate * np.multiply.outer(ops.SPIN_PROJECTION, z))
-        else:
+        elif f[2] is not None:
             _, rate, seg, _ = f
             g = _expm_members(seg.h[:, :, None], rate * z, seg.duration)
-        u = _matmul(g, u)
+        elif f[1] is not None:
+            u0, phase = f[0], np.exp(-1j * f[1] * z)
+            g = np.empty((4, 4, m), dtype=complex)
+            np.multiply(u[0], u0[0, 0] * phase, out=g[0])
+            np.multiply(u[3], u0[3, 3] * phase.conj(), out=g[3])
+            g[1:3] = u0[1:3, 1:2] * u[1:2] + u0[1:3, 2:3] * u[2:3]
+            u = g
+            continue
+        else:
+            g = f[0]
+        u = g if u is eye else _matmul(g, u)
     return u
 
 
@@ -283,12 +293,22 @@ def _chebyshev_matrix(n: int) -> np.ndarray:
     return np.cos(np.outer(np.arange(n), _angles(n)))
 
 
-def _dct(values: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _basis(chain: list, z: np.ndarray, z_max: float) -> np.ndarray:
+    """(n, m) T_k(z / z_max) for the k < n that the fitted factors of
+    `chain` read, as cos(k arccos(z / z_max)); T_0 alone is 1 whatever z_max
+    is."""
+    n = max((f.shape[1] for f in chain if isinstance(f, np.ndarray)), default=1)
+    if n == 1:
+        return np.ones((1, z.size))
+    return np.cos(np.multiply.outer(np.arange(n), np.arccos(z / z_max)))
+
+
+def _dct(values: np.ndarray) -> np.ndarray:
     """(..., 32, N) real, then imaginary, parts of the coefficients c_k of
-    sum_k c_k T_k(x) from its (..., 16, N) values at the N Chebyshev points,
-    with t = `_chebyshev_matrix(N)`: a DCT-II."""
+    sum_k c_k T_k(x) from its (..., 16, N) values at the N Chebyshev points:
+    a DCT-II with `_chebyshev_matrix(N)`."""
     n = values.shape[-1]
-    coef = np.concatenate([values.real, values.imag], axis=-2) @ t.T
+    coef = np.concatenate([values.real, values.imag], axis=-2) @ _chebyshev_matrix(n).T
     coef *= 2.0 / n
     coef[..., 0] /= 2
     return coef
@@ -308,15 +328,20 @@ def _fit_run(factors: list, n_terms: int, z_max: float) -> np.ndarray:
     """
     pieces = [f for f in factors if f[2] is not None]
     n_p = _term_count(max((f[-1] for f in pieces), default=0.0))
-    t_p = _chebyshev_matrix(n_p)
     fits = iter([c for exps in _expm_batches(pieces, z_max * np.cos(_angles(n_p)))
-                 for c in _dct(exps.reshape(16, -1, n_p).transpose(1, 0, 2), t_p)])
+                 for c in _dct(exps.reshape(16, -1, n_p).transpose(1, 0, 2))])
     if len(factors) == 1 and pieces:  # n_p is then N
         return next(fits)
-    t = _chebyshev_matrix(n_terms)
-    acc = _multiply_out([next(fits) if f[2] is not None else f for f in factors],
-                        z_max * np.cos(_angles(n_terms)), t[:n_p])
-    return _dct(acc.reshape(16, n_terms), t)
+    return _fit_product([next(fits) if f[2] is not None else f for f in factors], n_terms, z_max, z_max)
+
+
+def _fit_product(chain: list, n_terms: int, z_max: float, z_from: float) -> np.ndarray:
+    """(32, N) coefficients (`_dct`) in z / z_max of the product of `chain`,
+    from one `_multiply_out` at the N Chebyshev points of [-z_max, z_max],
+    its fitted factors read in z / z_from. No exponential is taken there
+    unless a factor is an RF piece that no fit holds."""
+    z = z_max * np.cos(_angles(n_terms))
+    return _dct(_multiply_out(chain, z, _basis(chain, z, z_from)).reshape(16, n_terms))
 
 
 def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
@@ -344,13 +369,19 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
     reaches RUN_TERMS enters the chain as it is: member phases, or the
     per-member Taylor exponential `_expm_members`.
 
-    Rows share chains: taken in order of max|z|, a row joins the current
-    group while K + L B |G| (K factors, L the chain length at the group's
-    widest row, B blocks of BLOCK members per row, |G| rows) is no more
-    than the group's work plus the row's alone. Each group fits its chain
-    once, at its widest row's max|z|. Each block of at most BLOCK members
-    of a row multiplies the chain out in one `_multiply_out`, a fitted run
-    being one real product with the block's basis T_k(z / max|z|).
+    The chain is fitted once, at the widest row's max|z|, and is the first
+    source. Each narrower row, in order of decreasing max|z|, regroups the
+    source's entries at its own width (`_group_runs`) and refits each run
+    from one product at its Chebyshev points (`_fit_product`), with no
+    exponential taken, so each row holds its own short chain; a row of
+    equal width reuses the chain. A row's chain becomes the source when it
+    is at most half the source's length, so refits nest at most 1 + log2(L)
+    deep for a widest chain of L entries, and round-off does not grow with
+    the number of rows; a row that keeps the source multiplies out fewer
+    than twice its own chain's entries.
+    Each block of at most BLOCK members of a row multiplies the chain out
+    in one `_multiply_out`, a fitted run being one real product with the
+    block's basis T_k(z / max|z|) (`_basis`).
     """
     z = np.asarray(z, dtype=float)
     rows = z.reshape(math.prod(z.shape[:-1]), z.shape[-1] if z.ndim else 1)
@@ -379,33 +410,29 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
             u0 = shared[key] = ops.expm_hermitian(seg.h, seg.duration)[:, :, None]
         factors.append((u0, rate, None, 0.0 if rate is None else abs(rate)))
 
-    n, blocks = rows.shape[1], -(-rows.shape[1] // BLOCK)
-    runs = [_group_runs([f[:3] + (f[3] * r_max if f[3] else 0.0,) for f in factors]) for r_max in row_max]
-    groups: list = []
-    for r in np.argsort(row_max, kind="stable"):  # K + L_r B (|G| + 1) <= (K + L_G B |G|) + (K + L_r B)
-        if groups and (len(runs[r]) - len(runs[groups[-1][-1]])) * blocks * len(groups[-1]) <= len(factors):
-            groups[-1].append(r)
-        else:
-            groups.append([r])
     out = np.empty(rows.shape + (4, 4), dtype=complex)
-    for group in groups:
-        g_max = float(row_max[group[-1]])
-        chain = [_fit_run(fs, n_terms, g_max) if n_terms else fs[0] for fs, n_terms in runs[group[-1]]]
-        n_basis = max((f.shape[1] for f in chain if isinstance(f, np.ndarray)), default=0)
-        for r in group:
-            for start in range(0, n, BLOCK):
-                zs = rows[r, start:start + BLOCK]
-                basis = np.empty((n_basis, zs.size))  # T_k(z / g_max) by the three-term recurrence
-                basis[:1] = 1.0
-                if n_basis > 1:
-                    basis[1] = zs / g_max
-                    for k in range(2, n_basis):
-                        np.subtract(2.0 * basis[1] * basis[k - 1], basis[k - 2], out=basis[k])
-                u = _multiply_out(chain, zs, basis)
-                out[r, start:start + zs.size] = u.transpose(2, 0, 1)
-                err = np.abs(_matmul(u.conj().transpose(1, 0, 2), u) - np.eye(4)[:, :, None]).max()
-                if not err <= ops.UNITARY_TOL:
-                    raise NumericalContractError(f"sequence propagator failed unitarity at 1e-10 (error {err:.3e})")
+    chain: list = []  # the row's factors, or (32, N) coefficients in z / c_max
+    for r in np.argsort(-row_max, kind="stable"):  # widest first; NaN rows, which carry no width, last
+        r_max = float(row_max[r])
+        if not chain:  # the first `source`, its entries' half-widths `widths` at s_max
+            runs = _group_runs([f[:3] + (f[3] * r_max if f[3] else 0.0,) for f in factors])
+            chain = source = [_fit_run(fs, n_terms, r_max) if n_terms else fs[0] for fs, n_terms in runs]
+            widths = [sum(f[-1] for f in fs) for fs, _ in runs]
+            s_max = c_max = r_max
+        elif r_max < c_max and any(widths):  # else the row has the chain's width, or no entry has any
+            runs = _group_runs([(f, w * (r_max / s_max)) for f, w in zip(source, widths)])
+            chain = [_fit_product([f for f, _ in fs], n_terms, r_max, s_max) if n_terms else fs[0][0]
+                     for fs, n_terms in runs]
+            c_max = r_max
+            if 2 * len(chain) <= len(source):
+                source, widths, s_max = chain, [sum(w for _, w in fs) for fs, _ in runs], r_max
+        for start in range(0, rows.shape[1], BLOCK):
+            zs = rows[r, start:start + BLOCK]
+            u = _multiply_out(chain, zs, _basis(chain, zs, c_max))
+            out[r, start:start + zs.size] = u.transpose(2, 0, 1)
+            err = np.abs(_matmul(u.conj().transpose(1, 0, 2), u) - np.eye(4)[:, :, None]).max()
+            if not err <= ops.UNITARY_TOL:
+                raise NumericalContractError(f"sequence propagator failed unitarity at 1e-10 (error {err:.3e})")
     return out.reshape(z.shape + (4, 4))
 
 

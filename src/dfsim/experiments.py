@@ -407,7 +407,7 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
     rows, reports = [], []
     for idx, (grad, f_gate, f_mem) in enumerate(zip(grads, f_gates, f_mems)):
         fe = float(f_gate.mean())
-        stderr = float(f_gate.std(ddof=1) / math.sqrt(len(f_gate)))
+        stderr = float((f_gate - f_gate[0]).std(ddof=1) / math.sqrt(len(f_gate)))  # 0 when the members agree
         fe_mem = float(f_mem.mean())
         rows.append({"grad_max_t_per_m": grad, "fe": fe, "fe_stderr": stderr, "fe_memory": fe_mem})
         reports.append(FidelityReport(label="noisy_composite_y90", fe=fe,

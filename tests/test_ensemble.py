@@ -443,6 +443,15 @@ def fit_work_spy(monkeypatch) -> tuple[list, list]:
 
 
 class TestRuns:
+    @pytest.mark.parametrize("wf", [None, RF_WAVEFORM], ids=["no_waveform", "gradient"])
+    def test_empty_sequence_is_the_identity(self, spin_system, wf):
+        # an empty chain multiplies out to the identity, exactly, at any z
+        seq = PulseSequence(())
+        zs = np.multiply.outer([1.0, 0.5, 0.0], np.linspace(-5e-3, 5e-3, 5))
+        assert np.array_equal(propagator(seq, spin_system), np.eye(4))
+        assert np.array_equal(ensemble_propagators(seq, spin_system, wf, 1e-3), np.eye(4))
+        assert np.array_equal(ensemble_propagators(seq, spin_system, wf, zs), np.broadcast_to(np.eye(4), zs.shape + (4, 4)))
+
     @property_settings
     @given(spin_systems, sequences, waveforms, st.floats(0.0, 3.0),
            st.sampled_from([RUN_TERMS + 1, RUN_TERMS - 1, 5, 2]), st.integers(0, 2 ** 32 - 1))
@@ -535,6 +544,22 @@ class TestNonFinitePositions:
         zs[n // 2] = bad
         with pytest.raises(NumericalContractError, match="not finite"):
             ensemble_propagators(self.SEQ, spin_system, RF_WAVEFORM, zs if n > 1 else bad)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("wf", [None, static_waveform(0.0)], ids=["no_waveform", "zero_waveform"])
+    def test_rows_without_gradient_are_the_propagator_at_zero(self, spin_system, bad, wf):
+        # rows of several widths, the widest and the narrowest holding bad
+        zs = np.array([[-3e-3, bad, 0.0], [1e-3, 2e-3, -1e-3], [0.0, 0.0, 0.0], [bad, 0.0, bad]])
+        assert ensemble_propagators(self.SEQ, spin_system, wf, zs).tobytes() == \
+            ensemble_propagators(self.SEQ, spin_system, wf, np.zeros(zs.shape)).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_any_row_under_a_gradient_breaks_the_contract(self, spin_system, bad, row):
+        zs = np.multiply.outer([1.0, 0.5, 0.0], np.linspace(-5e-3, 5e-3, 5))
+        zs[row, 1] = bad
+        with pytest.raises(NumericalContractError, match="not finite"):
+            ensemble_propagators(self.SEQ, spin_system, RF_WAVEFORM, zs)
 
 
 def runs_between_rotations(items, is_rotation) -> list:
@@ -813,23 +838,66 @@ class TestRows:
         assert us.shape == (1, 101, 4, 4)
         assert us.tobytes() == ensemble_propagators(seq, spin_system, wf, zs).tobytes()
 
-    def test_rows_of_like_width_share_a_fit(self, monkeypatch):
-        # the shipped sweep's gate (seed 42, 1001 members): the rows group as
-        # {0-5}, {10, 20} and {50, 100} kHz/cm, each group fitted at its
-        # widest row, and every row agrees with that row alone (measured
-        # 5.9e-13 at most)
+    def test_runs_are_fitted_once_at_the_widest_row(self, monkeypatch):
+        # the shipped sweep's gate (seed 42, 1001 members): every run is
+        # fitted at the 100 kHz/cm row, every exponential is taken inside such
+        # a fit, and each narrower row refits a wider row's chain with
+        # products alone; every row agrees with that row alone (measured
+        # 4.6e-13 at most)
         sys = SpinSystem()
         seq = composite_y90(sys)
         khz = [0.0, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0]
         zs = np.multiply.outer([khz_per_cm_to_t_per_m(x) for x in khz], member_positions(EnsembleSpec()))
         wf = random_walk_waveform(math.ceil(seq.duration / DEFAULT_STEP_TIME) + 1, 42)
+        runs, columns = fit_work_spy(monkeypatch)
         widths, fit = [], ensemble._fit_run
         monkeypatch.setattr(ensemble, "_fit_run", lambda fs, n, z_max: widths.append(z_max) or fit(fs, n, z_max))
         us = ensemble_propagators(seq, sys, wf, zs)
-        assert sorted(set(widths)) == [np.abs(zs[i]).max() for i in (6, 8, 10)]
+        assert len(widths) == len(runs) > 1 and set(widths) == {np.abs(zs[-1]).max()}
+        assert columns and all(run is not None for run, _ in columns)
         monkeypatch.undo()
         for row, u in zip(zs, us):
             assert np.abs(u - ensemble_propagators(seq, sys, wf, row)).max() <= 1e-12
+
+    def test_rows_of_a_long_sweep_are_their_rows_alone(self):
+        # 200 distinct widths: refits nest at most 1 + log2 of the widest
+        # chain's length deep, so a row's round-off does not build up with
+        # the number of wider rows (refits of the previous row's chain
+        # measured 2.0e-12 here)
+        sys = SpinSystem()
+        seq = composite_y90(sys)
+        khz = np.geomspace(100.0, 1.0, 200)
+        zs = np.multiply.outer([khz_per_cm_to_t_per_m(x) for x in khz], member_positions(EnsembleSpec(n_members=11)))
+        wf = random_walk_waveform(math.ceil(seq.duration / DEFAULT_STEP_TIME) + 1, 42)
+        us = ensemble_propagators(seq, sys, wf, zs)
+        for i in [*range(0, 200, 10), 199]:
+            assert np.abs(us[i] - ensemble_propagators(seq, sys, wf, zs[i])).max() <= 1e-12
+
+    @settings(property_settings, max_examples=20)
+    @given(st.lists(st.sampled_from([0.0, 0.05, 0.3, 1.0, 4.0, 30.0, 100.0]), min_size=1, max_size=5),
+           st.integers(2, 300), st.integers(0, 2 ** 32 - 1))
+    def test_each_row_is_its_row_alone(self, scales, n, seed):
+        # rows of any widths, 0 and repeated widths among them, in any order
+        sys = SpinSystem()
+        seq = nominal_composite_y90(sys)
+        wf = scaled_walk(khz_per_cm_to_t_per_m(1.0), math.ceil(seq.duration / DEFAULT_STEP_TIME) + 1, seed)
+        zs = np.multiply.outer(scales, member_positions(EnsembleSpec(n_members=n)))
+        for row, u in zip(zs, ensemble_propagators(seq, sys, wf, zs)):
+            assert np.abs(u - ensemble_propagators(seq, sys, wf, row)).max() <= 1e-12
+
+    @property_settings
+    @given(spin_systems, st.floats(1e-6, 1e-2), st.floats(-1e6, 1e6), st.integers(1, 300), st.integers(0, 2 ** 32 - 1))
+    def test_member_phases_act_as_the_full_product(self, sys, dt, rate, n, seed):
+        # a wide delay turns rows 0 and 3 and applies its shared zero-quantum
+        # block to rows 1-2, as the member product with u0 times its phases
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(-5e-3, 5e-3, n)
+        q = np.linalg.qr(rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4)))[0].transpose(1, 2, 0)
+        fitted = np.concatenate([q.real.reshape(16, n), q.imag.reshape(16, n)])  # read with the identity basis
+        u0 = ops.expm_hermitian(internal_hamiltonian(sys), dt)[:, :, None]
+        phases = np.exp(-1j * rate * np.multiply.outer(ops.SPIN_PROJECTION, z))
+        u = ensemble._multiply_out([fitted, (u0, rate, None, abs(rate))], z, np.eye(n))
+        assert np.abs(u - ensemble._matmul(u0 * phases, q)).max() <= 1e-15
 
     def test_a_run_of_one_rf_piece_is_its_fit(self, spin_system, monkeypatch):
         # the piece's own fit, at n_p = N terms, is the run's coefficients:

@@ -247,8 +247,9 @@ class TestNoisyGate:
     def test_point_does_not_depend_on_its_place_in_the_sweep(self, spin_system):
         # one noise shape per run, scaled per point: the 5 kHz/cm row is the
         # same whether a 1 kHz/cm point comes before it or not, byte for byte
-        # as the widest row of its fit group (the 1 kHz/cm row agrees with
-        # its point alone to round-off: test_each_row_is_its_point_alone)
+        # as the widest row, where the runs are fitted (the 1 kHz/cm row
+        # agrees with its point alone to round-off:
+        # test_each_row_is_its_point_alone)
         spec = EnsembleSpec(n_members=32)
         sweep = EXPERIMENTS["noisy_gate"].sweep
         pair, _ = noisy_gate_experiment(spin_system, spec, {**sweep, "grad_max_khz_per_cm": [1.0, 5.0]}, seed=9)
@@ -273,8 +274,8 @@ class TestNoisyGate:
             assert all(abs(a[k] - b[k]) <= 1e-12 * max(1.0, abs(b[k])) for k in b), (a, b)
 
     def test_each_row_is_its_point_alone(self, shipped):
-        # the sweep fits rows of like width together; a point run alone
-        # fits its own, and the rows agree to round-off
+        # in the sweep a point refits a wider point's chain; a point
+        # run alone fits its own, and the rows agree to round-off
         config, rows = shipped
         for khz, row in zip(config.sweep["grad_max_khz_per_cm"], rows, strict=True):
             self.assert_rows_agree([row], self.sweep_rows(config, [khz]))
