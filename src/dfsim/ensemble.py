@@ -22,16 +22,18 @@ unitaries are held member-last, (4, 4, m), and multiplied with elementwise
 products; each helper takes and returns plain arrays of at most BLOCK
 columns. The product of a run of consecutive segments is an entire
 function of z, so each run is multiplied out at Chebyshev points in z and
-interpolated. Its RF pieces are fitted alone first (a run of one is its
-fit), at the fewer points their own width in z needs, so the long delays
-that set a run's point count cost a product there, not an exponential.
-Positions may come in rows, as a sweep that scales one waveform does (eps w
-at z is w at eps z): the runs are fitted once, at the widest row, and each
-narrower row refits a wider row's chain from products alone. A
-segment too wide in z for RUN_TERMS points, whatever the member count,
-keeps its member phases, applied as phases, or its own Taylor exponential.
-One routine, `_multiply_out`, multiplies a chain of such factors out at any
-positions. No path needs an eigensolver.
+interpolated. Positions may come in rows, as a sweep that scales one
+waveform does (eps w at z is w at eps z), and one builder makes every
+row's chain, widest row first: it groups a source chain's entries into
+runs and fits each. The widest row's source is the segments, whose RF
+pieces are fitted alone first (a run of one is its fit), at the fewer
+points their own width in z needs, so the long delays that set a run's
+point count cost a product there, not an exponential; each narrower row
+refits a wider row's chain from products alone. A segment too wide in z
+for RUN_TERMS points, whatever the member count, keeps its member phases,
+applied as phases, or its own Taylor exponential. One routine,
+`_multiply_out`, multiplies a chain of such factors out at any positions.
+No path needs an eigensolver.
 
 All randomness flows through numpy Generators seeded by an explicit seed
 argument, and the member sum runs in a fixed order, so outputs are
@@ -205,41 +207,21 @@ def _term_count(w: float) -> int:
     return int(np.searchsorted(_half_widths(), w)) + 1 if w else 1
 
 
-def _group_runs(factors: list) -> list:
-    """Split `factors` (each ending in its half-width w) into consecutive
-    runs, as (factors, N): a run grows while its summed w needs
-    N < RUN_TERMS Chebyshev terms (N = 1 when it is 0). A factor that alone
-    needs RUN_TERMS or more terms is a run of its own with N None, left to
-    the block loop."""
+def _group_runs(widths: list) -> list:
+    """Split factors of half-widths `widths` into consecutive runs, as
+    (start, stop, N): a run grows while its summed w needs N < RUN_TERMS
+    Chebyshev terms (N = 1 when it is 0). A factor that alone needs
+    RUN_TERMS or more terms is a run of its own with N None, left to the
+    block loop."""
     # the largest summed w of a run: without width (no gradient) the table is not built, as all is one run
-    w_cap = _half_widths()[-2] if any(f[-1] for f in factors) else 0.0
-    runs: list = []  # [factors, summed w, or None for a factor left unfitted]
-    for f in factors:
-        if f[-1] > w_cap:
-            runs.append([[f], None])
-        elif runs and runs[-1][1] is not None and runs[-1][1] + f[-1] <= w_cap:
-            runs[-1][0].append(f)
-            runs[-1][1] += f[-1]
+    w_cap = _half_widths()[-2] if any(widths) else 0.0
+    runs: list = []  # [start, stop, summed w, or None for a factor left unfitted]
+    for i, w in enumerate(widths):
+        if runs and runs[-1][2] is not None and runs[-1][2] + w <= w_cap:
+            runs[-1][1:] = i + 1, runs[-1][2] + w
         else:
-            runs.append([[f], f[-1]])
-    return [(fs, None if w is None else _term_count(w)) for fs, w in runs]
-
-
-def _expm_batches(pieces: list, z: np.ndarray):
-    """The exponentials of the RF pieces (u0, rate, seg, w) of a fit at its
-    Chebyshev points z, in order: one `_expm_members` call per batch of
-    BLOCK // m pieces, each column with its own h and dt. Yields each batch
-    as a (4, 4, b m) array, piece after piece, and builds the next one only
-    when it is asked for, so that memory holds one batch at a time."""
-    m = z.size
-    per_batch = BLOCK // m
-    for start in range(0, len(pieces), per_batch):
-        batch = pieces[start:start + per_batch]
-        h = np.empty((4, 4, len(batch) * m), dtype=complex)
-        for j, (_, _, seg, _) in enumerate(batch):
-            h[:, :, j * m:(j + 1) * m] = seg.h[:, :, None]
-        yield _expm_members(h, np.multiply.outer([rate for _, rate, _, _ in batch], z).ravel(),
-                            np.repeat([seg.duration for _, _, seg, _ in batch], m))
+            runs.append([i, i + 1, None if w > w_cap else w])
+    return [(i, j, None if w is None else _term_count(w)) for i, j, w in runs]
 
 
 def _multiply_out(chain: list, z: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -247,8 +229,8 @@ def _multiply_out(chain: list, z: np.ndarray, basis: np.ndarray) -> np.ndarray:
     member-last (4, 4, m) array, started from the first factor (the
     identity when `chain` is empty).
 
-    A factor is either (u0, rate, seg, w) as `ensemble_propagators` resolves
-    a segment -- the shared unitary u0 times the member phases
+    A factor is either (u0, rate, seg) as `ensemble_propagators` resolves a
+    segment -- the shared unitary u0 times the member phases
     exp(-i rate z Jz/2) (none when rate is None), or the RF piece seg under
     a gradient of rate when seg is not None, exponentiated here at z alone
     (`_expm_members`) -- or fitted, the (32, N) coefficients of a run or
@@ -266,8 +248,7 @@ def _multiply_out(chain: list, z: np.ndarray, basis: np.ndarray) -> np.ndarray:
             g.real, g.imag = re_im[:16], re_im[16:]
             g = g.reshape(4, 4, m)
         elif f[2] is not None:
-            _, rate, seg, _ = f
-            g = _expm_members(seg.h[:, :, None], rate * z, seg.duration)
+            g = _expm_members(f[2].h[:, :, None], f[1] * z, f[2].duration)
         elif f[1] is not None:
             u0, phase = f[0], np.exp(-1j * f[1] * z)
             g = np.empty((4, 4, m), dtype=complex)
@@ -288,9 +269,9 @@ def _angles(n: int) -> np.ndarray:
     return np.pi / n * (np.arange(n) + 0.5)
 
 
-def _chebyshev_matrix(n: int) -> np.ndarray:
-    """(n, n) T_k(x_j) at the n Chebyshev points."""
-    return np.cos(np.outer(np.arange(n), _angles(n)))
+def _cos_k(n: int, theta: np.ndarray) -> np.ndarray:
+    """(n, m) cos(k theta) for k < n: T_k at the m points cos(theta)."""
+    return np.cos(np.multiply.outer(np.arange(n), theta))
 
 
 def _basis(chain: list, z: np.ndarray, z_max: float) -> np.ndarray:
@@ -298,50 +279,48 @@ def _basis(chain: list, z: np.ndarray, z_max: float) -> np.ndarray:
     `chain` read, as cos(k arccos(z / z_max)); T_0 alone is 1 whatever z_max
     is."""
     n = max((f.shape[1] for f in chain if isinstance(f, np.ndarray)), default=1)
-    if n == 1:
-        return np.ones((1, z.size))
-    return np.cos(np.multiply.outer(np.arange(n), np.arccos(z / z_max)))
+    return np.ones((1, z.size)) if n == 1 else _cos_k(n, np.arccos(z / z_max))
 
 
 def _dct(values: np.ndarray) -> np.ndarray:
     """(..., 32, N) real, then imaginary, parts of the coefficients c_k of
     sum_k c_k T_k(x) from its (..., 16, N) values at the N Chebyshev points:
-    a DCT-II with `_chebyshev_matrix(N)`."""
+    a DCT-II with T_k at those points."""
     n = values.shape[-1]
-    coef = np.concatenate([values.real, values.imag], axis=-2) @ _chebyshev_matrix(n).T
+    coef = np.concatenate([values.real, values.imag], axis=-2) @ _cos_k(n, _angles(n)).T
     coef *= 2.0 / n
     coef[..., 0] /= 2
     return coef
 
 
-def _fit_run(factors: list, n_terms: int, z_max: float) -> np.ndarray:
-    """(32, N) coefficients (`_dct`) of the run's product
-    sum_k c_k T_k(z / z_max), from its values at the N Chebyshev points.
-
-    Each RF piece is fitted alone first, with the n_p terms of the run's
-    widest piece: its exponentials at those n_p points, a batch at a time
-    (`_expm_batches`), and a DCT-II. They meet the same 1e-17 tail bound on
-    [-z_max, z_max] as the run's N, which the summed half-width of the run's
-    delays sets, so n_p is often far smaller. The run is then multiplied out
-    (`_multiply_out`) at its N points with each piece read from its fit, and
-    no exponential is taken there. A run of one RF piece is its fit.
-    """
-    pieces = [f for f in factors if f[2] is not None]
-    n_p = _term_count(max((f[-1] for f in pieces), default=0.0))
-    fits = iter([c for exps in _expm_batches(pieces, z_max * np.cos(_angles(n_p)))
-                 for c in _dct(exps.reshape(16, -1, n_p).transpose(1, 0, 2))])
-    if len(factors) == 1 and pieces:  # n_p is then N
-        return next(fits)
-    return _fit_product([next(fits) if f[2] is not None else f for f in factors], n_terms, z_max, z_max)
-
-
-def _fit_product(chain: list, n_terms: int, z_max: float, z_from: float) -> np.ndarray:
-    """(32, N) coefficients (`_dct`) in z / z_max of the product of `chain`,
+def _fit_run(run: list, n_terms: int, z_max: float, z_from: float) -> np.ndarray:
+    """(32, N) coefficients (`_dct`) in z / z_max of the product of `run`,
     from one `_multiply_out` at the N Chebyshev points of [-z_max, z_max],
-    its fitted factors read in z / z_from. No exponential is taken there
-    unless a factor is an RF piece that no fit holds."""
+    its fitted entries read in z / z_from; no exponential is taken there
+    unless an entry is an RF piece that no fit holds.
+
+    Where no entry is fitted yet, each RF piece is fitted alone first, with
+    the n_p terms of the run's widest piece: its exponentials at those n_p
+    points, one `_expm_members` call per batch of BLOCK // n_p pieces (each
+    column with its own h and dt, one batch in memory at a time), and a
+    DCT-II. They meet the same 1e-17 tail bound on [-z_max, z_max] as the
+    run's N, which the summed half-width of the run's delays sets, so n_p is
+    often far smaller. A run of one RF piece is its fit.
+    """
+    if not any(isinstance(f, np.ndarray) for f in run):
+        pieces = [f for f in run if f[2] is not None]
+        n_p = _term_count(max((abs(rate) * seg.duration * z_max for _, rate, seg in pieces), default=0.0))
+        z, per_batch, fits = z_max * np.cos(_angles(n_p)), BLOCK // n_p, []
+        for start in range(0, len(pieces), per_batch):
+            _, rates, segs = zip(*pieces[start:start + per_batch])
+            exps = _expm_members(np.repeat(np.stack([s.h for s in segs], axis=2), n_p, axis=2),
+                                 np.multiply.outer(rates, z).ravel(), np.repeat([s.duration for s in segs], n_p))
+            fits.extend(_dct(exps.reshape(16, -1, n_p).transpose(1, 0, 2)))
+        if len(run) == 1 and pieces:  # n_p is then N
+            return fits[0]
+        run, z_from = [fits.pop(0) if f[2] is not None else f for f in run], z_max
     z = z_max * np.cos(_angles(n_terms))
-    return _dct(_multiply_out(chain, z, _basis(chain, z, z_from)).reshape(16, n_terms))
+    return _dct(_multiply_out(run, z, _basis(run, z, z_from)).reshape(16, n_terms))
 
 
 def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
@@ -359,26 +338,31 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
     the member phases exp(-i gamma z g dt Jz/2) (a segment that commutes
     with Jz), or an RF piece under a gradient. Each is an entire function of
     z of half-width w = gamma |g| dt max|z| (0 for a shared unitary).
-    Consecutive factors form runs while their summed w needs
-    N < RUN_TERMS Chebyshev terms for a tail bound below 1e-17
-    (`_half_widths`), whatever the member count; each run is multiplied out
-    at its N Chebyshev points (`_fit_run`), its RF pieces read from fits of
-    their own at the fewer terms the widest of them needs, and becomes one
-    factor of the chain, its coefficients. Without a gradient (one molecule
-    among them) the whole chain is one run with N = 1. A factor whose own N
-    reaches RUN_TERMS enters the chain as it is: member phases, or the
-    per-member Taylor exponential `_expm_members`.
 
-    The chain is fitted once, at the widest row's max|z|, and is the first
-    source. Each narrower row, in order of decreasing max|z|, regroups the
-    source's entries at its own width (`_group_runs`) and refits each run
-    from one product at its Chebyshev points (`_fit_product`), with no
-    exponential taken, so each row holds its own short chain; a row of
-    equal width reuses the chain. A row's chain becomes the source when it
-    is at most half the source's length, so refits nest at most 1 + log2(L)
-    deep for a widest chain of L entries, and round-off does not grow with
-    the number of rows; a row that keeps the source multiplies out fewer
-    than twice its own chain's entries.
+    Rows are taken in order of decreasing max|z|, and one builder makes
+    each row's chain from a source: it groups the source's entries into
+    runs while their summed w at the row's max|z| needs N < RUN_TERMS
+    Chebyshev terms for a tail bound below 1e-17 (`_half_widths`), whatever
+    the member count, and fits each run from one product at its N Chebyshev
+    points (`_fit_run`). An entry whose own N reaches RUN_TERMS enters the
+    chain as it is: member phases, or the per-member Taylor exponential
+    `_expm_members`. The first source is the factors, so the RF pieces are
+    fitted alone in the widest row's runs; narrower rows refit products.
+    Without a gradient (one molecule among them) the chain is one run with
+    N = 1. A row of equal width reuses the chain. The first chain becomes
+    the source, as does any later one of at most half the source's length,
+    so refits nest at most 1 + log2(L) deep for a widest chain of L
+    entries, and round-off does not grow with the number of rows; a row
+    that keeps the source multiplies out fewer than twice its own chain's.
+
+    Regrouping can merge a source's runs but never split one, so a row's
+    chain can be longer than the factors grouped afresh at its width: on
+    the shipped noisy_gate gate 84, 20 and 10 entries against 83, 19 and 9
+    at 50, 10 and 5 kHz/cm, 12 more block products per sweep. That is the
+    price of the cascade; grouping the factors afresh at every row, with
+    the RF pieces read from their widest-row fits, multiplies every factor
+    out again at each row and made the shipped noisy_gate about 20% slower.
+
     Each block of at most BLOCK members of a row multiplies the chain out
     in one `_multiply_out`, a fitted run being one real product with the
     block's basis T_k(z / max|z|) (`_basis`).
@@ -387,12 +371,11 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
     rows = z.reshape(math.prod(z.shape[:-1]), z.shape[-1] if z.ndim else 1)
     row_max = np.abs(rows).max(axis=1, initial=0.0)  # NaN if any z of the row is
     z_max = float(row_max.max(initial=0.0))
-    shared: dict = {}
-    # (shared unitary or None, rad/s per metre of z or None, RF segment or None, half-width w per metre)
-    factors = []
+    # a factor: (shared unitary or None, rad/s per metre of z or None, RF segment or None)
+    shared, factors = {}, []
     for seg in piecewise_segments(seq, sys, waveform):
         if seg.kind == "rotate":
-            factors.append((seg.u[:, :, None], None, None, 0.0))
+            factors.append((seg.u[:, :, None], None, None))
             continue
         rate = None
         if seg.grad != 0.0 and z_max != 0.0:
@@ -401,31 +384,27 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
                 raise NumericalContractError(f"gradient phase rate {rate:.3e} rad/s/m at |z| up to "
                                              f"{z_max:.3e} m is not finite")
             if not seg.commutes:
-                factors.append((None, rate, seg, abs(rate) * seg.duration))
+                factors.append((None, rate, seg))
                 continue
             rate *= seg.duration
         key = (seg.h.tobytes(), seg.duration)
-        u0 = shared.get(key)
-        if u0 is None:
-            u0 = shared[key] = ops.expm_hermitian(seg.h, seg.duration)[:, :, None]
-        factors.append((u0, rate, None, 0.0 if rate is None else abs(rate)))
+        if key not in shared:
+            shared[key] = ops.expm_hermitian(seg.h, seg.duration)[:, :, None]
+        factors.append((shared[key], rate, None))
 
     out = np.empty(rows.shape + (4, 4), dtype=complex)
-    chain: list = []  # the row's factors, or (32, N) coefficients in z / c_max
+    # the source's entries and their half-widths at s_max: the factors' per metre of z
+    source, s_max = factors, 1.0
+    widths = [0.0 if rate is None else abs(rate) * (seg.duration if seg else 1.0) for _, rate, seg in factors]
     for r in np.argsort(-row_max, kind="stable"):  # widest first; NaN rows, which carry no width, last
         r_max = float(row_max[r])
-        if not chain:  # the first `source`, its entries' half-widths `widths` at s_max
-            runs = _group_runs([f[:3] + (f[3] * r_max if f[3] else 0.0,) for f in factors])
-            chain = source = [_fit_run(fs, n_terms, r_max) if n_terms else fs[0] for fs, n_terms in runs]
-            widths = [sum(f[-1] for f in fs) for fs, _ in runs]
-            s_max = c_max = r_max
-        elif r_max < c_max and any(widths):  # else the row has the chain's width, or no entry has any
-            runs = _group_runs([(f, w * (r_max / s_max)) for f, w in zip(source, widths)])
-            chain = [_fit_product([f for f, _ in fs], n_terms, r_max, s_max) if n_terms else fs[0][0]
-                     for fs, n_terms in runs]
-            c_max = r_max
-            if 2 * len(chain) <= len(source):
-                source, widths, s_max = chain, [sum(w for _, w in fs) for fs, _ in runs], r_max
+        if source is factors or r_max < c_max and any(widths):  # else the chain holds: same width, or none
+            scaled = [w * (r_max / s_max) if w else 0.0 for w in widths]
+            runs = _group_runs(scaled)
+            chain = [_fit_run(source[i:j], n, r_max, s_max) if n else source[i] for i, j, n in runs]
+            c_max = r_max  # the chain's fitted entries read z / c_max
+            if source is factors or 2 * len(chain) <= len(source):
+                source, widths, s_max = chain, [sum(scaled[i:j]) for i, j, _ in runs], r_max
         for start in range(0, rows.shape[1], BLOCK):
             zs = rows[r, start:start + BLOCK]
             u = _multiply_out(chain, zs, _basis(chain, zs, c_max))

@@ -252,14 +252,22 @@ def rf_pieces(seq, sys, wf):
             if s.kind == "evolve" and s.grad != 0.0 and not commutes_with_jz(s.h)]
 
 
+def is_refit(run) -> bool:
+    """Whether a run handed to `_fit_run` holds a fitted entry, as a
+    narrower row's refit of a source chain does, rather than resolved
+    factors alone."""
+    return any(isinstance(f, np.ndarray) for f in run)
+
+
 def run_fit_spy(monkeypatch) -> list:
-    """(N, factors) of every run of factors the engine then evaluates as a
-    Chebyshev series in z."""
+    """(N, factors) of every run of resolved factors the engine then
+    evaluates as a Chebyshev series in z; refits are left out."""
     calls = []
     fit = ensemble._fit_run
 
     def spy(factors, n_terms, *args):
-        calls.append((n_terms, factors))
+        if not is_refit(factors):
+            calls.append((n_terms, factors))
         return fit(factors, n_terms, *args)
     monkeypatch.setattr(ensemble, "_fit_run", spy)
     return calls
@@ -267,7 +275,7 @@ def run_fit_spy(monkeypatch) -> list:
 
 def fitted_rf_pieces(calls) -> int:
     """How many RF pieces under a gradient the spied runs hold."""
-    return sum(seg is not None for _, factors in calls for _, _, seg, _ in factors)
+    return sum(seg is not None for _, factors in calls for _, _, seg in factors)
 
 
 class TestTaylorKernel:
@@ -419,18 +427,21 @@ def term_count(w: float) -> int:
 
 
 def fit_work_spy(monkeypatch) -> tuple[list, list]:
-    """(N, n_p, RF pieces) of every fitted run, with n_p the term count of
-    its widest piece, and (index of the run being fitted or None, columns)
-    of every `_expm_members` call."""
+    """(N, n_p, RF pieces) of every fitted run of resolved factors, with
+    n_p the term count of its widest piece, and (index of the run being
+    fitted or None, columns) of every `_expm_members` call; refits are left
+    out, and a column taken inside one counts as outside any run."""
     runs, columns, inside = [], [], [None]
     fit, expm = ensemble._fit_run, ensemble._expm_members
 
-    def fit_spy(factors, n_terms, *args):
-        widths = [f[-1] for f in factors if f[2] is not None]
+    def fit_spy(factors, n_terms, z_max, *args):
+        if is_refit(factors):
+            return fit(factors, n_terms, z_max, *args)
+        widths = [abs(rate) * seg.duration * z_max for _, rate, seg in factors if seg is not None]
         runs.append((n_terms, term_count(max(widths, default=0.0)), len(widths)))
         inside[0] = len(runs) - 1
         try:
-            return fit(factors, n_terms, *args)
+            return fit(factors, n_terms, z_max, *args)
         finally:
             inside[0] = None
 
@@ -463,17 +474,19 @@ class TestRuns:
         groups = []
         group = ensemble._group_runs
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ensemble, "_group_runs", lambda *args: groups.append(group(*args)) or groups[-1])
+            mp.setattr(ensemble, "_group_runs", lambda widths: groups.append((widths, group(widths))) or groups[-1][1])
             calls = run_fit_spy(mp)
             us = ensemble_propagators(seq, sys, wf, zs)
-        (runs,) = groups
-        assert sum(len(factors) for factors, _ in runs) == len(piecewise_segments(seq, sys, wf))
-        for factors, n_terms in runs:
+        ((widths, runs),) = groups
+        assert len(widths) == len(piecewise_segments(seq, sys, wf))
+        assert [start for start, _, _ in runs] + [len(widths)] == [0] + [stop for _, stop, _ in runs]
+        for start, stop, n_terms in runs:
             if n_terms is None:
-                assert len(factors) == 1 and term_count(factors[0][-1]) >= RUN_TERMS
+                assert stop == start + 1 and term_count(widths[start]) >= RUN_TERMS
             else:
-                assert n_terms == term_count(sum(f[-1] for f in factors)) < RUN_TERMS
-        assert [(n_terms, factors) for factors, n_terms in runs if n_terms is not None] == calls
+                assert n_terms == term_count(sum(widths[start:stop])) < RUN_TERMS
+        assert [(n_terms, stop - start) for start, stop, n_terms in runs if n_terms is not None] == \
+            [(n_terms, len(factors)) for n_terms, factors in calls]
         for i in (0, n // 2, n - 1):
             assert np.abs(us[i] - expm_oracle(seq, sys, wf, zs[i])).max() <= 1e-10
 
@@ -839,22 +852,35 @@ class TestRows:
         assert us.tobytes() == ensemble_propagators(seq, spin_system, wf, zs).tobytes()
 
     def test_runs_are_fitted_once_at_the_widest_row(self, monkeypatch):
-        # the shipped sweep's gate (seed 42, 1001 members): every run is
-        # fitted at the 100 kHz/cm row, every exponential is taken inside such
-        # a fit, and each narrower row refits a wider row's chain with
-        # products alone; every row agrees with that row alone (measured
-        # 4.6e-13 at most)
+        # the shipped sweep's gate (seed 42, 1001 members): every run that
+        # holds an RF piece is fitted at the 100 kHz/cm row, every exponential
+        # is taken inside such a fit, and each narrower row refits a wider
+        # row's chain with products alone, into the chain lengths the README
+        # quotes; every row agrees with that row alone (measured 4.6e-13 at
+        # most)
         sys = SpinSystem()
         seq = composite_y90(sys)
         khz = [0.0, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0]
         zs = np.multiply.outer([khz_per_cm_to_t_per_m(x) for x in khz], member_positions(EnsembleSpec()))
         wf = random_walk_waveform(math.ceil(seq.duration / DEFAULT_STEP_TIME) + 1, 42)
         runs, columns = fit_work_spy(monkeypatch)
-        widths, fit = [], ensemble._fit_run
-        monkeypatch.setattr(ensemble, "_fit_run", lambda fs, n, z_max: widths.append(z_max) or fit(fs, n, z_max))
+        widths, fit = [], ensemble._fit_run  # z_max of each run in `runs`
+
+        def width_spy(fs, n, z_max, z_from):
+            if not is_refit(fs):
+                widths.append(z_max)
+            return fit(fs, n, z_max, z_from)
+        monkeypatch.setattr(ensemble, "_fit_run", width_spy)
+        multiply, products = ensemble._multiply_out, []
+        monkeypatch.setattr(ensemble, "_multiply_out", lambda *args: products.append(args) or multiply(*args))
         us = ensemble_propagators(seq, sys, wf, zs)
-        assert len(widths) == len(runs) > 1 and set(widths) == {np.abs(zs[-1]).max()}
-        assert columns and all(run is not None for run, _ in columns)
+        widest = np.abs(zs[-1]).max()
+        assert len(widths) == len(runs) > 1
+        assert {w for w, (_, _, pieces) in zip(widths, runs) if pieces} == {widest}
+        assert columns and all(run is not None and widths[run] == widest for run, _ in columns)
+        # the four blocks of each row read the row's own positions, widest row first
+        chains = [len(chain) for chain, z, _ in products if np.shares_memory(z, zs)][::4]
+        assert chains == [113, 84, 40, 20, 10, 4, 2, 1, 1, 1, 1]
         monkeypatch.undo()
         for row, u in zip(zs, us):
             assert np.abs(u - ensemble_propagators(seq, sys, wf, row)).max() <= 1e-12
@@ -896,7 +922,7 @@ class TestRows:
         fitted = np.concatenate([q.real.reshape(16, n), q.imag.reshape(16, n)])  # read with the identity basis
         u0 = ops.expm_hermitian(internal_hamiltonian(sys), dt)[:, :, None]
         phases = np.exp(-1j * rate * np.multiply.outer(ops.SPIN_PROJECTION, z))
-        u = ensemble._multiply_out([fitted, (u0, rate, None, abs(rate))], z, np.eye(n))
+        u = ensemble._multiply_out([fitted, (u0, rate, None)], z, np.eye(n))
         assert np.abs(u - ensemble._matmul(u0 * phases, q)).max() <= 1e-15
 
     def test_a_run_of_one_rf_piece_is_its_fit(self, spin_system, monkeypatch):
