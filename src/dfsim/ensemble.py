@@ -57,16 +57,14 @@ from .units import is_real
 DEFAULT_STEP_TIME = 50.6e-6
 
 
-#: the most members an ensemble may hold, and the most positions noisy_gate
-#: passes to one engine call: propagators take 256 B per position, so 256 MB
-#: at this bound
+#: the most members an ensemble may hold
 MAX_MEMBERS = 10 ** 6
 
 
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Sample geometry and diffusion constant; n_members from 2 to
-    MAX_MEMBERS."""
+    MAX_MEMBERS, a bound on the member count alone."""
 
     n_members: int = 1001
     sample_length: float = 0.01   # m
@@ -324,12 +322,14 @@ def _fit_run(run: list, n_terms: int, z_max: float, z_from: float) -> np.ndarray
 
 
 def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
-                         z: float | np.ndarray) -> np.ndarray:
+                         z: float | np.ndarray, reduce=None) -> np.ndarray:
     """Exact propagator of one sequence at every member position at once:
     (4, 4) for a scalar z, (n, 4, 4) for an array, and (P, n, 4, 4) for P
     rows of n positions, such as the points of a sweep that scales one
     waveform (a waveform eps w at z is the waveform w at eps z). Checked
-    unitary to 1e-10.
+    unitary to 1e-10, block by block. `reduce`, if given, maps each checked
+    block's (m, 4, 4) propagators to m reals, and the call returns those in
+    the shape of z, so that it never holds more than a block of propagators.
 
     The sequence is flattened once per call, and each segment resolved into
     a factor: a unitary all members share (a rotation, or an exponential of
@@ -392,7 +392,7 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
             shared[key] = ops.expm_hermitian(seg.h, seg.duration)[:, :, None]
         factors.append((shared[key], rate, None))
 
-    out = np.empty(rows.shape + (4, 4), dtype=complex)
+    out = np.empty(rows.shape + (4, 4), dtype=complex) if reduce is None else np.empty(rows.shape)
     # the source's entries and their half-widths at s_max: the factors' per metre of z
     source, s_max = factors, 1.0
     widths = [0.0 if rate is None else abs(rate) * (seg.duration if seg else 1.0) for _, rate, seg in factors]
@@ -408,11 +408,11 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
         for start in range(0, rows.shape[1], BLOCK):
             zs = rows[r, start:start + BLOCK]
             u = _multiply_out(chain, zs, _basis(chain, zs, c_max))
-            out[r, start:start + zs.size] = u.transpose(2, 0, 1)
             err = np.abs(_matmul(u.conj().transpose(1, 0, 2), u) - np.eye(4)[:, :, None]).max()
             if not err <= ops.UNITARY_TOL:
                 raise NumericalContractError(f"sequence propagator failed unitarity at 1e-10 (error {err:.3e})")
-    return out.reshape(z.shape + (4, 4))
+            out[r, start:start + zs.size] = u.transpose(2, 0, 1) if reduce is None else reduce(u.transpose(2, 0, 1))
+    return out.reshape(z.shape + out.shape[2:])
 
 
 def _check_output_state(rho: np.ndarray) -> None:

@@ -45,7 +45,6 @@ from .channels import KrausChannel, collective_dephasing, natural_relaxation_ste
 from .ensemble import (
     DEFAULT_STEP_TIME,
     EnsembleSpec,
-    MAX_MEMBERS,
     diffusion_phase_kicks,  # not called here; perfbench/tracer.py patches this name in this module
     ensemble_propagators,
     member_positions,
@@ -365,8 +364,9 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
     One unit random walk, drawn from `seed` and scaled to each point's
     maximum gradient strength g, drives the whole sample: the sweep holds the
     noise shape fixed. As g w at z is w at g z, the points are rows of one
-    engine call per sequence. The reported F_e is the ensemble mean of
-    per-member fidelities.
+    engine call per sequence, which reduces its members to fidelities block
+    by block, so no sweep's propagators are held. The reported F_e is the
+    ensemble mean of per-member fidelities.
     fe_stderr is their spread divided by sqrt(n); the members are midpoint
     quadrature nodes of one waveform realization, not independent samples,
     so it is no error bar for F_e (ROADMAP item 1). fe_memory is the same
@@ -397,13 +397,11 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
         raise ConfigError(f"sweep.step_time_s: {step_time!r} s would cut the {seq.duration:.6g} s gate "
                           f"into more than {MAX_WAVEFORM_STEPS} waveform steps")
     unit_walk = random_walk_waveform(n_steps, seed, step_time)
-    f_gates, f_mems = [], []
-    per_call = max(1, MAX_MEMBERS // zs.size)  # one call holds at most MAX_MEMBERS positions
-    for start in range(0, len(grads), per_call):
-        positions = np.multiply.outer(grads[start:start + per_call], zs)  # g w at z is w at g z
-        f_gates += [member_gate_fidelities(u, target) for u in ensemble_propagators(seq, sys, unit_walk, positions)]
-        f_mems += [member_gate_fidelities(u, mem_target)
-                   for u in ensemble_propagators(mem_seq, sys, unit_walk, positions)]
+    positions = np.multiply.outer(grads, zs)  # g w at z is w at g z
+    f_gates = ensemble_propagators(seq, sys, unit_walk, positions,
+                                   reduce=lambda u: member_gate_fidelities(u, target))
+    f_mems = ensemble_propagators(mem_seq, sys, unit_walk, positions,
+                                  reduce=lambda u: member_gate_fidelities(u, mem_target))
     rows, reports = [], []
     for idx, (grad, f_gate, f_mem) in enumerate(zip(grads, f_gates, f_mems)):
         fe = float(f_gate.mean())

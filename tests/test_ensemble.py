@@ -938,3 +938,58 @@ class TestRows:
         assert [len(factors) for _, factors in calls] == [1] and len(products) == 1
         for z, u in zip(zs, us):
             assert np.abs(u - expm_oracle(seq, spin_system, wf, z)).max() <= 1e-12
+
+
+class TestReduce:
+    """`reduce` maps each block's checked propagators to member values as
+    the block is made; the call returns those in the shape of z."""
+
+    SYS = SpinSystem()
+    TARGET = ops.expm_hermitian(ops.PAULI["y"], math.pi / 4)
+
+    def spy(self, seen):
+        """member_gate_fidelities against TARGET, recording each block's
+        member count."""
+        return lambda u: seen.append(len(u)) or member_gate_fidelities(u, self.TARGET)
+
+    # rows of 300 members (two blocks each) at scales 1, 0, 0.3 and 1: a
+    # zero row and two rows of equal width; one such row; one position; none
+    @pytest.mark.parametrize("z", [np.multiply.outer([1.0, 0.0, 0.3, 1.0], np.linspace(-5e-3, 5e-3, 300)),
+                                   np.linspace(-5e-3, 5e-3, 300), 3e-3, np.empty((2, 0))])
+    def test_equals_reduce_of_the_propagators(self, z):
+        seq = nominal_composite_y90(self.SYS)
+        wf = scaled_walk(khz_per_cm_to_t_per_m(10.0), math.ceil(seq.duration / DEFAULT_STEP_TIME) + 1, 5)
+        seen = []
+        got = ensemble_propagators(seq, self.SYS, wf, z, reduce=self.spy(seen))
+        want = member_gate_fidelities(ensemble_propagators(seq, self.SYS, wf, z), self.TARGET)
+        assert got.shape == np.shape(z) and got.tobytes() == want.tobytes()
+        assert sum(seen) == np.size(z) and all(m <= BLOCK for m in seen)
+
+    @pytest.mark.parametrize("z", [0.002, np.array([-0.001, 0.0, 0.003])])
+    def test_non_unitary_segment_breaks_the_contract(self, spin_system, monkeypatch, z):
+        # as without reduce, and reduce never sees the failing block
+        monkeypatch.setitem(ROTATIONS, "pi_x_pair", 1.001 * ROTATIONS["pi_x_pair"])
+        seq = PulseSequence((Delay(1e-4), IdealRotation("pi_x_pair"), Delay(1e-4)))
+        seen = []
+        with pytest.raises(NumericalContractError, match="unitarity"):
+            ensemble_propagators(seq, spin_system, static_waveform(0.1), z, reduce=self.spy(seen))
+        assert seen == []
+
+    def test_sees_only_the_blocks_checked_before_a_failing_one(self, spin_system, monkeypatch):
+        # the second of three blocks is made non-unitary: reduce sees the
+        # first, and the call raises before the third is made
+        seq, zs = nominal_composite_y90(spin_system), np.linspace(-5e-3, 5e-3, 2 * BLOCK + 1)
+        multiply, blocks = ensemble._multiply_out, []
+
+        def corrupt(chain, z, basis):
+            u = multiply(chain, z, basis)
+            if np.shares_memory(z, zs):  # a block, not a fit
+                blocks.append(z.size)
+                if len(blocks) == 2:
+                    u *= 1.001
+            return u
+        monkeypatch.setattr(ensemble, "_multiply_out", corrupt)
+        seen = []
+        with pytest.raises(NumericalContractError, match="unitarity"):
+            ensemble_propagators(seq, spin_system, static_waveform(0.1), zs, reduce=self.spy(seen))
+        assert seen == [BLOCK] and blocks == [BLOCK, BLOCK]

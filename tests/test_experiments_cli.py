@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -291,15 +292,24 @@ class TestNoisyGate:
         _, rows = shipped
         assert rows[0]["grad_max_t_per_m"] == 0.0 and rows[0]["fe_stderr"] == 0.0
 
-    def test_one_call_holds_at_most_max_members_positions(self, shipped, monkeypatch):
-        # with the bound at 2000 and 1001 members, one row per engine call
-        config, rows = shipped
-        sizes, engine = [], experiments.ensemble_propagators
-        monkeypatch.setattr(experiments, "MAX_MEMBERS", 2000)
-        monkeypatch.setattr(experiments, "ensemble_propagators",
-                            lambda seq, sys, wf, z: sizes.append(np.shape(z)) or engine(seq, sys, wf, z))
-        self.assert_rows_agree(self.sweep_rows(config, config.sweep["grad_max_khz_per_cm"]), rows)
-        assert sizes == [(1, 1001)] * 22
+    def test_peak_memory_does_not_hold_the_sweep_propagators(self, spin_system):
+        # members are reduced to fidelities block by block: six more points
+        # at 4000 members raise the traced peak by far less than the
+        # 6 x 4000 x 256 B = 6.1 MB their propagators would take (measured
+        # 0.4 MB, the positions and fidelities; 6.4 MB when the engine
+        # returned propagators)
+        spec = EnsembleSpec(n_members=4000)
+
+        def peak(khz):
+            tracemalloc.start()
+            try:
+                noisy_gate_experiment(spin_system, spec, {**EXPERIMENTS["noisy_gate"].sweep,
+                                                          "grad_max_khz_per_cm": khz}, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        few, many = peak([100.0, 50.0]), peak([100.0, 50.0, 20.0, 10.0, 5.0, 2.0, 1.0, 0.5])
+        assert many - few < 6 * 4000 * 256 / 4
 
     def test_khz_per_cm_converts_with_the_spin_system_gamma(self, spin_system):
         spec = EnsembleSpec(n_members=3)
