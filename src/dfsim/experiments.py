@@ -102,7 +102,7 @@ EXPERIMENTS = {
         # the plateau of the hard-pulse composite ends near 1 kHz/cm, so the
         # low end is sampled densely before the sweep fans out to 100 kHz/cm
         sweep={"grad_max_khz_per_cm": [0.0, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0],
-               "step_time_s": DEFAULT_STEP_TIME},
+               "step_time_s": DEFAULT_STEP_TIME, "gate": "composite_y90"},
         seeded=True,
         runner=lambda c: noisy_gate_experiment(c.spin_system, c.ensemble, c.sweep, c.seed)),
 }
@@ -359,7 +359,8 @@ MAX_WAVEFORM_STEPS = 10 ** 5
 
 
 def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed: int):
-    """Composite y rotation under fast random-walk gradient noise.
+    """An encoded gate (sweep.gate out of GATES, by default the composite y
+    rotation) under fast random-walk gradient noise.
 
     One unit random walk, drawn from `seed` and scaled to each point's
     maximum gradient strength g, drives the whole sample: the sweep holds the
@@ -370,9 +371,9 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
     fe_stderr is their spread divided by sqrt(n); the members are midpoint
     quadrature nodes of one waveform realization, not independent samples,
     so it is no error bar for F_e (ROADMAP item 1). fe_memory is the same
-    noise applied while the encoded state merely waits, measured against the
-    noiseless evolution -- it stays at 1, showing that gate losses come only
-    from the intervals the pulses spend outside the code space.
+    noise applied while the encoded state merely waits as long as the gate,
+    measured against the noiseless evolution -- it stays at 1: the gate's
+    losses come only from the intervals its pulses spend outside the code space.
     """
     khz = _sweep_values(sweep, "grad_max_khz_per_cm", *_NON_NEGATIVE)
     if not (sys.gamma > 0 and math.isfinite(khz_per_cm_to_t_per_m(max(khz), sys.gamma))):
@@ -384,7 +385,9 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
                           f"gamma g z that is not finite at the sample edge")
     step_time = _sweep_number("step_time_s", sweep["step_time_s"], *_POSITIVE)
 
-    seq, target = _gate("composite_y90", sys)
+    if not isinstance(sweep["gate"], str) or sweep["gate"] not in GATES:
+        raise ConfigError(f"sweep.gate: must be one of {list(GATES)}, got {sweep['gate']!r}")
+    seq, target = _gate(sweep["gate"], sys)
     mem_seq = PulseSequence((Delay(seq.duration),))
     u_free = propagator(mem_seq, sys)
     mem_target = data_blocks(u_free, encoded=True)[0]
@@ -408,7 +411,7 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
         stderr = float((f_gate - f_gate[0]).std(ddof=1) / math.sqrt(len(f_gate)))  # 0 when the members agree
         fe_mem = float(f_mem.mean())
         rows.append({"grad_max_t_per_m": grad, "fe": fe, "fe_stderr": stderr, "fe_memory": fe_mem})
-        reports.append(FidelityReport(label="noisy_composite_y90", fe=fe,
+        reports.append(FidelityReport(label=f"noisy_{sweep['gate']}", fe=fe,
                                       metadata={"grad_max_t_per_m": grad, "fe_stderr": stderr,
                                                 "fe_memory": fe_mem, "point": idx}))
     return rows, reports

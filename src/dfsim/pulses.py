@@ -19,10 +19,11 @@ of nonzero amplitude never does. Sequences are flattened into segments,
 fused by event kind on one walk of the waveform clock; the exponentials
 and their product come from the one engine in `dfsim.ensemble`, of which
 `propagator` is the noiseless single molecule (no gradient, z = 0). The
-residence trajectory walks the same segments, without a gradient, and
-averages the state over each one exactly in the eigenbasis of its
-Hamiltonian, so the residence fraction does not depend on where a sequence
-is cut.
+residence trajectory takes the same segments, without a gradient,
+eigendecomposes all their Hamiltonians in one call, walks them with one
+propagator product per segment, and averages the state over each one
+exactly in the eigenbasis of its Hamiltonian, so the residence fraction
+does not depend on where a sequence is cut.
 
 Builders are provided for the refocusing trains used by the average
 Hamiltonian analysis and for the encoded one-qubit gates: a z rotation by
@@ -200,20 +201,27 @@ def state_trajectory(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray):
     r_ab evolves as r_ab exp(-i x_ab t / T), x_ab = (w_a - w_b) T, so its
     mean over the duration T is r_ab phi(x_ab), phi(x) = (1 - exp(-i x)) / (i x)
     = exp(-i x / 2) sinc(x / 2), phi(0) = 1. The mean is exact, so it does
-    not depend on where the sequence is cut. Rotations are applied between
-    segments and contribute no time.
+    not depend on where the sequence is cut. The Hamiltonians of all
+    segments are eigendecomposed in one call; the walk is one propagator
+    product per segment (a rotation is one more, where it falls, and
+    contributes no time), and the states and means are stacked products.
     """
-    rho = np.asarray(rho0, dtype=complex)
-    for seg in piecewise_segments(seq, sys):
+    segments = piecewise_segments(seq, sys)
+    evolve = [seg for seg in segments if seg.kind == "evolve"]
+    dt = np.array([seg.duration for seg in evolve])
+    w, v = np.linalg.eigh(np.array([seg.h for seg in evolve]).reshape(-1, 4, 4))
+    vh = v.conj().swapaxes(1, 2)
+    flows = (v * np.exp(-1j * w * dt[:, None])[:, None]) @ vh  # V exp(-i w T) V^dag
+    k, u, starts = 0, np.eye(4, dtype=complex), np.empty(v.shape, dtype=complex)
+    for seg in segments:  # the propagator up to the start of each evolve segment
         if seg.kind == "rotate":
-            rho = seg.u @ rho @ seg.u.conj().T
-            continue
-        w, v = np.linalg.eigh(seg.h)
-        r = v.conj().T @ rho @ v
-        x = np.subtract.outer(w, w) * seg.duration
-        mean = v @ (r * np.exp(-0.5j * x) * np.sinc(x / (2 * math.pi))) @ v.conj().T
-        rho = v @ (r * np.exp(-1j * x)) @ v.conj().T
-        yield mean, seg.duration, rho
+            u = seg.u @ u
+        else:
+            starts[k], u, k = u, flows[k] @ u, k + 1
+    r = vh @ (starts @ np.asarray(rho0, dtype=complex) @ starts.conj().swapaxes(1, 2)) @ v
+    x = (w[:, :, None] - w[:, None, :]) * dt[:, None, None]
+    means = v @ (r * np.exp(-0.5j * x) * np.sinc(x / (2 * math.pi))) @ vh
+    yield from zip(means, dt.tolist(), v @ (r * np.exp(-1j * x)) @ vh)
 
 
 def dfs_residence_fraction(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray) -> float:
@@ -226,13 +234,11 @@ def dfs_residence_fraction(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray
     pop0 = float(np.trace(p_zero @ np.asarray(rho0)).real)
     if not abs(pop0 - 1.0) <= 1e-10:
         raise ValueError(f"rho0 is not supported on the code space (population {pop0:.6f})")
-    weight = total = 0.0
-    for mean, dt, _ in state_trajectory(seq, sys, rho0):
-        weight += float(np.trace(p_zero @ mean).real) * dt
-        total += dt
-    if total == 0.0:
+    steps = list(state_trajectory(seq, sys, rho0))
+    if not steps:
         raise ValueError("sequence has no finite-duration events")
-    return weight / total
+    means, dts = np.array([mean for mean, _, _ in steps]), np.array([dt for _, dt, _ in steps])
+    return float(np.einsum("ij,sji,s", p_zero, means, dts).real / dts.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,17 @@ class TestNoisyGate:
         assert all(abs(r["fe_memory"] - 1.0) <= 1e-9 for r in rows)
         assert rows[1]["fe"] < rows[0]["fe"]
 
+    def test_enc_z_row_is_its_noiseless_fidelity(self, spin_system):
+        # a delay commutes with Jz, so the gradient acts as member phases of
+        # Jz, which is zero on the code space: the DFS keeps the encoded z
+        # gate exact at every strength
+        sweep = {**EXPERIMENTS["noisy_gate"].sweep, "gate": "enc_z_90", "grad_max_khz_per_cm": [0.0, 1.0, 10.0, 100.0]}
+        rows, reports = noisy_gate_experiment(spin_system, EnsembleSpec(), sweep, seed=42)
+        noiseless = gates_experiment(spin_system, {"gates": ["enc_z_90"]})[0][0]["fe"]
+        assert all(abs(row["fe"] - noiseless) <= 1e-12 for row in rows), rows
+        assert all(abs(row["fe_memory"] - 1.0) <= 1e-12 for row in rows), rows
+        assert [r.label for r in reports] == ["noisy_enc_z_90"] * 4
+
     def test_point_does_not_depend_on_its_place_in_the_sweep(self, spin_system):
         # one noise shape per run, scaled per point: the 5 kHz/cm row is the
         # same whether a 1 kHz/cm point comes before it or not, byte for byte
@@ -535,6 +546,8 @@ class TestRunAndCli:
         ("noisy-gate", {"ensemble": {"n_members": 10 ** 400}, "sweep": {"grad_max_khz_per_cm": [1.0]}},
          "ensemble: n_members must be from 2 to 1000000"),
         ("noisy-gate", {"ensemble": {"n_members": 10 ** 6 + 1}}, "ensemble: n_members must be from 2 to 1000000"),
+        ("noisy-gate", {"sweep": {"gate": "enc_q"}}, "sweep.gate: must be one of"),
+        ("noisy-gate", {"sweep": {"gate": ["enc_z_90"]}}, "sweep.gate: must be one of"),
     ], ids=["t1_nan", "n_members_fraction", "gradients_nan", "grad_max_nan", "grad_max_t_per_m",
             "unknown_gate", "small_delta_text", "gradient_text", "step_time_text", "step_time_tiny",
             "dt_s_unknown", "gates_empty", "gradients_empty",
@@ -545,7 +558,7 @@ class TestRunAndCli:
             "sample_length_overflow",
             "nu2_overflow", "shift_sum_overflow", "nu1_string", "nu2_int_overflow", "n_members_bool",
             "sample_length_int_overflow", "times_string", "f_collective_bool", "diffusion_d_strength_overflow",
-            "n_members_400_digits", "n_members_above_bound"])
+            "n_members_400_digits", "n_members_above_bound", "noisy_gate_unknown_gate", "noisy_gate_gate_list"])
     def test_cli_bad_value_exit_code(self, tmp_path, capsys, experiment, config, field):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
@@ -748,7 +761,8 @@ SWEEP_FIELDS = {
     "crusher": {"processes": _listed(st.sampled_from(sorted(CRUSHER_PROCESSES)))},
     "natural": {"times_s": _listed(st.floats(0.0, 3.0)), "f_collective": st.floats(0.0, 1.0)},
     "gates": {"gates": _listed(st.sampled_from(sorted(GATES)))},
-    "noisy_gate": {"grad_max_khz_per_cm": _listed(st.floats(0.0, 100.0)), "step_time_s": st.floats(2e-4, 1e-3)},
+    "noisy_gate": {"grad_max_khz_per_cm": _listed(st.floats(0.0, 100.0)), "step_time_s": st.floats(2e-4, 1e-3),
+                   "gate": st.sampled_from(sorted(GATES))},
 }
 LIST_FIELDS = {"gradients_t_per_m", "processes", "times_s", "gates", "grad_max_khz_per_cm"}
 # documented range of every numeric CSV column

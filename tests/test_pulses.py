@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from mpmath.calculus.quadrature import GaussLegendre
 
@@ -343,7 +343,7 @@ class TestResidence:
     def test_enc_x_stays_mostly_protected(self, spin_system):
         _, p_zero, _ = ops.zq_projectors()
         frac = dfs_residence_fraction(enc_x(math.pi / 2, spin_system), spin_system, p_zero / 2)
-        assert frac >= 0.90
+        assert type(frac) is float and frac >= 0.90
 
     def test_continuous_drive_is_worse_than_pulsed(self, spin_system):
         _, p_zero, _ = ops.zq_projectors()
@@ -421,6 +421,34 @@ def residence_oracle_30_digits(seq, sys, rho0):
         return float(weight / total)
 
 
+def trajectory_oracle(seq, sys, rho0):
+    """Reference for `state_trajectory`: the per-segment walk, one
+    eigendecomposition of each evolve segment's Hamiltonian, with the state
+    carried from segment to segment in each segment's eigenbasis."""
+    rho = np.asarray(rho0, dtype=complex)
+    for seg in piecewise_segments(seq, sys):
+        if seg.kind == "rotate":
+            rho = seg.u @ rho @ seg.u.conj().T
+            continue
+        w, v = np.linalg.eigh(seg.h)
+        r = v.conj().T @ rho @ v
+        x = np.subtract.outer(w, w) * seg.duration
+        mean = v @ (r * np.exp(-0.5j * x) * np.sinc(x / (2 * math.pi))) @ v.conj().T
+        rho = v @ (r * np.exp(-1j * x)) @ v.conj().T
+        yield mean, seg.duration, rho
+
+
+def assert_walks_as_oracle(seq, sys):
+    ket = np.array([1.0, 1j, -1.0, 2.0]) / math.sqrt(7)  # populations and coherences in every block
+    rho0 = np.outer(ket, ket.conj())
+    got, want = (list(walk(seq, sys, rho0)) for walk in (state_trajectory, trajectory_oracle))
+    assert len(got) == len(want)
+    for (mean, dt, rho), (mean_ref, dt_ref, rho_ref) in zip(got, want):
+        assert dt == dt_ref
+        assert np.abs(mean - mean_ref).max() <= 1e-13
+        assert np.abs(rho - rho_ref).max() <= 1e-13
+
+
 def cut(seq, frac):
     """`seq` with every delay and pulse cut in two at `frac` of its duration,
     each half with the same drive."""
@@ -486,3 +514,41 @@ class TestTrajectory:
         got = dfs_residence_fraction(split, spin_system, rho0)
         assert abs(got - dfs_residence_fraction(seq, spin_system, rho0)) <= 1e-13
 
+    @pytest.mark.parametrize("build", [lambda sys: enc_x(math.pi / 2, sys), composite_y90],
+                             ids=["enc_x_90", "composite_y90"])
+    def test_matches_per_segment_walk(self, spin_system, build):
+        assert_walks_as_oracle(build(spin_system), spin_system)
+
+    @given(seq=sequences, system=spin_systems)
+    @example(seq=PulseSequence((IdealRotation("pi_x_pair"), Delay(1e-4), RfPulse(5e4, 0.3, 2e-5))),
+             system=SpinSystem())
+    @example(seq=PulseSequence((RfPulse(5e4, 0.3, 2e-5), Delay(1e-4), IdealRotation("pi_x1_y2"))),
+             system=SpinSystem())
+    @example(seq=PulseSequence((Delay(1e-4), IdealRotation("pi_x_pair"), IdealRotation("pi_x1_y2"),
+                                RfPulse(5e4, -1.2, 3e-5), Delay(2e-4))), system=SpinSystem())
+    @property_settings
+    def test_matches_per_segment_walk_on_drawn_sequences(self, seq, system):
+        assert_walks_as_oracle(seq, system)
+
+    @pytest.mark.parametrize("events", [(), (IdealRotation("pi_x_pair"), IdealRotation("pi_x1_y2"))],
+                             ids=["empty", "rotations_only"])
+    def test_no_evolve_segment_yields_nothing(self, spin_system, events):
+        seq, rho0 = PulseSequence(events), ops.zq_projectors()[1] / 2
+        assert list(state_trajectory(seq, spin_system, rho0)) == []
+        with pytest.raises(ValueError, match="no finite-duration events"):
+            dfs_residence_fraction(seq, spin_system, rho0)
+
+    @pytest.mark.parametrize("build", [lambda sys: enc_z(math.pi / 2, sys), lambda sys: enc_x(math.pi / 2, sys),
+                                       composite_y90], ids=["enc_z_90", "enc_x_90", "composite_y90"])
+    def test_one_eigendecomposition_and_one_flattening_per_call(self, spin_system, monkeypatch, build):
+        # the walk stays batched: one eigh on the stack of every segment's
+        # Hamiltonian, whatever the segment count
+        seq, rho0 = build(spin_system), ops.zq_projectors()[1] / 2
+        calls = []
+        for owner, name in ((np.linalg, "eigh"), (pulses, "piecewise_segments")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+        steps = list(state_trajectory(seq, spin_system, rho0))
+        assert sorted(calls) == ["eigh", "piecewise_segments"]
+        assert len(steps) == len([seg for seg in piecewise_segments(seq, spin_system) if seg.kind == "evolve"])
