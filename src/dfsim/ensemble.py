@@ -16,24 +16,14 @@ control sequences to refocus.
 
 The module also holds the package's one propagation engine,
 `ensemble_propagators`: every propagator, for one molecule or for the whole
-ensemble, is a product of one unitary per segment of
-`pulses.piecewise_segments`, which fuses runs as it flattens. Member
-unitaries are held member-last, (4, 4, m), and multiplied with elementwise
-products; each helper takes and returns plain arrays of at most BLOCK
-columns. The product of a run of consecutive segments is an entire
-function of z, so each run is multiplied out at Chebyshev points in z and
-interpolated. Positions may come in rows, as a sweep that scales one
-waveform does (eps w at z is w at eps z), and one builder makes every
-row's chain, widest row first: it groups a source chain's entries into
-runs and fits each. The widest row's source is the segments, whose RF
-pieces are fitted alone first (a run of one is its fit), at the fewer
-points their own width in z needs, so the long delays that set a run's
-point count cost a product there, not an exponential; each narrower row
-refits a wider row's chain from products alone. A segment too wide in z
-for RUN_TERMS points, whatever the member count, keeps its member phases,
-applied as phases, or its own Taylor exponential. One routine,
-`_multiply_out`, multiplies a chain of such factors out at any positions.
-No path needs an eigensolver.
+ensemble, is a product of one factor per segment of
+`pulses.piecewise_segments`, each an entire function of z. A call resolves,
+plans, then evaluates: `_factors` fits each RF piece under a gradient alone
+as a Chebyshev series in z, the only exponentials of a piece that fits;
+`_chains` plans each row's chain, widest row first, from products alone;
+each block of at most BLOCK members multiplies its row's chain out, as
+member-last (4, 4, m) arrays with elementwise products. Only the shared
+gradient-free exponentials (`ops.expm_hermitian`) use an eigensolver.
 
 All randomness flows through numpy Generators seeded by an explicit seed
 argument, and the member sum runs in a fixed order, so outputs are
@@ -227,15 +217,15 @@ def _multiply_out(chain: list, z: np.ndarray, basis: np.ndarray) -> np.ndarray:
     member-last (4, 4, m) array, started from the first factor (the
     identity when `chain` is empty).
 
-    A factor is either (u0, rate, seg) as `ensemble_propagators` resolves a
-    segment -- the shared unitary u0 times the member phases
-    exp(-i rate z Jz/2) (none when rate is None), or the RF piece seg under
-    a gradient of rate when seg is not None, exponentiated here at z alone
-    (`_expm_members`) -- or fitted, the (32, N) coefficients of a run or
-    piece, evaluated with the first N rows of `basis` (T_k at z). u0
-    commutes with Jz, so member phases act on what is already multiplied
-    out as they are: rows 0 and 3 turn by their phase and u0's entry, and
-    rows 1-2 take u0's zero-quantum block, which no member phase reaches.
+    A factor is either (u0, rate, seg) as `_factors` resolves a segment --
+    the shared unitary u0 times the member phases exp(-i rate z Jz/2) (none
+    when rate is None), or the RF piece seg under a gradient of rate when
+    seg is not None, exponentiated here at z alone (`_expm_members`) -- or
+    fitted, the (32, N) coefficients of a run or piece, evaluated with the
+    first N rows of `basis` (T_k at z). u0 commutes with Jz, so member
+    phases act on what is already multiplied out as they are: rows 0 and 3
+    turn by their phase and u0's entry, and rows 1-2 take u0's zero-quantum
+    block, which no member phase reaches.
     """
     m = z.size
     u = eye = np.broadcast_to(np.eye(4, dtype=complex)[:, :, None], (4, 4, m))
@@ -294,84 +284,27 @@ def _dct(values: np.ndarray) -> np.ndarray:
 def _fit_run(run: list, n_terms: int, z_max: float, z_from: float) -> np.ndarray:
     """(32, N) coefficients (`_dct`) in z / z_max of the product of `run`,
     from one `_multiply_out` at the N Chebyshev points of [-z_max, z_max],
-    its fitted entries read in z / z_from; no exponential is taken there
-    unless an entry is an RF piece that no fit holds.
-
-    Where no entry is fitted yet, each RF piece is fitted alone first, with
-    the n_p terms of the run's widest piece: its exponentials at those n_p
-    points, one `_expm_members` call per batch of BLOCK // n_p pieces (each
-    column with its own h and dt, one batch in memory at a time), and a
-    DCT-II. They meet the same 1e-17 tail bound on [-z_max, z_max] as the
-    run's N, which the summed half-width of the run's delays sets, so n_p is
-    often far smaller. A run of one RF piece is its fit.
-    """
-    if not any(isinstance(f, np.ndarray) for f in run):
-        pieces = [f for f in run if f[2] is not None]
-        n_p = _term_count(max((abs(rate) * seg.duration * z_max for _, rate, seg in pieces), default=0.0))
-        z, per_batch, fits = z_max * np.cos(_angles(n_p)), BLOCK // n_p, []
-        for start in range(0, len(pieces), per_batch):
-            _, rates, segs = zip(*pieces[start:start + per_batch])
-            exps = _expm_members(np.repeat(np.stack([s.h for s in segs], axis=2), n_p, axis=2),
-                                 np.multiply.outer(rates, z).ravel(), np.repeat([s.duration for s in segs], n_p))
-            fits.extend(_dct(exps.reshape(16, -1, n_p).transpose(1, 0, 2)))
-        if len(run) == 1 and pieces:  # n_p is then N
-            return fits[0]
-        run, z_from = [fits.pop(0) if f[2] is not None else f for f in run], z_max
+    its fitted entries read in z / z_from; a run of one fitted entry read in
+    its own scale is that entry. Only an RF piece too wide to fit when the
+    factors were resolved takes an exponential here, in `_multiply_out`."""
+    if len(run) == 1 and isinstance(run[0], np.ndarray) and z_max == z_from:
+        return run[0]
     z = z_max * np.cos(_angles(n_terms))
     return _dct(_multiply_out(run, z, _basis(run, z, z_from)).reshape(16, n_terms))
 
 
-def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
-                         z: float | np.ndarray, reduce=None) -> np.ndarray:
-    """Exact propagator of one sequence at every member position at once:
-    (4, 4) for a scalar z, (n, 4, 4) for an array, and (P, n, 4, 4) for P
-    rows of n positions, such as the points of a sweep that scales one
-    waveform (a waveform eps w at z is the waveform w at eps z). Checked
-    unitary to 1e-10, block by block. `reduce`, if given, maps each checked
-    block's (m, 4, 4) propagators to m reals, and the call returns those in
-    the shape of z, so that it never holds more than a block of propagators.
-
-    The sequence is flattened once per call, and each segment resolved into
-    a factor: a unitary all members share (a rotation, or an exponential of
-    the gradient-free Hamiltonian cached by Hamiltonian and duration, for a
-    segment with no gradient or with z = 0 everywhere), that unitary times
-    the member phases exp(-i gamma z g dt Jz/2) (a segment that commutes
-    with Jz), or an RF piece under a gradient. Each is an entire function of
-    z of half-width w = gamma |g| dt max|z| (0 for a shared unitary).
-
-    Rows are taken in order of decreasing max|z|, and one builder makes
-    each row's chain from a source: it groups the source's entries into
-    runs while their summed w at the row's max|z| needs N < RUN_TERMS
-    Chebyshev terms for a tail bound below 1e-17 (`_half_widths`), whatever
-    the member count, and fits each run from one product at its N Chebyshev
-    points (`_fit_run`). An entry whose own N reaches RUN_TERMS enters the
-    chain as it is: member phases, or the per-member Taylor exponential
-    `_expm_members`. The first source is the factors, so the RF pieces are
-    fitted alone in the widest row's runs; narrower rows refit products.
-    Without a gradient (one molecule among them) the chain is one run with
-    N = 1. A row of equal width reuses the chain. The first chain becomes
-    the source, as does any later one of at most half the source's length,
-    so refits nest at most 1 + log2(L) deep for a widest chain of L
-    entries, and round-off does not grow with the number of rows; a row
-    that keeps the source multiplies out fewer than twice its own chain's.
-
-    Regrouping can merge a source's runs but never split one, so a row's
-    chain can be longer than the factors grouped afresh at its width: on
-    the shipped noisy_gate gate 84, 20 and 10 entries against 83, 19 and 9
-    at 50, 10 and 5 kHz/cm, 12 more block products per sweep. That is the
-    price of the cascade; grouping the factors afresh at every row, with
-    the RF pieces read from their widest-row fits, multiplies every factor
-    out again at each row and made the shipped noisy_gate about 20% slower.
-
-    Each block of at most BLOCK members of a row multiplies the chain out
-    in one `_multiply_out`, a fitted run being one real product with the
-    block's basis T_k(z / max|z|) (`_basis`).
-    """
-    z = np.asarray(z, dtype=float)
-    rows = z.reshape(math.prod(z.shape[:-1]), z.shape[-1] if z.ndim else 1)
-    row_max = np.abs(rows).max(axis=1, initial=0.0)  # NaN if any z of the row is
-    z_max = float(row_max.max(initial=0.0))
-    # a factor: (shared unitary or None, rad/s per metre of z or None, RF segment or None)
+def _factors(seq: PulseSequence, sys: SpinSystem, waveform, z_max: float) -> tuple[list, list]:
+    """The factors of the flattened sequence and their half-widths at
+    |z| <= z_max. A segment resolves into (shared unitary or None, rad/s per
+    metre of z or None, RF segment or None): a unitary all members share (a
+    rotation, or the gradient-free exponential cached by Hamiltonian and
+    duration), that unitary times the member phases exp(-i gamma z g dt
+    Jz/2) (a segment that commutes with Jz), or an RF piece under a
+    gradient, of half-width w = gamma |g| dt z_max. An RF piece whose
+    n_p = `_term_count(w)` is below RUN_TERMS becomes its (32, n_p) fit on
+    [-z_max, z_max]: a `_dct` of its exponentials at its n_p Chebyshev
+    points, taken in one `_expm_members` call per batch of at most
+    BLOCK // n_p pieces of equal n_p. A wider piece stays a tuple."""
     shared, factors = {}, []
     for seg in piecewise_segments(seq, sys, waveform):
         if seg.kind == "rotate":
@@ -391,20 +324,78 @@ def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
         if key not in shared:
             shared[key] = ops.expm_hermitian(seg.h, seg.duration)[:, :, None]
         factors.append((shared[key], rate, None))
+    widths = [0.0 if rate is None else abs(rate) * (seg.duration if seg else 1.0) * z_max for _, rate, seg in factors]
+    pieces: dict = {}  # n_p: indices of the RF pieces fitted at n_p terms
+    for i, w in enumerate(widths):
+        if factors[i][2] is not None and (n_p := _term_count(w)) < RUN_TERMS:
+            pieces.setdefault(n_p, []).append(i)
+    for n_p, indices in pieces.items():
+        z = z_max * np.cos(_angles(n_p))
+        for start in range(0, len(indices), BLOCK // n_p):
+            batch = indices[start:start + BLOCK // n_p]
+            _, rates, segs = zip(*(factors[i] for i in batch))
+            exps = _expm_members(np.repeat(np.stack([s.h for s in segs], axis=2), n_p, axis=2),
+                                 np.multiply.outer(rates, z).ravel(), np.repeat([s.duration for s in segs], n_p))
+            for i, fit in zip(batch, _dct(exps.reshape(16, -1, n_p).transpose(1, 0, 2))):
+                factors[i] = fit
+    return factors, widths
 
-    out = np.empty(rows.shape + (4, 4), dtype=complex) if reduce is None else np.empty(rows.shape)
-    # the source's entries and their half-widths at s_max: the factors' per metre of z
-    source, s_max = factors, 1.0
-    widths = [0.0 if rate is None else abs(rate) * (seg.duration if seg else 1.0) for _, rate, seg in factors]
-    for r in np.argsort(-row_max, kind="stable"):  # widest first; NaN rows, which carry no width, last
+
+def _chains(source: list, widths: list, row_max: np.ndarray, z_max: float):
+    """Yield (r, chain, c_max) for every row r in order of decreasing
+    max|z| (NaN rows, which carry no width, last): the row's chain, whose
+    fitted entries read z / c_max.
+
+    Each chain is built from a source, at first the factors at z_max: its
+    entries are grouped into runs while their summed w at the row's max|z|
+    needs N < RUN_TERMS Chebyshev terms for a tail bound below 1e-17
+    (`_half_widths`), whatever the member count, and each run is fitted
+    from one product at its N points (`_fit_run`). An entry whose own N
+    reaches RUN_TERMS enters as it is. A row of equal width reuses the
+    chain. The first chain becomes the source, as does any later one of at
+    most half the source's length, so refits nest at most 1 + log2(L) deep
+    for a widest chain of L entries and round-off does not grow with the
+    number of rows; the factors are not held past the first chain.
+
+    Regrouping merges a source's runs but never splits one, so the shipped
+    gate's chains at 50, 10 and 5 kHz/cm hold 84, 20 and 10 entries, not the
+    83, 19 and 9 of the factors grouped afresh: the price of the cascade, as
+    grouping afresh at every row made the shipped noisy_gate 20% slower.
+    """
+    s_max, c_max = z_max, None
+    for r in np.argsort(-row_max, kind="stable"):
         r_max = float(row_max[r])
-        if source is factors or r_max < c_max and any(widths):  # else the chain holds: same width, or none
+        if c_max is None or r_max < c_max and any(widths):  # else the chain holds: same width, or none
             scaled = [w * (r_max / s_max) if w else 0.0 for w in widths]
             runs = _group_runs(scaled)
             chain = [_fit_run(source[i:j], n, r_max, s_max) if n else source[i] for i, j, n in runs]
-            c_max = r_max  # the chain's fitted entries read z / c_max
-            if source is factors or 2 * len(chain) <= len(source):
+            if c_max is None or 2 * len(chain) <= len(source):
                 source, widths, s_max = chain, [sum(scaled[i:j]) for i, j, _ in runs], r_max
+            c_max = r_max
+        yield r, chain, c_max
+
+
+def ensemble_propagators(seq: PulseSequence, sys: SpinSystem, waveform,
+                         z: float | np.ndarray, reduce=None) -> np.ndarray:
+    """Exact propagator of one sequence at every member position at once:
+    (4, 4) for a scalar z, (n, 4, 4) for an array, and (P, n, 4, 4) for P
+    rows of n positions, such as the points of a sweep that scales one
+    waveform (a waveform eps w at z is the waveform w at eps z). Checked
+    unitary to 1e-10, block by block. `reduce`, if given, maps each checked
+    block's (m, 4, 4) propagators to m reals, and the call returns those in
+    the shape of z, so that it never holds more than a block of propagators.
+
+    The factors are resolved once per call, at the widest row's max|z|
+    (`_factors`), and each row's chain planned from them (`_chains`); each
+    block of at most BLOCK members multiplies its row's chain out in one
+    `_multiply_out`, a fitted run being one real product with T_k(z / c_max).
+    """
+    z = np.asarray(z, dtype=float)
+    rows = z.reshape(math.prod(z.shape[:-1]), z.shape[-1] if z.ndim else 1)
+    row_max = np.abs(rows).max(axis=1, initial=0.0)  # NaN if any z of the row is
+    z_max = float(row_max.max(initial=0.0))
+    out = np.empty(rows.shape + (4, 4), dtype=complex) if reduce is None else np.empty(rows.shape)
+    for r, chain, c_max in _chains(*_factors(seq, sys, waveform, z_max), row_max, z_max):
         for start in range(0, rows.shape[1], BLOCK):
             zs = rows[r, start:start + BLOCK]
             u = _multiply_out(chain, zs, _basis(chain, zs, c_max))

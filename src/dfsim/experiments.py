@@ -14,7 +14,8 @@ Five experiments reproduce the storage and encoded-control studies:
                     (coherence metric curves);
 * ``gates``      -- noiseless finite-duration encoded gates (gate F_e and
                     code-space residence);
-* ``noisy_gate`` -- the composite y rotation under one random-walk
+* ``noisy_gate`` -- an encoded gate of GATES (sweep.gate, by default
+                    the composite y rotation) under one random-walk
                     gradient noise shape of swept strength (F_e; fe_stderr,
                     the member spread over the midpoint quadrature nodes of
                     one waveform realization divided by sqrt(n), see

@@ -205,6 +205,8 @@ def state_trajectory(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray):
     segments are eigendecomposed in one call; the walk is one propagator
     product per segment (a rotation is one more, where it falls, and
     contributes no time), and the states and means are stacked products.
+    Absolute eigenphases w T cost digits at huge chemical shifts: 1.1e-10
+    at nu2 = 1e12 Hz, 5e-15 on the default system.
     """
     segments = piecewise_segments(seq, sys)
     evolve = [seg for seg in segments if seg.kind == "evolve"]

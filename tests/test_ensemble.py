@@ -252,30 +252,24 @@ def rf_pieces(seq, sys, wf):
             if s.kind == "evolve" and s.grad != 0.0 and not commutes_with_jz(s.h)]
 
 
-def is_refit(run) -> bool:
-    """Whether a run handed to `_fit_run` holds a fitted entry, as a
-    narrower row's refit of a source chain does, rather than resolved
-    factors alone."""
-    return any(isinstance(f, np.ndarray) for f in run)
+def plan(seq, sys, wf, zs):
+    """(factors, widths, [(row, chain), ...]): what the engine resolves and
+    plans at positions zs, before any block is evaluated; rows widest
+    first."""
+    row_max = np.abs(np.atleast_2d(zs)).max(axis=1, initial=0.0)
+    z_max = float(row_max.max(initial=0.0))
+    factors, widths = ensemble._factors(seq, sys, wf, z_max)
+    return factors, widths, [(r, chain) for r, chain, _ in ensemble._chains(factors, widths, row_max, z_max)]
 
 
-def run_fit_spy(monkeypatch) -> list:
-    """(N, factors) of every run of resolved factors the engine then
-    evaluates as a Chebyshev series in z; refits are left out."""
-    calls = []
-    fit = ensemble._fit_run
-
-    def spy(factors, n_terms, *args):
-        if not is_refit(factors):
-            calls.append((n_terms, factors))
-        return fit(factors, n_terms, *args)
-    monkeypatch.setattr(ensemble, "_fit_run", spy)
-    return calls
+def terms(entries) -> list:
+    """N of each fitted entry (its columns), None for an entry left as it is."""
+    return [f.shape[1] if isinstance(f, np.ndarray) else None for f in entries]
 
 
-def fitted_rf_pieces(calls) -> int:
-    """How many RF pieces under a gradient the spied runs hold."""
-    return sum(seg is not None for _, factors in calls for _, _, seg in factors)
+def fitted(factors) -> list:
+    """`terms` of the RF pieces among `factors`: None for one too wide to fit."""
+    return terms(f for f in factors if isinstance(f, np.ndarray) or f[2] is not None)
 
 
 class TestTaylorKernel:
@@ -306,13 +300,13 @@ class TestTaylorKernel:
         def no_eigh(*args, **kwargs):
             raise AssertionError("np.linalg.eigh called")
 
-        # enough members that every RF piece is fitted in a run
+        # every RF piece is fitted when the factors are resolved
         zs = np.linspace(-4e-3, 3e-3, 64)
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        calls = run_fit_spy(monkeypatch)
         us = ensemble_propagators(RF_SEQUENCE, spin_system, RF_WAVEFORM, zs)
+        n_p = fitted(plan(RF_SEQUENCE, spin_system, RF_WAVEFORM, zs)[0])
         monkeypatch.undo()
-        assert fitted_rf_pieces(calls) == len(rf_pieces(RF_SEQUENCE, spin_system, RF_WAVEFORM))
+        assert len(n_p) == len(rf_pieces(RF_SEQUENCE, spin_system, RF_WAVEFORM)) and None not in n_p
         # the residence trajectory diagonalizes each evolve segment's h, by eigh
         rho0 = code_state(rng)
         steps = list(state_trajectory(RF_SEQUENCE, spin_system, rho0))
@@ -340,10 +334,10 @@ class TestTaylorKernel:
             assert np.abs(u - segments_oracle_30_digits(segments, spin_system, z)).max() <= 1e-10
 
     def test_batches_fill_block_columns(self, spin_system, monkeypatch):
-        # only fits batch RF pieces: BLOCK // n_p pieces of n_p points per
-        # Taylor call, whose columns share one squaring count, and each column
-        # is still its own exponential; at this gradient many pieces are too
-        # wide to fit, and each takes one call at the 100 members
+        # the spy stays, as no plan output shows a batch's columns: fits batch
+        # BLOCK // n_p pieces of one n_p per Taylor call, whose columns share
+        # one squaring count, each still its own exponential; here many pieces
+        # are too wide to fit, and each takes one call at the 100 members
         seq = nominal_composite_y90(spin_system)
         wf = noise_waveform(seq, khz_per_cm_to_t_per_m(1000.0))
         zs = member_positions(EnsembleSpec(n_members=100))
@@ -385,8 +379,8 @@ class TestChebyshevPieces:
     def test_members_match_scipy_expm(self, h, angle, log_w, sign, offset, seed):
         # one RF piece of half-width about 10^log_w rad, at about as many
         # members as the term count N it needs: whatever the member count, it
-        # is fitted as a run of one when N < RUN_TERMS, and otherwise takes
-        # its own Taylor exponential
+        # is fitted when N < RUN_TERMS, and otherwise takes its own Taylor
+        # exponential; either way the chain's one entry is the factor itself
         sys, dt, z_max = SpinSystem(), 30e-6, 5e-3
         segment = Segment("evolve", dt, h * (angle / dt), sign * 10.0 ** log_w / (sys.gamma * z_max * dt))
         n_terms = int(np.searchsorted(_half_widths(), abs(sys.gamma * segment.grad) * z_max * dt)) + 1
@@ -394,25 +388,26 @@ class TestChebyshevPieces:
         zs[0] = z_max
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ensemble, "piecewise_segments", lambda *args: [segment])
-            calls = run_fit_spy(mp)
             us = ensemble_propagators(None, sys, None, zs)
-        assert [(n, len(factors)) for n, factors in calls] == ([(n_terms, 1)] if n_terms < RUN_TERMS else [])
+            factors, _, ((_, chain),) = plan(None, sys, None, zs)
+        assert fitted(factors) == [n_terms if n_terms < RUN_TERMS else None]
+        assert len(chain) == 1 and chain[0] is factors[0]
         jz_half = np.diag(ops.SPIN_PROJECTION)
         for z, u in zip(zs, us):
             exact = scipy.linalg.expm(-1j * (segment.h + sys.gamma * z * segment.grad * jz_half) * dt)
             assert np.abs(u - exact).max() <= 1e-12
 
-    def test_composite_y90_at_100_khz_per_cm(self, spin_system, monkeypatch):
-        # the shipped sweep's strongest point: at 101 members every RF piece
-        # of the prefix is fitted in a run, checked against the 30-digit oracle
+    def test_composite_y90_at_100_khz_per_cm(self, spin_system):
+        # the shipped sweep's strongest point: every RF piece of the prefix
+        # is fitted, some run holds several; against the 30-digit oracle
         seq = nominal_composite_y90(spin_system)
         wf = noise_waveform(seq, khz_per_cm_to_t_per_m(100.0))
         prefix = PulseSequence(seq.events[:16])
         zs = member_positions(EnsembleSpec(n_members=101))
-        calls = run_fit_spy(monkeypatch)
         us = ensemble_propagators(prefix, spin_system, wf, zs)
-        assert fitted_rf_pieces(calls) == len(rf_pieces(prefix, spin_system, wf)) >= 10
-        assert any(fitted_rf_pieces([call]) > 1 for call in calls)
+        factors, widths, _ = plan(prefix, spin_system, wf, zs)
+        assert None not in fitted(factors) and len(fitted(factors)) == len(rf_pieces(prefix, spin_system, wf)) >= 10
+        assert any(len(fitted(factors[i:j])) > 1 for i, j, _ in ensemble._group_runs(widths))
         segments = piecewise_segments(prefix, spin_system, wf)
         for i in (0, 50, 100):
             assert np.abs(us[i] - segments_oracle_30_digits(segments, spin_system, zs[i])).max() <= 1e-12
@@ -420,37 +415,6 @@ class TestChebyshevPieces:
     def test_term_count_table_is_increasing(self):
         assert _half_widths().shape == (RUN_TERMS,)
         assert np.all(np.diff(_half_widths()) > 0)
-
-
-def term_count(w: float) -> int:
-    return int(np.searchsorted(_half_widths(), w)) + 1 if w else 1
-
-
-def fit_work_spy(monkeypatch) -> tuple[list, list]:
-    """(N, n_p, RF pieces) of every fitted run of resolved factors, with
-    n_p the term count of its widest piece, and (index of the run being
-    fitted or None, columns) of every `_expm_members` call; refits are left
-    out, and a column taken inside one counts as outside any run."""
-    runs, columns, inside = [], [], [None]
-    fit, expm = ensemble._fit_run, ensemble._expm_members
-
-    def fit_spy(factors, n_terms, z_max, *args):
-        if is_refit(factors):
-            return fit(factors, n_terms, z_max, *args)
-        widths = [abs(rate) * seg.duration * z_max for _, rate, seg in factors if seg is not None]
-        runs.append((n_terms, term_count(max(widths, default=0.0)), len(widths)))
-        inside[0] = len(runs) - 1
-        try:
-            return fit(factors, n_terms, z_max, *args)
-        finally:
-            inside[0] = None
-
-    def expm_spy(h, shifts, *args):
-        columns.append((inside[0], shifts.size))
-        return expm(h, shifts, *args)
-    monkeypatch.setattr(ensemble, "_fit_run", fit_spy)
-    monkeypatch.setattr(ensemble, "_expm_members", expm_spy)
-    return runs, columns
 
 
 class TestRuns:
@@ -471,22 +435,17 @@ class TestRuns:
         # into several runs and some factors stay unfitted
         wf = GradientWaveform(wf.step_time, wf.values * 10.0 ** log_scale)
         zs = np.random.default_rng(seed).uniform(-5e-3, 5e-3, n)
-        groups = []
-        group = ensemble._group_runs
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ensemble, "_group_runs", lambda widths: groups.append((widths, group(widths))) or groups[-1][1])
-            calls = run_fit_spy(mp)
-            us = ensemble_propagators(seq, sys, wf, zs)
-        ((widths, runs),) = groups
-        assert len(widths) == len(piecewise_segments(seq, sys, wf))
+        us = ensemble_propagators(seq, sys, wf, zs)
+        factors, widths, ((_, chain),) = plan(seq, sys, wf, zs)
+        runs = ensemble._group_runs(widths)
+        assert len(widths) == len(factors) == len(piecewise_segments(seq, sys, wf))
         assert [start for start, _, _ in runs] + [len(widths)] == [0] + [stop for _, stop, _ in runs]
         for start, stop, n_terms in runs:
             if n_terms is None:
-                assert stop == start + 1 and term_count(widths[start]) >= RUN_TERMS
+                assert stop == start + 1 and ensemble._term_count(widths[start]) >= RUN_TERMS
             else:
-                assert n_terms == term_count(sum(widths[start:stop])) < RUN_TERMS
-        assert [(n_terms, stop - start) for start, stop, n_terms in runs if n_terms is not None] == \
-            [(n_terms, len(factors)) for n_terms, factors in calls]
+                assert n_terms == ensemble._term_count(sum(widths[start:stop])) < RUN_TERMS
+        assert terms(chain) == [n_terms for _, _, n_terms in runs]
         for i in (0, n // 2, n - 1):
             assert np.abs(us[i] - expm_oracle(seq, sys, wf, zs[i])).max() <= 1e-10
 
@@ -494,45 +453,43 @@ class TestRuns:
     @given(spin_systems, sequences, st.none() | waveforms.map(lambda wf: GradientWaveform(wf.step_time, 0 * wf.values)))
     def test_zero_gradient_is_one_run_of_one_term(self, sys, seq, wf):
         zs = np.linspace(-5e-3, 5e-3, 7)
-        with pytest.MonkeyPatch.context() as mp:
-            calls = run_fit_spy(mp)
-            us = ensemble_propagators(seq, sys, wf, zs)
-        assert [(n_terms, len(factors)) for n_terms, factors in calls] == [
-            (1, len(piecewise_segments(seq, sys, wf)))]
+        us = ensemble_propagators(seq, sys, wf, zs)
+        factors, _, chains = plan(seq, sys, wf, zs)
+        assert len(factors) == len(piecewise_segments(seq, sys, wf)) and fitted(factors) == []
+        assert [terms(chain) for _, chain in chains] == [[1]]
         oracle = expm_oracle(seq, sys, wf, 0.0)
         assert max(np.abs(u - oracle).max() for u in us) <= 1e-10
 
-    def test_pieces_are_fitted_at_their_own_term_count(self, spin_system, monkeypatch):
+    def test_pieces_are_fitted_at_their_own_term_count(self, spin_system):
         # in composite_y90 the 630 us delays set a run's N; each RF piece is
-        # fitted alone at the n_p < N terms of the run's widest piece, so
-        # no exponential is taken at the run's N points
+        # fitted alone at the n_p < N terms its own half-width needs, so no
+        # exponential is taken at the run's N points
         seq = nominal_composite_y90(spin_system)
         wf = noise_waveform(seq, khz_per_cm_to_t_per_m(1.0))
-        runs, columns = fit_work_spy(monkeypatch)
-        ensemble_propagators(seq, spin_system, wf, member_positions(EnsembleSpec(n_members=1001)))
-        assert sum(k for _, _, k in runs) > 100
-        for i, (n_terms, n_p, pieces) in enumerate(runs):
-            counts = [c for run, c in columns if run == i]
-            assert n_p < n_terms and all(c % n_p == 0 for c in counts)
-            assert sum(counts) == n_p * pieces
-        # each piece at its run's N points, as when pieces were not fitted alone
-        unfitted = sum(c for run, c in columns if run is None) + sum(n * k for n, _, k in runs)
-        assert 3 * sum(c for _, c in columns) <= unfitted
+        factors, widths, _ = plan(seq, spin_system, wf, member_positions(EnsembleSpec(n_members=1001)))
+        pieces = [(i, n_terms) for start, stop, n_terms in ensemble._group_runs(widths)
+                  for i in range(start, stop) if isinstance(factors[i], np.ndarray)]
+        assert len(pieces) == len(rf_pieces(seq, spin_system, wf)) > 100
+        for i, n_terms in pieces:
+            assert factors[i].shape[1] == ensemble._term_count(widths[i]) < n_terms
+        # a third of the columns of each piece at its run's N points
+        assert 3 * sum(factors[i].shape[1] for i, _ in pieces) <= sum(n for _, n in pieces)
 
-    def test_mixed_run_matches_expm_oracle(self, spin_system, monkeypatch):
-        # long delays and short pulses in one run: N from the delays, n_p
-        # from the pulses
+    def test_mixed_run_matches_expm_oracle(self, spin_system):
+        # long delays and short pulses in one run: N from the delays, each
+        # n_p from its pulse, and the chain is that one fitted run
         pulse = RfPulse(math.pi / 2 / 62.4e-6, 0.4, 62.4e-6)
         seq = PulseSequence((Delay(630e-6), pulse, Delay(630e-6), IdealRotation("pi_x_pair"),
                              Delay(630e-6), RfPulse(pulse.amplitude, 1.9, 124.8e-6), Delay(315e-6), pulse))
         wf = static_waveform(3.6e-3)
         zs = np.linspace(-5e-3, 5e-3, 101)
-        runs, columns = fit_work_spy(monkeypatch)
         us = ensemble_propagators(seq, spin_system, wf, zs)
-        ((n_terms, n_p, pieces),) = runs
-        assert pieces == len(rf_pieces(seq, spin_system, wf)) == 3
-        assert n_p < n_terms / 2 < RUN_TERMS
-        assert {run for run, _ in columns} == {0} and sum(c for _, c in columns) == n_p * pieces
+        factors, widths, ((_, chain),) = plan(seq, spin_system, wf, zs)
+        ((_, _, n_terms),) = ensemble._group_runs(widths)
+        n_p = fitted(factors)
+        assert len(n_p) == len(rf_pieces(seq, spin_system, wf)) == 3 and None not in n_p
+        assert max(n_p) < n_terms / 2 < RUN_TERMS
+        assert terms(chain) == [n_terms]
         for z, u in zip(zs, us):
             assert np.abs(u - expm_oracle(seq, spin_system, wf, z)).max() <= 1e-12
 
@@ -851,37 +808,24 @@ class TestRows:
         assert us.shape == (1, 101, 4, 4)
         assert us.tobytes() == ensemble_propagators(seq, spin_system, wf, zs).tobytes()
 
-    def test_runs_are_fitted_once_at_the_widest_row(self, monkeypatch):
-        # the shipped sweep's gate (seed 42, 1001 members): every run that
-        # holds an RF piece is fitted at the 100 kHz/cm row, every exponential
-        # is taken inside such a fit, and each narrower row refits a wider
-        # row's chain with products alone, into the chain lengths the README
-        # quotes; every row agrees with that row alone (measured 4.6e-13 at
-        # most)
+    def test_runs_are_fitted_once_at_the_widest_row(self):
+        # the shipped sweep's gate (seed 42, 1001 members): all 141 RF pieces
+        # of its 206 factors are fitted at the 100 kHz/cm row, in 3604
+        # exponential columns; no chain, widest first, holds an unfitted
+        # piece, so narrower rows refit with products alone, into the README's
+        # chain lengths; every row agrees with that row alone (4.6e-13 at most)
         sys = SpinSystem()
         seq = composite_y90(sys)
         khz = [0.0, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0]
         zs = np.multiply.outer([khz_per_cm_to_t_per_m(x) for x in khz], member_positions(EnsembleSpec()))
         wf = random_walk_waveform(math.ceil(seq.duration / DEFAULT_STEP_TIME) + 1, 42)
-        runs, columns = fit_work_spy(monkeypatch)
-        widths, fit = [], ensemble._fit_run  # z_max of each run in `runs`
-
-        def width_spy(fs, n, z_max, z_from):
-            if not is_refit(fs):
-                widths.append(z_max)
-            return fit(fs, n, z_max, z_from)
-        monkeypatch.setattr(ensemble, "_fit_run", width_spy)
-        multiply, products = ensemble._multiply_out, []
-        monkeypatch.setattr(ensemble, "_multiply_out", lambda *args: products.append(args) or multiply(*args))
         us = ensemble_propagators(seq, sys, wf, zs)
-        widest = np.abs(zs[-1]).max()
-        assert len(widths) == len(runs) > 1
-        assert {w for w, (_, _, pieces) in zip(widths, runs) if pieces} == {widest}
-        assert columns and all(run is not None and widths[run] == widest for run, _ in columns)
-        # the four blocks of each row read the row's own positions, widest row first
-        chains = [len(chain) for chain, z, _ in products if np.shares_memory(z, zs)][::4]
-        assert chains == [113, 84, 40, 20, 10, 4, 2, 1, 1, 1, 1]
-        monkeypatch.undo()
+        factors, _, chains = plan(seq, sys, wf, zs)
+        n_p = fitted(factors)
+        assert (len(factors), len(n_p), sum(n_p)) == (206, 141, 3604)
+        assert [r for r, _ in chains] == list(range(10, -1, -1))
+        assert [len(chain) for _, chain in chains] == [113, 84, 40, 20, 10, 4, 2, 1, 1, 1, 1]
+        assert all(None not in fitted(chain) for _, chain in chains)
         for row, u in zip(zs, us):
             assert np.abs(u - ensemble_propagators(seq, sys, wf, row)).max() <= 1e-12
 
@@ -925,17 +869,15 @@ class TestRows:
         u = ensemble._multiply_out([fitted, (u0, rate, None)], z, np.eye(n))
         assert np.abs(u - ensemble._matmul(u0 * phases, q)).max() <= 1e-15
 
-    def test_a_run_of_one_rf_piece_is_its_fit(self, spin_system, monkeypatch):
-        # the piece's own fit, at n_p = N terms, is the run's coefficients:
-        # the one product is the block's, with no second one (and DCT-II) at
-        # the same N points
+    def test_a_run_of_one_rf_piece_is_its_fit(self, spin_system):
+        # the piece's own fit, at n_p = N terms, is the run's coefficients,
+        # with no second product (and DCT-II) at the same N points
         seq = PulseSequence((RfPulse(math.pi / 2 / 62.4e-6, 0.4, 62.4e-6),))
         wf, zs = static_waveform(5e-3), np.linspace(-5e-3, 5e-3, 101)  # w = 0.42 rad
-        multiply, products = ensemble._multiply_out, []
-        monkeypatch.setattr(ensemble, "_multiply_out", lambda *args: products.append(args) or multiply(*args))
-        calls = run_fit_spy(monkeypatch)
         us = ensemble_propagators(seq, spin_system, wf, zs)
-        assert [len(factors) for _, factors in calls] == [1] and len(products) == 1
+        factors, _, ((_, chain),) = plan(seq, spin_system, wf, zs)
+        assert len(fitted(factors)) == 1 and None not in fitted(factors)
+        assert len(chain) == 1 and chain[0] is factors[0]
         for z, u in zip(zs, us):
             assert np.abs(u - expm_oracle(seq, spin_system, wf, z)).max() <= 1e-12
 

@@ -45,6 +45,30 @@ def test_every_allowed_import_is_still_unread():
     assert all(name in unread_imports(SRC / f"{module}.py") for module, name in ALLOWED)
 
 
+# private dfsim.ensemble names a test may monkeypatch, each with its reason;
+# tests read the engine's other work off what `_factors` and `_chains` return
+PATCHABLE = {
+    "_expm_members": "the column bound on each Taylor batch, which no plan output shows",
+    "_multiply_out": "the non-unitary block injection in TestReduce",
+}
+
+
+def ensemble_patches() -> set[str]:
+    """Private names of dfsim.ensemble that a setattr call in tests/*.py replaces."""
+    calls = [node for path in (ROOT / "tests").glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and "setattr" in ast.unparse(node.func) and len(node.args) >= 2]
+    return {call.args[1].value for call in calls if ast.unparse(call.args[0]) == "ensemble"
+            and isinstance(call.args[1], ast.Constant) and str(call.args[1].value).startswith("_")}
+
+
+def test_tests_patch_only_allowed_engine_names():
+    assert ensemble_patches() - PATCHABLE.keys() == set()
+
+
+def test_every_patchable_engine_name_is_still_patched():
+    assert PATCHABLE.keys() <= ensemble_patches()
+
+
 def module_definitions(path: Path) -> set[str]:
     """Names the top level of `path` binds by def, class or assignment."""
     names = set()
