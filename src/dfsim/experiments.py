@@ -51,7 +51,7 @@ from .ensemble import (
     member_positions,
     random_walk_waveform,
 )
-from .errors import ConfigError, NumericalContractError
+from .errors import ConfigError
 from .hamiltonians import SpinSystem
 from .metrics import (
     ENTANGLEMENT_THRESHOLD,
@@ -339,16 +339,15 @@ def _gate(name: str, sys: SpinSystem) -> tuple[PulseSequence, np.ndarray]:
 
 def gates_experiment(sys: SpinSystem, sweep: dict):
     """Noiseless encoded gates: fidelity against the ideal rotation and the
-    fraction of the gate time spent inside the code space."""
+    fraction of the gate time spent inside the code space, starting from
+    the code space's maximally mixed state."""
     names = _sweep_values(sweep, "gates", known=GATES)
-    _, p_zero, _ = ops.zq_projectors()
-    rho_code = p_zero / 2
     rows, reports = [], []
     for name in names:
         seq, target = _gate(name, sys)
         u = propagator(seq, sys)
         fe = float(member_gate_fidelities(u[None, :, :], target)[0])
-        residence = dfs_residence_fraction(seq, sys, rho_code)
+        residence = dfs_residence_fraction(seq, sys)
         rows.append({"gate": name, "fe": fe, "dfs_residence": residence})
         reports.append(FidelityReport(label=name, fe=fe, metadata={
             "dfs_residence": residence, "duration_s": seq.duration}))
@@ -392,8 +391,6 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
     mem_seq = PulseSequence((Delay(seq.duration),))
     u_free = propagator(mem_seq, sys)
     mem_target = data_blocks(u_free, encoded=True)[0]
-    if not ops.is_unitary(mem_target):
-        raise NumericalContractError("free evolution left the code space: held-memory target is not unitary")
 
     zs = member_positions(spec)
     n_steps = int(math.ceil(min(seq.duration / step_time, MAX_WAVEFORM_STEPS))) + 1

@@ -23,7 +23,7 @@ Kraus operators A. The batched gate fidelity of unitaries always reads
 them between encode and decode; a channel is read either way.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -169,15 +169,7 @@ class FidelityReport:
                 raise ValueError(f"{name}={v} outside [0, 1]")
 
     def to_dict(self) -> dict:
-        d = {
-            "label": self.label,
-            "f0": self.f0,
-            "fplus": self.fplus,
-            "fplusi": self.fplusi,
-            "fe": self.fe,
-            "fbar": self.fbar,
-            "coherence": self.coherence,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "metadata"}
         if self.fe is not None:
             d["fe_above_threshold"] = bool(self.fe > ENTANGLEMENT_THRESHOLD)
         d.update(self.metadata)

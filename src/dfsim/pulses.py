@@ -226,17 +226,12 @@ def state_trajectory(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray):
     yield from zip(means, dt.tolist(), v @ (r * np.exp(-1j * x)) @ vh)
 
 
-def dfs_residence_fraction(seq: PulseSequence, sys: SpinSystem, rho0: np.ndarray) -> float:
-    """Time average of the code-space population over a sequence: the
-    segment means of `state_trajectory`, weighted by their durations.
-
-    rho0 must be supported on the code space (population within 1e-10 of 1).
-    """
+def dfs_residence_fraction(seq: PulseSequence, sys: SpinSystem) -> float:
+    """Time average of the code-space population over a sequence that starts
+    in the code space's maximally mixed state P_zero / 2: the segment means
+    of `state_trajectory`, weighted by their durations."""
     _, p_zero, _ = ops.zq_projectors()
-    pop0 = float(np.trace(p_zero @ np.asarray(rho0)).real)
-    if not abs(pop0 - 1.0) <= 1e-10:
-        raise ValueError(f"rho0 is not supported on the code space (population {pop0:.6f})")
-    steps = list(state_trajectory(seq, sys, rho0))
+    steps = list(state_trajectory(seq, sys, p_zero / 2))
     if not steps:
         raise ValueError("sequence has no finite-duration events")
     means, dts = np.array([mean for mean, _, _ in steps]), np.array([dt for _, dt, _ in steps])

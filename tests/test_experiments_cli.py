@@ -627,16 +627,6 @@ class TestRunAndCli:
         assert cli.main(["crusher", "--out", str(tmp_path)]) == 3
         assert "numerical contract" in capsys.readouterr().err
 
-    def test_cli_noisy_gate_contract_exit_code(self, tmp_path, monkeypatch, capsys):
-        # a held-memory target that is not unitary breaks the noisy-gate contract
-        monkeypatch.setattr(experiments, "data_blocks", lambda us, encoded: 2 * np.eye(2)[None])
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({"ensemble": {"n_members": 3},
-                                    "sweep": {"grad_max_khz_per_cm": [0.0]}}))
-        code = cli.main(["noisy-gate", "--config", str(path), "--seed", "1", "--out", str(tmp_path)])
-        assert code == 3
-        assert "numerical contract" in capsys.readouterr().err
-
     @pytest.mark.parametrize("nu2, code", [(2e8, 0), (1e9, 3)])
     def test_cli_noisy_gate_large_shift_exit_code(self, tmp_path, capsys, nu2, code):
         # at 3 members the RF pieces are fitted as for a full ensemble, so the

@@ -336,29 +336,21 @@ class TestBuilders:
 
 class TestResidence:
     def test_delay_only_is_one(self, spin_system):
-        _, p_zero, _ = ops.zq_projectors()
-        frac = dfs_residence_fraction(PulseSequence((Delay(5e-3),)), spin_system, p_zero / 2)
+        frac = dfs_residence_fraction(PulseSequence((Delay(5e-3),)), spin_system)
         assert frac == pytest.approx(1.0, abs=1e-9)
 
     def test_enc_x_stays_mostly_protected(self, spin_system):
-        _, p_zero, _ = ops.zq_projectors()
-        frac = dfs_residence_fraction(enc_x(math.pi / 2, spin_system), spin_system, p_zero / 2)
+        frac = dfs_residence_fraction(enc_x(math.pi / 2, spin_system), spin_system)
         assert type(frac) is float and frac >= 0.90
 
     def test_continuous_drive_is_worse_than_pulsed(self, spin_system):
-        _, p_zero, _ = ops.zq_projectors()
-        pulsed = dfs_residence_fraction(enc_x(math.pi / 2, spin_system), spin_system, p_zero / 2)
+        pulsed = dfs_residence_fraction(enc_x(math.pi / 2, spin_system), spin_system)
         seq = enc_x(math.pi / 2, spin_system)
         total, n_pulses = seq.duration, 64
         continuous = PulseSequence(
             (RfPulse(n_pulses * math.pi / total, 0.0, total),))
-        cw = dfs_residence_fraction(continuous, spin_system, p_zero / 2)
+        cw = dfs_residence_fraction(continuous, spin_system)
         assert cw < pulsed
-
-    def test_rejects_state_outside_code_space(self, spin_system):
-        rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-        with pytest.raises(ValueError):
-            dfs_residence_fraction(PulseSequence((Delay(1e-3),)), spin_system, rho)
 
 
 def residence_oracle(seq, sys, rho0):
@@ -494,25 +486,22 @@ class TestTrajectory:
                              ids=["enc_x_90", "composite_y90"])
     def test_residence_matches_van_loan_oracle(self, spin_system, build):
         seq = build(spin_system)
-        rho0 = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
-        got = dfs_residence_fraction(seq, spin_system, rho0)
-        assert abs(got - residence_oracle(seq, spin_system, rho0)) <= 1e-12
+        got = dfs_residence_fraction(seq, spin_system)
+        assert abs(got - residence_oracle(seq, spin_system, ops.zq_projectors()[1] / 2)) <= 1e-12
 
     def test_residence_matches_30_digit_oracle(self, spin_system):
         seq = PulseSequence(enc_x(math.pi / 32, spin_system).events + self.SEQ_TAIL)
         assert len(seq.events) == 16  # 12 of enc_x, the rotation and the composite's three pulses
-        rho0 = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
-        got = dfs_residence_fraction(seq, spin_system, rho0)
-        assert abs(got - residence_oracle_30_digits(seq, spin_system, rho0)) <= 1e-14
+        got = dfs_residence_fraction(seq, spin_system)
+        assert abs(got - residence_oracle_30_digits(seq, spin_system, ops.zq_projectors()[1] / 2)) <= 1e-14
 
     @pytest.mark.parametrize("frac", [0.5, 0.3])
     def test_residence_does_not_depend_on_cuts(self, spin_system, frac):
         seq = enc_x(math.pi / 2, spin_system)
-        rho0 = ops.zq_projectors()[1] / 2
         split = cut(seq, frac)
         assert len(split.events) == 2 * len(seq.events)
-        got = dfs_residence_fraction(split, spin_system, rho0)
-        assert abs(got - dfs_residence_fraction(seq, spin_system, rho0)) <= 1e-13
+        got = dfs_residence_fraction(split, spin_system)
+        assert abs(got - dfs_residence_fraction(seq, spin_system)) <= 1e-13
 
     @pytest.mark.parametrize("build", [lambda sys: enc_x(math.pi / 2, sys), composite_y90],
                              ids=["enc_x_90", "composite_y90"])
@@ -536,7 +525,7 @@ class TestTrajectory:
         seq, rho0 = PulseSequence(events), ops.zq_projectors()[1] / 2
         assert list(state_trajectory(seq, spin_system, rho0)) == []
         with pytest.raises(ValueError, match="no finite-duration events"):
-            dfs_residence_fraction(seq, spin_system, rho0)
+            dfs_residence_fraction(seq, spin_system)
 
     @pytest.mark.parametrize("build", [lambda sys: enc_z(math.pi / 2, sys), lambda sys: enc_x(math.pi / 2, sys),
                                        composite_y90], ids=["enc_z_90", "enc_x_90", "composite_y90"])

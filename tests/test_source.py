@@ -1,7 +1,7 @@
 """Source checks: every name a dfsim module imports is read in that module,
 every name it defines at module level is read somewhere in src/ or tests/,
-and every function it defines is called by an experiment or an acceptance
-criterion."""
+every function it defines is called by an experiment or an acceptance
+criterion, and the package root binds only its documented surface."""
 
 import ast
 import json
@@ -19,7 +19,7 @@ SRC = ROOT / "src" / "dfsim"
 ALLOWED = {
     ("experiments", "diffusion_phase_kicks"): "perfbench/tracer.py patches this name in this module",
 }
-# __init__.py imports to re-export
+# every dfsim module but the package root
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
 
 
@@ -127,6 +127,11 @@ sys.exit(exit_code)
 """
 
 
+def src_env() -> dict:
+    """The environment with src/ first on PYTHONPATH, for a fresh interpreter."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+
 def function_lines(path: Path) -> dict[int, str]:
     """Name of each top-level function and each method of a top-level class
     of `path`, by its code object's first line (its first decorator's)."""
@@ -149,9 +154,8 @@ def uncalled(tmp_path_factory):
     assert len(commands) == 5
     for command in commands:
         command[command.index("--out") + 1] = str(tmp / "results")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", PROFILE, str(tmp / "called.json"), json.dumps(commands)],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+                          cwd=ROOT, env=src_env(), capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
     called = {(os.path.realpath(file), line) for file, line in json.loads((tmp / "called.json").read_text())}
     return {(path.stem, name) for path in SRC.glob("*.py") for line, name in function_lines(path).items()
@@ -166,3 +170,29 @@ def test_every_function_is_called_by_an_experiment_or_criterion(uncalled):
 def test_every_oracle_is_still_uncalled(uncalled):
     called = [f"{module}.{name}" for module, name in sorted(ORACLES.keys() - uncalled)]
     assert not called, f"called, so no longer an oracle: {', '.join(called)}"
+
+
+def root_bindings() -> set[str]:
+    """Names the top level of dfsim/__init__.py binds by import or assignment."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    names = {alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    return names | {n.id for node in tree.body if isinstance(node, ast.Assign)
+                    for target in node.targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+
+
+def test_root_binds_the_documented_surface():
+    block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+    example = {alias.name for node in ast.parse(block).body if isinstance(node, ast.ImportFrom)
+               and node.module == "dfsim" for alias in node.names}
+    assert len(example) == 6
+    assert root_bindings() == example | {"ExperimentConfig", "config_from_dict", "run", "ConfigError",
+                                         "DfsimError", "NumericalContractError", "__version__"}
+
+
+def test_import_loads_every_module_but_the_cli():
+    # perfbench/worker.py times `import dfsim` in setup_s, so a trimmed root must load as much
+    script = "import sys, dfsim; print(' '.join(sorted(m for m in sys.modules if m.startswith('dfsim.'))))"
+    loaded = subprocess.run([sys.executable, "-c", script], env=src_env(), capture_output=True, text=True,
+                            check=True, timeout=120).stdout.split()
+    assert loaded == [f"dfsim.{path.stem}" for path in MODULES if path.stem not in ("cli", "__main__")]
