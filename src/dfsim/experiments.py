@@ -23,13 +23,14 @@ Five experiments reproduce the storage and encoded-control studies:
 
 Every experiment is a pure function of (spin system, ensemble spec, sweep,
 seed); `run` adds the CSV/JSON writing. Every reported fidelity and
-coherence is read off the data spin through `metrics.data_blocks`. Only
-``noisy_gate`` draws random numbers: one unit noise shape from the seed,
-which every point scales to its own strength, so a point's result does not
-depend on the rest of the sweep. The engineered noise window is modeled
-with the deterministic internal evolution refocused exactly (the idealized
-limit of the refocusing pulse pair the hardware sequence uses), so storage
-fidelities isolate the noise itself.
+coherence is read off the data spin through `metrics.data_blocks`; every
+propagated gate F_e (``gates``, and ``noisy_gate``'s gate and held memory)
+is one `gate_fidelities` call. Only ``noisy_gate`` draws random numbers:
+one unit noise shape from the seed, which every point scales to its own
+strength, so a point's result does not depend on the rest of the sweep.
+The engineered noise window is modeled with the deterministic internal
+evolution refocused exactly (the idealized limit of the refocusing pulse
+pair the hardware sequence uses), so storage fidelities isolate the noise.
 """
 
 import copy
@@ -337,6 +338,13 @@ def _gate(name: str, sys: SpinSystem) -> tuple[PulseSequence, np.ndarray]:
         raise ConfigError(f"spin_system: {exc}") from exc
 
 
+def gate_fidelities(seq: PulseSequence, sys: SpinSystem, target: np.ndarray, waveform=None, z=0.0) -> np.ndarray:
+    """Encoded gate F_e of `seq` against one-qubit `target` at each position
+    `z` under `waveform`: one engine call reducing each block to member
+    fidelities, so a 0-d array for a scalar z and one of z's shape otherwise."""
+    return ensemble_propagators(seq, sys, waveform, z, reduce=lambda u: member_gate_fidelities(u, target))
+
+
 def gates_experiment(sys: SpinSystem, sweep: dict):
     """Noiseless encoded gates: fidelity against the ideal rotation and the
     fraction of the gate time spent inside the code space, starting from
@@ -345,8 +353,7 @@ def gates_experiment(sys: SpinSystem, sweep: dict):
     rows, reports = [], []
     for name in names:
         seq, target = _gate(name, sys)
-        u = propagator(seq, sys)
-        fe = float(member_gate_fidelities(u[None, :, :], target)[0])
+        fe = float(gate_fidelities(seq, sys, target))
         residence = dfs_residence_fraction(seq, sys)
         rows.append({"gate": name, "fe": fe, "dfs_residence": residence})
         reports.append(FidelityReport(label=name, fe=fe, metadata={
@@ -365,9 +372,9 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
     One unit random walk, drawn from `seed` and scaled to each point's
     maximum gradient strength g, drives the whole sample: the sweep holds the
     noise shape fixed. As g w at z is w at g z, the points are rows of one
-    engine call per sequence, which reduces its members to fidelities block
-    by block, so no sweep's propagators are held. The reported F_e is the
-    ensemble mean of per-member fidelities.
+    `gate_fidelities` call per sequence (the gate, the held memory), so no
+    sweep's propagators are held. The reported F_e is the ensemble mean of
+    per-member fidelities.
     fe_stderr is their spread divided by sqrt(n); the members are midpoint
     quadrature nodes of one waveform realization, not independent samples,
     so it is no error bar for F_e (ROADMAP item 1). fe_memory is the same
@@ -399,10 +406,8 @@ def noisy_gate_experiment(sys: SpinSystem, spec: EnsembleSpec, sweep: dict, seed
                           f"into more than {MAX_WAVEFORM_STEPS} waveform steps")
     unit_walk = random_walk_waveform(n_steps, seed, step_time)
     positions = np.multiply.outer(grads, zs)  # g w at z is w at g z
-    f_gates = ensemble_propagators(seq, sys, unit_walk, positions,
-                                   reduce=lambda u: member_gate_fidelities(u, target))
-    f_mems = ensemble_propagators(mem_seq, sys, unit_walk, positions,
-                                  reduce=lambda u: member_gate_fidelities(u, mem_target))
+    f_gates = gate_fidelities(seq, sys, target, unit_walk, positions)
+    f_mems = gate_fidelities(mem_seq, sys, mem_target, unit_walk, positions)
     rows, reports = [], []
     for idx, (grad, f_gate, f_mem) in enumerate(zip(grads, f_gates, f_mems)):
         fe = float(f_gate.mean())

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import Phase, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev
 
 # No bytecode cache for dfsim: a stale src/dfsim/__pycache__ moves measured
 # timings. The environment variable also reaches the `python -m dfsim` and
@@ -112,6 +113,16 @@ def scaled_walk(grad_max: float, n_steps: int, seed: int) -> GradientWaveform:
     at positions grad_max z."""
     shape = random_walk_waveform(n_steps, seed)
     return GradientWaveform(shape.step_time, grad_max * shape.values)
+
+
+def continuum_mean(f, half_length: float, deg: int) -> float:
+    """Mean of the entire function `f` over [-half_length, half_length]:
+    the integral of its degree-`deg` Chebyshev interpolant (Clenshaw and
+    Curtis, Numer. Math. 2, 197 (1960)), whose error falls faster than any
+    power of `deg` (Trefethen, ATAP, ch. 8 and 19). `f` is called once, on
+    all deg + 1 Chebyshev points."""
+    integral = chebyshev.chebint(chebyshev.chebinterpolate(lambda x: f(half_length * x), deg))
+    return float(chebyshev.chebval(1.0, integral) - chebyshev.chebval(-1.0, integral)) / 2
 
 
 def event_hamiltonian(ev, sys: SpinSystem) -> np.ndarray:

@@ -235,15 +235,18 @@ class TestGates:
 
 
 class TestNoisyGate:
-    def test_zero_noise_matches_noiseless_and_memory_reference_is_flat(self, spin_system):
+    @pytest.mark.parametrize("gate", sorted(GATES))
+    def test_zero_noise_matches_noiseless_and_memory_reference_is_flat(self, spin_system, gate):
+        # measured at most 1.1e-13 from the gates row and 6.2e-15 from 1 (51
+        # members, seeds 4, 42 and 1000); the noise costs every gate that
+        # leaves the code space, and enc_z_90 never leaves it
         spec = EnsembleSpec(n_members=51)
-        sweep = {**EXPERIMENTS["noisy_gate"].sweep, "grad_max_khz_per_cm": [0.0, 5.0]}
+        sweep = {**EXPERIMENTS["noisy_gate"].sweep, "gate": gate, "grad_max_khz_per_cm": [0.0, 5.0]}
         rows, _ = noisy_gate_experiment(spin_system, spec, sweep, seed=4)
-        gates_rows, _ = gates_experiment(spin_system, EXPERIMENTS["gates"].sweep)
-        noiseless = next(r["fe"] for r in gates_rows if r["gate"] == "composite_y90")
-        assert rows[0]["fe"] == pytest.approx(noiseless, abs=1e-9)
-        assert all(abs(r["fe_memory"] - 1.0) <= 1e-9 for r in rows)
-        assert rows[1]["fe"] < rows[0]["fe"]
+        noiseless = gates_experiment(spin_system, {"gates": [gate]})[0][0]["fe"]
+        assert rows[0]["fe"] == pytest.approx(noiseless, abs=1e-12)
+        assert all(abs(r["fe_memory"] - 1.0) <= 1e-12 for r in rows)
+        assert (rows[1]["fe"] < rows[0]["fe"] - 1e-3) == (gate != "enc_z_90")
 
     def test_enc_z_row_is_its_noiseless_fidelity(self, spin_system):
         # a delay commutes with Jz, so the gradient acts as member phases of

@@ -1,7 +1,8 @@
 """Source checks: every name a dfsim module imports is read in that module,
 every name it defines at module level is read somewhere in src/ or tests/,
 every function it defines is called by an experiment or an acceptance
-criterion, and the package root binds only its documented surface."""
+criterion, only `experiments.gate_fidelities` composes the engine with the
+member fidelities, and the package root binds only its documented surface."""
 
 import ast
 import json
@@ -43,6 +44,21 @@ def test_every_imported_name_is_read(path):
 
 def test_every_allowed_import_is_still_unread():
     assert all(name in unread_imports(SRC / f"{module}.py") for module, name in ALLOWED)
+
+
+def readers(path: Path, name: str) -> set[str]:
+    """Top-level functions of `path` that read `name` (`<module>` for any
+    other top-level statement)."""
+    return {stmt.name if isinstance(stmt, ast.FunctionDef) else "<module>"
+            for stmt in ast.parse(path.read_text(), filename=str(path)).body
+            for node in ast.walk(stmt) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            and node.id == name}
+
+
+@pytest.mark.parametrize("name", ["ensemble_propagators", "member_gate_fidelities"])
+def test_only_the_fidelity_kernel_composes_the_engine_and_the_reduction(name):
+    # every propagated F_e of an experiment is one gate_fidelities call
+    assert readers(SRC / "experiments.py", name) == {"gate_fidelities"}
 
 
 # private dfsim.ensemble names a test may monkeypatch, each with its reason;
